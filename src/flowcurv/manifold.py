@@ -113,10 +113,14 @@ def manifold_sample(model, x, region=None):
 class ZeroSet:
     """Refined phi = 0 points with their provenance.
 
-    Every point satisfies |phi| <= tol_abs + tol_rel * scale with scale the
-    larger |phi| of its bracketing pair, except where bisection hit the
-    floating-point width of the bracket first (phi is then sign-changing
-    between adjacent floats).
+    Grid-edge points satisfy |phi| <= tol_abs + tol_rel * scale with scale
+    the larger |phi| of their bracketing grid nodes, with two exceptions:
+    a grid node where phi is exactly zero is returned as it is, and a point
+    whose bisection hit the floating-point width of the bracket first (phi
+    is then sign-changing between adjacent floats) is kept only when both
+    ends of that final bracket lie in the same PWL region.  Sign changes
+    that survive only across a region boundary are jumps of phi, not zeros;
+    they are dropped and counted in `metadata["dropped_jumps"]`.
     """
 
     points: np.ndarray              # (npts, n)
@@ -131,27 +135,72 @@ class ZeroSet:
         return self.points.shape[0]
 
 
-def _bisect_edge(eval_phi, p_lo, p_hi, f_lo, f_hi, tol_abs, tol_rel, max_iter=90):
-    """Refine a sign change of phi along the segment [p_lo, p_hi]."""
-    scale = max(abs(f_lo), abs(f_hi))
-    target = tol_abs + tol_rel * scale
-    lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        point = p_lo + mid * (p_hi - p_lo)
-        f_mid = eval_phi(point)
-        if not np.isfinite(f_mid):
-            return None, None
-        if abs(f_mid) <= target:
-            return point, f_mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= np.finfo(float).eps:
-            break
-    point = p_lo + 0.5 * (lo + hi) * (p_hi - p_lo)
-    return point, eval_phi(point)
+def _phi_chunked(model, states, chunk):
+    """Batched phi over the columns of `states`, at most `chunk` at a time."""
+    npts = states.shape[1]
+    values = np.empty(npts)
+    for start in range(0, npts, chunk):
+        sl = slice(start, min(start + chunk, npts))
+        values[sl] = phi(model, states[:, sl])
+    return values
+
+
+def _refine_edges(model, p_lo, p_hi, f_lo, target, chunk, max_iter=90):
+    """Bisect every bracketed edge [p_lo, p_hi] in lockstep.
+
+    Each round evaluates phi once, batched over the edges still open.  Each
+    edge follows the single-edge rule: it stops once |phi(mid)| <= target,
+    is dropped on a non-finite phi, and otherwise halves its bracket towards
+    the sign change until the bracket is one float wide or `max_iter` rounds
+    pass.  Such an unconverged edge ends at the midpoint of its final
+    bracket, and is dropped as a jump when the bracket's ends lie in
+    different PWL regions.  Returns the points, their phi, the mask of edges
+    kept, and counters.
+    """
+    m = len(f_lo)
+    step = p_hi - p_lo
+    lo, hi = np.zeros(m), np.ones(m)
+    mids, f_mid = np.empty(m), np.empty(m)
+    eps = np.finfo(float).eps
+
+    def at(edges, t):
+        return p_lo[edges] + t[:, None] * step[edges]
+
+    def evaluate(edges):
+        mids[edges] = 0.5 * (lo[edges] + hi[edges])
+        f_mid[edges] = _phi_chunked(model, at(edges, mids[edges]).T, chunk)
+        return f_mid[edges]
+
+    active, unconverged = np.arange(m), []
+    rounds = phi_points = 0
+    while active.size and rounds < max_iter:
+        rounds += 1
+        phi_points += active.size
+        f = evaluate(active)
+        still = np.isfinite(f) & (np.abs(f) > target[active])
+        active, f = active[still], f[still]
+        same = (f > 0) == (f_lo[active] > 0)
+        lo[active[same]] = mids[active[same]]
+        hi[active[~same]] = mids[active[~same]]
+        wide = hi[active] - lo[active] > eps
+        unconverged.append(active[~wide])
+        active = active[wide]
+    unconverged = np.concatenate(unconverged + [active])
+    phi_points += unconverged.size
+    evaluate(unconverged)
+
+    nonfinite = ~np.isfinite(f_mid)
+    jumps = np.zeros(m, dtype=bool)
+    if model.regions is not None and unconverged.size:
+        differ = (np.asarray(model.regions(at(unconverged, lo[unconverged]).T))
+                  != np.asarray(model.regions(at(unconverged, hi[unconverged]).T)))
+        jumps[unconverged] = np.atleast_2d(differ).any(axis=0)
+    jumps &= ~nonfinite
+    counts = {"refine_rounds": rounds, "refine_phi_points": phi_points,
+              "unconverged": int(unconverged.size),
+              "nonfinite_refinements": int(nonfinite.sum()),
+              "dropped_jumps": int(jumps.sum())}
+    return p_lo + mids[:, None] * step, f_mid, ~(nonfinite | jumps), counts
 
 
 def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9,
@@ -161,8 +210,22 @@ def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9,
     `axes` maps 2 or 3 coordinate indices to (lo, hi, count) ranges; the
     remaining coordinates are fixed at `slice_values` (default 0).  Grid
     edges whose endpoints carry opposite phi signs are bisected until |phi|
-    drops below tol_abs + tol_rel * (bracket scale).  The result is a point
-    cloud for plotting, not a meshed surface.
+    drops below tol_abs + tol_rel * (bracket scale).  All bracketed edges
+    are refined in lockstep: each bisection round evaluates phi once,
+    batched over the edges still open, in slices of at most `chunk` points
+    (the same bound as the grid evaluation).  Batched and single-point phi
+    agree bit for bit, so every point is the one that bisecting its edge
+    alone gives.
+
+    An edge whose bracket shrinks to one float without meeting the
+    tolerance has the two ends of its final bracket classified; if they
+    fall in different PWL regions, phi jumps there rather than vanishing,
+    and the point is dropped.  A grid node where phi is exactly 0.0 is
+    returned as a point of its own.  The result is a point cloud for
+    plotting, not a meshed surface.  Besides `axes` and `slice`, `metadata`
+    holds the counters `edges_bracketed`, `refine_rounds`,
+    `refine_phi_points` (points passed to batched phi), `unconverged`,
+    `nonfinite_refinements`, `dropped_jumps` and `exact_zero_nodes`.
     """
     n = model.dim
     axis_items = sorted(axes.items())
@@ -193,57 +256,41 @@ def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9,
     for (idx, _), m in zip(axis_items, mesh):
         states[idx] = m.ravel()
 
-    values = np.empty(npts)
-    for start in range(0, npts, chunk):
-        sl = slice(start, min(start + chunk, npts))
-        values[sl] = phi(model, states[:, sl])
+    values = _phi_chunked(model, states, chunk)
     finite = np.isfinite(values)
     n_nonfinite = int(npts - finite.sum())
     values_grid = values.reshape(shape)
     finite_grid = finite.reshape(shape)
+    node = np.arange(npts).reshape(shape)
 
-    def eval_scalar(point):
-        return float(phi(model, point))
+    # flat node indices of both ends of every sign-changing edge, axis by axis
+    edge_lo, edge_hi = [], []
+    for axis in range(len(shape)):
+        sl_lo = tuple(slice(0, -1) if a == axis else slice(None) for a in range(len(shape)))
+        sl_hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(len(shape)))
+        crossing = (finite_grid[sl_lo] & finite_grid[sl_hi]
+                    & (np.sign(values_grid[sl_lo]) * np.sign(values_grid[sl_hi]) < 0))
+        edge_lo.append(node[sl_lo][crossing])
+        edge_hi.append(node[sl_hi][crossing])
+    edge_lo, edge_hi = np.concatenate(edge_lo), np.concatenate(edge_hi)
 
-    points, phis = [], []
-    ndim_grid = len(shape)
-    for axis in range(ndim_grid):
-        sl_lo = [slice(None)] * ndim_grid
-        sl_hi = [slice(None)] * ndim_grid
-        sl_lo[axis] = slice(0, -1)
-        sl_hi[axis] = slice(1, None)
-        f_lo = values_grid[tuple(sl_lo)]
-        f_hi = values_grid[tuple(sl_hi)]
-        ok = finite_grid[tuple(sl_lo)] & finite_grid[tuple(sl_hi)]
-        crossing = ok & (np.sign(f_lo) * np.sign(f_hi) < 0)
-        for flat in np.flatnonzero(crossing):
-            idx_lo = np.unravel_index(flat, crossing.shape)
-            idx_hi = list(idx_lo)
-            idx_hi[axis] += 1
-            idx_hi = tuple(idx_hi)
-            p_lo = np.array([slice_values.get(i, 0.0) for i in range(n)])
-            p_hi = p_lo.copy()
-            for k, (coord, _) in enumerate(axis_items):
-                p_lo[coord] = grids[k][idx_lo[k]]
-                p_hi[coord] = grids[k][idx_hi[k]]
-            point, f_mid = _bisect_edge(eval_scalar, p_lo, p_hi,
-                                        values_grid[idx_lo], values_grid[idx_hi],
-                                        tol_abs, tol_rel)
-            if point is not None:
-                points.append(point)
-                phis.append(f_mid)
+    f_lo, f_hi = values[edge_lo], values[edge_hi]
+    target = tol_abs + tol_rel * np.maximum(np.abs(f_lo), np.abs(f_hi))
+    points, f_mid, keep, counts = _refine_edges(
+        model, states[:, edge_lo].T, states[:, edge_hi].T, f_lo, target, chunk)
 
-    if points:
-        order = sorted(range(len(points)), key=lambda k: tuple(points[k]))
-        pts = np.array([points[k] for k in order])
-        pvals = np.array([phis[k] for k in order])
-    else:
-        pts = np.empty((0, n))
-        pvals = np.empty(0)
+    zero_nodes = np.flatnonzero(values == 0.0)
+    pts = np.concatenate([points[keep], states[:, zero_nodes].T])
+    pvals = np.concatenate([f_mid[keep], values[zero_nodes]])
+    order = np.lexsort(pts.T[::-1])
+    pts, pvals = pts[order], pvals[order]
     regions = tuple(model.classify(p) for p in pts) if model.regions else ()
+    metadata = {"axes": dict(axes), "slice": dict(slice_values),
+                "edges_bracketed": int(edge_lo.size), **counts,
+                "exact_zero_nodes": int(zero_nodes.size)}
     return ZeroSet(points=pts, phi_values=pvals, regions=regions,
                    provenance="grid-edge", n_nonfinite=n_nonfinite,
-                   metadata={"axes": dict(axes), "slice": dict(slice_values)})
+                   metadata=metadata)
 
 
 def zero_crossings_on_trajectory(model, traj, time_tol=1e-10,

@@ -143,6 +143,113 @@ def test_zero_set_grid_gear_factors(gear):
         else:
             assert np.hypot(p[0], p[1]) <= 0.3  # degenerate x1 = x2 = 0 set
     assert on_sheet >= 0.8 * len(zs)
+    # grid nodes on the x1 = x2 = 0 line are exact zeros, reported once each
+    zero_nodes = [p for p, v in zip(zs.points, zs.phi_values) if v == 0.0]
+    assert zs.metadata["exact_zero_nodes"] == len(zero_nodes) == 16
+    for p in zero_nodes:
+        assert p[0] == 0.0 and p[1] == 0.0
+
+
+def _reference_bisect_edge(eval_phi, p_lo, p_hi, f_lo, f_hi, tol_abs, tol_rel,
+                           max_iter=90):
+    """Single-edge scalar bisection, the rule lockstep refinement must keep."""
+    scale = max(abs(f_lo), abs(f_hi))
+    target = tol_abs + tol_rel * scale
+    lo, hi = 0.0, 1.0
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        point = p_lo + mid * (p_hi - p_lo)
+        f_mid = eval_phi(point)
+        if not np.isfinite(f_mid):
+            return None, None
+        if abs(f_mid) <= target:
+            return point, f_mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= np.finfo(float).eps:
+            break
+    point = p_lo + 0.5 * (lo + hi) * (p_hi - p_lo)
+    return point, eval_phi(point)
+
+
+def _reference_zero_set(model, axes, slice_values, tol_rel=1e-9):
+    """Edge points of a grid, each edge bisected alone with scalar phi."""
+    items = sorted(axes.items())
+    grids = [np.linspace(lo, hi, count) for _, (lo, hi, count) in items]
+    mesh = np.meshgrid(*grids, indexing="ij")
+    states = np.empty((model.dim, mesh[0].size))
+    for i in range(model.dim):
+        states[i] = slice_values.get(i, 0.0)
+    for (idx, _), m in zip(items, mesh):
+        states[idx] = m.ravel()
+    values = phi(model, states).reshape(mesh[0].shape)
+    points, phis = [], []
+    for axis in range(values.ndim):
+        sl_lo = [slice(None)] * values.ndim
+        sl_hi = [slice(None)] * values.ndim
+        sl_lo[axis] = slice(0, -1)
+        sl_hi[axis] = slice(1, None)
+        f_lo = values[tuple(sl_lo)]
+        f_hi = values[tuple(sl_hi)]
+        for flat in np.flatnonzero(np.sign(f_lo) * np.sign(f_hi) < 0):
+            i_lo = np.unravel_index(flat, f_lo.shape)
+            i_hi = tuple(k + (a == axis) for a, k in enumerate(i_lo))
+            p_lo = np.array([slice_values.get(i, 0.0) for i in range(model.dim)])
+            p_hi = p_lo.copy()
+            for k, (coord, _) in enumerate(items):
+                p_lo[coord] = grids[k][i_lo[k]]
+                p_hi[coord] = grids[k][i_hi[k]]
+            point, f_mid = _reference_bisect_edge(
+                lambda x: float(phi(model, x)), p_lo, p_hi,
+                values[i_lo], values[i_hi], 0.0, tol_rel)
+            if point is not None:
+                points.append(point)
+                phis.append(f_mid)
+    order = sorted(range(len(points)), key=lambda k: tuple(points[k]))
+    return np.array([points[k] for k in order]), np.array([phis[k] for k in order])
+
+
+@pytest.mark.parametrize("name, axes, slice_values", [
+    ("chua4-cubic", {0: (-2.0, 2.0, 10), 1: (-2.0, 2.0, 10), 2: (-2.0, 2.0, 10)},
+     {3: 0.0}),
+    ("gear5", {0: (-1.5, 1.5, 6), 1: (-1.5, 1.5, 6), 2: (0.05, 3.0, 8)},
+     {3: 0.0, 4: 0.0}),
+])
+def test_zero_set_grid_matches_scalar_bisection(name, axes, slice_values):
+    model = get_model(name)
+    zs = zero_set_grid(model, axes, slice_values)
+    points, phis = _reference_zero_set(model, axes, slice_values)
+    assert len(zs) > 50 and zs.metadata["exact_zero_nodes"] == 0
+    assert np.array_equal(zs.points, points)
+    assert np.array_equal(zs.phi_values, phis)
+
+
+def test_zero_set_grid_drops_pwl_jumps(chua3):
+    # sign changes of phi across |x1| = 1 are jumps: bisection runs out of
+    # floats there without meeting the tolerance, and the point is dropped
+    zs = zero_set_grid(chua3, {0: (-3.0, 3.0, 60), 1: (-1.0, 1.0, 60)}, {2: 0.0})
+    assert len(zs) > 100
+    assert zs.metadata["dropped_jumps"] == 60
+    assert np.all(np.abs(np.abs(zs.points[:, 0]) - 1.0) > 1e-9)
+    assert max(phi_scaled(chua3, p) for p in zs.points) <= 1e-9
+
+
+@pytest.mark.parametrize("name, axes, slice_values", [
+    ("chua3-pwl", {0: (-3.0, 3.0, 60), 1: (-1.0, 1.0, 60)}, {2: 0.0}),
+    ("chua4-cubic", {0: (-2.0, 2.0, 10), 1: (-2.0, 2.0, 10), 2: (-2.0, 2.0, 10)}, {}),
+    ("gear5", {0: (-1.5, 1.5, 9), 1: (-1.5, 1.5, 9)}, {2: 1.0}),
+])
+def test_zero_set_grid_counters(name, axes, slice_values):
+    zs = zero_set_grid(get_model(name), axes, slice_values)
+    meta = zs.metadata
+    assert meta["axes"] == axes
+    assert len(zs) == (meta["edges_bracketed"] - meta["dropped_jumps"]
+                       - meta["nonfinite_refinements"] + meta["exact_zero_nodes"])
+    assert meta["unconverged"] >= meta["dropped_jumps"]
+    assert 0 < meta["refine_rounds"] <= 90
+    assert meta["refine_phi_points"] >= meta["edges_bracketed"] + meta["unconverged"]
 
 
 def test_zero_set_grid_validation(chua3):
