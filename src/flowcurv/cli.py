@@ -263,10 +263,11 @@ def _cmd_curvature(args):
     x0 = _parse_vector(args.x0, model.dim)
     traj = integrate(model, x0, args.t_end, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     header = ["t"] + [f"kappa{i + 1}" for i in range(model.dim - 1)]
+    derivs = derivative_stack(model, traj.states.T, model.dim).derivs  # (n, n, samples)
     rows = []
-    for t, x in zip(traj.times, traj.states):
+    for k, t in enumerate(traj.times):
         try:
-            cs = geometry.curvatures(derivative_stack(model, x, model.dim))
+            cs = geometry.curvatures(derivs[:, :, k])
             rows.append([t] + list(cs.kappas))
         except geometry.DegenerateStackError:
             rows.append([t] + [float("nan")] * (model.dim - 1))

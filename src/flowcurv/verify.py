@@ -266,6 +266,10 @@ def _reversed(model):
         regions = base.regions
 
         @staticmethod
+        def rhs(x, region=None):
+            return [-v for v in base.rhs(x, region=region)]
+
+        @staticmethod
         def velocity(x, region=None):
             return -base.velocity(x, region=region)
 

@@ -5,7 +5,9 @@ import re
 
 import numpy as np
 
+from flowcurv import derivative_stack, geometry, get_model
 from flowcurv.cli import main
+from flowcurv.ioutil import write_table
 
 
 def run(args, capsys):
@@ -124,6 +126,37 @@ def test_curvature_command(tmp_path, capsys):
     assert lines[0] == "t,kappa1,kappa2"
     values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.all(values[:, 1] >= 0)  # kappa_1 is a norm ratio
+
+
+def test_curvature_matches_per_point_stacks(tmp_path, capsys):
+    out = tmp_path / "kappa.csv"
+    traj_out = tmp_path / "traj.csv"
+    args = ["--model", "chua3-pwl", "--x0", "0.1,0.1,0.1", "--t-end", "3.0"]
+    assert run(["curvature", *args, "--out", str(out)], capsys)[0] == 0
+    assert run(["integrate", *args, "--out", str(traj_out)], capsys)[0] == 0
+    model = get_model("chua3-pwl")
+    rows = [line.split(",") for line in traj_out.read_text().splitlines()[1:]]
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        x = np.array([float(v) for v in row[1:4]])
+        kappas = geometry.curvatures(derivative_stack(model, x, model.dim)).kappas
+        assert line.split(",") == [row[0]] + [repr(float(k)) for k in kappas]
+
+
+def test_write_table_bytes(tmp_path):
+    header = ["t", "x1", "region"]
+    rows = [[0.0, 0.1, "mid"], [1.5, -2e-17, "pos"]]
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+    write_table(csv_path, header, rows)
+    assert csv_path.read_bytes() == b"t,x1,region\n0.0,0.1,mid\n1.5,-2e-17,pos\n"
+    write_table(csv_path, header, [])
+    assert csv_path.read_bytes() == b"t,x1,region\n"
+    write_table(json_path, header, rows, "json")
+    assert json_path.read_bytes() == (
+        b'{\n "columns": [\n  "t",\n  "x1",\n  "region"\n ],\n "rows": [\n'
+        b'  [\n   0.0,\n   0.1,\n   "mid"\n  ],\n  [\n   1.5,\n   -2e-17,\n   "pos"\n  ]\n'
+        b' ]\n}\n')
 
 
 def test_verify_gear_exit_code(capsys):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from flowcurv import IntegrationError, integrate, load_model
+from flowcurv import IntegrationError, get_model, integrate, load_model, registry
+from flowcurv.integrate import _dp_step, _error_norm
+from flowcurv.verify import _reversed
 
 ROTATION = {"name": "rotation", "dim": 2, "params": {}, "rhs": ["-x2", "x1"]}
 
@@ -92,3 +94,100 @@ def test_input_validation(chua3):
         integrate(chua3, [0.1, 0.1], 1.0)
     with pytest.raises(ValueError, match="finite"):
         integrate(chua3, [np.inf, 0.0, 0.0], 1.0)
+
+
+# -- float-list DP step against the former numpy formulation -----------------
+
+_OLD_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_OLD_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_OLD_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+                   -1 / 40])
+
+
+def _old_dp_step(f, x, k1, h):
+    """The ndarray DP step the float-list loop replaced (reference oracle)."""
+    ks = [k1]
+    for i in range(1, 7):
+        xi = x + h * sum(a * k for a, k in zip(_OLD_A[i], ks))
+        ks.append(f(xi))
+    x_new = x + h * sum(b * k for b, k in zip(_OLD_B5, ks) if b != 0.0)
+    err = h * sum(e * k for e, k in zip(_OLD_E, ks) if e != 0.0)
+    return x_new, err, ks[6]
+
+
+def _old_error_norm(x, x_new, err, rel_tol, abs_tol):
+    scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+    return np.sqrt(np.mean((err / scale) ** 2))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", registry() + ["chua3-pwl-reversed"])
+def test_float_step_bit_identical_to_numpy_step(name):
+    model = (_reversed(get_model("chua3-pwl")) if name == "chua3-pwl-reversed"
+             else get_model(name))
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x = rng.uniform(-2.5, 2.5, model.dim)
+        h = 10.0 ** rng.uniform(-6, -1)
+        k1 = model.velocity(x)
+        new = _dp_step(model.rhs, x.tolist(), k1.tolist(), h)
+        old = _old_dp_step(model.velocity, x, k1, h)
+        for a, b in zip(new, old):
+            np.testing.assert_array_equal(_bits(a), _bits(b))
+        for rel_tol, abs_tol in ((1e-9, 1e-12), (1e-13, 1e-16)):
+            assert (_error_norm(x.tolist(), new[0], new[1], rel_tol, abs_tol)
+                    == _old_error_norm(x, old[0], old[1], rel_tol, abs_tol))
+
+
+# -- work counters ------------------------------------------------------------
+
+def _check_stats_identities(traj):
+    s = traj.stats
+    assert len(traj) == 1 + s["accepted_steps"] + s["events"]
+    assert s["rhs_evals"] == 2 + 6 * s["dp_steps"] + s["events"]
+    # every DP step is accepted, rejected, bisects an event, or is one of the
+    # two steps of a hit (the full step that found it and the cut to it)
+    assert s["dp_steps"] == (s["accepted_steps"] + s["rejected_steps"]
+                             + s["event_bisection_steps"] + 2 * s["events"])
+    assert s["events"] == len(traj.events)
+
+
+def test_stats_counts_chua3(chua3):
+    traj = integrate(chua3, [0.1, 0.1, 0.1], 200.0, rel_tol=1e-9, abs_tol=1e-12)
+    _check_stats_identities(traj)
+    assert traj.stats["dp_steps"] == 16_637
+    assert traj.stats["rhs_evals"] == 99_951
+    assert traj.stats["events"] == 127
+    short = integrate(chua3, [0.1, 0.1, 0.1], 50.0, rel_tol=1e-9, abs_tol=1e-12)
+    _check_stats_identities(short)
+    assert (short.stats["dp_steps"], short.stats["rhs_evals"], short.stats["events"]) \
+        == (4_148, 24_921, 31)
+
+
+def test_stats_without_events_and_on_failure(gear):
+    traj = integrate(load_model(ROTATION), [1.0, 0.0], 3.0)
+    _check_stats_identities(traj)
+    assert traj.stats["events"] == traj.stats["event_bisection_steps"] == 0
+    with pytest.raises(IntegrationError) as excinfo:
+        integrate(gear, [1.0, 0.0, 1.0, 0.0, 0.0], 1.0, rel_tol=1e-9, abs_tol=1e-12)
+    partial = excinfo.value.trajectory
+    assert partial.stats["accepted_steps"] > 10
+    assert len(partial) == 1 + partial.stats["accepted_steps"]
+    assert partial.stats["rhs_evals"] == 2 + 6 * partial.stats["dp_steps"]
+
+
+def test_stats_are_per_trajectory(chua3):
+    a = integrate(chua3, [0.1, 0.1, 0.1], 1.0)
+    b = integrate(chua3, [0.1, 0.1, 0.1], 1.0)
+    assert a.stats == b.stats and a.stats is not b.stats
