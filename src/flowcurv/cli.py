@@ -150,40 +150,6 @@ def _cmd_integrate(args):
     return 0
 
 
-def _scan_states(model, states):
-    """ManifoldSample columns for a batch of states, chunked and thread-capped."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    n = model.dim
-    npts = states.shape[1]
-    chunklen = 2048
-    chunks = [slice(s, min(s + chunklen, npts)) for s in range(0, npts, chunklen)]
-
-    def do(sl):
-        block = states[:, sl]
-        stack = derivative_stack(model, block, n + 1)
-        p = geometry.det_scaled(stack.matrix(count=n))
-        lie = geometry.det_scaled(stack.matrix(count=n, replace_last_with=n + 1))
-        tr = np.zeros(block.shape[1])
-        for i in range(n):
-            tr = tr + np.broadcast_to(
-                np.asarray(model.jac_exprs[i][i].eval(block), dtype=float),
-                (block.shape[1],))
-        resid = np.abs(lie - tr * p) / (1.0 + np.abs(tr * p))
-        return p, lie, resid
-
-    workers = _threads()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(do, chunks))
-    else:
-        parts = [do(sl) for sl in chunks]
-    p = np.concatenate([a for a, _, _ in parts])
-    lie = np.concatenate([b for _, b, _ in parts])
-    resid = np.concatenate([c for _, _, c in parts])
-    return p, lie, resid
-
-
 def _cmd_phi_scan(args):
     model = _load(args.model)
     if bool(args.grid) == bool(args.x0):
@@ -205,7 +171,20 @@ def _cmd_phi_scan(args):
         traj = integrate(model, x0, args.t_end, rel_tol=args.rel_tol,
                          abs_tol=args.abs_tol)
         states = traj.states.T
-    p, lie, resid = _scan_states(model, states)
+    chunks = [states[:, start:start + 2048] for start in range(0, states.shape[1], 2048)]
+
+    def sample(block):
+        return manifold.manifold_sample(model, block)
+
+    workers = _threads()
+    if workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(sample, chunks))
+    else:
+        parts = [sample(block) for block in chunks]
+    p, lie, resid = (np.concatenate([getattr(part, name) for part in parts])
+                     for name in ("phi", "lie", "cofactor_residual"))
     header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "lie", "cofactor_residual"]
     rows = [list(states[:, k]) + [p[k], lie[k], resid[k]]
             for k in range(states.shape[1])]

@@ -31,27 +31,46 @@ def det_scaled(matrix):
     stacks of stiff systems have columns that are both huge and nearly
     parallel; this keeps the Darboux cancellation L_V phi - Tr(J) phi at
     the identity's rounding floor instead of the raw double one.
+
+    A square matrix (..., n, n) gives its determinant.  A bordered matrix
+    (..., n, n - 1 + m) with m > 1 gives shape (..., m): the determinant of
+    its first n - 1 columns completed by each trailing column in turn, all
+    from one elimination, each bit-identical to the square call on that
+    completion.  phi and L_V phi are the two completions of d_1..d_{n-1}.
     """
     m = np.asarray(matrix)
     if not np.issubdtype(m.dtype, np.floating):
         m = m.astype(float)
+    n, cols = m.shape[-2:]
+    if cols < n:
+        raise ValueError(f"a {n}-row determinant needs at least {n} columns, got {cols}")
     norms = np.linalg.norm(m.astype(float), axis=-2, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
     scale = np.exp2(np.rint(np.log2(safe)))
-    det = _lu_det((m / scale.astype(m.dtype)).astype(np.longdouble))
-    out = (det * np.prod(scale, axis=-1)[..., 0]).astype(float)
+    dets = _lu_det((m / scale.astype(m.dtype)).astype(np.longdouble))
+    scale = scale[..., 0, :]
+    out = (dets * (np.prod(scale[..., :n - 1], axis=-1)[..., None]
+                   * scale[..., n - 1:])).astype(float)
+    if cols == n:
+        out = out[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
 def _lu_det(a):
-    """Batched partial-pivot LU determinant; `a` has shape (..., n, n)."""
+    """Batched partial-pivot LU determinants of bordered matrices.
+
+    `a` has shape (..., n, n - 1 + m); the result, shape (..., m), holds
+    the determinant of the first n - 1 columns completed by each of the m
+    trailing columns.  Pivots are searched only in the first n - 1 columns,
+    so one elimination serves every completion; m = 1 is the square case.
+    """
     batch = a.shape[:-2]
-    n = a.shape[-1]
-    a = a.reshape((-1, n, n)).copy()
+    n, cols = a.shape[-2:]
+    a = a.reshape((-1, n, cols)).copy()
     k_pts = a.shape[0]
     rows = np.arange(k_pts)
     det = np.ones(k_pts, dtype=a.dtype)
-    for k in range(n):
+    for k in range(n - 1):
         piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
         swapped = piv != k
         det[swapped] = -det[swapped]
@@ -60,11 +79,11 @@ def _lu_det(a):
         a[rows, piv, :] = tmp
         pivot = a[:, k, k].copy()
         det = det * pivot
-        if k < n - 1:
-            divisor = np.where(pivot == 0.0, 1.0, pivot)
-            factor = a[:, k + 1:, k] / divisor[:, None]
-            a[:, k + 1:, k:] = a[:, k + 1:, k:] - factor[:, :, None] * a[:, k, k:][:, None, :]
-    return det.reshape(batch)
+        divisor = np.where(pivot == 0.0, 1.0, pivot)
+        factor = a[:, k + 1:, k] / divisor[:, None]
+        a[:, k + 1:, k:] = a[:, k + 1:, k:] - factor[:, :, None] * a[:, k, k:][:, None, :]
+    # the last row is each completion's final pivot
+    return (det[:, None] * a[:, n - 1, n - 1:]).reshape(batch + (cols - n + 1,))
 
 # Relative rank-loss threshold: below the rounding floor of double arithmetic
 # after O(n^2) operations.

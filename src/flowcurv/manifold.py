@@ -28,11 +28,6 @@ __all__ = [
 ]
 
 
-def _det(matrix):
-    # partial-pivot LU with exact power-of-two column equilibration
-    return det_scaled(matrix)
-
-
 def phi(model, x, region=None):
     """Curvature-of-the-flow determinant det(d_1, ..., d_n) at `x`.
 
@@ -41,14 +36,14 @@ def phi(model, x, region=None):
     interest.
     """
     stack = derivative_stack(model, x, model.dim, region=region)
-    return _det(stack.matrix())
+    return det_scaled(stack.matrix())
 
 
 def lie_phi(model, x, region=None):
     """Lie derivative of phi along the flow: the determinant with X^(n+1) last."""
     n = model.dim
     stack = derivative_stack(model, x, n + 1, region=region)
-    return _det(stack.matrix(count=n, replace_last_with=n + 1))
+    return det_scaled(stack.matrix(count=n, replace_last_with=n + 1))
 
 
 def phi_scaled(model, x, region=None):
@@ -58,7 +53,7 @@ def phi_scaled(model, x, region=None):
     raw determinants span hundreds of orders of magnitude across models.
     """
     stack = derivative_stack(model, x, model.dim, region=region)
-    value = np.abs(_det(stack.matrix()))
+    value = np.abs(det_scaled(stack.matrix()))
     norms = np.linalg.norm(stack.derivs, axis=1)  # (n,) or (n, npts)
     scale = np.prod(norms, axis=0)
     return np.where(scale > 0.0, value / np.where(scale > 0.0, scale, 1.0), 0.0)[()]
@@ -69,26 +64,18 @@ def darboux_residual(model, x, region=None):
 
     Near zero exactly where the Jacobian is stationary along the flow: all
     of a PWL region, any linear system, and the vicinity of a cubic model's
-    singular approximation.  The stack and determinants run in extended
-    precision: the identity's cancellation sits far below double rounding
-    when the derivative columns are stiff and nearly parallel.
+    singular approximation.  This is `manifold_sample(...).cofactor_residual`.
     """
-    x = np.asarray(x, dtype=float)
-    n = model.dim
-    stack = derivative_stack(model, x.astype(np.longdouble), n + 1, region=region)
-    p = _det(stack.matrix(count=n))
-    lie = _det(stack.matrix(count=n, replace_last_with=n + 1))
-    if x.ndim == 1:
-        tr = np.trace(model.jacobian(x, region=stack.region))
-    else:
-        tr = np.array([np.trace(model.jacobian(x[:, k], region=None))
-                       for k in range(x.shape[1])])
-    return np.abs(lie - tr * p) / (1.0 + np.abs(tr * p))
+    return manifold_sample(model, x, region=region).cofactor_residual
 
 
 @dataclass(frozen=True)
 class ManifoldSample:
-    """phi, its Lie derivative, and the Darboux cofactor residual at a point."""
+    """phi, its Lie derivative, and the Darboux cofactor residual.
+
+    Floats for a single state; (npts,) arrays (and a per-point region
+    array) for a batch.
+    """
 
     point: np.ndarray
     phi: float
@@ -98,13 +85,26 @@ class ManifoldSample:
 
 
 def manifold_sample(model, x, region=None):
+    """phi, L_V phi and |L_V phi - Tr(J) phi| / (1 + |Tr(J) phi|) at `x`.
+
+    Accepts a single state of shape (n,) or a batch of shape (n, npts).
+    One extended-precision stack X^(1)..X^(n+1) gives both determinants
+    through one shared elimination: the identity's cancellation sits far
+    below double rounding when the derivative columns are stiff and nearly
+    parallel.  Tr(J) sums the diagonal Jacobian expressions in the stack's
+    region, which is pinned by `region` or classified per point.
+    """
     x = np.asarray(x, dtype=float)
     n = model.dim
     stack = derivative_stack(model, x.astype(np.longdouble), n + 1, region=region)
-    p = float(_det(stack.matrix(count=n)))
-    lie = float(_det(stack.matrix(count=n, replace_last_with=n + 1)))
-    tr = float(np.trace(model.jacobian(x, region=stack.region)))
-    resid = abs(lie - tr * p) / (1.0 + abs(tr * p))
+    dets = det_scaled(stack.matrix(count=n + 1))
+    p, lie = dets[..., 0], dets[..., 1]
+    tr = model.jac_exprs[0][0].eval(x, stack.region)
+    for i in range(1, n):
+        tr = tr + model.jac_exprs[i][i].eval(x, stack.region)
+    resid = np.abs(lie - tr * p) / (1.0 + np.abs(tr * p))
+    if x.ndim == 1:
+        p, lie, resid = float(p), float(lie), float(resid)
     return ManifoldSample(point=x, phi=p, lie=lie, cofactor_residual=resid,
                           region=stack.region)
 
@@ -418,6 +418,24 @@ def _solve_fast(model, split, slow_values, seeds):
     return None
 
 
+def _singular_points(model, split, samples, rng):
+    """Points on the singular approximation, from `samples` random draws.
+
+    Each draw takes the slow variables uniformly in the split's box (shifted
+    by its center) and solves the fast equations from a zero seed and four
+    random ones; a draw whose solve fails yields nothing.
+    """
+    nfast = len(split.fast_indices)
+    for _ in range(samples):
+        slow_values = np.array([rng.uniform(lo, hi) for lo, hi in split.box])
+        if split.box_center is not None:
+            slow_values = split.box_center + slow_values
+        seeds = [np.zeros(nfast)] + [rng.uniform(-3, 3, nfast) for _ in range(4)]
+        x = _solve_fast(model, split, slow_values, seeds)
+        if x is not None:
+            yield x
+
+
 @dataclass(frozen=True)
 class GspSummary:
     n_requested: int
@@ -450,23 +468,12 @@ def gsp_order0_residual(model, split, samples, seed=0):
     """
     if samples == 0:
         return GspSummary(0, 0, 0, 0.0, 0.0, split.epsilon)
-    rng = np.random.default_rng(seed)
-    fast = list(split.fast_indices)
-    center = split.box_center
     residuals = []
-    skipped = 0
-    for _ in range(samples):
-        slow_values = np.array([rng.uniform(lo, hi) for lo, hi in split.box])
-        if center is not None:
-            slow_values = center + slow_values
-        seeds = [np.zeros(len(fast))] + [rng.uniform(-3, 3, len(fast)) for _ in range(4)]
-        x = _solve_fast(model, split, slow_values, seeds)
-        if x is None:
-            skipped += 1
-            continue
+    for x in _singular_points(model, split, samples, np.random.default_rng(seed)):
         value = abs(float(phi(model, x)))
         grad = np.linalg.norm(_grad_phi(model, x))
         residuals.append(value / grad if grad > 0 else 0.0)
+    skipped = samples - len(residuals)
     if not residuals:
         return GspSummary(samples, 0, skipped, float("nan"), float("nan"), split.epsilon)
     arr = np.array(residuals)

@@ -10,10 +10,11 @@ contrast for the slow-fast models).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import expr as ex
 from . import geometry, manifold, models, spectral
 from .jets import derivative_stack
 
@@ -256,46 +257,20 @@ def _lie_fd_checks(model, rng, count=20):
 
 
 def _reversed(model):
-    """Duck-typed model evolving the reversed field (for backward FD samples)."""
-    base = model
-
-    class _Rev:
-        name = base.name + "-reversed"
-        dim = base.dim
-        pwl_args = base.pwl_args
-        regions = base.regions
-
-        @staticmethod
-        def rhs(x, region=None):
-            return [-v for v in base.rhs(x, region=region)]
-
-        @staticmethod
-        def velocity(x, region=None):
-            return -base.velocity(x, region=region)
-
-        @staticmethod
-        def classify(x):
-            return base.classify(x)
-
-    return _Rev
+    """The model with its vector field negated (for backward FD samples)."""
+    exprs = tuple(ex.Neg(e) for e in model.rhs_exprs)
+    rhs, jacobian, jac_exprs = models._build_evaluators(model.dim, exprs)
+    return replace(model, name=model.name + "-reversed", rhs=rhs, jacobian=jacobian,
+                   rhs_exprs=exprs, jac_exprs=jac_exprs)
 
 
 def _slowfast_checks(model, seed=0):
     if model.slowfast_defaults is None:
         return []
     split = manifold.default_split(model)
-    rng = np.random.default_rng(seed)
     fast = split.fast_indices[0]
     on, off = [], []
-    samples = 60
-    for _ in range(samples):
-        slow_values = np.array([rng.uniform(lo, hi) for lo, hi in split.box])
-        if split.box_center is not None:
-            slow_values = split.box_center + slow_values
-        seeds = [np.zeros(1)] + [rng.uniform(-3, 3, 1) for _ in range(4)]
-        x = manifold._solve_fast(model, split, slow_values, seeds)
-        if x is None:
-            continue
+    for x in manifold._singular_points(model, split, 60, np.random.default_rng(seed)):
         on.append(float(manifold.darboux_residual(model, x)))
         x_off = x.copy()
         x_off[fast] += 0.5

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 
-from flowcurv import derivative_stack, geometry, get_model
+from flowcurv import derivative_stack, geometry, get_model, manifold_sample
 from flowcurv.cli import main
 from flowcurv.ioutil import write_table
 
@@ -208,3 +208,50 @@ def test_model_config_file_path(tmp_path, capsys):
                       "--t-end", "1.0", "--out", str(out)], capsys)
     assert code == 0
     assert out.read_text().splitlines()[0] == "t,x1,x2,region"
+
+
+def _scan_table(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    return header, np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def _assert_scan_matches_library(model, header, table, per_point=True):
+    n = model.dim
+    assert header[n:] == ["phi", "lie", "cofactor_residual"]
+    states = table[:, :n].T
+    batch = manifold_sample(model, states)
+    for j, name in enumerate(("phi", "lie", "cofactor_residual")):
+        np.testing.assert_array_equal(table[:, n + j], getattr(batch, name))
+    if per_point:
+        for k in range(table.shape[0]):
+            s = manifold_sample(model, states[:, k])
+            assert list(table[k, n:]) == [s.phi, s.lie, s.cofactor_residual]
+
+
+def test_phi_scan_columns_are_manifold_sample(tmp_path, capsys):
+    # csv floats are shortest round-trip decimals, so parsing them back is exact
+    out = tmp_path / "grid.csv"
+    assert run(["phi-scan", "--model", "chua5-pwl", "--grid", "x1=-4:4:15,x2=-1:1:12",
+                "--slice", "x3=0.1,x4=0,x5=-0.2", "--out", str(out)], capsys)[0] == 0
+    _assert_scan_matches_library(get_model("chua5-pwl"), *_scan_table(out))
+
+    out = tmp_path / "traj.csv"
+    assert run(["phi-scan", "--model", "chua4-cubic", "--x0", "0.1,0.1,0.1,0.1",
+                "--t-end", "5.0", "--out", str(out)], capsys)[0] == 0
+    _assert_scan_matches_library(get_model("chua4-cubic"), *_scan_table(out))
+
+
+def test_phi_scan_chunks_and_threads_match_one_batch(tmp_path, capsys, monkeypatch):
+    # 2,050 nodes span two 2,048-column chunks
+    args = ["phi-scan", "--model", "chua5-pwl", "--grid", "x1=-4:4:41,x2=-1:1:50",
+            "--slice", "x3=0,x4=0,x5=0"]
+    out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
+    monkeypatch.setenv("FLOWCURV_THREADS", "1")
+    assert run(args + ["--out", str(out1)], capsys)[0] == 0
+    monkeypatch.setenv("FLOWCURV_THREADS", "2")
+    assert run(args + ["--out", str(out2)], capsys)[0] == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    header, table = _scan_table(out1)
+    assert table.shape[0] == 2050
+    _assert_scan_matches_library(get_model("chua5-pwl"), header, table, per_point=False)

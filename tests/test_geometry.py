@@ -10,6 +10,7 @@ from flowcurv import (DegenerateStackError, curvature1_3d, curvatures,
                       gram_schmidt, det_norm_product_residual,
                       det_multiplicativity_residual, trace_expansion_residual,
                       torsion_3d, wedge)
+from flowcurv.geometry import det_scaled
 
 
 def test_already_orthogonal_unchanged():
@@ -207,3 +208,90 @@ def test_frenet_tridiagonal_structure(curve):
             expected[i + 1, i] = -v * kappas[i]
         dominant = v * kappas.max()
         np.testing.assert_allclose(alpha, expected, atol=1e-3 * dominant)
+
+
+# -- shared elimination for bordered determinants ---------------------------------
+
+def _old_lu_det(a):
+    """The square-only elimination that `geometry._lu_det` generalizes."""
+    batch = a.shape[:-2]
+    n = a.shape[-1]
+    a = a.reshape((-1, n, n)).copy()
+    k_pts = a.shape[0]
+    rows = np.arange(k_pts)
+    det = np.ones(k_pts, dtype=a.dtype)
+    for k in range(n):
+        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        swapped = piv != k
+        det[swapped] = -det[swapped]
+        tmp = a[rows, k, :].copy()
+        a[rows, k, :] = a[rows, piv, :]
+        a[rows, piv, :] = tmp
+        pivot = a[:, k, k].copy()
+        det = det * pivot
+        if k < n - 1:
+            divisor = np.where(pivot == 0.0, 1.0, pivot)
+            factor = a[:, k + 1:, k] / divisor[:, None]
+            a[:, k + 1:, k:] = a[:, k + 1:, k:] - factor[:, :, None] * a[:, k, k:][:, None, :]
+    return det.reshape(batch)
+
+
+def _old_det_scaled(matrix):
+    m = np.asarray(matrix)
+    norms = np.linalg.norm(m.astype(float), axis=-2, keepdims=True)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    scale = np.exp2(np.rint(np.log2(safe)))
+    det = _old_lu_det((m / scale.astype(m.dtype)).astype(np.longdouble))
+    return (det * np.prod(scale, axis=-1)[..., 0]).astype(float)
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def _check_bordered(bordered):
+    """Every completion of `bordered` (..., n, n - 1 + m) against the old code."""
+    from flowcurv.geometry import _lu_det
+    n, cols = bordered.shape[-2:]
+    lu = _lu_det(bordered.astype(np.longdouble))
+    dets = det_scaled(bordered)
+    for j in range(cols - n + 1):
+        square = np.concatenate([bordered[..., :n - 1], bordered[..., n - 1 + j:n + j]],
+                                axis=-1)
+        _assert_same_bits(lu[..., j], _old_lu_det(square.astype(np.longdouble)))
+        expected = _old_det_scaled(square)
+        _assert_same_bits(dets[..., j] if cols > n else dets, expected)
+        _assert_same_bits(det_scaled(square), expected)
+
+
+def test_bordered_elimination_matches_square_lu_on_random_stacks():
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for m in (1, 2, 3):
+            for batch in ((), (9,), (2, 5)):
+                stack = rng.standard_normal(batch + (n, n - 1 + m))
+                stack *= 10.0 ** rng.uniform(-30, 30, batch + (1, n - 1 + m))
+                _check_bordered(stack)
+    # exact ties and zero pivots exercise the swap and zero-divisor paths
+    ints = rng.integers(-1, 2, (200, 4, 5)).astype(float)
+    _check_bordered(ints)
+    _check_bordered(np.zeros((3, 3, 4)))
+
+
+def test_bordered_elimination_matches_square_lu_on_stiff_stacks(chua5):
+    from flowcurv import derivative_stack
+    from conftest import in_region_points
+    for region in ("neg", "mid", "pos"):
+        x = np.array(in_region_points(chua5, region, 200, seed=5)).T
+        for dtype in (float, np.longdouble):
+            stack = derivative_stack(chua5, x.astype(dtype), 6)
+            _check_bordered(stack.matrix(count=6))
+            _check_bordered(stack.matrix(count=6)[0])
+
+
+def test_det_scaled_rejects_short_matrices():
+    with pytest.raises(ValueError):
+        det_scaled(np.ones((3, 2)))

@@ -150,6 +150,28 @@ def test_float_step_bit_identical_to_numpy_step(name):
                     == _old_error_norm(x, old[0], old[1], rel_tol, abs_tol))
 
 
+@pytest.mark.parametrize("name", registry())
+def test_reversed_model_negates_rhs_jacobian_and_stack(name):
+    from flowcurv import ModelDef, derivative_stack
+    model = get_model(name)
+    rev = _reversed(model)
+    assert isinstance(rev, ModelDef) and rev.name == name + "-reversed"
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        x = rng.uniform(-2.5, 2.5, model.dim)
+        region = model.classify(x)
+        assert rev.rhs(x.tolist()) == [-v for v in model.rhs(x.tolist())]
+        np.testing.assert_array_equal(rev.jacobian(x, region=region),
+                                      -model.jacobian(x, region=region))
+        np.testing.assert_array_equal(
+            [[e.eval(x, region) for e in row] for row in rev.jac_exprs],
+            rev.jacobian(x, region=region))
+        # d_k of the reversed flow is (-1)^k d_k of the forward flow
+        fwd, bwd = (derivative_stack(m, x, 3).derivs for m in (model, rev))
+        np.testing.assert_allclose(bwd, fwd * np.array([-1.0, 1.0, -1.0])[:, None],
+                                   rtol=1e-12, atol=1e-12 * np.abs(fwd).max())
+
+
 # -- work counters ------------------------------------------------------------
 
 def _check_stats_identities(traj):

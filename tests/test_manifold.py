@@ -110,6 +110,31 @@ def test_manifold_sample_fields(chua3):
     assert s.phi != 0.0
 
 
+def test_manifold_sample_batch_equals_single_points(chua5):
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-3, 3, (5, 40))
+    batch = manifold_sample(chua5, x)
+    assert batch.phi.shape == batch.lie.shape == batch.cofactor_residual.shape == (40,)
+    for k in range(40):
+        s = manifold_sample(chua5, x[:, k])
+        assert (s.phi, s.lie, s.cofactor_residual, s.region) == (
+            batch.phi[k], batch.lie[k], batch.cofactor_residual[k], batch.region[k])
+        assert s.phi == phi(chua5, x[:, k].astype(np.longdouble))
+    np.testing.assert_array_equal(darboux_residual(chua5, x), batch.cofactor_residual)
+
+
+def test_batched_darboux_residual_honours_pinned_region(chua3):
+    # middle-region points evaluated on the pinned outer branch: the field is
+    # affine there, so the residual vanishes; the trace must use that branch too
+    x = np.array([[0.5, 0.2, -0.3], [-0.4, 0.1, 0.6]]).T
+    assert [chua3.classify(x[:, k]) for k in range(2)] == ["mid", "mid"]
+    singles = [darboux_residual(chua3, x[:, k], region="pos") for k in range(2)]
+    batch = darboux_residual(chua3, x, region="pos")
+    assert list(batch) == singles
+    assert max(singles) <= 1e-12
+    assert manifold_sample(chua3, x, region="pos").region == "pos"
+
+
 # -- zero-set extraction --------------------------------------------------------
 
 def test_zero_set_grid_recovers_plane(chua3):
@@ -323,6 +348,20 @@ def test_gsp_chua4_cubic_stiffness_scaling():
         assert summary.n_solved > 30
         means.append(summary.mean_scaled)
     assert means[0] > means[1] > means[2]
+
+
+@pytest.mark.parametrize("name", ["chua4-cubic", "chua5-cubic", "magnetoconvection5"])
+def test_singular_points_solve_the_fast_equations(name):
+    from flowcurv.manifold import _singular_points
+    model = get_model(name)
+    split = default_split(model)
+    points = list(_singular_points(model, split, 30, np.random.default_rng(1)))
+    summary = gsp_order0_residual(model, split, samples=30, seed=1)
+    assert summary.n_solved == len(points) > 20
+    assert summary.n_skipped == 30 - len(points)
+    for x in points:
+        fast = model.velocity(x)[list(split.fast_indices)]
+        assert np.linalg.norm(fast) <= 1e-12 * (1.0 + np.linalg.norm(x))
 
 
 def test_gsp_zero_samples():
