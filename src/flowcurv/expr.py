@@ -214,11 +214,9 @@ class Pow(Node):
         if self.exponent == 0:
             return Const(0.0)
         inner = self.base.diff(var)
-        outer = _mul(Const(self.exponent), Pow(self.base, self.exponent - 1)) \
-            if self.exponent != 1 else Const(1.0)
         if self.exponent == 1:
             return inner
-        return _mul(outer, inner)
+        return _mul(_mul(Const(self.exponent), Pow(self.base, self.exponent - 1)), inner)
 
     def free_vars(self):
         return self.base.free_vars()
@@ -440,7 +438,7 @@ class _Parser:
 
     def term(self):
         node = self.unary()
-        while self.peek()[1] == "*" and self.peek()[0] == "op" and self.peek()[1] != "**":
+        while self.peek()[1] == "*":
             self.take()
             node = _mul(node, self.unary())
         return node
@@ -460,13 +458,12 @@ class _Parser:
         tok = self.peek()
         if tok[1] in ("^", "**"):
             self.take()
-            sign = 1
             if self.peek()[1] == "-":
                 raise ExprError("negative powers are not supported", self.peek()[2], self.text)
             num = self.take("number")
             if "." in num[1] or "e" in num[1] or "E" in num[1]:
                 raise ExprError("powers must be integers", num[2], self.text)
-            return Pow(base, sign * int(num[1]))
+            return Pow(base, int(num[1]))
         return base
 
     def atom(self):

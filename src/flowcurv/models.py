@@ -55,10 +55,11 @@ def cubic_k(x1, c1, c2):
 class FixedPoint:
     """Equilibrium (or branch equilibrium) of a model.
 
-    `region` records the branch the point was solved on.  `virtual` marks a
-    PWL branch equilibrium that falls outside its own region; the published
-    4-D Chua circuit values are of this kind, and every analysis that uses
-    such a point pins evaluation to its branch.
+    `region` records the branch the point was solved on (for a smooth
+    model, None).  `virtual` marks a PWL branch equilibrium that classifies
+    outside its own branch, in built-ins and JSON configs alike; the
+    published 4-D Chua circuit values are of this kind, and every analysis
+    that uses such a point pins evaluation to its branch.
     """
 
     location: np.ndarray
@@ -85,7 +86,6 @@ class ModelDef:
     fixed_point_guesses: tuple = ()
     odd_symmetric: bool = False
     slowfast_defaults: dict | None = field(default=None, compare=False)
-    _fp_solver: object = field(default=None, compare=False, repr=False)
 
     def velocity(self, x, region=None):
         """rhs evaluated on a plain state vector, as an ndarray."""
@@ -227,6 +227,16 @@ def _chua5_pwl_config(params):
     }
 
 
+def _odd_guesses(dim, disc, branch):
+    """Newton guesses of a cubic Chua circuit: the origin and, when the
+    closed-form x1^2 = disc is positive, its two mirrored outer branches."""
+    guesses = [[0.0] * dim]
+    if disc > 0:
+        pos = branch(math.sqrt(disc))
+        guesses += [pos, [-v for v in pos]]
+    return guesses
+
+
 def _chua4_cubic_config(params):
     p = {"alpha1": 2.1429, "alpha2": 0.18, "beta1": 0.0774, "beta2": 0.003,
          "c1": 0.3937, "c2": -0.7235}
@@ -239,6 +249,9 @@ def _chua4_cubic_config(params):
             "beta1*(x2 - x1 - x3)",
             "beta2*x2",
         ],
+        # x2 = 0, x3 = -x1, x4 = x1, with cubic_k(x1) = -x1
+        "fixed_point_guesses": _odd_guesses(4, -(1.0 + p["c2"]) / p["c1"],
+                                            lambda x1: [x1, 0.0, -x1, x1]),
     }
 
 
@@ -246,6 +259,12 @@ def _chua5_cubic_config(params):
     p = {"alpha1": 9.934, "alpha2": 1.0, "beta1": 14.47, "beta2": -406.5,
          "gamma1": -0.0152, "gamma2": 41000.0, "c1": 0.1068, "c2": -0.3056}
     p.update(params)
+    g1 = p["gamma1"]
+
+    def branch(x1):  # x2 = x4 = x1 + x3, x5 = -x3
+        x3 = x1 / (g1 - 1.0)
+        return [x1, x1 + x3, x3, x1 + x3, -x3]
+
     return {
         "name": "chua5-cubic", "dim": 5, "params": p,
         "rhs": [
@@ -255,6 +274,8 @@ def _chua5_cubic_config(params):
             "beta2*(x3 + x5)",
             "gamma2*(x4 + gamma1*x5)",
         ],
+        "fixed_point_guesses": _odd_guesses(5, (1.0 / (g1 - 1.0) - p["c2"]) / p["c1"],
+                                            branch),
     }
 
 
@@ -278,6 +299,10 @@ def _magneto_config(params):
             "-varsigma*(x4 - x1) - cm*x1*x5",
             "-c5*(x5 - x1*x4)",
         ],
+        # The convection equilibria do not evaluate to an exactly zero
+        # velocity in double arithmetic, so only the origin is returned;
+        # magneto_equilibrium gives the convection branch.
+        "fixed_point_guesses": [[0.0] * 5],
     }
 
 
@@ -322,22 +347,11 @@ def region_box(model, region, center=None, halfwidth=2.0):
 # Fixed points
 # ---------------------------------------------------------------------------
 
-_ULP_SCAN = 400
-
-
-def _ulp_neighbors(x, count):
-    """x and its `count` nearest floats on either side, nearest first."""
-    yield x
-    lo = hi = x
-    for _ in range(count):
-        lo = np.nextafter(lo, -math.inf)
-        hi = np.nextafter(hi, math.inf)
-        yield hi
-        yield lo
-
-
-def _rhs_is_zero(model, x, region):
-    return all(v == 0.0 for v in model.rhs(np.asarray(x, dtype=float), region=region))
+# A solved PWL equilibrium is snapped within +-_SNAP_ULPS ulps per
+# coordinate, a box of 5^n candidates; past _SNAP_CANDIDATES (the 5-D box)
+# the box narrows, so a large config never allocates 5^n states.
+_SNAP_ULPS = 2
+_SNAP_CANDIDATES = (2 * _SNAP_ULPS + 1) ** 5
 
 
 def _mirror(fp):
@@ -346,90 +360,34 @@ def _mirror(fp):
     return FixedPoint(location=loc, region=region, virtual=fp.virtual)
 
 
-def _chua3_fixed_points(model):
-    p = model.params
-    alpha, b = p["alpha"], p["b"]
-    base = (p["b"] - p["a"]) / (1.0 + b)  # outer-branch x1 solving -(1+b)x1 = a-b
-    pts = [FixedPoint(np.zeros(3), region="mid")]
-    for x1 in _ulp_neighbors(base, _ULP_SCAN):
-        cand = np.array([x1, 0.0, -x1])
-        if _rhs_is_zero(model, cand, "pos"):
-            fp = FixedPoint(cand, region="pos", virtual=abs(x1) < 1.0)
-            pts += [fp, _mirror(fp)]
-            break
-    return pts
+def _snap(model, loc, region):
+    """The exact zero of the velocity on `region` nearest `loc`, in ulps.
 
-
-def _chua4_fixed_points(model):
-    p = model.params
-    b = p["b"]
-    base = (p["b"] - p["a"]) / (1.0 + b)  # bx1 + a - b = -x1
-    pts = [FixedPoint(np.zeros(4), region="mid")]
-    for x1 in _ulp_neighbors(base, _ULP_SCAN):
-        cand = np.array([x1, 0.0, -x1, x1])
-        if _rhs_is_zero(model, cand, "pos"):
-            fp = FixedPoint(cand, region="pos", virtual=abs(x1) < 1.0)
-            pts += [fp, _mirror(fp)]
-            break
-    return pts
-
-
-def _chua5_fixed_points(model):
-    p = model.params
-    b, g1 = p["b"], p["gamma1"]
-    x3_base = (b - p["a"]) / (1.0 - b * (g1 - 1.0))
-    pts = [FixedPoint(np.zeros(5), region="mid")]
-    found = None
-    for x3 in _ulp_neighbors(x3_base, _ULP_SCAN // 4):
-        x5 = -x3
-        x4 = -(g1 * x5)
-        x2 = x4
-        x1_base = x2 - x3
-        for x1 in _ulp_neighbors(x1_base, _ULP_SCAN // 4):
-            cand = np.array([x1, x2, x3, x4, x5])
-            region = "neg" if x1 < 0 else "pos"
-            if _rhs_is_zero(model, cand, region):
-                found = FixedPoint(cand, region=region, virtual=abs(x1) < 1.0)
-                break
-        if found is not None:
-            break
-    if found is not None:
-        pts += [found, _mirror(found)]
-    return pts
-
-
-def _chua4_cubic_fixed_points(model):
-    p = model.params
-    pts = [FixedPoint(np.zeros(4), region=None)]
-    # x2 = 0, x3 = -x1, x4 = x1, with cubic_k(x1) = -x1
-    disc = -(1.0 + p["c2"]) / p["c1"]
-    if disc > 0:
-        x1 = math.sqrt(disc)
-        x1 = _newton_polish(model, np.array([x1, 0.0, -x1, x1]))
-        pts += [FixedPoint(x1), FixedPoint(-x1)]
-    return pts
-
-
-def _chua5_cubic_fixed_points(model):
-    p = model.params
-    pts = [FixedPoint(np.zeros(5), region=None)]
-    g1 = p["gamma1"]
-    disc = (1.0 / (g1 - 1.0) - p["c2"]) / p["c1"]
-    if disc > 0:
-        x1 = math.sqrt(disc)
-        x3 = x1 / (g1 - 1.0)
-        guess = np.array([x1, x1 + x3, x3, x1 + x3, -x3])
-        loc = _newton_polish(model, guess)
-        pts += [FixedPoint(loc), FixedPoint(-loc)]
-    return pts
-
-
-def _magneto_fixed_points(model):
-    # The nontrivial convection equilibria do not evaluate to exactly zero in
-    # double arithmetic, so only the origin is returned by default; callers
-    # wanting the convection branch pass it as a guess (see
-    # magneto_equilibrium for the closed-form reduction).
-    return [FixedPoint(np.zeros(5), region=None)]
+    One batched rhs call over the box of floats within a few ulps of `loc`
+    in every coordinate.  The candidate with the least summed ulp distance
+    wins; ties go to the first in the order 0, +1, -1, +2, -2 per coordinate,
+    the first coordinate varying slowest.  `loc` itself is kept when no
+    candidate is an exact zero.  Adding 0.0 turns -0.0 into +0.0.
+    """
+    width = _SNAP_ULPS
+    while width and (2 * width + 1) ** model.dim > _SNAP_CANDIDATES:
+        width -= 1
+    up = down = loc
+    columns, cost = [loc], [0]
+    for k in range(1, width + 1):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+        columns += [up, down]
+        cost += [k, k]
+    index = np.indices((len(cost),) * model.dim).reshape(model.dim, -1)
+    candidates = np.stack(columns, axis=1)[np.arange(model.dim)[:, None], index]
+    zero = np.ones(index.shape[1], dtype=bool)
+    for v in model.rhs(candidates, region=region):
+        zero &= np.asarray(v) == 0.0
+    if not zero.any():
+        return loc + 0.0
+    hits = np.flatnonzero(zero)
+    distance = np.asarray(cost)[index[:, hits]].sum(axis=0)
+    return candidates[:, hits[np.argmin(distance)]] + 0.0
 
 
 def magneto_equilibrium(model):
@@ -496,29 +454,55 @@ def _newton_polish(model, x0, max_iter=60, tol=1e-14):
     return x
 
 
-def _generic_fixed_points(model):
-    """Per-region affine solve for PWL systems, Newton from guesses otherwise."""
-    pts = []
-    if model.pwl_args and len(model.pwl_args) == 1:
-        for region in ex.PWL_LABELS:
-            c = model.velocity(np.zeros(model.dim), region=region)
-            J = model.jacobian(np.zeros(model.dim), region=region)
-            try:
-                loc = np.linalg.solve(J, -c)
-            except np.linalg.LinAlgError:
-                continue
-            resid = np.linalg.norm(model.velocity(loc, region=region))
-            if resid > 1e-10 * (1.0 + np.linalg.norm(loc)):
-                continue  # branch is not affine: fall through to Newton below
-            actual = model.classify(loc)
-            if actual != region:
-                warnings.warn(
-                    f"{model.name}: candidate {loc} solved on branch {region!r} "
-                    f"classifies as {actual!r}; discarded as spurious")
-                continue
-            if all(abs(v) < 1e-13 for v in model.velocity(loc, region=region)):
-                loc = _round_tiny(model, loc, region)
-            pts.append(FixedPoint(loc, region=region))
+def _coincide(a, b):
+    return np.allclose(a.location, b.location, atol=1e-9)
+
+
+def _branch_fixed_points(model):
+    """Per-region affine solve of a one-pwl model, each solution snapped."""
+    found = []
+    for region in ("mid", "pos") if model.odd_symmetric else ex.PWL_LABELS:
+        c = model.velocity(np.zeros(model.dim), region=region)
+        J = model.jacobian(np.zeros(model.dim), region=region)
+        try:
+            loc = np.linalg.solve(J, -c)
+        except np.linalg.LinAlgError:
+            continue
+        resid = np.linalg.norm(model.velocity(loc, region=region))
+        if resid > 1e-10 * (1.0 + np.linalg.norm(loc)):
+            continue  # branch is not affine: only Newton guesses apply
+        loc = _snap(model, loc, region)
+        found.append(FixedPoint(loc, region=region, virtual=model.classify(loc) != region))
+        if model.odd_symmetric and region == "pos":
+            found.append(_mirror(found[-1]))
+    real = [fp for fp in found if not fp.virtual]
+    out = []
+    for fp in found:
+        if fp.virtual and any(_coincide(fp, r) for r in real):
+            warnings.warn(
+                f"{model.name}: candidate {fp.location} solved on branch {fp.region!r} "
+                f"classifies as {model.classify(fp.location)!r}; discarded as spurious")
+            continue
+        out.append(fp)
+    return out
+
+
+def fixed_points(model, include_virtual=True):
+    """All equilibria of `model`, sorted by location.
+
+    One solver serves built-ins and JSON configs alike.  A model with one
+    pwl node is affine on each branch: each branch's affine system is solved
+    once and the solution snapped (`_snap`) to the nearest state whose
+    velocity is exactly zero in double arithmetic, so phi and L_V phi vanish
+    exactly there.  Odd-symmetric models take the `neg` point as the mirror
+    of the `pos` one.  A branch solution that classifies outside its branch
+    is returned with ``virtual=True`` (drop these with
+    ``include_virtual=False``), unless it coincides with a real equilibrium:
+    then it is discarded with a "spurious" warning.  Each of
+    ``model.fixed_point_guesses`` is refined by damped Newton; one that does
+    not converge is skipped with a warning.
+    """
+    pts = _branch_fixed_points(model) if len(model.pwl_args) == 1 else []
     for guess in model.fixed_point_guesses:
         loc = _newton_polish(model, guess)
         resid = np.linalg.norm(model.velocity(loc, region=model.classify(loc)))
@@ -526,49 +510,14 @@ def _generic_fixed_points(model):
             warnings.warn(f"{model.name}: Newton iteration from {guess} did not converge")
             continue
         pts.append(FixedPoint(loc, region=model.classify(loc)))
-    # dedupe
     out = []
     for fp in pts:
-        if not any(np.allclose(fp.location, o.location, atol=1e-9) for o in out):
+        if not any(_coincide(fp, o) for o in out):
             out.append(fp)
-    return out
-
-
-def _round_tiny(model, loc, region):
-    snapped = loc.copy()
-    scale = 1.0 + np.linalg.norm(loc)
-    snapped[np.abs(snapped) < 1e-13 * scale] = 0.0
-    if np.linalg.norm(model.velocity(snapped, region=region)) <= \
-            np.linalg.norm(model.velocity(loc, region=region)):
-        return snapped
-    return loc
-
-
-_FP_SOLVERS = {
-    "chua3-pwl": _chua3_fixed_points,
-    "chua4-pwl": _chua4_fixed_points,
-    "chua5-pwl": _chua5_fixed_points,
-    "chua4-cubic": _chua4_cubic_fixed_points,
-    "chua5-cubic": _chua5_cubic_fixed_points,
-    "magnetoconvection5": _magneto_fixed_points,
-    "gear5": lambda model: [],
-}
-
-
-def fixed_points(model, include_virtual=True):
-    """All equilibria of `model`, canonically ordered.
-
-    Built-in models use structured per-family solvers whose results evaluate
-    to an exactly zero velocity in double arithmetic.  Branch equilibria that
-    fall outside their own PWL region are returned with ``virtual=True``
-    (drop them with ``include_virtual=False``).
-    """
-    solver = model._fp_solver or _FP_SOLVERS.get(model.name) or _generic_fixed_points
-    pts = solver(model)
     if not include_virtual:
-        pts = [fp for fp in pts if not fp.virtual]
-    pts.sort(key=lambda fp: tuple(fp.location))
-    return pts
+        out = [fp for fp in out if not fp.virtual]
+    out.sort(key=lambda fp: tuple(fp.location))
+    return out
 
 
 # ---------------------------------------------------------------------------

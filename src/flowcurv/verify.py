@@ -78,8 +78,7 @@ def _identity_checks(model, rng, instances=200):
     ]
 
 
-def _fixed_point_checks(model):
-    fps = models.fixed_points(model)
+def _fixed_point_checks(model, fps):
     if not fps:
         return [_result("fixed-point membership phi = 0", 0.0, 0.0,
                         note="no fixed points")]
@@ -112,12 +111,11 @@ def _darboux_checks(model, rng, count=500):
     return [_result("Darboux residual L_V phi = Tr(J) phi", worst, 1e-8)]
 
 
-def _plane_checks(model, rng):
+def _plane_checks(model, fps, rng):
     if not model.pwl_args:
         return []
     out = []
-    fps = [fp for fp in models.fixed_points(model) if fp.region in ("pos", "neg")]
-    for fp in fps:
+    for fp in [fp for fp in fps if fp.region in ("pos", "neg")]:
         try:
             plane = spectral.tls_hyperplane(model, fp)
         except spectral.SpectralError as err:
@@ -190,9 +188,8 @@ def _hypercoplanarity_checks(model, rng, count=50):
                     note="Hadamard-scaled")]
 
 
-def _eigen_checks(model):
+def _eigen_checks(model, fps):
     out = []
-    fps = models.fixed_points(model)
     worst = 0.0
     for fp in fps:
         try:
@@ -318,14 +315,15 @@ def _gear_checks(model, rng):
 def verify_model(model, seed=0):
     """Run every applicable residual suite for one model."""
     rng = np.random.default_rng(seed)
+    fps = models.fixed_points(model)
     results = []
     results += _identity_checks(model, rng)
-    results += _fixed_point_checks(model)
+    results += _fixed_point_checks(model, fps)
     results += _hypercoplanarity_checks(model, rng)
-    results += _eigen_checks(model)
+    results += _eigen_checks(model, fps)
     results += _stack_checks(model, rng)
     results += _darboux_checks(model, rng)
-    results += _plane_checks(model, rng)
+    results += _plane_checks(model, fps, rng)
     results += _lie_fd_checks(model, rng)
     results += _slowfast_checks(model)
     if model.name == "gear5":

@@ -5,9 +5,10 @@ import re
 
 import numpy as np
 
-from flowcurv import derivative_stack, geometry, get_model, manifold_sample
+from flowcurv import derivative_stack, geometry, get_model, manifold_sample, models
 from flowcurv.cli import main
 from flowcurv.ioutil import write_table
+from flowcurv.verify import verify_model
 
 
 def run(args, capsys):
@@ -165,6 +166,15 @@ def test_verify_gear_exit_code(capsys):
     assert "first integral" in out
     assert "cofactor of product factor" in out
     assert "FAIL" not in out
+
+
+def test_verify_solves_fixed_points_once(monkeypatch):
+    calls = []
+    solve = models.fixed_points
+    monkeypatch.setattr(models, "fixed_points",
+                        lambda model, **kw: calls.append(model.name) or solve(model, **kw))
+    assert all(r.passed for r in verify_model(get_model("chua3-pwl")))
+    assert calls == ["chua3-pwl"]
 
 
 def test_config_error_exit_1(capsys):

@@ -1,15 +1,19 @@
 """Model zoo: characteristics, fixed points, configs, Jacobians."""
 
 import json
+import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcurv import (ModelError, cubic_k, fixed_points, get_model, load_model,
-                      pwl_k, registry)
-from flowcurv.models import magneto_equilibrium
+from flowcurv import (FixedPoint, ModelError, cubic_k, fixed_points, get_model, lie_phi,
+                      load_model, phi, pwl_k, registry)
+from flowcurv.models import (_BUILTIN_BUILDERS, _SNAP_CANDIDATES, _newton_polish, _snap,
+                             magneto_equilibrium)
 
 REGISTRY_NAMES = ["chua3-pwl", "chua4-cubic", "chua4-pwl", "chua5-cubic",
                   "chua5-pwl", "gear5", "magnetoconvection5"]
@@ -114,6 +118,166 @@ def test_magneto_equilibrium_reduction(models_by_name):
     eq = magneto_equilibrium(model)
     assert np.linalg.norm(model.velocity(eq)) <= 1e-10 * (1 + np.linalg.norm(eq))
     assert eq[0] > 0.5
+
+
+# Test-only copy of the per-family solvers that fixed_points replaced: each
+# scans the driving coordinate of a closed-form equilibrium ulp by ulp for
+# an exactly zero velocity.  The single solver must reproduce them bit for bit.
+
+def _oracle_ulp_neighbors(x, count):
+    yield x
+    lo = hi = x
+    for _ in range(count):
+        lo = np.nextafter(lo, -math.inf)
+        hi = np.nextafter(hi, math.inf)
+        yield hi
+        yield lo
+
+
+def _oracle_zero(model, x, region):
+    return all(v == 0.0 for v in model.rhs(np.asarray(x, dtype=float), region=region))
+
+
+def _oracle_mirror(fp):
+    region = {"pos": "neg", "neg": "pos", "mid": "mid"}.get(fp.region, fp.region)
+    return FixedPoint(-fp.location, region=region, virtual=fp.virtual)
+
+
+def _oracle_chua34(model, branch):
+    p = model.params
+    base = (p["b"] - p["a"]) / (1.0 + p["b"])
+    pts = [FixedPoint(np.zeros(model.dim), region="mid")]
+    for x1 in _oracle_ulp_neighbors(base, 400):
+        cand = np.array(branch(x1))
+        if _oracle_zero(model, cand, "pos"):
+            fp = FixedPoint(cand, region="pos", virtual=abs(x1) < 1.0)
+            return pts + [fp, _oracle_mirror(fp)]
+    return pts
+
+
+def _oracle_chua5(model):
+    p = model.params
+    b, g1 = p["b"], p["gamma1"]
+    pts = [FixedPoint(np.zeros(5), region="mid")]
+    for x3 in _oracle_ulp_neighbors((b - p["a"]) / (1.0 - b * (g1 - 1.0)), 100):
+        x5 = -x3
+        x4 = -(g1 * x5)
+        x2 = x4
+        for x1 in _oracle_ulp_neighbors(x2 - x3, 100):
+            cand = np.array([x1, x2, x3, x4, x5])
+            region = "neg" if x1 < 0 else "pos"
+            if _oracle_zero(model, cand, region):
+                fp = FixedPoint(cand, region=region, virtual=abs(x1) < 1.0)
+                return pts + [fp, _oracle_mirror(fp)]
+    return pts
+
+
+def _oracle_cubic(model, disc, guess):
+    pts = [FixedPoint(np.zeros(model.dim))]
+    if disc > 0:
+        loc = _newton_polish(model, np.array(guess(math.sqrt(disc))))
+        pts += [FixedPoint(loc), FixedPoint(-loc)]
+    return pts
+
+
+def _oracle_fixed_points(model):
+    p = model.params
+    if model.name == "chua3-pwl":
+        pts = _oracle_chua34(model, lambda x1: [x1, 0.0, -x1])
+    elif model.name == "chua4-pwl":
+        pts = _oracle_chua34(model, lambda x1: [x1, 0.0, -x1, x1])
+    elif model.name == "chua5-pwl":
+        pts = _oracle_chua5(model)
+    elif model.name == "chua4-cubic":
+        pts = _oracle_cubic(model, -(1.0 + p["c2"]) / p["c1"],
+                            lambda x1: [x1, 0.0, -x1, x1])
+    elif model.name == "chua5-cubic":
+        g1 = p["gamma1"]
+        pts = _oracle_cubic(model, (1.0 / (g1 - 1.0) - p["c2"]) / p["c1"],
+                            lambda x1: [x1, x1 + x1 / (g1 - 1.0), x1 / (g1 - 1.0),
+                                        x1 + x1 / (g1 - 1.0), -(x1 / (g1 - 1.0))])
+    elif model.name == "magnetoconvection5":
+        pts = [FixedPoint(np.zeros(5))]
+    else:
+        pts = []
+    return sorted(pts, key=lambda fp: tuple(fp.location))
+
+
+@pytest.mark.parametrize("name, overrides", [(name, {}) for name in REGISTRY_NAMES] + [
+    ("chua4-cubic", {"c2": -1.7235}), ("chua5-cubic", {"c2": -1.3056})])
+def test_fixed_points_match_per_family_oracle(name, overrides):
+    model = get_model(name, **overrides)
+    got, want = fixed_points(model), _oracle_fixed_points(model)
+    assert [(fp.location.tobytes(), fp.region, bool(fp.virtual)) for fp in got] == \
+        [(fp.location.tobytes(), fp.region, bool(fp.virtual)) for fp in want]
+
+
+@pytest.mark.parametrize("name", ["chua3-pwl", "chua4-pwl", "chua5-pwl"])
+def test_pwl_json_config_fixed_points_exact(name):
+    # a JSON copy of a built-in (no odd symmetry, every branch solved on its
+    # own) gets the built-in's equilibria, virtual ones included, with an
+    # exactly zero phi and L_V phi and no warning
+    builtin = get_model(name)
+    model = load_model(json.dumps(dict(_BUILTIN_BUILDERS[name]({}), name=name + "-json")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fixed_points(model)
+    want = fixed_points(builtin)
+    assert [(fp.region, fp.virtual) for fp in got] == [(fp.region, fp.virtual) for fp in want]
+    for fp, ref in zip(got, want):
+        np.testing.assert_array_equal(fp.location, ref.location)  # -0.0 == 0.0
+        assert float(phi(model, fp.location, region=fp.region)) == 0.0
+        assert float(lie_phi(model, fp.location, region=fp.region)) == 0.0
+
+
+def test_snap_tie_break_order():
+    # a velocity that vanishes exactly on a chosen set of ulp offsets: among
+    # the nearest, the first in the order 0, +1, -1, +2, -2 wins, with the
+    # first coordinate varying slowest; with none, loc comes back, -0.0 as +0.0
+    loc = np.array([0.3, -0.0])
+
+    def shifted(offsets):
+        out = loc.copy()
+        for i, k in enumerate(offsets):
+            for _ in range(abs(k)):
+                out[i] = np.nextafter(out[i], math.copysign(math.inf, k))
+        return out
+
+    base = load_model({"name": "plane", "dim": 2, "params": {}, "rhs": ["x1", "x2"]})
+    for zeros, want in [([(-1, 1), (1, -1)], (1, -1)), ([(-1, 0), (0, -1)], (0, -1)),
+                        ([(2, 0), (1, 1), (0, -2)], (0, -2)), ([(2, -2), (0, 1)], (0, 1)),
+                        ([], (0, 0))]:
+        targets = [shifted(z) for z in zeros]
+
+        def rhs(state, region=None):
+            hit = np.zeros(np.shape(state[0]), dtype=bool)
+            for t in targets:
+                hit |= (state[0] == t[0]) & (state[1] == t[1])
+            return [np.where(hit, 0.0, 1.0)] * 2
+
+        got = _snap(replace(base, rhs=rhs), loc, None)
+        assert got.tobytes() == (shifted(want) + 0.0).tobytes()
+
+
+def test_snap_box_capped_for_large_dim():
+    # 5^6 candidates exceed the budget: the box narrows to +-1 ulp, 3^6
+    dim = 6
+    rhs = [f"x{i + 2} - x{i + 1}" for i in range(dim - 1)] + ["1 - x6 - pwl(x1; 0.5, 2)"]
+    model = load_model({"name": "chain6", "dim": dim, "params": {}, "rhs": rhs})
+    widths = []
+
+    def rhs_spy(state, region=None):
+        widths.append(np.shape(state[0]))
+        return model.rhs(state, region)
+
+    fps = fixed_points(replace(model, rhs=rhs_spy))
+    assert max(int(np.prod(w)) for w in widths) == 3 ** dim <= _SNAP_CANDIDATES
+    # every branch solves to x1 = ... = x6 = c: c = -1/6 (neg), 2/3 (mid), 5/6 (pos)
+    assert [(fp.region, fp.virtual) for fp in fps] == \
+        [("neg", True), ("mid", False), ("pos", True)]
+    for fp in fps:
+        np.testing.assert_allclose(model.velocity(fp.location, region=fp.region), 0.0,
+                                   atol=1e-15)
 
 
 # -- Jacobians ------------------------------------------------------------------
