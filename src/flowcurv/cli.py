@@ -9,6 +9,8 @@ configuration error, 2 numerical failure (diagnostic on stderr).
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
 
@@ -260,20 +262,36 @@ def _cmd_verify(args):
     if names == [None]:
         raise ConfigError("verify needs --model NAME or --all")
     failed = 0
+    records = []
     for name in names:
         model = _load(name)
         results = verify.verify_model(model, seed=args.seed)
+        failed += sum(not r.passed for r in results)
+        if args.format == "json":
+            records += [_check_record(name, r) for r in results]
+            continue
         print(f"== {name}")
         for r in results:
             status = "PASS" if r.passed else "FAIL"
-            failed += not r.passed
             note = f"  ({r.note})" if r.note else ""
             print(f"  [{status}] {r.name}: residual {r.residual:.3e} "
                   f"vs {r.threshold:.1e}{note}")
+    if args.format == "json":
+        # one check per line; strict JSON, so non-finite numbers are null
+        print("[\n" + ",\n".join(json.dumps(rec, allow_nan=False) for rec in records) + "\n]")
     if failed:
         print(f"{failed} check(s) failed", file=sys.stderr)
         return 2
     return 0
+
+
+def _check_record(model_name, r):
+    def finite(value):
+        return value if math.isfinite(value) else None
+
+    return {"model": model_name, "name": r.name, "residual": finite(r.residual),
+            "threshold": finite(r.threshold), "passed": r.passed, "note": r.note,
+            "margin_dec": r.margin_dec}
 
 
 def build_parser():
@@ -335,6 +353,8 @@ def build_parser():
     p.add_argument("--model", "-m")
     p.add_argument("--all", action="store_true", help="verify every built-in model")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="text: a PASS/FAIL table; json: one object per check")
     p.set_defaults(func=_cmd_verify)
 
     return parser

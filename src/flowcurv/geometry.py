@@ -17,7 +17,7 @@ import numpy as np
 __all__ = [
     "DegenerateStackError", "OrthoBasis", "CurvatureSet",
     "gram_schmidt", "curvatures", "curvature1_3d", "torsion_3d", "wedge",
-    "det_scaled",
+    "vecdot", "vecnorm", "det_scaled",
     "det_norm_product_residual", "det_multiplicativity_residual", "trace_expansion_residual",
 ]
 
@@ -207,17 +207,39 @@ def wedge(vectors):
 
     Returns w such that v . w = det([v, a_1, ..., a_{n-1}]) (columns) for
     every v; for n = 3 this is the ordinary cross product a_1 x a_2.
+    Accepts one set (n-1, n) or a batch (..., n-1, n) of them; each
+    minor's determinant is the same LAPACK call either way, so a batched
+    wedge equals the single-set one bit for bit.
     """
     a = np.asarray(vectors, dtype=float)
-    k, n = a.shape
+    k, n = a.shape[-2:]
     if k != n - 1:
         raise ValueError(f"wedge of {k} vectors needs dimension {k + 1}, got {n}")
-    cols = a.T  # (n, n-1)
-    w = np.empty(n)
+    cols = np.swapaxes(a, -1, -2)  # (..., n, n-1)
+    w = np.empty(a.shape[:-2] + (n,))
     for i in range(n):
-        minor = np.delete(cols, i, axis=0)
-        w[i] = (-1.0) ** i * np.linalg.det(minor)
+        minor = np.delete(cols, i, axis=-2)
+        w[..., i] = (-1.0) ** i * np.linalg.det(minor)
     return w
+
+
+def vecdot(a, b):
+    """a . b over the last axis, broadcast over the leading ones.
+
+    Entry i is the 1-D `a[i] @ b[i]` bit for bit: each product is one BLAS
+    dot on the rows as they lie in memory.  The dot's rounding depends on
+    the rows' strides, so pass the layout the single-point code has (a
+    transposed batch of contiguous vectors is not the same computation).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0][()]
+
+
+def vecnorm(a):
+    """Euclidean norm over the last axis, bit for bit `np.linalg.norm` of each vector."""
+    a = np.ascontiguousarray(a, dtype=float)  # as norm ravels a 1-D view
+    return np.sqrt(vecdot(a, a))
 
 
 def det_norm_product_residual(stack):

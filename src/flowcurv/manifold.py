@@ -562,8 +562,7 @@ def factor_check(model, factor, box, samples=200, seed=0,
 
     phi_scaled_max = None
     if zero_points:
-        vals = [float(phi_scaled(model, p)) for p in zero_points]
-        phi_scaled_max = max(vals)
+        phi_scaled_max = float(np.max(phi_scaled(model, np.array(zero_points).T)))
 
     # cofactor estimate K = L_V(factor)/factor away from the zero set
     box_values, box_points = [], []

@@ -88,8 +88,12 @@ class ModelDef:
     slowfast_defaults: dict | None = field(default=None, compare=False)
 
     def velocity(self, x, region=None):
-        """rhs evaluated on a plain state vector, as an ndarray."""
-        return np.asarray(self.rhs(np.asarray(x, dtype=float), region=region), dtype=float)
+        """rhs at a state (n,) or a batch (n, npts), as an ndarray of that shape."""
+        x = np.asarray(x, dtype=float)
+        comps = self.rhs(x, region=region)
+        if x.ndim > 1:  # a constant component evaluates to one float
+            comps = [np.broadcast_to(c, x.shape[1:]) for c in comps]
+        return np.asarray(comps, dtype=float)
 
     def classify(self, x):
         return self.regions(x) if self.regions is not None else None
@@ -102,9 +106,13 @@ def _build_evaluators(dim, exprs):
     jac_exprs = tuple(tuple(e.diff(j) for j in range(dim)) for e in exprs)
 
     def jacobian(state, region=None):
+        # (n, n) at a state, (n, n, npts) over a batch of states (n, npts)
         state = np.asarray(state, dtype=float) if not isinstance(state, (list, tuple)) else state
-        return np.array([[jac_exprs[i][j].eval(state, region) for j in range(dim)]
-                         for i in range(dim)], dtype=float)
+        rows = [[jac_exprs[i][j].eval(state, region) for j in range(dim)] for i in range(dim)]
+        batch = np.shape(state)[1:]
+        if batch:  # constant entries evaluate to one float
+            rows = [[np.broadcast_to(e, batch) for e in row] for row in rows]
+        return np.array(rows, dtype=float)
 
     return rhs, jacobian, jac_exprs
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import wedge
+from .geometry import det_scaled, vecdot, vecnorm, wedge
 from .jets import derivative_stack
 
 __all__ = [
@@ -82,8 +82,11 @@ def spectrum_at(model, x, region=None):
     real eigenvectors carry a fixed sign convention.  A near-defective
     Jacobian (eigenvector residual beyond threshold) raises SpectralError.
     """
-    x = np.asarray(x, dtype=float)
-    J = model.jacobian(x, region=region)
+    return _spectrum(model.jacobian(np.asarray(x, dtype=float), region=region))
+
+
+def _spectrum(J):
+    """The `spectrum_at` decomposition of one Jacobian matrix."""
     if not np.isfinite(J).all():
         raise SpectralError("non-finite Jacobian")
     evals, rights = np.linalg.eig(J)
@@ -148,7 +151,9 @@ class Hyperplane:
     fast_eigenvalue: complex      # largest-|Re| eigenvalue at the base point
 
     def value(self, x):
-        return self.normal @ np.asarray(x, dtype=float) + self.offset
+        """normal . x + offset at a state (n,) or a batch (n, npts)."""
+        rows = np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), 0, -1))
+        return vecdot(rows, self.normal) + self.offset
 
     def display(self, normalization="unit"):
         """Coefficients (c_1..c_n, offset) under a display normalization.
@@ -213,23 +218,23 @@ def darboux_check_plane(model, plane, samples=200, seed=0):
     rng = np.random.default_rng(seed)
     region = plane.base_point.region
     lo, hi = region_box(model, region, center=plane.base_point.location)
-    residuals = []
+    points = []
     excluded = 0
-    lam = plane.eigenvalue
     attempts = 0
-    while len(residuals) < samples and attempts < 50 * samples:
+    while len(points) < samples and attempts < 50 * samples:
         attempts += 1
         x = rng.uniform(lo, hi)
         if model.regions is not None and model.classify(x) != region:
             excluded += 1
             continue
-        v = model.velocity(x)
-        pi = plane.value(x)
-        scale = 1.0 + abs(lam * pi) + np.linalg.norm(v)
-        residuals.append(abs(plane.normal @ v - lam * pi) / scale)
+        points.append(x)
     if excluded:
         warnings.warn(f"{excluded} region-straddling samples excluded")
-    residuals = np.array(residuals)
+    x = np.array(points).reshape(-1, model.dim).T
+    v = np.ascontiguousarray(model.velocity(x).T)
+    lam_pi = plane.eigenvalue * plane.value(x)
+    residuals = (np.abs(vecdot(v, plane.normal) - lam_pi)
+                 / (1.0 + np.abs(lam_pi) + vecnorm(v)))
     return {"max": float(residuals.max()), "mean": float(residuals.mean()),
             "count": int(len(residuals)), "excluded": int(excluded)}
 
@@ -277,24 +282,44 @@ def coplanarity_equivalence(model, x, spectrum=None, region=None):
     eigenvector.  The fast direction is the dominant real eigenvalue (the
     hyperplane-constructing one).  Returns the residuals with their scales
     and the parallelism defect 1 - |cos| of the two normals.
+
+    Accepts a state (n,) or a batch (n, npts); each value is then a float
+    or an (npts,) array.  Without `spectrum`, each point uses the spectrum
+    of its own Jacobian: points whose Jacobians are bitwise equal (all of
+    one PWL region) share one decomposition, and a batch equals its points
+    taken one at a time bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    if spectrum is None:
-        spectrum = spectrum_at(model, x, region=region)
-    i_fast = spectrum.dominant_real()
-    slow = _realized_slow_basis(spectrum, i_fast)
-    if slow.shape[0] != model.dim - 1:
-        raise SpectralError("eigenvalue multiplicity collapse: slow basis incomplete")
-    v = model.velocity(x, region=region)
-    w = wedge(slow)
-    t_y = np.real(spectrum.left_eigenvectors[:, i_fast])
-    r1 = abs(v @ w)
-    r2 = abs(v @ t_y)
-    scale1 = np.linalg.norm(v) * np.linalg.norm(w)
-    scale2 = np.linalg.norm(v) * np.linalg.norm(t_y)
-    cosine = abs(w @ t_y) / (np.linalg.norm(w) * np.linalg.norm(t_y))
-    return {"r1": r1, "r2": r2, "scale1": scale1, "scale2": scale2,
-            "parallelism_defect": 1.0 - cosine}
+    n = model.dim
+    v = np.ascontiguousarray(model.velocity(x, region=region).reshape(n, -1).T)
+    if spectrum is not None:
+        groups = [(spectrum, slice(None))]
+    else:
+        J = np.ascontiguousarray(model.jacobian(x, region=region).reshape(n * n, -1).T)
+        _, first, inverse = np.unique(J.view(np.uint64), axis=0, return_index=True,
+                                      return_inverse=True)
+        inverse = inverse.ravel()
+        # decomposed in point order, so the first failing point raises
+        groups = [(_spectrum(J[first[g]].reshape(n, n)), inverse == g)
+                  for g in np.argsort(first)]
+    out = np.empty((5, len(v)))
+    for spec, idx in groups:
+        i_fast = spec.dominant_real()
+        slow = _realized_slow_basis(spec, i_fast)
+        if slow.shape[0] != n - 1:
+            raise SpectralError("eigenvalue multiplicity collapse: slow basis incomplete")
+        w = wedge(slow)
+        # a strided column view, as spectra give it: a dot rounds by its layout
+        t_y = np.real(spec.left_eigenvectors[:, i_fast])
+        v_norm, w_norm, t_norm = vecnorm(v[idx]), vecnorm(w), vecnorm(t_y)
+        out[0, idx] = np.abs(vecdot(v[idx], w))
+        out[1, idx] = np.abs(vecdot(v[idx], t_y))
+        out[2, idx] = v_norm * w_norm
+        out[3, idx] = v_norm * t_norm
+        out[4, idx] = 1.0 - abs(w @ t_y) / (w_norm * t_norm)
+    out = out.reshape((5,) + x.shape[1:])
+    keys = ("r1", "r2", "scale1", "scale2", "parallelism_defect")
+    return {k: out[i][()] for i, k in enumerate(keys)}
 
 
 @dataclass(frozen=True)
@@ -313,18 +338,26 @@ def hypercoplanarity_check(model, x, region=None):
     (the product of derivative norms), the common magnitude of both routes'
     rounding, so it stays meaningful near phi's zero set.  Both values
     vanish on the TLS plane of the region, where the stack vectors are
-    hypercoplanar (spanned by the slow eigenbasis).
-    """
-    from .geometry import det_scaled
+    hypercoplanar (spanned by the slow eigenbasis).  A stack with a zero
+    derivative scores 0; a non-finite stack gives non-finite values.
 
+    Accepts a state (n,) or a batch (n, npts); the fields are then floats
+    or (npts,) arrays, equal bit for bit to the single-point values.
+    """
     x = np.asarray(x, dtype=float)
     n = model.dim
     stack = derivative_stack(model, x, n, region=region)
-    value_det = float(det_scaled(stack.matrix()))
-    value_wedge = float(stack.derivs[0] @ wedge(stack.derivs[1:]))
-    norms = np.linalg.norm(stack.derivs, axis=1)
-    scale = float(np.prod(norms))
-    agreement = abs(value_det - value_wedge) / scale if scale > 0 else 0.0
-    scaled = abs(value_det) / scale if scale > 0 else 0.0
-    return HypercoplanarityResult(value_det=value_det, value_wedge=value_wedge,
-                                  agreement_residual=agreement, scaled_value=scaled)
+    value_det = det_scaled(stack.matrix())
+    # contiguous rows, as a single point's stack has them
+    rows = np.ascontiguousarray(np.moveaxis(stack.derivs, -1, 0) if x.ndim > 1 else stack.derivs)
+    value_wedge = vecdot(rows[..., 0, :], wedge(rows[..., 1:, :]))
+    scale = np.prod(np.linalg.norm(stack.derivs, axis=1), axis=0)
+
+    def scaled(value):
+        return np.divide(value, scale, out=np.zeros_like(scale), where=scale != 0.0)
+
+    fields = (value_det, value_wedge, scaled(np.abs(value_det - value_wedge)),
+              scaled(np.abs(value_det)))
+    if x.ndim == 1:
+        fields = tuple(float(f) for f in fields)
+    return HypercoplanarityResult(*fields)

@@ -6,10 +6,16 @@ the Darboux trace identity, the hyperplane factorization cross-check, the
 coplanarity/orthogonality equivalence, and the model-specific structure
 (first integral and cofactor for gear5, on/off singular-approximation
 contrast for the slow-fast models).
+
+Each check draws its sample states one at a time, in a fixed rng order,
+and then evaluates them together in one batched call; batched and
+single-point evaluation agree bit for bit.  A non-finite sample residual
+(NaN or inf) is the check's reported residual, and the check fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,16 +39,41 @@ class CheckResult:
     threshold: float
     passed: bool
     note: str = ""
+    larger_is_better: bool = False
+
+    @property
+    def margin_dec(self):
+        """Decades between residual and threshold, positive on the passing side.
+
+        None unless both are positive and finite.
+        """
+        if not (0.0 < self.residual < math.inf and 0.0 < self.threshold < math.inf):
+            return None
+        margin = math.log10(self.threshold / self.residual)
+        return -margin if self.larger_is_better else margin
 
 
 def _result(name, residual, threshold, note="", larger_is_better=False):
     passed = residual >= threshold if larger_is_better else residual <= threshold
     return CheckResult(name=name, residual=float(residual), threshold=threshold,
-                       passed=bool(passed), note=note)
+                       passed=bool(passed), note=note, larger_is_better=larger_is_better)
+
+
+def _worst(residuals):
+    """Largest sample residual (0.0 for none); NaN or inf when a sample is."""
+    return float(np.max(residuals, initial=0.0))
+
+
+def _in_region(model, x, region):
+    """Mask of the columns of `x` (n, npts) that classify into `region`."""
+    labels = model.regions(x)
+    if isinstance(region, tuple):
+        return np.logical_and.reduce([lab == r for lab, r in zip(labels, region)])
+    return labels == region
 
 
 def _in_region_points(model, count, rng):
-    """Random points avoiding PWL breakpoints (mixture over the regions)."""
+    """Random points avoiding PWL breakpoints (mixture over the regions), (n, count)."""
     points = []
     labels = ("pos", "neg", "mid") if model.pwl_args else (None,)
     k = 0
@@ -56,25 +87,22 @@ def _in_region_points(model, count, rng):
         x = rng.uniform(lo, hi)
         if model.classify(x) == region:
             points.append(x)
-    return points
+    return np.array(points).T
 
 
 def _identity_checks(model, rng, instances=200):
     n = model.dim
-    worst = {"norm_product": 0.0, "multiplicativity": 0.0, "trace": 0.0}
+    norm_product, multiplicativity, trace = [], [], []
     for _ in range(instances):
         stack = rng.standard_normal((n, n))
         J = rng.standard_normal((n, n))
-        worst["norm_product"] = max(worst["norm_product"],
-                                    geometry.det_norm_product_residual(stack))
-        worst["multiplicativity"] = max(worst["multiplicativity"],
-                                        geometry.det_multiplicativity_residual(J, stack))
-        worst["trace"] = max(worst["trace"],
-                             geometry.trace_expansion_residual(J, stack))
+        norm_product.append(geometry.det_norm_product_residual(stack))
+        multiplicativity.append(geometry.det_multiplicativity_residual(J, stack))
+        trace.append(geometry.trace_expansion_residual(J, stack))
     return [
-        _result("identity |det| = prod |u_i|", worst["norm_product"], 1e-10),
-        _result("identity det(J a_k) = det(J) det(a)", worst["multiplicativity"], 1e-10),
-        _result("identity sum det = Tr(J) det", worst["trace"], 1e-10),
+        _result("identity |det| = prod |u_i|", _worst(norm_product), 1e-10),
+        _result("identity det(J a_k) = det(J) det(a)", _worst(multiplicativity), 1e-10),
+        _result("identity sum det = Tr(J) det", _worst(trace), 1e-10),
     ]
 
 
@@ -82,8 +110,8 @@ def _fixed_point_checks(model, fps):
     if not fps:
         return [_result("fixed-point membership phi = 0", 0.0, 0.0,
                         note="no fixed points")]
-    worst = max(abs(float(manifold.phi(model, fp.location, region=fp.region)))
-                for fp in fps)
+    worst = _worst([abs(float(manifold.phi(model, fp.location, region=fp.region)))
+                    for fp in fps])
     return [_result("fixed-point membership phi = 0", worst, 0.0,
                     note=f"{len(fps)} points, exact zero required")]
 
@@ -91,24 +119,25 @@ def _fixed_point_checks(model, fps):
 def _stack_checks(model, rng, count=100):
     if not model.pwl_args:
         return []
-    worst = 0.0
-    for x in _in_region_points(model, count, rng):
-        st = derivative_stack(model, x, model.dim + 1)
-        J = model.jacobian(x, region=st.region)
-        for k in range(model.dim):
-            num = np.linalg.norm(st.derivs[k + 1] - J @ st.derivs[k])
-            den = np.linalg.norm(st.derivs[k + 1])
-            if den > 0:
-                worst = max(worst, num / den)
-    return [_result("derivative stack d_{k+1} = J d_k", worst, 1e-12)]
+    st = derivative_stack(model, _in_region_points(model, count, rng), model.dim + 1)
+    # contiguous (npts, ...) layouts, so each J d_k and norm is the BLAS
+    # call a single point makes
+    d = np.ascontiguousarray(np.moveaxis(st.derivs, -1, 0))
+    J = np.ascontiguousarray(np.moveaxis(model.jacobian(st.point, region=st.region), -1, 0))
+    residuals = []
+    for k in range(model.dim):
+        num = geometry.vecnorm(d[:, k + 1] - (J @ d[:, k, :, None])[..., 0])
+        den = geometry.vecnorm(d[:, k + 1])
+        residuals.append(num[den != 0.0] / den[den != 0.0])
+    return [_result("derivative stack d_{k+1} = J d_k",
+                    _worst(np.concatenate(residuals)), 1e-12)]
 
 
 def _darboux_checks(model, rng, count=500):
     if not model.pwl_args:
         return []
-    worst = max(float(manifold.darboux_residual(model, x))
-                for x in _in_region_points(model, count, rng))
-    return [_result("Darboux residual L_V phi = Tr(J) phi", worst, 1e-8)]
+    residuals = manifold.darboux_residual(model, _in_region_points(model, count, rng))
+    return [_result("Darboux residual L_V phi = Tr(J) phi", _worst(residuals), 1e-8)]
 
 
 def _plane_checks(model, fps, rng):
@@ -128,30 +157,26 @@ def _plane_checks(model, fps, rng):
         out.append(_result(f"plane Darboux L_V Pi = lambda Pi ({side})",
                            summary["max"], 1e-8))
         on, off = _plane_factor_samples(model, plane, rng, count=200)
-        med_off = float(np.median(off))
-        ratio = max(on) / med_off if med_off > 0 else float("inf")
+        med_off = float(np.median(off)) if off.size else float("nan")
+        ratio = float(np.max(on)) / med_off if med_off > 0 else float("inf")
         out.append(_result(f"phi factors through plane ({side})", ratio, 1e-6,
                            note="max |phi| on-plane / median off-plane"))
         # coplanarity and orthogonality vanish together on the plane
-        worst = 0.0
-        for x in _plane_points(model, plane, rng, 50):
-            res = spectral.coplanarity_equivalence(model, x)
-            worst = max(worst, res["r1"] / res["scale1"], res["r2"] / res["scale2"])
+        res = spectral.coplanarity_equivalence(model, _plane_points(model, plane, rng, 50))
+        worst = _worst(np.concatenate([res["r1"] / res["scale1"],
+                                       res["r2"] / res["scale2"]]))
         out.append(_result(f"coplanarity = orthogonality on plane ({side})",
                            worst, 1e-6))
-        spec = spectral.spectrum_at(model, fp.location, region=fp.region)
-        i = spec.dominant_real()
-        slow = spectral._realized_slow_basis(spec, i)
-        w = geometry.wedge(slow)
-        t_y = np.real(spec.left_eigenvectors[:, i])
-        defect = 1.0 - abs(w @ t_y) / (np.linalg.norm(w) * np.linalg.norm(t_y))
+        res = spectral.coplanarity_equivalence(
+            model, fp.location, spectrum=spectral.spectrum_at(model, fp.location, fp.region),
+            region=fp.region)
         out.append(_result(f"slow wedge parallel to fast left vector ({side})",
-                           defect, 1e-8))
+                           res["parallelism_defect"], 1e-8))
     return out
 
 
 def _plane_points(model, plane, rng, count):
-    """Random points on the plane inside its fixed point's region."""
+    """Random points on the plane inside its fixed point's region, (n, npts)."""
     region = plane.base_point.region
     lo, hi = models.region_box(model, region, center=plane.base_point.location)
     solve_idx = int(np.argmax(np.abs(plane.normal)))
@@ -164,33 +189,25 @@ def _plane_points(model, plane, rng, count):
         x[solve_idx] = -(plane.normal @ x + plane.offset) / plane.normal[solve_idx]
         if model.classify(x) == region:
             pts.append(x)
-    return pts
+    return np.array(pts).reshape(-1, model.dim).T
 
 
 def _plane_factor_samples(model, plane, rng, count=200):
-    on, off = [], []
-    for x in _plane_points(model, plane, rng, count):
-        on.append(abs(float(manifold.phi(model, x))))
-        x_off = x + 0.1 * plane.normal
-        if model.classify(x_off) == plane.base_point.region:
-            off.append(abs(float(manifold.phi(model, x_off))))
-    if not off:
-        off = [float("nan")]
-    return on, off
+    """|phi| on the plane, and off it by 0.1 along the normal within the region."""
+    x = _plane_points(model, plane, rng, count)
+    x_off = x + 0.1 * plane.normal[:, None]
+    x_off = x_off[:, _in_region(model, x_off, plane.base_point.region)]
+    return np.abs(manifold.phi(model, x)), np.abs(manifold.phi(model, x_off))
 
 
 def _hypercoplanarity_checks(model, rng, count=50):
-    worst = 0.0
-    for x in _in_region_points(model, count, rng):
-        res = spectral.hypercoplanarity_check(model, x)
-        worst = max(worst, res.agreement_residual)
-    return [_result("phi det route = wedge route", worst, 1e-12,
+    res = spectral.hypercoplanarity_check(model, _in_region_points(model, count, rng))
+    return [_result("phi det route = wedge route", _worst(res.agreement_residual), 1e-12,
                     note="Hadamard-scaled")]
 
 
 def _eigen_checks(model, fps):
-    out = []
-    worst = 0.0
+    residuals = []
     for fp in fps:
         try:
             spec = spectral.spectrum_at(model, fp.location, region=fp.region)
@@ -202,12 +219,11 @@ def _eigen_checks(model, fps):
             v = spec.right_eigenvectors[:, i]
             w = spec.left_eigenvectors[:, i]
             scale = (abs(lam) + 1.0)
-            worst = max(worst,
-                        np.linalg.norm(J @ v - lam * v) / (scale * np.linalg.norm(v)),
-                        np.linalg.norm(J.T @ w - lam * w) / (scale * np.linalg.norm(w)))
-    if fps:
-        out.append(_result("eigen residuals at fixed points", worst, 1e-8))
-    return out
+            residuals += [np.linalg.norm(J @ v - lam * v) / (scale * np.linalg.norm(v)),
+                          np.linalg.norm(J.T @ w - lam * w) / (scale * np.linalg.norm(w))]
+    if not fps:
+        return []
+    return [_result("eigen residuals at fixed points", _worst(residuals), 1e-8)]
 
 
 def lie_fd_residuals(model, count=20, dt=_FD_TIME_STEP, seed=3, horizon=None):
@@ -248,8 +264,7 @@ def _lie_fd_checks(model, rng, count=20):
     if model.pwl_args or model.name not in _LIE_FD_MODELS:
         return []
     errors = lie_fd_residuals(model, count=count)
-    worst = max(errors) if errors else 0.0
-    return [_result("L_V phi = d phi/dt (centered FD)", worst, 1e-4,
+    return [_result("L_V phi = d phi/dt (centered FD)", _worst(errors), 1e-4,
                     note=f"dt = {_FD_TIME_STEP:g}, {len(errors)} points")]
 
 
@@ -264,41 +279,42 @@ def _reversed(model):
 def _slowfast_checks(model, seed=0):
     if model.slowfast_defaults is None:
         return []
+    name = "singular-approximation Darboux contrast"
     split = manifold.default_split(model)
-    fast = split.fast_indices[0]
-    on, off = [], []
-    for x in manifold._singular_points(model, split, 60, np.random.default_rng(seed)):
-        on.append(float(manifold.darboux_residual(model, x)))
-        x_off = x.copy()
-        x_off[fast] += 0.5
-        off.append(float(manifold.darboux_residual(model, x_off)))
-    if not on:
-        return [_result("singular-approximation Darboux contrast", 0.0, 10.0,
-                        note="no constraint solutions found", larger_is_better=True)]
+    x = list(manifold._singular_points(model, split, 60, np.random.default_rng(seed)))
+    if not x:
+        return [_result(name, 0.0, 10.0, note="no constraint solutions found",
+                        larger_is_better=True)]
+    x = np.array(x).T
+    x_off = x.copy()
+    x_off[split.fast_indices[0]] += 0.5
+    on = manifold.darboux_residual(model, x)
+    off = manifold.darboux_residual(model, x_off)
+    worst = _worst(np.concatenate([on, off]))
+    if not np.isfinite(worst):
+        # an infinite ratio would pass this larger-is-better check
+        return [CheckResult(name, worst, 10.0, False, note="non-finite sample residual",
+                            larger_is_better=True)]
     ratio = float(np.median(off) / np.median(on)) if np.median(on) > 0 else float("inf")
-    return [_result("singular-approximation Darboux contrast", ratio, 10.0,
-                    note="median off-set / on-set residual", larger_is_better=True)]
+    return [_result(name, ratio, 10.0, note="median off-set / on-set residual",
+                    larger_is_better=True)]
 
 
 def _gear_checks(model, rng):
     out = []
     # first integral: L_V(x1^2 + x2^2) identically zero
-    worst = 0.0
-    for _ in range(100):
-        x = rng.uniform(-2, 2, 5)
-        v = model.velocity(x)
-        worst = max(worst, abs(2 * x[0] * v[0] + 2 * x[1] * v[1]))
-    out.append(_result("first integral d(x1^2+x2^2)/dt = 0", worst, 1e-12))
+    x = np.array([rng.uniform(-2, 2, 5) for _ in range(100)]).T
+    v = model.velocity(x)
+    out.append(_result("first integral d(x1^2+x2^2)/dt = 0",
+                       _worst(np.abs(2 * x[0] * v[0] + 2 * x[1] * v[1])), 1e-12))
 
     box = [(-2, 2)] * 3 + [(-5, 5), (-2, 2)]
     product = "(x1^2 + x2^2)*(x1^2 + x2^2 - x3)*(x4^2 + beta1)"
     rep = manifold.factor_check(model, product, box, samples=150, seed=7)
     L = model.params["L"]
     gold = {"1": -L, "x4": 2.0}
-    err = 0.0
-    for name, coeff in zip(rep.cofactor_basis, rep.cofactor_coeffs):
-        target = gold.get(name, 0.0)
-        err = max(err, abs(coeff - target) / max(1.0, abs(target)))
+    err = _worst([abs(coeff - gold.get(name, 0.0)) / max(1.0, abs(gold.get(name, 0.0)))
+                  for name, coeff in zip(rep.cofactor_basis, rep.cofactor_coeffs)])
     out.append(_result("cofactor of product factor = -(L - 2 x4)", err, 1e-3))
     out.append(_result("cofactor polynomial fit residual",
                        rep.cofactor_fit_residual, 1e-6))
@@ -307,8 +323,7 @@ def _gear_checks(model, rng):
         r = manifold.factor_check(model, factor, box, samples=60, seed=11)
         if r.phi_scaled_max is not None:
             phis.append(r.phi_scaled_max)
-    out.append(_result("phi vanishes on factor zero sets",
-                       max(phis) if phis else 0.0, 1e-6))
+    out.append(_result("phi vanishes on factor zero sets", _worst(phis), 1e-6))
     return out
 
 
