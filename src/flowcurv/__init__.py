@@ -2,10 +2,11 @@
 
 The zero set of phi = det(Xdot, Xddot, ..., X^(n)) carries the slow
 invariant manifold of an n-dimensional autonomous system; this package
-computes phi and its Lie derivative exactly (jet arithmetic), certifies
-invariance in the Darboux sense, extracts zero sets on grids and along
-trajectories, and cross-checks the piecewise-linear circuit hyperplanes
-against the eigenvector-based tangent-linear-system construction.
+computes phi and its Lie derivative exactly (Taylor coefficients, node by
+node on the rhs expression trees), certifies invariance in the Darboux
+sense, extracts zero sets on grids and along trajectories, and cross-checks
+the piecewise-linear circuit hyperplanes against the eigenvector-based
+tangent-linear-system construction.
 """
 
 from .geometry import (CurvatureSet, DegenerateStackError, OrthoBasis,
@@ -13,7 +14,7 @@ from .geometry import (CurvatureSet, DegenerateStackError, OrthoBasis,
                        det_norm_product_residual, det_multiplicativity_residual,
                        trace_expansion_residual, torsion_3d, wedge)
 from .integrate import IntegrationError, Trajectory, integrate
-from .jets import DerivStack, Jet, derivative_stack, jet_eval
+from .jets import DerivStack, derivative_stack
 from .manifold import (FactorReport, GspSummary, ManifoldSample, SlowFastSplit,
                        ZeroSet, darboux_residual, default_split, factor_check,
                        gsp_order0_residual, lie_phi, manifold_sample, phi,
@@ -27,7 +28,7 @@ from .spectral import (Hyperplane, SpectralError, Spectrum,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Jet", "DerivStack", "derivative_stack", "jet_eval",
+    "DerivStack", "derivative_stack",
     "ModelDef", "FixedPoint", "ModelError", "pwl_k", "cubic_k",
     "fixed_points", "load_model", "get_model", "registry",
     "OrthoBasis", "CurvatureSet", "DegenerateStackError", "gram_schmidt",

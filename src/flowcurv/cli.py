@@ -29,9 +29,20 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; config errors are exit 1 here
+    # argparse exits with status 2 on usage errors; they are config errors here
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: config error: {message}\n")
+
+
+def _positive(text):
+    """argparse type: a finite number > 0 (end times and tolerances)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _threads():
@@ -53,9 +64,12 @@ def _parse_vector(text, dim, what="--x0"):
     if len(parts) != dim:
         raise ConfigError(f"{what} needs {dim} comma-separated values, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as err:
         raise ConfigError(f"bad {what}: {err}") from err
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"bad {what}: values must be finite")
+    return values
 
 
 def _axis_index(token, dim):
@@ -70,7 +84,7 @@ def _axis_index(token, dim):
     return idx
 
 
-def _parse_grid(text, dim):
+def _parse_grid(text, dim, min_nodes=1):
     """x1=-4:4:200,x2=-1:1:200 -> {0: (-4.0, 4.0, 200), 1: (...)}"""
     axes = {}
     for part in text.split(","):
@@ -79,11 +93,17 @@ def _parse_grid(text, dim):
         try:
             name, spec = part.split("=")
             lo, hi, count = spec.split(":")
-            axes[_axis_index(name.strip(), dim)] = (float(lo), float(hi), int(count))
+            lo, hi, count = float(lo), float(hi), int(count)
+            idx = _axis_index(name.strip(), dim)
         except ConfigError:
             raise
         except ValueError as err:
             raise ConfigError(f"bad grid component {part!r}: expected x1=lo:hi:count") from err
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"bad grid component {part!r}: bounds must be finite")
+        if count < min_nodes:
+            raise ConfigError(f"bad grid component {part!r}: count must be at least {min_nodes}")
+        axes[idx] = (lo, hi, count)
     if len(axes) not in (2, 3):
         raise ConfigError("--grid must span 2 or 3 coordinates")
     return axes
@@ -122,6 +142,8 @@ def _parse_slice(text, dim, model, axes):
                 resolved[i] = float(v)
             except ValueError as err:
                 raise ConfigError(f"bad slice value {v!r}") from err
+            if not math.isfinite(resolved[i]):
+                raise ConfigError(f"bad slice value {v!r}: must be finite")
     return resolved
 
 
@@ -159,13 +181,7 @@ def _cmd_phi_scan(args):
     if args.grid:
         axes = _parse_grid(args.grid, model.dim)
         slices = _parse_slice(args.slice, model.dim, model, axes)
-        grids = [np.linspace(lo, hi, c) for _, (lo, hi, c) in sorted(axes.items())]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        states = np.empty((model.dim, mesh[0].size))
-        for i in range(model.dim):
-            states[i] = slices.get(i, 0.0)
-        for (idx, _), m in zip(sorted(axes.items()), mesh):
-            states[idx] = m.ravel()
+        states, _ = manifold.grid_states(model.dim, axes, slices)
     else:
         if args.t_end is None:
             raise ConfigError("--x0 requires --t-end")
@@ -197,7 +213,7 @@ def _cmd_phi_scan(args):
 
 def _cmd_manifold(args):
     model = _load(args.model)
-    axes = _parse_grid(args.grid, model.dim)
+    axes = _parse_grid(args.grid, model.dim, min_nodes=2)
     slices = _parse_slice(args.slice, model.dim, model, axes)
     zs = manifold.zero_set_grid(model, axes, slices, tol_rel=args.tol_rel)
     header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "region"]
@@ -312,9 +328,9 @@ def build_parser():
     p = sub.add_parser("integrate", help="integrate a trajectory to CSV")
     add_common(p)
     p.add_argument("--x0", required=True, help="initial state, comma separated")
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--t-end", type=_positive, required=True)
+    p.add_argument("--rel-tol", type=_positive, default=1e-9)
+    p.add_argument("--abs-tol", type=_positive, default=1e-12)
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("phi-scan", help="phi/Lie/cofactor samples on a grid or trajectory")
@@ -322,9 +338,9 @@ def build_parser():
     p.add_argument("--grid", help="grid spec, e.g. x1=-4:4:100,x2=-1:1:100")
     p.add_argument("--slice", default="", help="fixed coordinates, e.g. x3=fp,x4=0")
     p.add_argument("--x0", help="trajectory scan: initial state")
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--t-end", type=_positive)
+    p.add_argument("--rel-tol", type=_positive, default=1e-9)
+    p.add_argument("--abs-tol", type=_positive, default=1e-12)
     p.set_defaults(func=_cmd_phi_scan)
 
     p = sub.add_parser("manifold", help="extract the phi = 0 point cloud on a grid")
@@ -344,9 +360,9 @@ def build_parser():
     p = sub.add_parser("curvature", help="Frenet curvatures along a trajectory")
     add_common(p)
     p.add_argument("--x0", required=True)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--t-end", type=_positive, required=True)
+    p.add_argument("--rel-tol", type=_positive, default=1e-9)
+    p.add_argument("--abs-tol", type=_positive, default=1e-12)
     p.set_defaults(func=_cmd_curvature)
 
     p = sub.add_parser("verify", help="run the residual verification suites")

@@ -1,14 +1,16 @@
 """Polynomial + piecewise-linear expression trees for model right-hand sides.
 
-The grammar covers everything the built-in systems need and keeps jet
-arithmetic closed form: +, -, *, integer powers, numeric literals, named
+The grammar covers everything the built-in systems need and keeps Taylor
+coefficients closed form: +, -, *, integer powers, numeric literals, named
 parameters, state variables ``x1..xn``, and ``pwl(u; a, b)`` for the
 three-branch diode characteristic.  Parameters are resolved to constants at
 build time, so differentiation and evaluation see a fixed tree.
 
-Every node evaluates uniformly on floats, 1-D numpy batches, and `Jet`
-values; `diff` returns the exact partial derivative as a new tree (the
-derivative of a pwl term is its branch slope, constant within a region).
+Every node evaluates on floats and 1-D numpy batches (`eval`), gives its
+Taylor coefficient of order j along a trajectory from its children's
+coefficients 0..j (`taylor`, memoized per expansion by `TaylorMemo`), and
+`diff` returns the exact partial derivative as a new tree (the derivative of
+a pwl term is its branch slope, constant within a region).
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ import re
 
 import numpy as np
 
-from .jets import Jet
-
 __all__ = [
-    "ExprError", "parse_expression", "Node",
+    "ExprError", "parse_expression", "Node", "TaylorMemo",
     "Const", "Var", "Add", "Sub", "Neg", "Mul", "Pow", "Pwl", "PwlSlope",
     "classify_pwl", "PWL_LABELS",
 ]
@@ -56,14 +56,54 @@ def classify_pwl(value):
     return out
 
 
-def _order0(value):
-    return value.value if isinstance(value, Jet) else value
+class TaylorMemo(dict):
+    """Taylor coefficients of expression nodes along one trajectory.
+
+    ``x[j]`` holds coefficient j of the state, shape ``(n,)`` or ``(n, npts)``,
+    and must be filled through every order asked for; `region` is the branch
+    frozen for the whole expansion.  The dict maps each node to the list of
+    its coefficients computed so far, so a node costs one `Node.taylor` call
+    per order.  A memo serves one expansion, which keeps concurrent
+    expansions independent.
+    """
+
+    def __init__(self, x, region=None):
+        super().__init__()
+        self.x = x
+        self.region = region
+
+    def series(self, node, j):
+        """Coefficients 0..j of `node`, as a list indexed by order."""
+        s = self.get(node)
+        if s is None:
+            # a node without state dependence is a plain number, as in `eval`:
+            # its value at order 0 and 0.0 above
+            s = self[node] = [node.eval(self.x[0], self.region)] if node.constant else []
+        while len(s) <= j:
+            s.append(0.0 if node.constant else node.taylor(len(s), self))
+        return s
+
+
+def _cauchy(a, b, j):
+    """Coefficient j of the product of two series: sum_i a_i b_{j-i}, from 0.0 in i order."""
+    acc = 0.0
+    for i in range(j + 1):
+        acc = acc + a[i] * b[j - i]
+    return acc
 
 
 class Node:
     """Base expression node."""
 
+    constant = False  # True where the value does not depend on the state
+
     def eval(self, state, region=None):
+        raise NotImplementedError
+
+    def taylor(self, j, memo):
+        """Taylor coefficient j of this node, from the coefficients 0..j of
+        its children in `memo` (a `TaylorMemo`).  Constant nodes never get
+        here: the memo gives them their value and zeros."""
         raise NotImplementedError
 
     def diff(self, var):
@@ -78,6 +118,7 @@ class Node:
 
 class Const(Node):
     __slots__ = ("value",)
+    constant = True
 
     def __init__(self, value):
         self.value = float(value)
@@ -102,6 +143,9 @@ class Var(Node):
     def eval(self, state, region=None):
         return state[self.index]
 
+    def taylor(self, j, memo):
+        return memo.x[j][self.index]
+
     def diff(self, var):
         return Const(1.0 if var == self.index else 0.0)
 
@@ -113,11 +157,12 @@ class Var(Node):
 
 
 class _Binary(Node):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "constant")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
+        self.constant = left.constant and right.constant
 
     def free_vars(self):
         return self.left.free_vars() | self.right.free_vars()
@@ -130,6 +175,9 @@ class Add(_Binary):
     def eval(self, state, region=None):
         return self.left.eval(state, region) + self.right.eval(state, region)
 
+    def taylor(self, j, memo):
+        return memo.series(self.left, j)[j] + memo.series(self.right, j)[j]
+
     def diff(self, var):
         return _add(self.left.diff(var), self.right.diff(var))
 
@@ -140,6 +188,9 @@ class Add(_Binary):
 class Sub(_Binary):
     def eval(self, state, region=None):
         return self.left.eval(state, region) - self.right.eval(state, region)
+
+    def taylor(self, j, memo):
+        return memo.series(self.left, j)[j] - memo.series(self.right, j)[j]
 
     def diff(self, var):
         return _sub(self.left.diff(var), self.right.diff(var))
@@ -152,6 +203,16 @@ class Mul(_Binary):
     def eval(self, state, region=None):
         return self.left.eval(state, region) * self.right.eval(state, region)
 
+    def taylor(self, j, memo):
+        a = memo.series(self.left, j)
+        b = memo.series(self.right, j)
+        # a constant factor scales the other series; two series convolve
+        if self.left.constant:
+            return a[0] * b[j]
+        if self.right.constant:
+            return a[j] * b[0]
+        return _cauchy(a, b, j)
+
     def diff(self, var):
         return _add(_mul(self.left.diff(var), self.right),
                     _mul(self.left, self.right.diff(var)))
@@ -161,13 +222,17 @@ class Mul(_Binary):
 
 
 class Neg(Node):
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "constant")
 
     def __init__(self, arg):
         self.arg = arg
+        self.constant = arg.constant
 
     def eval(self, state, region=None):
         return -self.arg.eval(state, region)
+
+    def taylor(self, j, memo):
+        return -memo.series(self.arg, j)[j]
 
     def diff(self, var):
         return _neg(self.arg.diff(var))
@@ -183,10 +248,10 @@ class Neg(Node):
 
 
 def _ipow(value, exponent):
-    """Square-and-multiply integer power.
+    """Square-and-multiply integer power of a float or array.
 
-    Used for every base type (floats, arrays, jets) so the scalar path and
-    the jet order-0 coefficient round identically.
+    `Pow.taylor` replays the same products on Taylor series, so the order-0
+    coefficient rounds as the plain evaluation does.
     """
     result = 1.0
     base = value
@@ -201,14 +266,38 @@ def _ipow(value, exponent):
 
 
 class Pow(Node):
-    __slots__ = ("base", "exponent")
+    __slots__ = ("base", "exponent", "constant")
 
     def __init__(self, base, exponent):
         self.base = base
         self.exponent = int(exponent)
+        self.constant = self.exponent == 0 or base.constant
 
     def eval(self, state, region=None):
         return _ipow(self.base.eval(state, region), self.exponent)
+
+    def taylor(self, j, memo):
+        # _ipow on series: its first product, 1.0 * base, is the base series
+        # itself; every later product keeps its coefficients in the memo
+        result = None
+        base = memo.series(self.base, j)
+        step = 0
+
+        def product(a, b):
+            nonlocal step
+            s = memo.setdefault((self, step), [])
+            s.append(_cauchy(a, b, j))
+            step += 1
+            return s
+
+        e = self.exponent
+        while e:
+            if e & 1:
+                result = base if result is None else product(result, base)
+            if e > 1:
+                base = product(base, base)
+            e >>= 1
+        return result[j]
 
     def diff(self, var):
         if self.exponent == 0:
@@ -230,7 +319,7 @@ class Pow(Node):
 
 def _resolve_branch(node_id, arg_value, region):
     if region is None:
-        return classify_pwl(_order0(arg_value))
+        return classify_pwl(arg_value)
     if isinstance(region, (str, np.ndarray)):
         return region  # one pwl node: a single label or a per-point label array
     # composite label: one branch per pwl node, keyed by construction order
@@ -246,38 +335,37 @@ class Pwl(Node):
     b*u + a - b is the same real function but rounds differently there).
     """
 
-    __slots__ = ("arg", "a", "b", "node_id")
+    __slots__ = ("arg", "a", "b", "node_id", "constant")
 
     def __init__(self, arg, a, b, node_id=0):
         self.arg = arg
         self.a = float(a)
         self.b = float(b)
         self.node_id = node_id
+        self.constant = arg.constant
 
-    def _branch_values(self, u, want):
+    def _branch_value(self, u, branch, j=0):
+        # coefficient j > 0 of a branch: the offsets 1.0 and a contribute 0.0
         a, b = self.a, self.b
-        out = {}
-        if "mid" in want:
-            out["mid"] = a * u
-        if "pos" in want:
-            out["pos"] = b * (u - 1.0) + a
-        if "neg" in want:
-            out["neg"] = b * (u + 1.0) - a
-        return out
+        one, offset = (1.0, a) if j == 0 else (0.0, 0.0)
+        if isinstance(branch, str):
+            if branch == "mid":
+                return a * u
+            if branch == "pos":
+                return b * (u - one) + offset
+            return b * (u + one) - offset
+        return np.where(branch == "mid", a * u,
+                        np.where(branch == "pos", b * (u - one) + offset,
+                                 b * (u + one) - offset))
 
     def eval(self, state, region=None):
         u = self.arg.eval(state, region)
-        branch = _resolve_branch(self.node_id, u, region)
-        if isinstance(branch, str):
-            return self._branch_values(u, (branch,))[branch]
-        values = self._branch_values(u, ("mid", "pos", "neg"))
-        if isinstance(u, Jet):
-            coeffs = np.where(branch == "mid", values["mid"].coeffs,
-                              np.where(branch == "pos", values["pos"].coeffs,
-                                       values["neg"].coeffs))
-            return Jet(coeffs)
-        return np.where(branch == "mid", values["mid"],
-                        np.where(branch == "pos", values["pos"], values["neg"]))
+        return self._branch_value(u, _resolve_branch(self.node_id, u, region))
+
+    def taylor(self, j, memo):
+        u = memo.series(self.arg, j)
+        branch = _resolve_branch(self.node_id, u[0], memo.region)
+        return self._branch_value(u[j], branch, j)
 
     def diff(self, var):
         inner = self.arg.diff(var)
@@ -311,9 +399,6 @@ class PwlSlope(Node):
             slope = self.a if branch == "mid" else self.b
         else:
             slope = np.where(branch == "mid", self.a, self.b)
-        if isinstance(u, Jet):
-            return Jet.constant(slope, u.order, u.coeffs.shape[1:],
-                                dtype=u.coeffs.dtype)
         return slope if not isinstance(u, np.ndarray) else np.broadcast_to(slope, u.shape).copy()
 
     def diff(self, var):

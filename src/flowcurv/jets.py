@@ -1,14 +1,14 @@
-"""Truncated Taylor-series (jet) arithmetic and exact trajectory derivatives.
+"""Exact trajectory derivatives from Taylor coefficients (jets) in time.
 
-A `Jet` stores the Taylor coefficients in time of one scalar quantity along
-a trajectory.  Feeding jets through a vector field and applying the standard
-recurrence  c_{k+1} = (rhs coefficient k) / (k + 1)  yields every time
-derivative of the solution through a point, exact up to rounding: no
-truncation error, no symbolic differentiation.
+The state's Taylor coefficients c_k along the trajectory through a point
+follow the recurrence  c_{k+1} = (rhs coefficient k) / (k + 1).  Each
+expression node of the rhs gives its coefficient k from its children's
+coefficients 0..k (`expr.Node.taylor`), so every time derivative of the
+solution comes out exact up to rounding: no truncation error, no symbolic
+differentiation.
 
-Coefficient arrays have shape ``(order + 1,)`` for a single point or
-``(order + 1, npts)`` for a batch of points evaluated together; all
-arithmetic broadcasts over the trailing axis.
+Coefficients are scalars for a single point or arrays of shape ``(npts,)``
+for a batch of points evaluated together.
 """
 
 from __future__ import annotations
@@ -17,122 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Jet", "DerivStack", "derivative_stack", "jet_eval", "MAX_ORDER"]
+from .expr import TaylorMemo
+
+__all__ = ["DerivStack", "derivative_stack", "MAX_ORDER"]
 
 # All uses in this package need order <= n + 1 = 6; the cap leaves headroom
 # without letting callers allocate unbounded coefficient arrays.
 MAX_ORDER = 12
-
-
-class Jet:
-    """Taylor coefficients c_0..c_M of a scalar function of time."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = np.asarray(coeffs)
-        if not np.issubdtype(coeffs.dtype, np.floating):
-            coeffs = coeffs.astype(float)
-        self.coeffs = coeffs
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value, order, batch_shape=(), dtype=float):
-        c = np.zeros((order + 1,) + tuple(batch_shape), dtype=dtype)
-        c[0] = value
-        return cls(c)
-
-    @classmethod
-    def from_value(cls, value, order):
-        """Seed a jet whose order-0 coefficient is `value` (scalar or 1-D batch)."""
-        value = np.asarray(value, dtype=float)
-        c = np.zeros((order + 1,) + value.shape)
-        c[0] = value
-        return cls(c)
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def order(self):
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def value(self):
-        """Order-0 coefficient (the underlying point value)."""
-        return self.coeffs[0]
-
-    def __repr__(self):
-        return f"Jet({self.coeffs!r})"
-
-    # -- arithmetic (exact truncated-series algebra) -------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.order != self.order:
-                raise ValueError(
-                    f"mixed jet truncation orders: {self.order} vs {other.order}"
-                )
-            return other
-        if isinstance(other, (int, float, np.floating, np.ndarray)):
-            return Jet.constant(other, self.order, self.coeffs.shape[1:],
-                                dtype=self.coeffs.dtype)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet(self.coeffs + other.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet(self.coeffs - other.coeffs)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Jet(other.coeffs - self.coeffs)
-
-    def __neg__(self):
-        return Jet(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating)):
-            return Jet(self.coeffs * other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros_like(a)
-        for k in range(a.shape[0]):
-            # Cauchy product: (f*g)_k = sum_j f_j g_{k-j}
-            for j in range(k + 1):
-                out[k] += a[j] * b[k - j]
-        return Jet(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, np.integer)) or exponent < 0:
-            raise ValueError("jets support nonnegative integer powers only")
-        # square-and-multiply, in the same operation order as expr._ipow
-        result = Jet.constant(1.0, self.order, self.coeffs.shape[1:],
-                              dtype=self.coeffs.dtype)
-        base = self
-        e = int(exponent)
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
 
 
 @dataclass(frozen=True)
@@ -173,25 +64,13 @@ class DerivStack:
         return np.transpose(m, (2, 1, 0))
 
 
-def jet_eval(model, x_jets, region=None):
-    """Evaluate `model.rhs` componentwise under truncated-series algebra.
-
-    All input jets must share one truncation order; the order-0 row of the
-    result equals the plain scalar rhs.
-    """
-    orders = {j.order for j in x_jets}
-    if len(orders) != 1:
-        raise ValueError(f"mixed jet truncation orders: {sorted(orders)}")
-    return model.rhs(list(x_jets), region=region)
-
-
 def derivative_stack(model, x, order, region=None):
     """Compute d_1..d_order, the exact time derivatives of the flow at `x`.
 
     Uses the Taylor-coefficient recurrence: with X(t) = sum c_k t^k the ODE
-    gives c_{k+1} = (rhs(X jet))_k / (k + 1), so coefficient k + 1 needs one
-    rhs evaluation on jets truncated at order k.  Derivatives are then
-    d_k = k! c_k.
+    gives c_{k+1} = (rhs(X))_k / (k + 1), so coefficient k + 1 needs
+    coefficient k of every rhs node, each computed once from the memoized
+    lower coefficients of its children.  Derivatives are then d_k = k! c_k.
 
     For piecewise-linear models the region is classified once at `x` (or
     pinned by the caller) and frozen for the whole stack.
@@ -205,7 +84,8 @@ def derivative_stack(model, x, order, region=None):
         x = x.astype(float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite state")
-    n = x.shape[0]
+    if x.ndim not in (1, 2) or x.shape[0] != model.dim:
+        raise ValueError(f"state must have shape ({model.dim},) or ({model.dim}, npts)")
     if region is None and model.regions is not None:
         region = model.regions(x.astype(float))
 
@@ -213,11 +93,10 @@ def derivative_stack(model, x, order, region=None):
     # follows the input, so extended-precision states propagate
     coeffs = np.zeros((order + 1,) + x.shape, dtype=x.dtype)
     coeffs[0] = x
+    memo = TaylorMemo(coeffs, region)
     for k in range(order):
-        jets = [Jet(coeffs[: k + 1, i]) for i in range(n)]
-        fx = model.rhs(jets, region=region)
-        for i in range(n):
-            coeffs[k + 1, i] = fx[i].coeffs[k] / (k + 1)
+        for i, e in enumerate(model.rhs_exprs):
+            coeffs[k + 1, i] = memo.series(e, k)[k] / (k + 1)
 
     derivs = np.empty((order,) + x.shape, dtype=x.dtype)
     fact = 1.0

@@ -23,7 +23,7 @@ from .jets import derivative_stack
 __all__ = [
     "ManifoldSample", "ZeroSet", "SlowFastSplit", "GspSummary", "FactorReport",
     "phi", "lie_phi", "phi_scaled", "darboux_residual", "manifold_sample",
-    "zero_set_grid", "zero_crossings_on_trajectory",
+    "grid_states", "zero_set_grid", "zero_crossings_on_trajectory",
     "default_split", "gsp_order0_residual", "factor_check",
 ]
 
@@ -203,6 +203,24 @@ def _refine_edges(model, p_lo, p_hi, f_lo, target, chunk, max_iter=90):
     return p_lo + mids[:, None] * step, f_mid, ~(nonfinite | jumps), counts
 
 
+def grid_states(dim, axes, slice_values):
+    """The states of a coordinate-aligned grid, shape (dim, npts), and its shape.
+
+    `axes` maps coordinate indices to (lo, hi, count) node ranges, flattened
+    in 'ij' order; every other coordinate takes its `slice_values` entry
+    (default 0).
+    """
+    axis_items = sorted(axes.items())
+    grids = [np.linspace(lo, hi, count) for _, (lo, hi, count) in axis_items]
+    mesh = np.meshgrid(*grids, indexing="ij")
+    states = np.empty((dim, mesh[0].size))
+    for i in range(dim):
+        states[i] = slice_values.get(i, 0.0)
+    for (idx, _), m in zip(axis_items, mesh):
+        states[idx] = m.ravel()
+    return states, mesh[0].shape
+
+
 def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9,
                   chunk=4096):
     """Extract the phi = 0 point cloud over a coordinate-aligned grid.
@@ -245,17 +263,8 @@ def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9,
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("grid ranges must be finite")
 
-    grids = [np.linspace(lo, hi, count) for _, (lo, hi, count) in axis_items]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    shape = mesh[0].shape
-    npts = mesh[0].size
-
-    states = np.empty((n, npts))
-    for i in range(n):
-        states[i] = slice_values.get(i, 0.0)
-    for (idx, _), m in zip(axis_items, mesh):
-        states[idx] = m.ravel()
-
+    states, shape = grid_states(n, axes, slice_values)
+    npts = states.shape[1]
     values = _phi_chunked(model, states, chunk)
     finite = np.isfinite(values)
     n_nonfinite = int(npts - finite.sum())

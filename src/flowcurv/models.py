@@ -5,8 +5,8 @@ their cubic-nonlinearity variants in dimensions 4/5, a five-mode
 magnetoconvection truncation, and a five-dimensional synthetic system with
 known invariant manifolds ("gear5").  User systems load from a JSON config
 with polynomial + pwl right-hand sides; the Jacobian is derived by
-differentiating the expression tree, so scalar, batch and jet evaluation all
-share one definition.
+differentiating the expression tree, so scalar and batch evaluation, Taylor
+coefficients and the Jacobian all share one definition.
 """
 
 from __future__ import annotations

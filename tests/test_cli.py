@@ -4,6 +4,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from flowcurv import derivative_stack, geometry, get_model, manifold_sample, models
 from flowcurv.cli import main
@@ -218,6 +219,48 @@ def test_model_config_file_path(tmp_path, capsys):
                       "--t-end", "1.0", "--out", str(out)], capsys)
     assert code == 0
     assert out.read_text().splitlines()[0] == "t,x1,x2,region"
+
+
+BAD_NUMBERS = {
+    "grid-one-node": ["manifold", "--model", "chua3-pwl", "--grid", "x1=-2:2:1,x2=-1:1:5"],
+    "grid-nan-bound": ["manifold", "--model", "chua3-pwl", "--grid", "x1=nan:2:5,x2=-1:1:5"],
+    "grid-zero-nodes": ["phi-scan", "--model", "chua3-pwl", "--grid", "x1=-2:2:0,x2=-1:1:5"],
+    "slice-inf": ["phi-scan", "--model", "chua3-pwl", "--grid", "x1=-2:2:3,x2=-1:1:3",
+                  "--slice", "x3=inf"],
+    "x0-nan": ["integrate", "--model", "chua3-pwl", "--x0", "nan,0,0", "--t-end", "1"],
+    "t-end-negative": ["integrate", "--model", "chua3-pwl", "--x0", "0.1,0,0", "--t-end", "-1"],
+    "rel-tol-zero": ["integrate", "--model", "chua3-pwl", "--x0", "0.1,0,0", "--t-end", "1",
+                     "--rel-tol", "0"],
+    "abs-tol-nan": ["curvature", "--model", "chua3-pwl", "--x0", "0.1,0,0", "--t-end", "1",
+                    "--abs-tol", "nan"],
+}
+
+
+@pytest.mark.parametrize("args", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_bad_numeric_arguments_are_config_errors(args, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    try:
+        code = main(args + ["--out", str(out)])
+    except SystemExit as exc:  # argparse rejects a bad --t-end or tolerance itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_constant_rhs_component_commands(tmp_path, capsys):
+    # a constant rhs component used to break every derivative stack
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps({"name": "drift", "dim": 2, "params": {}, "rhs": ["1", "x1"]}))
+    scan, kappa = tmp_path / "scan.csv", tmp_path / "kappa.csv"
+    assert run(["phi-scan", "--model", str(path), "--grid", "x1=-1:1:3,x2=-1:1:3",
+                "--out", str(scan)], capsys)[0] == 0
+    rows = [line.split(",") for line in scan.read_text().splitlines()[1:]]
+    assert len(rows) == 9 and all(float(row[2]) == 1.0 for row in rows)  # phi = 1
+    assert run(["curvature", "--model", str(path), "--x0", "0,0", "--t-end", "1",
+                "--out", str(kappa)], capsys)[0] == 0
 
 
 def _scan_table(path):

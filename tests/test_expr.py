@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from flowcurv.expr import ExprError, parse_expression
-from flowcurv.jets import Jet
+from flowcurv.expr import ExprError, TaylorMemo, parse_expression
 
 VARS3 = {"x1": 0, "x2": 1, "x3": 2}
 
@@ -74,12 +73,16 @@ def test_diff_matches_finite_differences():
                 assert node.diff(i).eval(x) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
-def test_eval_on_jets_matches_scalar_order0():
+def test_taylor_order0_matches_eval():
+    # coefficient 0 is the plain value bit for bit; coefficient 1 is the
+    # derivative along the state's coefficient 1, as `diff` gives it
     node = parse("x1^3 - 2*x1*x2 + pwl(x1; a, b)", {"a": -0.42, "b": 1.2})
-    x = [1.7, 0.3, 0.0]
-    jets = [Jet.from_value(v, 4) for v in x]
-    out = node.eval(jets)
-    assert out.coeffs[0] == node.eval(x)
+    x = np.array([1.7, 0.3, 0.0])
+    v = np.array([0.5, -1.25, 2.0])
+    c0, c1 = TaylorMemo(np.array([x, v])).series(node, 1)
+    assert c0 == node.eval(x)
+    grad = [node.diff(i).eval(x) for i in range(3)]
+    assert c1 == pytest.approx(np.dot(grad, v), rel=1e-14)
 
 
 def test_parse_error_positions():

@@ -1,10 +1,10 @@
-"""Jet arithmetic and the derivative-stack recurrence."""
+"""The derivative-stack recurrence on Taylor coefficients (jets)."""
 
 import numpy as np
 import pytest
 
-from flowcurv import derivative_stack, get_model, integrate, jet_eval, load_model
-from flowcurv.jets import MAX_ORDER, Jet
+from flowcurv import derivative_stack, get_model, integrate, load_model, phi, verify
+from flowcurv.jets import MAX_ORDER
 
 ROTATION = {"name": "rotation", "dim": 2, "params": {}, "rhs": ["-x2", "x1"]}
 
@@ -19,38 +19,44 @@ def test_planar_rotation_stack():
 
 
 def test_jet_product_expansion():
-    # (2 + t)^2 = 4 + 4t + t^2
-    j = Jet([2.0, 1.0, 0.0, 0.0])
-    sq = j * j
-    np.testing.assert_array_equal(sq.coeffs, [4.0, 4.0, 1.0, 0.0])
-    np.testing.assert_array_equal((j ** 2).coeffs, sq.coeffs)
+    # x2 = 2 + t, so x1' = (2 + t)^2 = 4 + 4t + t^2: d1..d4 of x1 are 4, 4, 2, 0
+    for square in ("x2*x2", "x2^2"):
+        model = load_model({"name": "square", "dim": 2, "params": {}, "rhs": [square, "1"]})
+        st = derivative_stack(model, [0.0, 2.0], 4)
+        np.testing.assert_array_equal(st.derivs[:, 0], [4.0, 4.0, 2.0, 0.0])
 
 
-def test_constant_jets_give_rhs_in_order_zero(gear):
-    x = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
-    jets = [Jet.constant(v, 4) for v in x]
-    out = jet_eval(gear, jets)
-    values = [j.coeffs[0] for j in out]
-    np.testing.assert_array_equal(values, [0.0, 1.0, 0.0, 800.0, 1200.0])
-    for j in out:
-        assert np.all(j.coeffs[2:] == 0.0)  # constant input, derivative zero above order 1
-
-
-def test_jet_eval_order0_matches_scalar_rhs():
-    model = get_model("chua5-cubic")
+def test_stack_order0_matches_velocity(models_by_name):
+    # d_1 is the rhs itself, bit for bit and zero signs included, on every
+    # model, batched and single-point (acceptance criterion 10 rests on it)
+    gear = models_by_name["gear5"]
+    np.testing.assert_array_equal(
+        derivative_stack(gear, [1.0, 0.0, 1.0, 0.0, 0.0], 1).derivs[0],
+        [0.0, 1.0, 0.0, 800.0, 1200.0])
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        x = rng.uniform(-2, 2, 5)
-        jets = [Jet.from_value(v, 3) for v in x]
-        out = jet_eval(model, jets)
-        scalar = model.velocity(x)
-        np.testing.assert_array_equal([j.coeffs[0] for j in out], scalar)
+    for model in [*models_by_name.values(), verify._reversed(models_by_name["chua3-pwl"])]:
+        x = rng.uniform(-2.5, 2.5, (model.dim, 50))
+        x[rng.random(x.shape) < 0.2] = -0.0
+        for got, want in [(derivative_stack(model, x, 1).derivs[0], model.velocity(x))] + [
+                (derivative_stack(model, x[:, k], 1).derivs[0], model.velocity(x[:, k]))
+                for k in range(10)]:
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_mixed_truncation_orders_rejected(gear):
-    jets = [Jet.constant(0.0, 3)] * 4 + [Jet.constant(0.0, 4)]
-    with pytest.raises(ValueError, match="mixed jet truncation orders"):
-        jet_eval(gear, jets)
+def test_constant_rhs_component():
+    # a constant component (a literal, or x1^0) evaluates to one number, not
+    # a series; every stack built on it works
+    for one in ("1", "x1^0"):
+        model = load_model({"name": "drift", "dim": 2, "params": {}, "rhs": [one, "x1"]})
+        x = np.array([0.5, -2.0])
+        st = derivative_stack(model, x, 3)
+        np.testing.assert_array_equal(st.derivs[0], [1.0, 0.5])
+        np.testing.assert_array_equal(st.derivs[1], [0.0, 1.0])
+        np.testing.assert_array_equal(st.derivs[2], [0.0, 0.0])
+        assert phi(model, x) == 1.0
+        batch = derivative_stack(model, np.array([[0.5, 3.0], [-2.0, 1.0]]), 2)
+        np.testing.assert_array_equal(batch.derivs[:, :, 1], [[1.0, 3.0], [0.0, 1.0]])
 
 
 def test_order_cap_and_bad_input(chua3):

@@ -419,13 +419,13 @@ def test_param_override_rebuilds_derived_constants():
 
 
 def test_velocity_evaluates_on_scalar_and_jet_paths(models_by_name):
-    # rhs on plain scalars equals the order-0 coefficient of rhs on seeded jets
-    from flowcurv.jets import Jet
+    # rhs on a list of Python floats (the integrator's path) equals velocity
+    # and the stack's first derivative, bit for bit
+    from flowcurv.jets import derivative_stack
     rng = np.random.default_rng(8)
     for model in models_by_name.values():
         for _ in range(20):
             x = rng.uniform(-3, 3, model.dim)
-            jets = [Jet.from_value(v, 3) for v in x]
-            out = model.rhs(jets)
-            np.testing.assert_array_equal([j.coeffs[0] for j in out],
-                                          model.velocity(x))
+            want = model.velocity(x)
+            np.testing.assert_array_equal(model.rhs(x.tolist()), want)
+            np.testing.assert_array_equal(derivative_stack(model, x, 1).derivs[0], want)
