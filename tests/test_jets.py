@@ -26,13 +26,23 @@ def test_jet_product_expansion():
         np.testing.assert_array_equal(st.derivs[:, 0], [4.0, 4.0, 2.0, 0.0])
 
 
+def test_constant_jets_give_rhs_in_order_zero(gear):
+    # order-0 Taylor coefficients are the state, so d_1 is the rhs value
+    st = derivative_stack(gear, [1.0, 0.0, 1.0, 0.0, 0.0], 4)
+    np.testing.assert_array_equal(st.derivs[0], [0.0, 1.0, 0.0, 800.0, 1200.0])
+
+
+def test_jet_eval_order0_matches_scalar_rhs():
+    model = get_model("chua5-cubic")
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        x = rng.uniform(-2, 2, 5)
+        np.testing.assert_array_equal(derivative_stack(model, x, 3).derivs[0], model.velocity(x))
+
+
 def test_stack_order0_matches_velocity(models_by_name):
     # d_1 is the rhs itself, bit for bit and zero signs included, on every
     # model, batched and single-point (acceptance criterion 10 rests on it)
-    gear = models_by_name["gear5"]
-    np.testing.assert_array_equal(
-        derivative_stack(gear, [1.0, 0.0, 1.0, 0.0, 0.0], 1).derivs[0],
-        [0.0, 1.0, 0.0, 800.0, 1200.0])
     rng = np.random.default_rng(5)
     for model in [*models_by_name.values(), verify._reversed(models_by_name["chua3-pwl"])]:
         x = rng.uniform(-2.5, 2.5, (model.dim, 50))
