@@ -9,7 +9,6 @@ phi is the numerator of the torsion, so the two share zero set and sign.
 import numpy as np
 
 from flowcurv import (curvatures, derivative_stack, get_model, integrate, phi)
-from flowcurv.geometry import DegenerateStackError
 
 model = get_model("chua3-pwl")
 
@@ -27,26 +26,21 @@ traj = integrate(model, [0.1, 0.1, 0.1], 40.0, rel_tol=1e-10, abs_tol=1e-12)
 print(f"\nintegrated {len(traj)} samples, {len(traj.events)} region crossings")
 
 print("\n   t        kappa1      kappa2      phi")
-for k in range(0, len(traj), len(traj) // 12):
-    xk = traj.states[k]
-    try:
-        cs = curvatures(derivative_stack(model, xk, 3))
-        print(f"{traj.times[k]:7.2f}  {cs.kappas[0]:10.4f}  {cs.torsion:+10.4f}"
-              f"  {float(phi(model, xk)):+10.3e}")
-    except DegenerateStackError:
-        print(f"{traj.times[k]:7.2f}  (degenerate stack)")
+# one batched stack and frame per table; a degenerate stack's kappas are NaN
+rows = np.arange(0, len(traj), len(traj) // 12)
+cs = curvatures(derivative_stack(model, traj.states[rows].T, 3))
+for t, kappas, torsion, p in zip(traj.times[rows], cs.kappas, cs.torsion,
+                                 phi(model, traj.states[rows].T)):
+    if np.isnan(kappas[0]):
+        print(f"{t:7.2f}  (degenerate stack)")
+    else:
+        print(f"{t:7.2f}  {kappas[0]:10.4f}  {torsion:+10.4f}  {p:+10.3e}")
 
 # the sign of the torsion tracks the sign of phi: kappa_2 is the triple
 # product det(Xdot, Xddot, Xdddot) = phi divided by a positive norm factor
-signs_match = 0
-total = 0
-for xk in traj.states[:: max(1, len(traj) // 200)]:
-    try:
-        cs = curvatures(derivative_stack(model, xk, 3))
-    except DegenerateStackError:
-        continue
-    p = float(phi(model, xk))
-    if p != 0 and cs.torsion != 0:
-        total += 1
-        signs_match += (np.sign(cs.torsion) == np.sign(p))
-print(f"\ntorsion sign equals phi sign at {signs_match}/{total} samples")
+xs = traj.states[:: max(1, len(traj) // 200)].T
+cs = curvatures(derivative_stack(model, xs, 3))
+p = phi(model, xs)
+counted = ~np.isnan(cs.kappas[:, 0]) & (p != 0) & (cs.torsion != 0)
+signs_match = int(np.sum(np.sign(cs.torsion[counted]) == np.sign(p[counted])))
+print(f"\ntorsion sign equals phi sign at {signs_match}/{int(counted.sum())} samples")

@@ -215,7 +215,10 @@ def _cmd_manifold(args):
     model = _load(args.model)
     axes = _parse_grid(args.grid, model.dim, min_nodes=2)
     slices = _parse_slice(args.slice, model.dim, model, axes)
-    zs = manifold.zero_set_grid(model, axes, slices, tol_rel=args.tol_rel)
+    try:
+        zs = manifold.zero_set_grid(model, axes, slices, tol_rel=args.tol_rel)
+    except ValueError as err:  # a NaN, infinite or negative --tol-rel
+        raise ConfigError(str(err)) from err
     header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "region"]
     rows = []
     for k in range(len(zs)):
@@ -260,14 +263,9 @@ def _cmd_curvature(args):
     x0 = _parse_vector(args.x0, model.dim)
     traj = integrate(model, x0, args.t_end, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     header = ["t"] + [f"kappa{i + 1}" for i in range(model.dim - 1)]
-    derivs = derivative_stack(model, traj.states.T, model.dim).derivs  # (n, n, samples)
-    rows = []
-    for k, t in enumerate(traj.times):
-        try:
-            cs = geometry.curvatures(derivs[:, :, k])
-            rows.append([t] + list(cs.kappas))
-        except geometry.DegenerateStackError:
-            rows.append([t] + [float("nan")] * (model.dim - 1))
+    # one batched frame; a degenerate stack's row is NaN
+    kappas = geometry.curvatures(derivative_stack(model, traj.states.T, model.dim)).kappas
+    rows = np.column_stack([traj.times, kappas]).tolist()
     write_table(args.out, header, rows, args.format)
     print(f"{len(rows)} samples -> {args.out}")
     return 0
@@ -384,8 +382,8 @@ def main(argv=None):
     except ConfigError as err:
         print(f"flowcurv: config error: {err}", file=sys.stderr)
         return 1
-    except (IntegrationError, spectral.SpectralError, geometry.DegenerateStackError,
-            np.linalg.LinAlgError, FloatingPointError) as err:
+    except (IntegrationError, spectral.SpectralError, np.linalg.LinAlgError,
+            FloatingPointError) as err:
         print(f"flowcurv: numerical failure: {err}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,13 @@
 """Orthogonalization, generalized curvatures, and determinant identities.
 
-The derivative stack of a trajectory orthogonalizes (Gram-Schmidt, no
-normalization) into a moving frame whose norms give the curvatures
+The derivative stack of a trajectory orthogonalizes into a moving frame
+(modified Gram-Schmidt with two passes, no normalization: "twice is
+enough", Giraud, Langou & Rozloznik 2005) whose norms give the curvatures
 kappa_i = |u_{i+1}| / (|u_1| |u_i|).  The same frame underlies the
 determinant identities used throughout: |det| equals the product of the
 frame norms, det is multiplicative under a matrix map of all columns, and
-the column-wise sum of single-column maps picks up a trace factor.
+the column-wise sum of single-column maps picks up a trace factor.  All of
+them take one stack or a batch, equal bit for bit to one at a time.
 """
 
 from __future__ import annotations
@@ -108,75 +110,74 @@ class OrthoBasis:
     input_j, so u_1 is the first input exactly.
     """
 
-    vectors: np.ndarray  # (m, n)
-    beta: np.ndarray     # (m, m)
+    vectors: np.ndarray  # (..., m, n)
+    beta: np.ndarray     # (..., m, m)
 
     @property
     def norms(self):
-        return np.linalg.norm(self.vectors, axis=1)
+        return np.linalg.norm(self.vectors, axis=-1)
 
 
 def gram_schmidt(vectors):
-    """Orthogonalize an ordered stack of linearly independent vectors.
+    """Orthogonalize an ordered stack (m, n), or a batch (..., m, n), of vectors.
 
-    Modified Gram-Schmidt with re-orthogonalization passes (same basis as
-    the classical projection formula, better rounding); passes repeat until
-    the new vector is orthogonal to the frame at working precision, so the
-    returned basis honors its contract even just above the rank-loss
-    threshold.  Raises `DegenerateStackError` when a vector's orthogonal
-    remainder falls below DEGENERACY_RTOL of its input norm (or never
-    stabilizes, which is the same thing in noise).
+    Modified Gram-Schmidt with exactly two passes per vector, which leaves
+    the frame orthogonal to working precision (Giraud, Langou & Rozloznik
+    2005).  A vector whose remainder after either pass is at most
+    DEGENERACY_RTOL of its input norm, or not finite, is degenerate: a
+    single stack raises `DegenerateStackError`, a batch gets NaN vectors
+    and beta for that stack.
     """
     v = np.asarray(vectors, dtype=float)
-    if v.ndim != 2:
-        raise ValueError("expected a 2-D stack of vectors")
-    m, n = v.shape
+    if v.ndim < 2:
+        raise ValueError("expected a stack (m, n) of vectors or a batch (..., m, n)")
+    m, n = v.shape[-2:]
     if m > n:
         raise ValueError(f"cannot orthogonalize {m} vectors in dimension {n}")
-    u = v.copy()
-    beta = np.eye(m)
-    for i in range(m):
-        input_norm = np.linalg.norm(v[i])
-        for sweep in range(8):
-            for j in range(i):
-                denom = u[j] @ u[j]
-                coeff = (u[j] @ u[i]) / denom
-                u[i] = u[i] - coeff * u[j]
-                beta[i] = beta[i] - coeff * beta[j]
-            norm = np.linalg.norm(u[i])
-            if norm <= DEGENERACY_RTOL * input_norm:
-                raise DegenerateStackError(i, norm, input_norm)
-            if sweep > 0 and all(
-                    abs(u[j] @ u[i]) <= 1e-13 * np.linalg.norm(u[j]) * norm
-                    for j in range(i)):
-                break
-        else:
-            raise DegenerateStackError(i, np.linalg.norm(u[i]), input_norm)
-    return OrthoBasis(vectors=u, beta=beta)
+    u = v.reshape((-1, m, n)).copy()
+    beta = np.tile(np.eye(m), (u.shape[0], 1, 1))
+    # an overflowing stack turns NaN (and counts as degenerate) without warnings
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        input_norms = vecnorm(u)
+        for i in range(m):
+            for _ in range(2):
+                for j in range(i):
+                    coeff = vecdot(u[:, j], u[:, i]) / vecdot(u[:, j], u[:, j])
+                    u[:, i] -= coeff[:, None] * u[:, j]
+                    beta[:, i] -= coeff[:, None] * beta[:, j]
+                norm = vecnorm(u[:, i])
+                lost = ~(norm > DEGENERACY_RTOL * input_norms[:, i])
+                if v.ndim == 2 and lost[0]:
+                    raise DegenerateStackError(i, norm[0], input_norms[0, i])
+                u[lost] = beta[lost] = np.nan
+    return OrthoBasis(vectors=u.reshape(v.shape), beta=beta.reshape(v.shape[:-1] + (m,)))
 
 
 @dataclass(frozen=True)
 class CurvatureSet:
-    """Curvatures kappa_1..kappa_{m-1} of a trajectory stack.
+    """Curvatures kappa_1..kappa_{m-1} of a trajectory stack (batch axes in front).
 
     `kappas` are the nonnegative norm ratios; for three-vector stacks in R^3
     the last curvature is additionally reported signed in `torsion` because
-    the manifold condition carries the sign of the triple product.
+    the manifold condition carries the sign of the triple product.  Both are
+    NaN for a degenerate stack of a batch.
     """
 
     kappas: np.ndarray
-    torsion: float | None = None
+    torsion: float | np.ndarray | None = None
 
 
 def curvatures(stack):
-    """Curvatures from a DerivStack or a plain (m, n) array of derivatives."""
-    vectors = stack.derivs if hasattr(stack, "derivs") else np.asarray(stack, dtype=float)
-    basis = gram_schmidt(vectors)
-    norms = basis.norms
-    kappas = norms[1:] / (norms[0] * norms[:-1])
+    """Curvatures from a DerivStack (one point or a batch) or an array (..., m, n)."""
+    if hasattr(stack, "derivs"):  # a batched DerivStack has its points last
+        stack = np.moveaxis(stack.derivs, -1, 0) if stack.derivs.ndim == 3 else stack.derivs
+    vectors = np.ascontiguousarray(stack, dtype=float)
+    norms = gram_schmidt(vectors).norms
+    kappas = norms[..., 1:] / (norms[..., :1] * norms[..., :-1])
     torsion = None
-    if vectors.shape == (3, 3):
-        torsion = torsion_3d(vectors[0], vectors[1], vectors[2])
+    if vectors.shape[-2:] == (3, 3):
+        torsion = np.where(np.isnan(kappas[..., -1]), np.nan, torsion_3d(
+            vectors[..., 0, :], vectors[..., 1, :], vectors[..., 2, :]))[()]
     return CurvatureSet(kappas=kappas, torsion=torsion)
 
 
@@ -191,15 +192,16 @@ def curvature1_3d(v, gamma):
 
 
 def torsion_3d(v, gamma, gamma_dot):
-    """Signed torsion of a space curve: -gamma_dot . (gamma ^ v) / |gamma ^ v|^2."""
+    """Signed torsion of a space curve: -gamma_dot . (gamma ^ v) / |gamma ^ v|^2,
+    of vectors (3,) or batches (..., 3) (NaN in a batch where undefined)."""
     v = np.asarray(v, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    gamma_dot = np.asarray(gamma_dot, dtype=float)
-    cross = np.cross(gamma, v)
-    denom = cross @ cross
-    if denom == 0.0:
-        raise ValueError("torsion is undefined where the first curvature vanishes")
-    return -(gamma_dot @ cross) / denom
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cross = np.cross(gamma, v)
+        denom = vecdot(cross, cross)
+        if np.ndim(denom) == 0 and denom == 0.0:
+            raise ValueError("torsion is undefined where the first curvature vanishes")
+        return -vecdot(gamma_dot, cross) / denom
 
 
 def wedge(vectors):
@@ -243,36 +245,34 @@ def vecnorm(a):
 
 
 def det_norm_product_residual(stack):
-    """| |det| - prod |u_i| | / max(1, prod |u_i|) for a square stack."""
+    """| |det| - prod |u_i| | / max(1, prod |u_i|) for square stacks; prod = 0 if degenerate."""
     m = np.asarray(stack, dtype=float)
-    if m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("identity requires a square stack")
-    det = abs(np.linalg.det(m))
-    try:
-        prod = float(np.prod(gram_schmidt(m).norms))
-    except DegenerateStackError:
-        prod = 0.0
-    return abs(det - prod) / max(1.0, prod)
+    det = np.abs(np.linalg.det(m))
+    prod = np.prod(gram_schmidt(m.reshape((-1,) + m.shape[-2:])).norms, axis=-1)
+    prod = np.where(np.isnan(prod), 0.0, prod).reshape(det.shape)
+    return (np.abs(det - prod) / np.maximum(1.0, prod))[()]
 
 
 def det_multiplicativity_residual(J, a):
-    """Residual of det(J a_1, ..., J a_n) = det(J) det(a_1, ..., a_n)."""
+    """Residual of det(J a_1, ..., J a_n) = det(J) det(a_1, ..., a_n), batched over (..., n, n)."""
     J = np.asarray(J, dtype=float)
-    a = np.asarray(a, dtype=float)
-    lhs = np.linalg.det((J @ a.T).T)
-    rhs = np.linalg.det(J) * np.linalg.det(a.T)
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
+    cols = np.swapaxes(np.asarray(a, dtype=float), -1, -2)
+    lhs = np.linalg.det(np.swapaxes(J @ cols, -1, -2))
+    rhs = np.linalg.det(J) * np.linalg.det(cols)
+    return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
 
 
 def trace_expansion_residual(J, a):
-    """Residual of sum_k det(a_1, .., J a_k, .., a_n) = Tr(J) det(a_1, .., a_n)."""
+    """Residual of sum_k det(a_1, .., J a_k, .., a_n) = Tr(J) det(a_1, .., a_n), batched."""
     J = np.asarray(J, dtype=float)
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
+    cols = np.swapaxes(a, -1, -2)
     lhs = 0.0
-    for k in range(n):
-        cols = a.T.copy()
-        cols[:, k] = J @ a[k]
-        lhs += np.linalg.det(cols)
-    rhs = np.trace(J) * np.linalg.det(a.T)
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
+    for k in range(a.shape[-1]):
+        mapped = cols.copy()
+        mapped[..., k] = (J @ a[..., k, :, None])[..., 0]
+        lhs = lhs + np.linalg.det(mapped)
+    rhs = np.trace(J, axis1=-2, axis2=-1) * np.linalg.det(cols)
+    return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))

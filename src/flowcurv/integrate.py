@@ -106,10 +106,10 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
     Raises IntegrationError (partial trajectory attached) on step-size
     underflow or a non-finite state.
     """
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be positive")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
+        raise ValueError("tolerances must be finite and positive")
+    if not (0 < t_end < math.inf and math.isfinite(t0)):
+        raise ValueError("t_end must be finite and positive, t0 finite")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.dim,):
         raise ValueError(f"x0 must have shape ({model.dim},)")

@@ -246,6 +246,8 @@ def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9,
     `nonfinite_refinements`, `dropped_jumps` and `exact_zero_nodes`.
     """
     n = model.dim
+    if not (0 <= tol_abs < math.inf and 0 <= tol_rel < math.inf):
+        raise ValueError("tolerances must be finite and nonnegative")
     axis_items = sorted(axes.items())
     if len(axis_items) not in (2, 3):
         raise ValueError("grid must span 2 or 3 coordinates")

@@ -92,17 +92,15 @@ def _in_region_points(model, count, rng):
 
 def _identity_checks(model, rng, instances=200):
     n = model.dim
-    norm_product, multiplicativity, trace = [], [], []
-    for _ in range(instances):
-        stack = rng.standard_normal((n, n))
-        J = rng.standard_normal((n, n))
-        norm_product.append(geometry.det_norm_product_residual(stack))
-        multiplicativity.append(geometry.det_multiplicativity_residual(J, stack))
-        trace.append(geometry.trace_expansion_residual(J, stack))
+    draws = rng.standard_normal((instances, 2, n, n))  # stack, then J: one draw at a time
+    stack, J = draws[:, 0], draws[:, 1]
     return [
-        _result("identity |det| = prod |u_i|", _worst(norm_product), 1e-10),
-        _result("identity det(J a_k) = det(J) det(a)", _worst(multiplicativity), 1e-10),
-        _result("identity sum det = Tr(J) det", _worst(trace), 1e-10),
+        _result("identity |det| = prod |u_i|",
+                _worst(geometry.det_norm_product_residual(stack)), 1e-10),
+        _result("identity det(J a_k) = det(J) det(a)",
+                _worst(geometry.det_multiplicativity_residual(J, stack)), 1e-10),
+        _result("identity sum det = Tr(J) det",
+                _worst(geometry.trace_expansion_residual(J, stack)), 1e-10),
     ]
 
 

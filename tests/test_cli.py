@@ -146,6 +146,18 @@ def test_curvature_matches_per_point_stacks(tmp_path, capsys):
         assert line.split(",") == [row[0]] + [repr(float(k)) for k in kappas]
 
 
+def test_curvature_writes_nan_rows_for_degenerate_stacks(tmp_path, capsys):
+    # the motion stays in the plane x3 = 0, so d_3 lies in span(d_1, d_2)
+    path = tmp_path / "planar.json"
+    path.write_text(json.dumps({"name": "planar", "dim": 3, "params": {},
+                                "rhs": ["-x2", "x1", "0"]}))
+    out = tmp_path / "kappa.csv"
+    assert run(["curvature", "--model", str(path), "--x0", "1,0,0", "--t-end", "1",
+                "--out", str(out)], capsys)[0] == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) > 1 and all(row[1:] == ["nan", "nan"] for row in rows)
+
+
 def test_write_table_bytes(tmp_path):
     header = ["t", "x1", "region"]
     rows = [[0.0, 0.1, "mid"], [1.5, -2e-17, "pos"]]
@@ -233,6 +245,9 @@ BAD_NUMBERS = {
                      "--rel-tol", "0"],
     "abs-tol-nan": ["curvature", "--model", "chua3-pwl", "--x0", "0.1,0,0", "--t-end", "1",
                     "--abs-tol", "nan"],
+    **{f"tol-rel-{value}": ["manifold", "--model", "chua3-pwl", "--grid",
+                            "x1=-3:3:12,x2=-1:1:12", "--slice", "x3=0", "--tol-rel", value]
+       for value in ("nan", "inf", "-1")},
 }
 
 
@@ -248,6 +263,13 @@ def test_bad_numeric_arguments_are_config_errors(args, tmp_path, capsys):
     assert "config error" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_zero_tol_rel_is_accepted(tmp_path, capsys):
+    out = tmp_path / "zs.csv"
+    code, stdout, _ = run(["manifold", "--model", "chua3-pwl", "--grid", "x1=-3:3:12,x2=-1:1:12",
+                           "--slice", "x3=0", "--tol-rel", "0", "--out", str(out)], capsys)
+    assert code == 0 and "manifold points" in stdout and out.exists()
 
 
 def test_constant_rhs_component_commands(tmp_path, capsys):

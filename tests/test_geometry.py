@@ -1,5 +1,7 @@
 """Gram-Schmidt frame, curvatures, and the determinant identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,3 +297,189 @@ def test_bordered_elimination_matches_square_lu_on_stiff_stacks(chua5):
 def test_det_scaled_rejects_short_matrices():
     with pytest.raises(ValueError):
         det_scaled(np.ones((3, 2)))
+
+
+# -- the two-pass frame against the adaptive one it replaced ----------------------
+
+def _adaptive_gram_schmidt(vectors):
+    """Test-only copy of the former frame: MGS sweeps repeated until orthogonal.
+
+    Returns (vectors, beta, sweeps), sweeps being the most any vector used;
+    raises DegenerateStackError like the library.
+    """
+    from flowcurv.geometry import DEGENERACY_RTOL
+    v = np.asarray(vectors, dtype=float)
+    m, n = v.shape
+    u = v.copy()
+    beta = np.eye(m)
+    sweeps = 0
+    for i in range(m):
+        input_norm = np.linalg.norm(v[i])
+        for sweep in range(8):
+            for j in range(i):
+                denom = u[j] @ u[j]
+                coeff = (u[j] @ u[i]) / denom
+                u[i] = u[i] - coeff * u[j]
+                beta[i] = beta[i] - coeff * beta[j]
+            norm = np.linalg.norm(u[i])
+            if norm <= DEGENERACY_RTOL * input_norm:
+                raise DegenerateStackError(i, norm, input_norm)
+            if sweep > 0 and all(
+                    abs(u[j] @ u[i]) <= 1e-13 * np.linalg.norm(u[j]) * norm
+                    for j in range(i)):
+                break
+        else:
+            raise DegenerateStackError(i, np.linalg.norm(u[i]), input_norm)
+        sweeps = max(sweeps, sweep + 1)
+    return u, beta, sweeps
+
+
+def _adaptive_kappas(u):
+    norms = np.linalg.norm(u, axis=1)
+    return norms[1:] / (norms[0] * norms[:-1])
+
+
+def _adaptive_det_norm_product_residual(m):
+    det = abs(np.linalg.det(m))
+    try:
+        prod = float(np.prod(np.linalg.norm(_adaptive_gram_schmidt(m)[0], axis=1)))
+    except DegenerateStackError:
+        prod = 0.0
+    return abs(det - prod) / max(1.0, prod)
+
+
+def _loop_det_multiplicativity_residual(J, a):
+    lhs = np.linalg.det((J @ a.T).T)
+    rhs = np.linalg.det(J) * np.linalg.det(a.T)
+    return abs(lhs - rhs) / max(1.0, abs(rhs))
+
+
+def _loop_trace_expansion_residual(J, a):
+    lhs = 0.0
+    for k in range(a.shape[0]):
+        cols = a.T.copy()
+        cols[:, k] = J @ a[k]
+        lhs += np.linalg.det(cols)
+    rhs = np.trace(J) * np.linalg.det(a.T)
+    return abs(lhs - rhs) / max(1.0, abs(rhs))
+
+
+def _assert_frames_match_oracle(stacks):
+    """The batched frame of `stacks` (B, m, n) against the oracle, stack by stack.
+
+    Returns the number of degenerate stacks (NaN in the batch, raising alone).
+    """
+    basis = gram_schmidt(stacks)
+    kappas = curvatures(stacks).kappas
+    degenerate = 0
+    for b, stack in enumerate(stacks):
+        try:
+            u, beta, sweeps = _adaptive_gram_schmidt(stack)
+        except DegenerateStackError as err:
+            degenerate += 1
+            assert np.isnan(basis.vectors[b]).all() and np.isnan(basis.beta[b]).all()
+            assert np.isnan(kappas[b]).all()
+            with pytest.raises(DegenerateStackError) as alone:
+                gram_schmidt(stack)
+            assert str(alone.value) == str(err)
+            continue
+        assert sweeps == 2
+        _assert_same_bits(basis.vectors[b], u)
+        _assert_same_bits(basis.beta[b], beta)
+        _assert_same_bits(kappas[b], _adaptive_kappas(u))
+    return degenerate
+
+
+def test_two_pass_frame_matches_adaptive_oracle_on_curvature_stacks(chua3):
+    from flowcurv import derivative_stack, integrate
+    traj = integrate(chua3, [0.1, 0.1, 0.1], 50.0)
+    stack = derivative_stack(chua3, traj.states.T, 3)
+    stacks = np.ascontiguousarray(np.moveaxis(stack.derivs, -1, 0))
+    assert stacks.shape == (2756, 3, 3)
+    assert _assert_frames_match_oracle(stacks) == 0
+    # a DerivStack batch is the same frame as its (npts, m, n) array
+    _assert_same_bits(curvatures(stack).kappas, curvatures(stacks).kappas)
+
+
+def test_two_pass_frame_matches_adaptive_oracle_on_verify_identity_draws(models_by_name):
+    from flowcurv import verify
+    for name, model in models_by_name.items():
+        n = model.dim
+        draws = np.random.default_rng(0).standard_normal((200, 2, n, n))
+        stacks, J = draws[:, 0], draws[:, 1]
+        assert _assert_frames_match_oracle(stacks) == 0
+        oracle = [
+            [_adaptive_det_norm_product_residual(stacks[b]) for b in range(200)],
+            [_loop_det_multiplicativity_residual(J[b], stacks[b]) for b in range(200)],
+            [_loop_trace_expansion_residual(J[b], stacks[b]) for b in range(200)]]
+        batched = [det_norm_product_residual(stacks),
+                   det_multiplicativity_residual(J, stacks),
+                   trace_expansion_residual(J, stacks)]
+        for got, ref in zip(batched, oracle):
+            _assert_same_bits(got, np.array(ref))
+        checks = verify._identity_checks(model, np.random.default_rng(0))
+        for check, ref in zip(checks, oracle):
+            assert check.residual == max(ref), (name, check.name)
+
+
+def _near_degenerate_stacks(rng, count, m, n):
+    """Random stacks whose vector k sits a relative 1e-13 .. 1e-6 off span(v_1..v_k-1)."""
+    stacks = rng.standard_normal((count, m, n))
+    for stack in stacks:
+        k = int(rng.integers(1, m))
+        q = np.linalg.qr(stack[:k].T)[0]
+        off = rng.standard_normal(n)
+        off -= q @ (q.T @ off)
+        base = rng.standard_normal(k) @ stack[:k]
+        ratio = 10.0 ** rng.uniform(-13, -6)
+        stack[k] = base + ratio * np.linalg.norm(base) * off / np.linalg.norm(off)
+    return stacks
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (4, 4), (5, 5), (3, 5)])
+def test_two_pass_frame_matches_adaptive_oracle_near_degeneracy(m, n):
+    stacks = _near_degenerate_stacks(np.random.default_rng(20 + 7 * m + n), 1000, m, n)
+    degenerate = _assert_frames_match_oracle(stacks)
+    # both verdicts occur: the remainder ratios straddle DEGENERACY_RTOL
+    assert 0 < degenerate < len(stacks)
+
+
+def test_batch_equals_stacks_one_at_a_time():
+    rng = np.random.default_rng(8)
+    batch = rng.standard_normal((2, 6, 4, 5))
+    batch[0, 1, 2] = 3.0 * batch[0, 1, 0]  # parallel vectors
+    batch[1, 4, 0] = 0.0                   # a zero first vector: 0/0 downstream
+    batch[1, 2, 3] *= 1e300                # an overflowing remainder
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = gram_schmidt(batch)
+        kappas = curvatures(batch).kappas
+        residuals = det_norm_product_residual(batch[..., :4, :4])
+    assert basis.vectors.shape == batch.shape and basis.beta.shape == (2, 6, 4, 4)
+    assert kappas.shape == (2, 6, 3) and residuals.shape == (2, 6)
+    for idx in np.ndindex(2, 6):
+        if idx in ((0, 1), (1, 4), (1, 2)):
+            assert np.isnan(basis.vectors[idx]).all() and np.isnan(kappas[idx]).all()
+            with pytest.raises(DegenerateStackError):
+                gram_schmidt(batch[idx])
+            with pytest.raises(DegenerateStackError):
+                curvatures(batch[idx])
+            continue
+        one = gram_schmidt(batch[idx])
+        _assert_same_bits(basis.vectors[idx], one.vectors)
+        _assert_same_bits(basis.beta[idx], one.beta)
+        _assert_same_bits(kappas[idx], curvatures(batch[idx]).kappas)
+    for idx in np.ndindex(2, 6):
+        assert residuals[idx] == det_norm_product_residual(batch[idx][:4, :4])
+
+
+def test_batched_torsion_is_nan_on_degenerate_stacks():
+    rng = np.random.default_rng(9)
+    batch = rng.standard_normal((5, 3, 3))
+    batch[2, 2] = batch[2, 0] - 2.0 * batch[2, 1]  # planar: torsion would be ~0
+    cs = curvatures(batch)
+    assert np.isnan(cs.torsion[2]) and np.isnan(cs.kappas[2]).all()
+    for b in (0, 1, 3, 4):
+        one = curvatures(batch[b])
+        assert cs.torsion[b] == one.torsion
+        assert one.torsion == torsion_3d(*batch[b])

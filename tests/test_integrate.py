@@ -96,6 +96,18 @@ def test_input_validation(chua3):
         integrate(chua3, [np.inf, 0.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"t_end": np.nan}, {"t_end": np.inf},
+    {"rel_tol": np.nan}, {"rel_tol": np.inf}, {"abs_tol": np.nan}, {"abs_tol": np.inf},
+    {"t0": np.nan}, {"t0": -np.inf}])
+def test_non_finite_arguments_rejected(chua3, kwargs):
+    # NaN fails every `<= 0` test: a NaN t_end used to return a one-sample
+    # trajectory marked complete, and a NaN tolerance rejected every step
+    args = {"t_end": 1.0, **kwargs}
+    with pytest.raises(ValueError, match="finite"):
+        integrate(chua3, [0.1, 0.0, 0.0], max_steps=200, **args)
+
+
 # -- float-list DP step against the former numpy formulation -----------------
 
 _OLD_A = [

@@ -284,6 +284,10 @@ def test_zero_set_grid_validation(chua3):
         zero_set_grid(chua3, {0: (0, 1, 1), 1: (0, 1, 5)})
     with pytest.raises(ValueError, match="both"):
         zero_set_grid(chua3, {0: (0, 1, 5), 1: (0, 1, 5)}, {0: 1.0})
+    for bad in (np.nan, np.inf, -1.0):
+        for name in ("tol_rel", "tol_abs"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                zero_set_grid(chua3, {0: (-3, 3, 5), 1: (-1, 1, 5)}, **{name: bad})
 
 
 def test_zero_crossings_on_trajectory(chua3):
