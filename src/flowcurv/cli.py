@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -43,13 +42,6 @@ def _positive(text):
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("FLOWCURV_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load(name_or_path):
@@ -147,11 +139,15 @@ def _parse_slice(text, dim, model, axes):
     return resolved
 
 
-def _region_label(model, x):
-    label = model.classify(x)
-    if label is None:
-        return ""
-    return label if isinstance(label, str) else "/".join(label)
+def _region_labels(model, states):
+    """One label per column of `states` (n, npts); several pwl terms join with '/'."""
+    if model.regions is None:
+        return [""] * states.shape[1]
+    labels = model.regions(states)
+    # one label array per pwl term; a constant pwl argument gives one label
+    terms = [np.broadcast_to(np.asarray(term, dtype=object), states.shape[1:])
+             for term in (labels if isinstance(labels, tuple) else (labels,))]
+    return ["/".join(parts) for parts in zip(*terms)]
 
 
 # -- commands -----------------------------------------------------------------
@@ -167,9 +163,8 @@ def _cmd_integrate(args):
     x0 = _parse_vector(args.x0, model.dim)
     traj = integrate(model, x0, args.t_end, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     header = ["t"] + [f"x{i + 1}" for i in range(model.dim)] + ["region"]
-    rows = [[t] + list(x) + [_region_label(model, x)]
-            for t, x in zip(traj.times, traj.states)]
-    write_table(args.out, header, rows, args.format)
+    write_table(args.out, header, np.column_stack([traj.times, traj.states]), args.format,
+                labels=_region_labels(model, traj.states.T))
     print(f"{len(traj)} samples, {len(traj.events)} region crossings -> {args.out}")
     return 0
 
@@ -179,35 +174,28 @@ def _cmd_phi_scan(args):
     if bool(args.grid) == bool(args.x0):
         raise ConfigError("phi-scan needs exactly one of --grid or --x0/--t-end")
     if args.grid:
+        if args.t_end is not None:
+            raise ConfigError("--t-end applies to a trajectory scan (--x0), not to --grid")
         axes = _parse_grid(args.grid, model.dim)
         slices = _parse_slice(args.slice, model.dim, model, axes)
         states, _ = manifold.grid_states(model.dim, axes, slices)
     else:
         if args.t_end is None:
             raise ConfigError("--x0 requires --t-end")
+        if args.slice:
+            raise ConfigError("--slice applies to a grid scan (--grid), not to --x0")
         x0 = _parse_vector(args.x0, model.dim)
         traj = integrate(model, x0, args.t_end, rel_tol=args.rel_tol,
                          abs_tol=args.abs_tol)
         states = traj.states.T
-    chunks = [states[:, start:start + 2048] for start in range(0, states.shape[1], 2048)]
-
-    def sample(block):
-        return manifold.manifold_sample(model, block)
-
-    workers = _threads()
-    if workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(sample, chunks))
-    else:
-        parts = [sample(block) for block in chunks]
-    p, lie, resid = (np.concatenate([getattr(part, name) for part in parts])
-                     for name in ("phi", "lie", "cofactor_residual"))
+    # 2,048-column chunks bound the memory of the longdouble stacks
+    parts = [manifold.manifold_sample(model, states[:, start:start + 2048])
+             for start in range(0, states.shape[1], 2048)]
+    columns = [np.concatenate([getattr(part, name) for part in parts])
+               for name in ("phi", "lie", "cofactor_residual")]
     header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "lie", "cofactor_residual"]
-    rows = [list(states[:, k]) + [p[k], lie[k], resid[k]]
-            for k in range(states.shape[1])]
-    write_table(args.out, header, rows, args.format)
-    print(f"{len(rows)} samples -> {args.out}")
+    write_table(args.out, header, np.column_stack([states.T, *columns]), args.format)
+    print(f"{states.shape[1]} samples -> {args.out}")
     return 0
 
 
@@ -220,21 +208,17 @@ def _cmd_manifold(args):
     except ValueError as err:  # a NaN, infinite or negative --tol-rel
         raise ConfigError(str(err)) from err
     header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "region"]
-    rows = []
-    for k in range(len(zs)):
-        region = zs.regions[k] if zs.regions else ""
-        if not isinstance(region, str):
-            region = "/".join(region)
-        rows.append(list(zs.points[k]) + [zs.phi_values[k], region])
-    write_table(args.out, header, rows, args.format)
-    print(f"{len(rows)} manifold points ({zs.n_nonfinite} non-finite nodes) -> {args.out}")
+    labels = [r if isinstance(r, str) else "/".join(r) for r in zs.regions] or [""] * len(zs)
+    write_table(args.out, header, np.column_stack([zs.points, zs.phi_values]), args.format,
+                labels=labels)
+    print(f"{len(zs)} manifold points ({zs.n_nonfinite} non-finite nodes) -> {args.out}")
     return 0
 
 
 def _cmd_hyperplane(args):
     model = _load(args.model)
-    fps = [fp for fp in models.fixed_points(model) if fp.region in ("pos", "neg")] \
-        or models.fixed_points(model)
+    fps = models.fixed_points(model)
+    fps = [fp for fp in fps if fp.region in ("pos", "neg")] or fps
     if not fps:
         raise ConfigError(f"model {model.name!r} has no fixed points")
     style = "last1" if model.dim == 3 else "lambda-ty"
@@ -253,7 +237,7 @@ def _cmd_hyperplane(args):
         rows.append(plane.csv_row())
     if args.out:
         header = [f"c{i + 1}" for i in range(model.dim)] + ["offset"]
-        write_table(args.out, header, rows, args.format)
+        write_table(args.out, header, np.array(rows), args.format)
         print(f"{len(rows)} planes -> {args.out}")
     return 0
 
@@ -265,9 +249,8 @@ def _cmd_curvature(args):
     header = ["t"] + [f"kappa{i + 1}" for i in range(model.dim - 1)]
     # one batched frame; a degenerate stack's row is NaN
     kappas = geometry.curvatures(derivative_stack(model, traj.states.T, model.dim)).kappas
-    rows = np.column_stack([traj.times, kappas]).tolist()
-    write_table(args.out, header, rows, args.format)
-    print(f"{len(rows)} samples -> {args.out}")
+    write_table(args.out, header, np.column_stack([traj.times, kappas]), args.format)
+    print(f"{len(traj)} samples -> {args.out}")
     return 0
 
 
@@ -379,7 +362,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:  # an OSError here: the output cannot be written
         print(f"flowcurv: config error: {err}", file=sys.stderr)
         return 1
     except (IntegrationError, spectral.SpectralError, np.linalg.LinAlgError,

@@ -224,7 +224,7 @@ def _eigen_checks(model, fps):
     return [_result("eigen residuals at fixed points", _worst(residuals), 1e-8)]
 
 
-def lie_fd_residuals(model, count=20, dt=_FD_TIME_STEP, seed=3, horizon=None):
+def lie_fd_residuals(model, count=20):
     """Relative errors of lie_phi against a centered FD of phi in time.
 
     States at t +- dt come from high-accuracy forward and reversed-field
@@ -232,14 +232,12 @@ def lie_fd_residuals(model, count=20, dt=_FD_TIME_STEP, seed=3, horizon=None):
     """
     from .integrate import integrate
 
-    rng = np.random.default_rng(seed)
+    dt = _FD_TIME_STEP
+    rng = np.random.default_rng(3)
     x = rng.uniform(-0.5, 0.5, model.dim)
-    if model.name == "gear5":
-        # window between the L-rate transient (dead after ~5/L) and the
-        # finite-time x4 blow-up near t = pi/(2 sqrt(beta1))
-        horizon, t_min = 0.008, 0.001
-    else:
-        horizon, t_min = horizon or 2.0, 0.0
+    # gear5: a window between the L-rate transient (dead after ~5/L) and the
+    # finite-time x4 blow-up near t = pi/(2 sqrt(beta1))
+    horizon, t_min = (0.008, 0.001) if model.name == "gear5" else (2.0, 0.0)
     traj = integrate(model, x, horizon, rel_tol=1e-12, abs_tol=1e-14)
     reversed_model = _reversed(model)
     first = int(np.searchsorted(traj.times, t_min))

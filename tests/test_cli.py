@@ -6,8 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from flowcurv import derivative_stack, geometry, get_model, manifold_sample, models
+from flowcurv import (derivative_stack, fixed_points, geometry, get_model, integrate,
+                      load_model, manifold_sample, models, tls_hyperplane, zero_set_grid)
 from flowcurv.cli import main
+from flowcurv.manifold import grid_states
 from flowcurv.ioutil import write_table
 from flowcurv.verify import verify_model
 
@@ -160,13 +162,13 @@ def test_curvature_writes_nan_rows_for_degenerate_stacks(tmp_path, capsys):
 
 def test_write_table_bytes(tmp_path):
     header = ["t", "x1", "region"]
-    rows = [[0.0, 0.1, "mid"], [1.5, -2e-17, "pos"]]
+    values, labels = np.array([[0.0, 0.1], [1.5, -2e-17]]), ["mid", "pos"]
     csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
-    write_table(csv_path, header, rows)
+    write_table(csv_path, header, values, labels=labels)
     assert csv_path.read_bytes() == b"t,x1,region\n0.0,0.1,mid\n1.5,-2e-17,pos\n"
-    write_table(csv_path, header, [])
+    write_table(csv_path, header, np.empty((0, 2)), labels=[])
     assert csv_path.read_bytes() == b"t,x1,region\n"
-    write_table(json_path, header, rows, "json")
+    write_table(json_path, header, values, "json", labels=labels)
     assert json_path.read_bytes() == (
         b'{\n "columns": [\n  "t",\n  "x1",\n  "region"\n ],\n "rows": [\n'
         b'  [\n   0.0,\n   0.1,\n   "mid"\n  ],\n  [\n   1.5,\n   -2e-17,\n   "pos"\n  ]\n'
@@ -248,6 +250,11 @@ BAD_NUMBERS = {
     **{f"tol-rel-{value}": ["manifold", "--model", "chua3-pwl", "--grid",
                             "x1=-3:3:12,x2=-1:1:12", "--slice", "x3=0", "--tol-rel", value]
        for value in ("nan", "inf", "-1")},
+    # an option the chosen phi-scan mode would ignore
+    "phi-scan-x0-slice": ["phi-scan", "--model", "chua3-pwl", "--x0", "0.1,0.1,0.1",
+                          "--t-end", "1", "--slice", "x3=5"],
+    "phi-scan-grid-t-end": ["phi-scan", "--model", "chua3-pwl", "--grid", "x1=-2:2:3,x2=-1:1:3",
+                            "--t-end", "5"],
 }
 
 
@@ -330,3 +337,184 @@ def test_phi_scan_chunks_and_threads_match_one_batch(tmp_path, capsys, monkeypat
     header, table = _scan_table(out1)
     assert table.shape[0] == 2050
     _assert_scan_matches_library(get_model("chua5-pwl"), header, table, per_point=False)
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "t.csv"
+    code, _, err = run(["integrate", "--model", "chua3-pwl", "--x0", "0.1,0.1,0.1",
+                        "--t-end", "1", "--out", str(missing)], capsys)
+    assert code == 1 and "config error" in err and str(missing) in err
+    code, text, err = run(["hyperplane", "--model", "chua3-pwl", "--out", str(missing)], capsys)
+    assert code == 1 and "config error" in err and "Pi(X)" in text
+    # the rename onto a directory fails after the temp file exists
+    code, _, err = run(["curvature", "--model", "chua3-pwl", "--x0", "0.1,0.1,0.1",
+                        "--t-end", "1", "--out", str(tmp_path)], capsys)
+    assert code == 1 and "config error" in err
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
+def test_hyperplane_solves_fixed_points_once(monkeypatch, capsys):
+    calls = []
+    solve = models.fixed_points
+    monkeypatch.setattr(models, "fixed_points",
+                        lambda model, **kw: calls.append(model.name) or solve(model, **kw))
+    for name in ("chua4-cubic", "chua3-pwl"):  # no outer-branch point, outer-branch points
+        assert run(["hyperplane", "--model", name], capsys)[0] == 0
+    assert calls == ["chua4-cubic", "chua3-pwl"]
+
+
+# -- byte oracle: the row-by-row writer the column writer replaced -------------
+
+def _row_writer(path, header, rows, fmt_name):
+    def fmt(value):
+        if isinstance(value, str):
+            return value
+        return "" if value is None else repr(float(value))
+
+    if fmt_name == "csv":
+        text = "".join([",".join(header) + "\n"] +
+                       [",".join(fmt(v) for v in row) + "\n" for row in rows])
+    else:
+        payload = {"columns": list(header),
+                   "rows": [[v if isinstance(v, str) else float(v) for v in row]
+                            for row in rows]}
+        text = json.dumps(payload, indent=1) + "\n"
+    path.write_text(text, encoding="utf-8")
+
+
+def _label(region):
+    if region is None:
+        return ""
+    return region if isinstance(region, str) else "/".join(region)
+
+
+def _integrate_rows(model, x0, t_end):
+    traj = integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12)
+    header = ["t"] + [f"x{i + 1}" for i in range(model.dim)] + ["region"]
+    return header, [[t] + list(x) + [_label(model.classify(x))]
+                    for t, x in zip(traj.times, traj.states)]
+
+
+def _scan_rows(model, states):
+    s = manifold_sample(model, states)
+    header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "lie", "cofactor_residual"]
+    return header, [list(states[:, k]) + [s.phi[k], s.lie[k], s.cofactor_residual[k]]
+                    for k in range(states.shape[1])]
+
+
+def _manifold_rows(model, axes, slices):
+    zs = zero_set_grid(model, axes, slices, tol_rel=1e-9)
+    header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "region"]
+    return header, [list(zs.points[k]) + [zs.phi_values[k],
+                                          _label(zs.regions[k]) if zs.regions else ""]
+                    for k in range(len(zs))]
+
+
+def _curvature_rows(model, x0, t_end):
+    traj = integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12)
+    kappas = geometry.curvatures(derivative_stack(model, traj.states.T, model.dim)).kappas
+    header = ["t"] + [f"kappa{i + 1}" for i in range(model.dim - 1)]
+    return header, [[t] + list(k) for t, k in zip(traj.times, kappas)]
+
+
+def _hyperplane_rows(model):
+    fps = fixed_points(model)
+    fps = [fp for fp in fps if fp.region in ("pos", "neg")] or fps
+    header = [f"c{i + 1}" for i in range(model.dim)] + ["offset"]
+    return header, [tls_hyperplane(model, fp).csv_row() for fp in fps]
+
+
+CONFIGS = {
+    "two": {"name": "two-pwl", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
+            "rhs": ["x2 - pwl(x1; a, b)", "x1*x3 - pwl(x2 + x3; b, a)^2",
+                    "-x1 + 0.5*x2*x2 - 2*x3"]},
+    "planar": {"name": "planar", "dim": 3, "params": {}, "rhs": ["-x2", "x1", "0"]},
+    # a constant pwl argument: every state gets the one label "pos"
+    "const": {"name": "const-pwl", "dim": 2, "params": {}, "rhs": ["pwl(2; 1, 2) - x1", "-x2"]},
+}
+SCAN_GRID = {0: (-4.0, 4.0, 70), 1: (-1.0, 1.0, 65)}  # 4,550 nodes: two write blocks
+
+# (CLI arguments, rows builder); "@key" names a CONFIGS model file
+ORACLE_CASES = {
+    "integrate-two-pwl": (
+        ["integrate", "--model", "@two", "--x0", "1.5,0.5,0.3", "--t-end", "1.4"],
+        lambda load: _integrate_rows(load("@two"), [1.5, 0.5, 0.3], 1.4)),
+    "integrate-smooth": (
+        ["integrate", "--model", "chua4-cubic", "--x0", "0.1,0.1,0.1,0.1", "--t-end", "3"],
+        lambda load: _integrate_rows(load("chua4-cubic"), [0.1] * 4, 3.0)),
+    "integrate-pwl": (
+        ["integrate", "--model", "chua3-pwl", "--x0", "0.1,0.1,0.1", "--t-end", "20"],
+        lambda load: _integrate_rows(load("chua3-pwl"), [0.1] * 3, 20.0)),
+    "integrate-constant-pwl": (
+        ["integrate", "--model", "@const", "--x0", "1,1", "--t-end", "2"],
+        lambda load: _integrate_rows(load("@const"), [1.0, 1.0], 2.0)),
+    "phi-scan-grid": (
+        ["phi-scan", "--model", "chua5-pwl", "--grid", "x1=-4:4:70,x2=-1:1:65",
+         "--slice", "x3=0,x4=0,x5=0"],
+        lambda load: _scan_rows(load("chua5-pwl"), grid_states(5, SCAN_GRID, {})[0])),
+    "phi-scan-trajectory": (
+        ["phi-scan", "--model", "chua4-cubic", "--x0", "0.1,0.1,0.1,0.1", "--t-end", "2"],
+        lambda load: _scan_rows(load("chua4-cubic"), integrate(
+            load("chua4-cubic"), [0.1] * 4, 2.0, rel_tol=1e-9, abs_tol=1e-12).states.T)),
+    "manifold-two-pwl": (
+        ["manifold", "--model", "@two", "--grid", "x1=-3:3:20,x2=-2:2:20", "--slice", "x3=0.5"],
+        lambda load: _manifold_rows(load("@two"), {0: (-3.0, 3.0, 20), 1: (-2.0, 2.0, 20)},
+                                    {2: 0.5})),
+    "manifold-smooth": (
+        ["manifold", "--model", "chua4-cubic", "--grid", "x1=-3:3:8,x2=-1:1:8,x3=-3:3:8"],
+        lambda load: _manifold_rows(load("chua4-cubic"), {0: (-3.0, 3.0, 8), 1: (-1.0, 1.0, 8),
+                                                          2: (-3.0, 3.0, 8)}, {})),
+    "manifold-empty": (
+        ["manifold", "--model", "chua3-pwl", "--grid", "x1=0.1:0.2:3,x2=0.1:0.2:3"],
+        lambda load: _manifold_rows(load("chua3-pwl"), {0: (0.1, 0.2, 3), 1: (0.1, 0.2, 3)}, {})),
+    "curvature-pwl": (
+        ["curvature", "--model", "chua3-pwl", "--x0", "0.1,0.1,0.1", "--t-end", "5"],
+        lambda load: _curvature_rows(load("chua3-pwl"), [0.1] * 3, 5.0)),
+    "curvature-nan": (
+        ["curvature", "--model", "@planar", "--x0", "1,0,0", "--t-end", "1"],
+        lambda load: _curvature_rows(load("@planar"), [1.0, 0.0, 0.0], 1.0)),
+    "hyperplane": (
+        ["hyperplane", "--model", "chua5-pwl"],
+        lambda load: _hyperplane_rows(load("chua5-pwl"))),
+}
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_table_commands_match_row_writer(case, fmt_name, tmp_path, capsys):
+    args, build = case
+    for key, config in CONFIGS.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(config))
+
+    def path(name):
+        return str(tmp_path / f"{name[1:]}.json") if name.startswith("@") else name
+
+    out, expected = tmp_path / f"cli.{fmt_name}", tmp_path / f"oracle.{fmt_name}"
+    assert run([path(a) for a in args] + ["--format", fmt_name, "--out", str(out)],
+               capsys)[0] == 0
+    header, rows = build(lambda name: load_model(path(name)))
+    _row_writer(expected, header, rows, fmt_name)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+def test_write_table_matches_row_writer(fmt_name, tmp_path):
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, np.inf, -np.inf,
+               np.nan, 0.1, 1 / 3, 2.5e-17, 123456789012345.67]
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((9000, 3)) * 10.0 ** rng.integers(-300, 300, (9000, 3))
+    values.flat[rng.integers(0, values.size, 600)] = rng.choice(special, 600)
+    values[:len(special), 0] = special
+    labels = [("neg", "mid", "pos", "mid/pos", "")[k % 5] for k in range(len(values))]
+    header = ["a", "b", "c", "region"]
+    for table, row_labels in ((values, labels), (values[:1], labels[:1]), (values[:0], [])):
+        out, expected = tmp_path / f"new.{fmt_name}", tmp_path / f"old.{fmt_name}"
+        write_table(out, header, table, fmt_name, labels=row_labels)
+        _row_writer(expected, header, [list(row) + [lab] for row, lab in
+                                       zip(table, row_labels)], fmt_name)
+        assert out.read_bytes() == expected.read_bytes()
+    write_table(out, header[:3], values, fmt_name)
+    _row_writer(expected, header[:3], values, fmt_name)
+    assert out.read_bytes() == expected.read_bytes()
+    with pytest.raises(ValueError, match="8999 labels for 9000 rows"):
+        write_table(out, header, values, fmt_name, labels=labels[1:])
