@@ -139,15 +139,9 @@ def _parse_slice(text, dim, model, axes):
     return resolved
 
 
-def _region_labels(model, states):
-    """One label per column of `states` (n, npts); several pwl terms join with '/'."""
-    if model.regions is None:
-        return [""] * states.shape[1]
-    labels = model.regions(states)
-    # one label array per pwl term; a constant pwl argument gives one label
-    terms = [np.broadcast_to(np.asarray(term, dtype=object), states.shape[1:])
-             for term in (labels if isinstance(labels, tuple) else (labels,))]
-    return ["/".join(parts) for parts in zip(*terms)]
+def _join_regions(regions, count):
+    """One label per point; several pwl terms join with '/', none gives ''."""
+    return [r if isinstance(r, str) else "/".join(r) for r in regions] or [""] * count
 
 
 # -- commands -----------------------------------------------------------------
@@ -164,7 +158,7 @@ def _cmd_integrate(args):
     traj = integrate(model, x0, args.t_end, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     header = ["t"] + [f"x{i + 1}" for i in range(model.dim)] + ["region"]
     write_table(args.out, header, np.column_stack([traj.times, traj.states]), args.format,
-                labels=_region_labels(model, traj.states.T))
+                labels=_join_regions(models.point_regions(model, traj.states.T), len(traj)))
     print(f"{len(traj)} samples, {len(traj.events)} region crossings -> {args.out}")
     return 0
 
@@ -174,8 +168,10 @@ def _cmd_phi_scan(args):
     if bool(args.grid) == bool(args.x0):
         raise ConfigError("phi-scan needs exactly one of --grid or --x0/--t-end")
     if args.grid:
-        if args.t_end is not None:
-            raise ConfigError("--t-end applies to a trajectory scan (--x0), not to --grid")
+        for flag, value in (("--t-end", args.t_end), ("--rel-tol", args.rel_tol),
+                            ("--abs-tol", args.abs_tol)):
+            if value is not None:
+                raise ConfigError(f"{flag} applies to a trajectory scan (--x0), not to --grid")
         axes = _parse_grid(args.grid, model.dim)
         slices = _parse_slice(args.slice, model.dim, model, axes)
         states, _ = manifold.grid_states(model.dim, axes, slices)
@@ -185,8 +181,9 @@ def _cmd_phi_scan(args):
         if args.slice:
             raise ConfigError("--slice applies to a grid scan (--grid), not to --x0")
         x0 = _parse_vector(args.x0, model.dim)
-        traj = integrate(model, x0, args.t_end, rel_tol=args.rel_tol,
-                         abs_tol=args.abs_tol)
+        traj = integrate(model, x0, args.t_end,
+                         rel_tol=1e-9 if args.rel_tol is None else args.rel_tol,
+                         abs_tol=1e-12 if args.abs_tol is None else args.abs_tol)
         states = traj.states.T
     # 2,048-column chunks bound the memory of the longdouble stacks
     parts = [manifold.manifold_sample(model, states[:, start:start + 2048])
@@ -208,9 +205,8 @@ def _cmd_manifold(args):
     except ValueError as err:  # a NaN, infinite or negative --tol-rel
         raise ConfigError(str(err)) from err
     header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "region"]
-    labels = [r if isinstance(r, str) else "/".join(r) for r in zs.regions] or [""] * len(zs)
     write_table(args.out, header, np.column_stack([zs.points, zs.phi_values]), args.format,
-                labels=labels)
+                labels=_join_regions(zs.regions, len(zs)))
     print(f"{len(zs)} manifold points ({zs.n_nonfinite} non-finite nodes) -> {args.out}")
     return 0
 
@@ -320,8 +316,9 @@ def build_parser():
     p.add_argument("--slice", default="", help="fixed coordinates, e.g. x3=fp,x4=0")
     p.add_argument("--x0", help="trajectory scan: initial state")
     p.add_argument("--t-end", type=_positive)
-    p.add_argument("--rel-tol", type=_positive, default=1e-9)
-    p.add_argument("--abs-tol", type=_positive, default=1e-12)
+    # trajectory scan only; None tells a given value from the 1e-9/1e-12 default
+    p.add_argument("--rel-tol", type=_positive)
+    p.add_argument("--abs-tol", type=_positive)
     p.set_defaults(func=_cmd_phi_scan)
 
     p = sub.add_parser("manifold", help="extract the phi = 0 point cloud on a grid")

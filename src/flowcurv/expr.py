@@ -8,9 +8,11 @@ build time, so differentiation and evaluation see a fixed tree.
 
 Every node evaluates on floats and 1-D numpy batches (`eval`), gives its
 Taylor coefficient of order j along a trajectory from its children's
-coefficients 0..j (`taylor`, memoized per expansion by `TaylorMemo`), and
-`diff` returns the exact partial derivative as a new tree (the derivative of
-a pwl term is its branch slope, constant within a region).
+coefficients 0..j (`taylor`, memoized per expansion by `TaylorMemo`),
+writes the Python statements of its own scalar evaluation (`emit`, collected
+by `compile_scalar` into one straight-line function), and `diff` returns the
+exact partial derivative as a new tree (the derivative of a pwl term is its
+branch slope, constant within a region).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 import numpy as np
 
 __all__ = [
-    "ExprError", "parse_expression", "Node", "TaylorMemo",
+    "ExprError", "parse_expression", "Node", "TaylorMemo", "compile_scalar",
     "Const", "Var", "Add", "Sub", "Neg", "Mul", "Pow", "Pwl", "PwlSlope",
     "classify_pwl", "PWL_LABELS",
 ]
@@ -84,6 +86,69 @@ class TaylorMemo(dict):
         return s
 
 
+class _Emitter:
+    """Source of one straight-line scalar evaluation, built by `Node.emit`.
+
+    Every node gets one local (SSA form), so the source nests no expression
+    and no parser limit applies however deep the tree.  Constants are bound
+    by name from a tuple, never written as literals, so inf, nan and -0.0
+    keep their values.  `value` emits a node once and returns its local.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.constants = []
+        self._names = {}
+        self._count = 0
+
+    def value(self, node):
+        name = self._names.get(id(node))
+        if name is None:
+            name = self._names[id(node)] = node.emit(self)
+        return name
+
+    def state(self, index):
+        # one load per state component, however many Var nodes read it
+        name = self._names.get(("x", index))
+        if name is None:
+            name = self._names[("x", index)] = self.assign(f"s[{index}]")
+        return name
+
+    def constant(self, value):
+        self.constants.append(value)
+        return f"c{len(self.constants) - 1}"
+
+    def local(self):
+        self._count += 1
+        return f"t{self._count - 1}"
+
+    def assign(self, source):
+        name = self.local()
+        self.lines.append(f"{name} = {source}")
+        return name
+
+
+def compile_scalar(exprs):
+    """One Python function ``f(state) -> [e.eval(state) for e in exprs]``.
+
+    `state` is a list of floats and the region is classified per pwl node,
+    as `eval` does without a pinned region.  The function performs the same
+    float operations in the same order as `eval`, so its results are
+    identical bit for bit, zero signs and NaNs included.
+    """
+    e = _Emitter()
+    outputs = [e.value(node) for node in exprs]
+    source = ["def make(constants):"]
+    if e.constants:
+        source.append(f"    {', '.join(f'c{i}' for i in range(len(e.constants)))}, = constants")
+    source.append("    def scalar(s):")
+    source += [f"        {line}" for line in e.lines]
+    source += [f"        return [{', '.join(outputs)}]", "    return scalar"]
+    namespace = {}
+    exec(compile("\n".join(source), "<flowcurv compiled rhs>", "exec"), namespace)
+    return namespace["make"](tuple(e.constants))
+
+
 def _cauchy(a, b, j):
     """Coefficient j of the product of two series: sum_i a_i b_{j-i}, from 0.0 in i order."""
     acc = 0.0
@@ -106,6 +171,11 @@ class Node:
         here: the memo gives them their value and zeros."""
         raise NotImplementedError
 
+    def emit(self, e):
+        """Append this node's scalar evaluation to the `_Emitter` `e`, its
+        children through `e.value`; return the name holding the value."""
+        raise NotImplementedError
+
     def diff(self, var):
         raise NotImplementedError
 
@@ -126,6 +196,9 @@ class Const(Node):
     def eval(self, state, region=None):
         return self.value
 
+    def emit(self, e):
+        return e.constant(self.value)
+
     def diff(self, var):
         return Const(0.0)
 
@@ -145,6 +218,9 @@ class Var(Node):
 
     def taylor(self, j, memo):
         return memo.x[j][self.index]
+
+    def emit(self, e):
+        return e.state(self.index)
 
     def diff(self, var):
         return Const(1.0 if var == self.index else 0.0)
@@ -178,6 +254,9 @@ class Add(_Binary):
     def taylor(self, j, memo):
         return memo.series(self.left, j)[j] + memo.series(self.right, j)[j]
 
+    def emit(self, e):
+        return e.assign(f"{e.value(self.left)} + {e.value(self.right)}")
+
     def diff(self, var):
         return _add(self.left.diff(var), self.right.diff(var))
 
@@ -191,6 +270,9 @@ class Sub(_Binary):
 
     def taylor(self, j, memo):
         return memo.series(self.left, j)[j] - memo.series(self.right, j)[j]
+
+    def emit(self, e):
+        return e.assign(f"{e.value(self.left)} - {e.value(self.right)}")
 
     def diff(self, var):
         return _sub(self.left.diff(var), self.right.diff(var))
@@ -213,6 +295,9 @@ class Mul(_Binary):
             return a[j] * b[0]
         return _cauchy(a, b, j)
 
+    def emit(self, e):
+        return e.assign(f"{e.value(self.left)} * {e.value(self.right)}")
+
     def diff(self, var):
         return _add(_mul(self.left.diff(var), self.right),
                     _mul(self.left, self.right.diff(var)))
@@ -233,6 +318,9 @@ class Neg(Node):
 
     def taylor(self, j, memo):
         return -memo.series(self.arg, j)[j]
+
+    def emit(self, e):
+        return e.assign(f"-{e.value(self.arg)}")
 
     def diff(self, var):
         return _neg(self.arg.diff(var))
@@ -298,6 +386,21 @@ class Pow(Node):
                 base = product(base, base)
             e >>= 1
         return result[j]
+
+    def emit(self, e):
+        # the products of _ipow, its first one 1.0 * base included
+        if self.exponent == 0:
+            return e.constant(1.0)
+        result = None
+        base = e.value(self.base)
+        k = self.exponent
+        while k:
+            if k & 1:
+                result = e.assign(f"{result or '1.0'} * {base}")
+            if k > 1:
+                base = e.assign(f"{base} * {base}")
+            k >>= 1
+        return result
 
     def diff(self, var):
         if self.exponent == 0:
@@ -366,6 +469,17 @@ class Pwl(Node):
         u = memo.series(self.arg, j)
         branch = _resolve_branch(self.node_id, u[0], memo.region)
         return self._branch_value(u[j], branch, j)
+
+    def emit(self, e):
+        # classify_pwl's comparisons (NaN and |u| = 1 take the middle branch),
+        # then _branch_value's anchored arithmetic
+        u = e.value(self.arg)
+        a, b = e.constant(self.a), e.constant(self.b)
+        t = e.local()
+        e.lines += [f"if {u} > 1.0:", f"    {t} = {b} * ({u} - 1.0) + {a}",
+                    f"elif {u} < -1.0:", f"    {t} = {b} * ({u} + 1.0) - {a}",
+                    "else:", f"    {t} = {a} * {u}"]
+        return t
 
     def diff(self, var):
         inner = self.arg.diff(var)

@@ -19,6 +19,7 @@ import numpy as np
 from . import expr as ex
 from .geometry import det_scaled
 from .jets import derivative_stack
+from .models import point_regions
 
 __all__ = [
     "ManifoldSample", "ZeroSet", "SlowFastSplit", "GspSummary", "FactorReport",
@@ -295,7 +296,7 @@ def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9,
     pvals = np.concatenate([f_mid[keep], values[zero_nodes]])
     order = np.lexsort(pts.T[::-1])
     pts, pvals = pts[order], pvals[order]
-    regions = tuple(model.classify(p) for p in pts) if model.regions else ()
+    regions = point_regions(model, pts.T)
     metadata = {"axes": dict(axes), "slice": dict(slice_values),
                 "edges_bracketed": int(edge_lo.size), **counts,
                 "exact_zero_nodes": int(zero_nodes.size)}

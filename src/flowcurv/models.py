@@ -23,7 +23,7 @@ from . import expr as ex
 __all__ = [
     "ModelDef", "FixedPoint", "ModelError",
     "pwl_k", "cubic_k", "fixed_points", "load_model", "get_model", "registry",
-    "region_box",
+    "region_box", "point_regions",
 ]
 
 
@@ -100,7 +100,13 @@ class ModelDef:
 
 
 def _build_evaluators(dim, exprs):
+    scalar = ex.compile_scalar(exprs)
+
     def rhs(state, region=None):
+        # one state as a list of floats (the integrator's path) runs the
+        # compiled function; batches and pinned regions walk the trees
+        if region is None and type(state) is list:
+            return scalar(state)
         return [e.eval(state, region) for e in exprs]
 
     jac_exprs = tuple(tuple(e.diff(j) for j in range(dim)) for e in exprs)
@@ -130,6 +136,22 @@ def _build_regions(pwl_nodes):
         def regions(x):
             return tuple(ex.classify_pwl(a.eval(x)) for a in args)
     return regions
+
+
+def point_regions(model, states):
+    """Region of each column of `states` (n, npts), from one batched call.
+
+    A label per point, as `model.classify` gives it for that point: a
+    string, or a tuple of strings for several pwl terms; () for a model
+    without pwl terms.
+    """
+    if model.regions is None:
+        return ()
+    labels = model.regions(states)
+    # one label array per pwl term; a constant pwl argument gives one label
+    terms = [np.broadcast_to(np.asarray(term, dtype=object), np.shape(states)[1:])
+             for term in (labels if isinstance(labels, tuple) else (labels,))]
+    return tuple(zip(*terms)) if isinstance(labels, tuple) else tuple(terms[0])
 
 
 def _model_from_config(config, extras=None):

@@ -71,6 +71,32 @@ def test_phi_scan_requires_one_source(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("flag", ["--t-end", "--rel-tol", "--abs-tol"])
+def test_phi_scan_grid_rejects_trajectory_options(flag, tmp_path, capsys):
+    # a grid scan integrates nothing: a tolerance given with --grid is an error
+    out = tmp_path / "scan.csv"
+    code, _, err = run(["phi-scan", "--model", "chua3-pwl", "--grid", "x1=-2:2:3,x2=-1:1:3",
+                        "--slice", "x3=0", flag, "1e-3", "--out", str(out)], capsys)
+    assert code == 1
+    assert f"config error: {flag} applies to a trajectory scan" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_phi_scan_trajectory_tolerances(tmp_path, capsys):
+    # trajectory mode keeps 1e-9 / 1e-12 by default and honours given values
+    def scan(*extra):
+        out = tmp_path / f"scan{len(extra)}.csv"
+        assert run(["phi-scan", "--model", "chua3-pwl", "--x0", "0.1,0.1,0.1",
+                    "--t-end", "2", "--out", str(out), *extra], capsys)[0] == 0
+        return out.read_text().splitlines()
+
+    model = get_model("chua3-pwl")
+    assert len(scan()) == 1 + len(integrate(model, [0.1] * 3, 2.0, rel_tol=1e-9,
+                                            abs_tol=1e-12))
+    assert len(scan("--rel-tol", "1e-4", "--abs-tol", "1e-6")) == 1 + len(
+        integrate(model, [0.1] * 3, 2.0, rel_tol=1e-4, abs_tol=1e-6))
+
+
 def test_manifold_command(tmp_path, capsys):
     out = tmp_path / "cloud.csv"
     code, msg, _ = run(["manifold", "--model", "chua3-pwl",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flowcurv.expr import ExprError, TaylorMemo, parse_expression
+from flowcurv.expr import Add, ExprError, Pow, TaylorMemo, compile_scalar, parse_expression
 
 VARS3 = {"x1": 0, "x2": 1, "x3": 2}
 
@@ -83,6 +83,16 @@ def test_taylor_order0_matches_eval():
     assert c0 == node.eval(x)
     grad = [node.diff(i).eval(x) for i in range(3)]
     assert c1 == pytest.approx(np.dot(grad, v), rel=1e-14)
+
+
+def test_compile_scalar_shared_nodes_and_powers():
+    # a node shared by several trees is computed once; a power replays
+    # _ipow's products, so each value equals `eval` bit for bit
+    base = parse("x1 - 0.1*x2")
+    trees = [Pow(base, k) for k in range(10)] + [Add(base, base), parse("pwl(x3; 2, 3)")]
+    scalar = compile_scalar(trees)
+    for x in ([1.1, -0.3, 1.0], [-0.0, 0.0, -1.0], [1e155, 1.0, float("nan")]):
+        assert [float.hex(v) for v in scalar(x)] == [float.hex(float(t.eval(x))) for t in trees]
 
 
 def test_parse_error_positions():

@@ -1,10 +1,12 @@
 """Adaptive integration and PWL event handling."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from flowcurv import IntegrationError, get_model, integrate, load_model, registry
-from flowcurv.integrate import _dp_step, _error_norm
+from flowcurv.integrate import _bisect_event, _dp_step, _error_norm
 from flowcurv.verify import _reversed
 
 ROTATION = {"name": "rotation", "dim": 2, "params": {}, "rhs": ["-x2", "x1"]}
@@ -200,13 +202,18 @@ def _check_stats_identities(traj):
 def test_stats_counts_chua3(chua3):
     traj = integrate(chua3, [0.1, 0.1, 0.1], 200.0, rel_tol=1e-9, abs_tol=1e-12)
     _check_stats_identities(traj)
-    assert traj.stats["dp_steps"] == 16_637
-    assert traj.stats["rhs_evals"] == 99_951
+    # event location takes a few true steps per crossing; the accepted
+    # steps and the samples do not depend on how crossings are located
+    assert traj.stats["dp_steps"] == 13_321
+    assert traj.stats["rhs_evals"] == 80_055
     assert traj.stats["events"] == 127
+    assert traj.stats["accepted_steps"] == 10_852 and len(traj) == 10_980
+    assert traj.stats["event_bisection_steps"] <= 800
     short = integrate(chua3, [0.1, 0.1, 0.1], 50.0, rel_tol=1e-9, abs_tol=1e-12)
     _check_stats_identities(short)
     assert (short.stats["dp_steps"], short.stats["rhs_evals"], short.stats["events"]) \
-        == (4_148, 24_921, 31)
+        == (3_344, 20_097, 31)
+    assert short.stats["accepted_steps"] == 2_724 and len(short) == 2_756
 
 
 def test_stats_without_events_and_on_failure(gear):
@@ -225,3 +232,41 @@ def test_stats_are_per_trajectory(chua3):
     a = integrate(chua3, [0.1, 0.1, 0.1], 1.0)
     b = integrate(chua3, [0.1, 0.1, 0.1], 1.0)
     assert a.stats == b.stats and a.stats is not b.stats
+
+
+# -- event location against bisection ------------------------------------------
+
+# (model, start, t_end, least number of events); chua5-pwl crosses its
+# breakpoints about once per time unit, so it starts on its attractor
+EVENT_RUNS = [("chua3-pwl", [0.0, 0.0, 0.0], 40.0, 8), ("chua4-pwl", [0.0] * 4, 150.0, 8),
+              ("chua5-pwl", [1.27326, -0.397337, -1.95632, 0.0295889, 1.95655], 2.8, 3)]
+
+
+@pytest.mark.parametrize("name, start, t_end, min_events", EVENT_RUNS,
+                         ids=[run[0] for run in EVENT_RUNS])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])
+def test_located_events_equal_bisection(name, start, t_end, min_events, rel_tol,
+                                        monkeypatch):
+    # every theta found from the interpolant and confirmed by true steps is
+    # the one the step-by-step bisection returns
+    # the package rebinds `flowcurv.integrate` to the function
+    integrate_module = importlib.import_module("flowcurv.integrate")
+    locate = integrate_module._locate_event
+    located = []
+
+    def checked(f, x, k1, h, g, sign_before, dense, x_new):
+        theta, steps, fell_back = locate(f, x, k1, h, g, sign_before, dense, x_new)
+        located.append((theta, _bisect_event(f, x, k1, h, g, sign_before)[0], fell_back))
+        return theta, steps, fell_back
+
+    monkeypatch.setattr(integrate_module, "_locate_event", checked)
+    model = get_model(name)
+    x0 = np.add(start, np.random.default_rng(11).uniform(-0.5, 0.5, model.dim)
+                * (1e-3 if name == "chua5-pwl" else 1.0))
+    traj = integrate(model, x0, t_end, rel_tol=rel_tol, abs_tol=rel_tol * 1e-3)
+    _check_stats_identities(traj)
+    assert len(located) >= min_events
+    assert [theta for theta, _, _ in located] == [ref for _, ref, _ in located]
+    assert traj.stats["event_fallbacks"] == sum(fb for _, _, fb in located)
+    # confirmation costs a few true steps per event, not the bisection's ~40
+    assert traj.stats["event_bisection_steps"] <= 12 * len(located)

@@ -261,6 +261,25 @@ def test_zero_set_grid_drops_pwl_jumps(chua3):
     assert max(phi_scaled(chua3, p) for p in zs.points) <= 1e-9
 
 
+TWO_PWL = {"name": "two-pwl", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
+           "rhs": ["x2 - pwl(x1; a, b)", "x1*x3 - pwl(x2 + x3; b, a)^2",
+                   "-x1 + 0.5*x2*x2 - 2*x3"]}
+
+
+@pytest.mark.parametrize("config, axes, slice_values", [
+    ("chua3-pwl", {0: (-3.0, 3.0, 60), 1: (-1.0, 1.0, 60)}, {2: 0.0}),
+    (TWO_PWL, {0: (-3.0, 3.0, 20), 1: (-2.0, 2.0, 20)}, {2: 0.5}),
+])
+def test_zero_set_grid_regions_are_per_point_classify(config, axes, slice_values):
+    # one batched region call labels the points as classify does one by one
+    model = load_model(config)
+    zs = zero_set_grid(model, axes, slice_values)
+    assert len(zs) > 20
+    assert zs.regions == tuple(model.classify(p) for p in zs.points)
+    assert all(type(label) is (tuple if model.name == "two-pwl" else str)
+               for label in zs.regions)
+
+
 @pytest.mark.parametrize("name, axes, slice_values", [
     ("chua3-pwl", {0: (-3.0, 3.0, 60), 1: (-1.0, 1.0, 60)}, {2: 0.0}),
     ("chua4-cubic", {0: (-2.0, 2.0, 10), 1: (-2.0, 2.0, 10), 2: (-2.0, 2.0, 10)}, {}),

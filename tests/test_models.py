@@ -429,3 +429,93 @@ def test_velocity_evaluates_on_scalar_and_jet_paths(models_by_name):
             want = model.velocity(x)
             np.testing.assert_array_equal(model.rhs(x.tolist()), want)
             np.testing.assert_array_equal(derivative_stack(model, x, 1).derivs[0], want)
+
+
+# -- the compiled scalar rhs ----------------------------------------------------
+
+# JSON configs beyond the built-ins: the README example, two pwl terms (one
+# squared, one with a compound argument), powers and constant components
+# ("1", x1^0, a constant pwl argument), and the zero-sign cases of
+# tests/test_taylor.py
+EXTRA_CONFIGS = [
+    {"name": "vdp", "dim": 2, "params": {"mu": 1.5}, "rhs": ["x2", "mu*(1 - x1^2)*x2 - x1"]},
+    {"name": "two-pwl", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
+     "rhs": ["x2 - pwl(x1; a, b)", "x1*x3 - pwl(x2 + x3; b, a)^2",
+             "-x1 + 0.5*x2*x2 - 2*x3"]},
+    {"name": "powers", "dim": 3, "params": {},
+     "rhs": ["x1^0 + x2^7", "x1^1*x2 - x3 + 2^3*x1", "x2^7 - x1^0*x3 - (x3 - x1)^2"]},
+    {"name": "constants", "dim": 3, "params": {},
+     "rhs": ["1", "x1^0", "pwl(2; 1, 2) - x1"]},
+    {"name": "zero-signs", "dim": 10, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
+     "rhs": ["x1 - x1", "-(x1 - x1)", "x2^1", "1 - x1", "x2 - 1", "x2 + 1",
+             "pwl(x1; a, b)", "pwl(x2; a, b)", "2*x2", "x2*x1"]},
+    # parameters that a literal in source text would not carry; at x1 = 1
+    # the pwl term is -0.0 on the middle branch and NaN on the outer ones
+    {"name": "special", "dim": 3, "params": {"big": math.inf, "nz": -0.0, "nan": math.nan},
+     "rhs": ["big*x1 - x2", "pwl(x1; nz, big)", "nan*x1^0 + x3"]},
+]
+
+
+def _compiled_rhs_models():
+    from flowcurv.verify import _reversed
+    built = [get_model(name) for name in REGISTRY_NAMES]
+    json_copies = [load_model(json.dumps(dict(_BUILTIN_BUILDERS[name]({}), name=name + "-json")))
+                   for name in REGISTRY_NAMES]
+    extra = [load_model(config) for config in EXTRA_CONFIGS]
+    return built + json_copies + extra + [_reversed(m) for m in built + extra]
+
+
+COMPILED_RHS_MODELS = _compiled_rhs_models()
+
+
+def _assert_compiled_equals_tree(model, state):
+    got = model.rhs(list(state))
+    want = [e.eval(list(state)) for e in model.rhs_exprs]
+    assert all(type(v) is float for v in got)
+    # float.hex tells -0.0 from 0.0
+    assert [float.hex(v) for v in got] == [float.hex(float(v)) for v in want], \
+        (model.name, state)
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0),
+                math.inf, -math.inf, math.nan, 5e-324, 1e308]
+
+
+@pytest.mark.parametrize("model", COMPILED_RHS_MODELS, ids=lambda m: m.name)
+def test_compiled_rhs_bit_identical_fixed_states(model):
+    rng = np.random.default_rng(3)
+    states = [[v] * model.dim for v in _EDGE_VALUES]
+    states += [[v if k == 0 else 0.25 for k in range(model.dim)] for v in _EDGE_VALUES]
+    states += rng.uniform(-3, 3, (200, model.dim)).tolist()
+    for state in states:
+        _assert_compiled_equals_tree(model, state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compiled_rhs_bit_identical_hypothesis(data):
+    model = data.draw(st.sampled_from(COMPILED_RHS_MODELS), label="model")
+    value = st.one_of(st.floats(), st.sampled_from(_EDGE_VALUES),
+                      st.floats(min_value=-3, max_value=3))
+    state = data.draw(st.lists(value, min_size=model.dim, max_size=model.dim), label="state")
+    _assert_compiled_equals_tree(model, state)
+
+
+def test_compiled_rhs_long_sum():
+    # 300 terms nest 300 deep in the tree; the compiled source nests nothing
+    rhs = " + ".join(f"{k + 1}*x{k % 2 + 1}" for k in range(300))
+    model = load_model({"name": "long", "dim": 2, "params": {}, "rhs": [rhs, "x1"]})
+    for state in ([0.5, -0.25], [1e300, 1e300], [-0.0, 0.0]):
+        _assert_compiled_equals_tree(model, state)
+    assert model.rhs([1.0, 1.0])[0] == 300 * 301 / 2
+
+
+def test_rhs_batches_and_pinned_regions_walk_the_tree(chua3):
+    # only a plain list without a region takes the compiled path
+    x = [1.5, 0.2, -0.3]
+    assert chua3.rhs(x, region="mid") == [e.eval(x, "mid") for e in chua3.rhs_exprs]
+    assert chua3.rhs(x, region="mid") != chua3.rhs(x)
+    assert chua3.rhs(tuple(x)) == chua3.rhs(x)
+    batch = np.array([x, [0.5, 0.0, 0.0]]).T
+    np.testing.assert_array_equal(np.asarray(chua3.rhs(batch)).T,
+                                  [chua3.rhs(x), chua3.rhs([0.5, 0.0, 0.0])])
