@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .geometry import det_scaled
+from .geometry import det_scaled, vecdot, vecnorm
 from .jets import derivative_stack
-from .models import point_regions
+from .models import magneto_equilibrium, newton, point_regions, solve_columns
 
 __all__ = [
     "ManifoldSample", "ZeroSet", "SlowFastSplit", "GspSummary", "FactorReport",
@@ -393,59 +393,55 @@ def default_split(model):
         eps = 1.0 / eps
     center = None
     if d.get("box_center") == "equilibrium":
-        from .models import magneto_equilibrium
-        eq = magneto_equilibrium(model)
-        slow = [i for i in range(model.dim) if i not in d["fast"]]
-        center = eq[slow]
+        center = np.delete(magneto_equilibrium(model), d["fast"])
     return SlowFastSplit(fast_indices=tuple(d["fast"]), epsilon=float(eps),
                          box=tuple(tuple(b) for b in d["box"]), box_center=center)
 
 
-def _solve_fast(model, split, slow_values, seeds):
-    """Solve the fast components' equations for the fast coordinates."""
-    fast = list(split.fast_indices)
-    slow = [i for i in range(model.dim) if i not in fast]
-    for seed in seeds:
-        x = np.zeros(model.dim)
-        x[slow] = slow_values
-        x[fast] = seed
-        ok = False
-        for _ in range(80):
-            f = np.asarray(model.velocity(x))[fast]
-            if np.linalg.norm(f) <= 1e-12 * (1.0 + np.linalg.norm(x)):
-                ok = True
-                break
-            J = model.jacobian(x)[np.ix_(fast, fast)]
-            try:
-                step = np.linalg.solve(J, f)
-            except np.linalg.LinAlgError:
-                break
-            limit = 1.0 + np.linalg.norm(x[fast])
-            norm = np.linalg.norm(step)
-            if norm > limit:
-                step *= limit / norm
-            x[fast] = x[fast] - step
-        if ok:
-            return x
-    return None
+def _sample_count(samples):
+    if not isinstance(samples, (int, np.integer)) or samples < 0:
+        raise ValueError(f"samples must be a nonnegative integer, got {samples!r}")
+    return int(samples)
 
 
 def _singular_points(model, split, samples, rng):
     """Points on the singular approximation, from `samples` random draws.
 
     Each draw takes the slow variables uniformly in the split's box (shifted
-    by its center) and solves the fast equations from a zero seed and four
-    random ones; a draw whose solve fails yields nothing.
+    by its center), then four random fast seeds to try after a zero one.
+    Seed round s runs capped Newton on every draw still unsolved, batched.
+    Returns the solved points in draw order, shape (count, n).
     """
-    nfast = len(split.fast_indices)
-    for _ in range(samples):
-        slow_values = np.array([rng.uniform(lo, hi) for lo, hi in split.box])
-        if split.box_center is not None:
-            slow_values = split.box_center + slow_values
-        seeds = [np.zeros(nfast)] + [rng.uniform(-3, 3, nfast) for _ in range(4)]
-        x = _solve_fast(model, split, slow_values, seeds)
-        if x is not None:
-            yield x
+    n, fast, samples = model.dim, list(split.fast_indices), _sample_count(samples)
+    slow, center = [i for i in range(n) if i not in fast], split.box_center
+    if (not fast or len(slow) != n - len(fast) or len(split.box) != len(slow)
+            or center is not None and np.shape(center) != (len(slow),)):
+        raise ValueError(f"the split needs distinct fast_indices in 0..{n - 1} and one "
+                         "box range (and box_center value) per slow coordinate")
+    x0, seeds = np.zeros((n, samples)), np.zeros((5, len(fast), samples))
+    for k in range(samples):
+        x0[slow, k] = [rng.uniform(lo, hi) for lo, hi in split.box]
+        seeds[1:, :, k] = [rng.uniform(-3, 3, len(fast)) for _ in range(4)]
+    if center is not None:
+        x0[slow] += np.asarray(center)[:, None]
+
+    def capped(x):
+        f = model.velocity(x)[fast].T
+        converged = vecnorm(f) <= 1e-12 * (1.0 + vecnorm(x.T))
+        step = solve_columns(np.moveaxis(model.jacobian(x)[np.ix_(fast, fast)], -1, 0), f)
+        limit, norm = 1.0 + vecnorm(x[fast].T), vecnorm(step)
+        cap = norm > limit
+        step[cap] *= (limit[cap] / norm[cap])[:, None]
+        x[fast] -= np.where(converged, 0.0, step.T)
+        return x, np.where(converged, 1, np.where(np.isnan(norm), -1, 0))
+
+    solved = np.zeros(samples, dtype=bool)
+    for seed in seeds:
+        todo = np.flatnonzero(~solved)
+        x0[np.ix_(fast, todo)] = seed[:, todo]
+        x0[:, todo], status = newton(x0[:, todo], capped, 80)
+        solved[todo] = status == 1
+    return x0[:, solved].T
 
 
 @dataclass(frozen=True)
@@ -459,14 +455,15 @@ class GspSummary:
 
 
 def _grad_phi(model, x):
-    n = model.dim
-    g = np.empty(n)
-    for i in range(n):
-        h = 1e-6 * (1.0 + abs(x[i]))
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        g[i] = (float(phi(model, xp)) - float(phi(model, xm))) / (2.0 * h)
-    return g
+    """Centered-difference gradients of phi at the columns of `x` (n, npts),
+    rows (npts, n), from one batched phi call."""
+    n, npts = x.shape
+    h, i = 1e-6 * (1.0 + np.abs(x)), np.arange(n)
+    shifted = np.tile(x[:, None, None], (1, 2, n, 1))
+    # only coordinate i moves; the others stay copies (adding 0.0 turns -0.0 into +0.0)
+    shifted[i, 0, i], shifted[i, 1, i] = x + h, x - h
+    values = phi(model, shifted.reshape(n, -1)).reshape(2, n, npts)
+    return ((values[0] - values[1]) / (2.0 * h)).T
 
 
 def gsp_order0_residual(model, split, samples, seed=0):
@@ -478,18 +475,15 @@ def gsp_order0_residual(model, split, samples, seed=0):
     order-eps^0 claim is that these vanish as the split stiffens; rebuild
     the model with a scaled stiffness parameter to observe the trend.
     """
-    if samples == 0:
-        return GspSummary(0, 0, 0, 0.0, 0.0, split.epsilon)
-    residuals = []
-    for x in _singular_points(model, split, samples, np.random.default_rng(seed)):
-        value = abs(float(phi(model, x)))
-        grad = np.linalg.norm(_grad_phi(model, x))
-        residuals.append(value / grad if grad > 0 else 0.0)
-    skipped = samples - len(residuals)
-    if not residuals:
-        return GspSummary(samples, 0, skipped, float("nan"), float("nan"), split.epsilon)
-    arr = np.array(residuals)
-    return GspSummary(samples, len(arr), skipped, float(arr.max()),
+    x = _singular_points(model, split, samples, np.random.default_rng(seed)).T
+    solved = x.shape[1]
+    if not solved:  # nothing to report: 0.0 for no samples, NaN for none solved
+        empty = float("nan") if samples else 0.0
+        return GspSummary(samples, 0, samples, empty, empty, split.epsilon)
+    value = np.abs(phi(model, x))
+    grad = vecnorm(_grad_phi(model, x))
+    arr = np.where(grad > 0, value / np.where(grad > 0, grad, 1.0), 0.0)
+    return GspSummary(samples, solved, samples - solved, float(arr.max()),
                       float(arr.mean()), split.epsilon)
 
 
@@ -527,77 +521,59 @@ def factor_check(model, factor, box, samples=200, seed=0,
     factor's sampled zero set, and estimates the cofactor K in
     L_V(factor) = K * factor by pointwise division away from the zero set,
     fitting an affine-plus-quadratic polynomial ansatz.  K identically zero
-    flags a first integral.
+    flags a first integral.  The zero set is sampled by projecting `samples`
+    random box points along the factor's gradient, all at once (`newton`).
     """
     n = model.dim
+    samples = _sample_count(samples)
     var_names = {f"x{i + 1}": i for i in range(n)}
     node, _ = ex.parse_expression(factor, var_names, model.params)
     grads = [node.diff(i) for i in range(n)]
 
-    def f_value(x):
-        return float(node.eval(x))
-
-    def f_grad(x):
-        return np.array([g.eval(x) for g in grads], dtype=float)
-
-    def lie_factor(x):
-        # exact summation: a first integral must cancel to a true zero
-        v = model.velocity(x)
-        return math.fsum(g.eval(x) * v[i] for i, g in enumerate(grads))
+    def rows(nodes, x):  # contiguous rows (npts, len(nodes)), as at each point alone
+        return np.stack([np.broadcast_to(e.eval(x), x.shape[1:]) for e in nodes], axis=-1)
 
     rng = np.random.default_rng(seed)
     box = [tuple(b) for b in box]
     if len(box) != n:
         raise ValueError("box must give one (lo, hi) range per coordinate")
 
-    def sample_point():
-        return np.array([rng.uniform(lo, hi) for lo, hi in box])
+    def sample_points(count):
+        return np.array([[rng.uniform(lo, hi) for lo, hi in box]
+                         for _ in range(count)]).reshape(count, n).T
 
-    # sample the zero set by gradient-flow Newton from random box points
-    zero_points = []
-    for _ in range(samples):
-        x = sample_point()
-        ok = False
-        for _ in range(80):
-            v = f_value(x)
-            scale = 1.0 + abs(v)
-            g = f_grad(x)
-            gnorm2 = g @ g
-            if gnorm2 == 0.0:
-                break
-            x = x - v * g / gnorm2
-            if abs(f_value(x)) <= 1e-12 * scale:
-                ok = True
-                break
-        if ok and np.isfinite(x).all():
-            zero_points.append(x)
+    def project(x):  # one gradient-flow Newton step towards the factor's zero set
+        v, g = rows([node], x)[:, 0], rows(grads, x)
+        gnorm2 = vecdot(g, g)
+        x = x - v * g.T / np.where(gnorm2 == 0.0, 1.0, gnorm2)
+        converged = np.abs(rows([node], x)[:, 0]) <= 1e-12 * (1.0 + np.abs(v))
+        return x, np.where(gnorm2 == 0.0, -1, converged.astype(int))
+
+    x, status = newton(sample_points(samples), project, 80)
+    zero_points = x[:, (status == 1) & np.isfinite(x).all(axis=0)]
 
     phi_scaled_max = None
-    if zero_points:
-        phi_scaled_max = float(np.max(phi_scaled(model, np.array(zero_points).T)))
+    if zero_points.size:
+        phi_scaled_max = float(np.max(phi_scaled(model, zero_points)))
 
     # cofactor estimate K = L_V(factor)/factor away from the zero set
-    box_values, box_points = [], []
-    for _ in range(max(samples, 50)):
-        x = sample_point()
-        box_points.append(x)
-        box_values.append(f_value(x))
-    box_values = np.array(box_values)
+    box_points = sample_points(max(samples, 50))
+    box_values = rows([node], box_points)[:, 0]
     factor_scale = np.max(np.abs(box_values))
     if factor_scale == 0.0:
         raise ValueError("factor is identically zero on the sampling box")
-    lie_values = np.array([lie_factor(p) for p in box_points])
+    v = model.velocity(box_points)
+    # exact summation: a first integral must cancel to a true zero
+    lie_values = np.array([math.fsum(terms) for terms in rows(grads, box_points) * v.T])
     lie_max = float(np.max(np.abs(lie_values)))
-    vel_scale = max(np.linalg.norm(model.velocity(p)) for p in box_points)
+    vel_scale = np.max(vecnorm(v.T))
     first_integral = lie_max <= 1e-9 * (1.0 + factor_scale) * (1.0 + vel_scale)
 
     keep = np.abs(box_values) >= 0.05 * factor_scale
-    pts = np.array(box_points)[keep]
+    pts = box_points[:, keep]
     K = lie_values[keep] / box_values[keep]
     basis_names, pairs = _poly_basis(n)
-    A = np.column_stack(
-        [np.ones(len(pts))] + [pts[:, i] for i in range(n)]
-        + [pts[:, i] * pts[:, j] for i, j in pairs])
+    A = np.column_stack([np.ones(len(K)), *pts] + [pts[i] * pts[j] for i, j in pairs])
     coeffs, *_ = np.linalg.lstsq(A, K, rcond=None)
     fitted = A @ coeffs
     k_scale = max(1.0, float(np.max(np.abs(K))))
@@ -606,7 +582,7 @@ def factor_check(model, factor, box, samples=200, seed=0,
     invariant = fit_residual <= fit_tol and (
         phi_scaled_max is None or phi_scaled_max <= phi_tol)
     return FactorReport(
-        factor=factor, zero_set_count=len(zero_points),
+        factor=factor, zero_set_count=zero_points.shape[1],
         phi_scaled_max=phi_scaled_max, cofactor_coeffs=coeffs,
         cofactor_basis=tuple(basis_names), cofactor_fit_residual=fit_residual,
         lie_factor_max=lie_max, first_integral=first_integral,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
+from .geometry import vecnorm
 
 __all__ = [
     "ModelDef", "FixedPoint", "ModelError",
@@ -425,26 +426,22 @@ def magneto_equilibrium(model):
     p = model.params
     r, q, vs, cq, cm = p["r"], p["q"], p["varsigma"], p["cq"], p["cm"]
 
-    def g(x1):
-        x2 = x1 / (1.0 + x1 * x1)
+    def reduced(x1):  # x2, x4, x5 of the equilibrium through x1
         x4 = vs * x1 / (vs + cm * x1 * x1)
-        x5 = x1 * x4
+        return x1 / (1.0 + x1 * x1), x4, x1 * x4
+
+    def g(x1):
+        x2, x4, x5 = reduced(x1)
         return -x1 + r * x2 - q * x4 * (1.0 + cq * x5)
 
     lo, hi = 1e-6, 50.0
-    glo = g(lo)
     xs = np.linspace(lo, hi, 4000)
-    bracket = None
-    prev = glo
-    for x in xs[1:]:
-        cur = g(x)
-        if prev * cur <= 0:
-            bracket = (x - (hi - lo) / 3999.0, x)
-            break
-        prev = cur
-    if bracket is None:
+    gs = g(xs)
+    change = np.flatnonzero(gs[:-1] * gs[1:] <= 0)
+    if not change.size:
         raise ModelError("no nontrivial magnetoconvection equilibrium found")
-    a_, b_ = bracket
+    b_ = xs[change[0] + 1]
+    a_ = b_ - (hi - lo) / 3999.0
     for _ in range(200):
         m = 0.5 * (a_ + b_)
         if g(a_) * g(m) <= 0:
@@ -452,36 +449,64 @@ def magneto_equilibrium(model):
         else:
             a_ = m
     x1 = 0.5 * (a_ + b_)
-    x2 = x1 / (1.0 + x1 * x1)
-    x3 = x1 * x2
-    x4 = vs * x1 / (vs + cm * x1 * x1)
-    x5 = x1 * x4
-    return _newton_polish(model, np.array([x1, x2, x3, x4, x5]))
+    x2, x4, x5 = reduced(x1)
+    return _newton_polish(model, [[x1, x2, x1 * x2, x4, x5]])[0]
 
 
-def _newton_polish(model, x0, max_iter=60, tol=1e-14):
-    x = np.asarray(x0, dtype=float).copy()
-    region = model.classify(x)
+def solve_columns(J, f):
+    """x[i] solving J[i] x[i] = f[i] for J (m, k, k), f (m, k), bit for bit the
+    per-matrix solves.  When a singular J[i] makes the stacked solve raise, the
+    stack splits in halves down to single matrices; a singular one gives NaN."""
+    try:
+        return np.linalg.solve(J, f[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(f) == 1:
+            return np.full(f.shape, np.nan)
+        half = len(f) // 2
+        return np.concatenate([solve_columns(J[:half], f[:half]),
+                               solve_columns(J[half:], f[half:])])
+
+
+def newton(x, step, max_iter):
+    """Masked batched Newton iteration on the columns of `x` (n, npts).
+
+    Each round, ``step(live)`` maps the live columns to their next values and
+    a status each: +1 converged, -1 failed, 0 go on.  A column retires with
+    the round that set its status, so it takes exactly the steps it would
+    take alone.  Returns the columns and statuses (0: live after `max_iter`).
+    """
+    x = np.array(x, dtype=float)
+    status = np.zeros(x.shape[1], dtype=int)
+    live = np.arange(x.shape[1])
     for _ in range(max_iter):
-        f = model.velocity(x, region=region)
-        scale = 1.0 + np.linalg.norm(x)
-        if np.linalg.norm(f) <= tol * scale:
+        if not live.size:
             break
-        J = model.jacobian(x, region=region)
-        try:
-            step = np.linalg.solve(J, f)
-        except np.linalg.LinAlgError:
+        x[:, live], status[live] = step(x[:, live])
+        live = live[status[live] == 0]
+    return x, status
+
+
+def _newton_polish(model, guesses, max_iter=60, tol=1e-14):
+    """Damped Newton on the velocity from all guesses (npts, n) at once; a step
+    halves until the velocity norm falls, at most 30 times.  Returns the
+    points (npts, n); a singular Jacobian raises `ModelError`."""
+    def damped(x):
+        f = model.velocity(x)
+        fn = vecnorm(f.T)
+        converged = fn <= tol * (1.0 + vecnorm(x.T))
+        step = solve_columns(np.moveaxis(model.jacobian(x), -1, 0), f.T).T
+        if np.isnan(step[:, ~converged]).any():
             raise ModelError("singular Jacobian in fixed-point Newton iteration")
-        damping = 1.0
-        fn = np.linalg.norm(f)
+        step[:, converged] = 0.0
+        damping, done = np.ones(x.shape[1]), converged
         for _ in range(30):
-            x_new = x - damping * step
-            if np.linalg.norm(model.velocity(x_new, region=model.classify(x_new))) < fn:
+            done = done | (vecnorm(model.velocity(x - damping * step).T) < fn)
+            if done.all():
                 break
-            damping *= 0.5
-        x = x - damping * step
-        region = model.classify(x)
-    return x
+            damping[~done] *= 0.5
+        return x - damping * step, converged.astype(int)
+
+    return newton(np.reshape(guesses, (-1, model.dim)).T, damped, max_iter)[0].T
 
 
 def _coincide(a, b):
@@ -493,11 +518,9 @@ def _branch_fixed_points(model):
     found = []
     for region in ("mid", "pos") if model.odd_symmetric else ex.PWL_LABELS:
         c = model.velocity(np.zeros(model.dim), region=region)
-        J = model.jacobian(np.zeros(model.dim), region=region)
-        try:
-            loc = np.linalg.solve(J, -c)
-        except np.linalg.LinAlgError:
-            continue
+        loc = solve_columns(model.jacobian(np.zeros(model.dim), region=region)[None], -c[None])[0]
+        if np.isnan(loc).any():
+            continue  # singular branch
         resid = np.linalg.norm(model.velocity(loc, region=region))
         if resid > 1e-10 * (1.0 + np.linalg.norm(loc)):
             continue  # branch is not affine: only Newton guesses apply
@@ -528,13 +551,14 @@ def fixed_points(model, include_virtual=True):
     of the `pos` one.  A branch solution that classifies outside its branch
     is returned with ``virtual=True`` (drop these with
     ``include_virtual=False``), unless it coincides with a real equilibrium:
-    then it is discarded with a "spurious" warning.  Each of
-    ``model.fixed_point_guesses`` is refined by damped Newton; one that does
-    not converge is skipped with a warning.
+    then it is discarded with a "spurious" warning.  All of
+    ``model.fixed_point_guesses`` are refined together by batched damped
+    Newton (`newton`); one that does not converge is skipped with a warning,
+    and a singular Jacobian at any guess raises `ModelError`.
     """
     pts = _branch_fixed_points(model) if len(model.pwl_args) == 1 else []
-    for guess in model.fixed_point_guesses:
-        loc = _newton_polish(model, guess)
+    guesses = model.fixed_point_guesses
+    for guess, loc in zip(guesses, _newton_polish(model, guesses)):
         resid = np.linalg.norm(model.velocity(loc, region=model.classify(loc)))
         if resid > 1e-10 * (1.0 + np.linalg.norm(loc)):
             warnings.warn(f"{model.name}: Newton iteration from {guess} did not converge")

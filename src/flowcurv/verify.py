@@ -277,11 +277,10 @@ def _slowfast_checks(model, seed=0):
         return []
     name = "singular-approximation Darboux contrast"
     split = manifold.default_split(model)
-    x = list(manifold._singular_points(model, split, 60, np.random.default_rng(seed)))
-    if not x:
+    x = manifold._singular_points(model, split, 60, np.random.default_rng(seed)).T
+    if not x.size:
         return [_result(name, 0.0, 10.0, note="no constraint solutions found",
                         larger_is_better=True)]
-    x = np.array(x).T
     x_off = x.copy()
     x_off[split.fast_indices[0]] += 0.5
     on = manifold.darboux_residual(model, x)

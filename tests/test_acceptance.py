@@ -15,7 +15,7 @@ from flowcurv import (darboux_residual, default_split, factor_check,
                       load_model, phi, registry, tls_hyperplane)
 from flowcurv.geometry import DegenerateStackError, curvature1_3d, curvatures, torsion_3d
 from flowcurv.jets import derivative_stack
-from flowcurv.manifold import _solve_fast
+from flowcurv.manifold import _singular_points
 from flowcurv.verify import lie_fd_residuals
 
 from conftest import in_region_points
@@ -238,16 +238,8 @@ def test_criterion_8_cubic_local_invariance(capsys):
     for name in ("chua4-cubic", "chua5-cubic", "magnetoconvection5"):
         model = get_model(name)
         split = default_split(model)
-        rng = np.random.default_rng(12)
         on, off = [], []
-        for _ in range(60):
-            slow = np.array([rng.uniform(lo, hi) for lo, hi in split.box])
-            if split.box_center is not None:
-                slow = split.box_center + slow
-            seeds = [np.zeros(1)] + [rng.uniform(-3, 3, 1) for _ in range(4)]
-            x = _solve_fast(model, split, slow, seeds)
-            if x is None:
-                continue
+        for x in _singular_points(model, split, 60, np.random.default_rng(12)):
             on.append(float(darboux_residual(model, x)))
             y = x.copy()
             y[split.fast_indices[0]] += 0.5

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from flowcurv import expr as ex
+
 from flowcurv import (darboux_residual, default_split, factor_check,
                       fixed_points, get_model, gsp_order0_residual, integrate,
                       lie_phi, load_model, manifold_sample, phi, phi_scaled,
                       zero_crossings_on_trajectory, zero_set_grid)
-from flowcurv.manifold import SlowFastSplit
+from flowcurv import manifold
+from flowcurv.manifold import SlowFastSplit, _grad_phi, _singular_points
 from flowcurv.verify import lie_fd_residuals
 
 from conftest import in_region_points
@@ -402,6 +405,120 @@ def test_default_split_magneto_centered_on_equilibrium():
         SlowFastSplit(fast_indices=(0,), epsilon=0.0, box=((0, 1),))
 
 
+# Test-only copies of the per-point loops that the batched Newton driver
+# replaced: the fast solve of the singular approximation, its sampler, and
+# the finite-difference gradient of phi.  The batched code must give their bits.
+
+def _oracle_solve_fast(model, split, slow_values, seeds):
+    fast = list(split.fast_indices)
+    slow = [i for i in range(model.dim) if i not in fast]
+    for seed in seeds:
+        x = np.zeros(model.dim)
+        x[slow] = slow_values
+        x[fast] = seed
+        ok = False
+        for _ in range(80):
+            f = np.asarray(model.velocity(x))[fast]
+            if np.linalg.norm(f) <= 1e-12 * (1.0 + np.linalg.norm(x)):
+                ok = True
+                break
+            J = model.jacobian(x)[np.ix_(fast, fast)]
+            try:
+                step = np.linalg.solve(J, f)
+            except np.linalg.LinAlgError:
+                break
+            limit = 1.0 + np.linalg.norm(x[fast])
+            norm = np.linalg.norm(step)
+            if norm > limit:
+                step *= limit / norm
+            x[fast] = x[fast] - step
+        if ok:
+            return x
+    return None
+
+
+def _oracle_singular_points(model, split, samples, rng):
+    nfast = len(split.fast_indices)
+    for _ in range(samples):
+        slow_values = np.array([rng.uniform(lo, hi) for lo, hi in split.box])
+        if split.box_center is not None:
+            slow_values = split.box_center + slow_values
+        seeds = [np.zeros(nfast)] + [rng.uniform(-3, 3, nfast) for _ in range(4)]
+        x = _oracle_solve_fast(model, split, slow_values, seeds)
+        if x is not None:
+            yield x
+
+
+def _oracle_grad_phi(model, x):
+    g = np.empty(model.dim)
+    for i in range(model.dim):
+        h = 1e-6 * (1.0 + abs(x[i]))
+        xp = x.copy(); xp[i] += h
+        xm = x.copy(); xm[i] -= h
+        g[i] = (float(phi(model, xp)) - float(phi(model, xm))) / (2.0 * h)
+    return g
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1, 5, 12])
+@pytest.mark.parametrize("name", ["chua4-cubic", "chua5-cubic", "magnetoconvection5"])
+def test_singular_points_match_per_point_solve(name, seed):
+    model = get_model(name)
+    split = default_split(model)
+    got = _singular_points(model, split, 40, np.random.default_rng(seed))
+    want = list(_oracle_singular_points(model, split, 40, np.random.default_rng(seed)))
+    assert got.shape == (len(want), model.dim)
+    assert got.tobytes() == np.array(want).tobytes()
+    grads = _grad_phi(model, got[:8].T)
+    assert grads.tobytes() == np.array([_oracle_grad_phi(model, x) for x in got[:8]]).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_singular_points_later_seed_after_singular_zero_seed():
+    # dx1/dt = x1^3 + pwl(x2; 0, 1) x1 - 1: at the zero seed the fast Jacobian
+    # pwl(x2; 0, 1) is exactly 0 for |x2| <= 1, so those draws need a random
+    # seed, while draws with x2 > 1 solve from zero in the same batch
+    model = load_model({"name": "kink", "dim": 2, "params": {},
+                        "rhs": ["x1^3 + pwl(x2; 0, 1)*x1 - 1", "-x2"]})
+    split = SlowFastSplit(fast_indices=(0,), epsilon=1.0, box=((0.0, 2.0),))
+    got = _singular_points(model, split, 30, np.random.default_rng(4))
+    want = list(_oracle_singular_points(model, split, 30, np.random.default_rng(4)))
+    assert len(want) == 30 and got.tobytes() == np.array(want).tobytes()
+    assert (got[:, 1] <= 1.0).any() and (got[:, 1] > 1.0).any()
+
+
+@pytest.mark.parametrize("fast", [(), (0, 0), (4,), (-1,)])
+def test_gsp_rejects_bad_fast_indices(fast):
+    # () used to "solve" every draw
+    model = get_model("chua4-cubic")
+    split = SlowFastSplit(fast_indices=fast, epsilon=0.1, box=((-2, 2),) * 3)
+    with pytest.raises(ValueError, match="distinct fast_indices"):
+        gsp_order0_residual(model, split, samples=5)
+
+
+def test_gsp_rejects_box_of_wrong_length():
+    # one range for three slow coordinates used to broadcast to all three
+    model = get_model("chua4-cubic")
+    split = SlowFastSplit(fast_indices=(0,), epsilon=0.1, box=((-2, 2),))
+    with pytest.raises(ValueError, match="box range"):
+        gsp_order0_residual(model, split, samples=5)
+
+
+def test_gsp_rejects_box_center_of_wrong_length():
+    model = get_model("chua4-cubic")
+    split = SlowFastSplit(fast_indices=(0,), epsilon=0.1, box=((-1, 1),) * 3,
+                          box_center=np.zeros(4))
+    with pytest.raises(ValueError, match="box_center"):
+        gsp_order0_residual(model, split, samples=5)
+
+
+@pytest.mark.parametrize("samples", [-3, 2.5])
+def test_gsp_rejects_bad_sample_count(samples):
+    model = get_model("chua4-cubic")
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        gsp_order0_residual(model, default_split(model), samples=samples)
+
+
 # -- Darboux factors -------------------------------------------------------------
 
 GEAR_BOX = [(-2, 2), (-2, 2), (-2, 2), (-5, 5), (-2, 2)]
@@ -437,6 +554,59 @@ def test_factor_check_negative_control(chua3):
 def test_factor_check_rejects_zero_factor(gear):
     with pytest.raises(ValueError, match="identically zero"):
         factor_check(gear, "0*x1", GEAR_BOX, samples=20)
+
+
+@pytest.mark.parametrize("samples", [-4, 10.0])
+def test_factor_check_rejects_bad_sample_count(gear, samples):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        factor_check(gear, "x1^2 + x2^2", GEAR_BOX, samples=samples)
+
+
+def _oracle_factor_zero_points(model, factor, box, samples, seed):
+    # factor_check's per-point gradient-flow projection, before batching
+    n = model.dim
+    node, _ = ex.parse_expression(factor, {f"x{i + 1}": i for i in range(n)}, model.params)
+    grads = [node.diff(i) for i in range(n)]
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(samples):
+        x = np.array([rng.uniform(lo, hi) for lo, hi in box])
+        ok = False
+        for _ in range(80):
+            v = float(node.eval(x))
+            scale = 1.0 + abs(v)
+            g = np.array([d.eval(x) for d in grads], dtype=float)
+            gnorm2 = g @ g
+            if gnorm2 == 0.0:
+                break
+            x = x - v * g / gnorm2
+            if abs(float(node.eval(x))) <= 1e-12 * scale:
+                ok = True
+                break
+        if ok and np.isfinite(x).all():
+            points.append(x)
+    return np.array(points)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, factor, box, samples, seed", [
+    ("gear5", "x1^2 + x2^2", GEAR_BOX, 60, 11),
+    ("gear5", "x1^2 + x2^2 - x3", GEAR_BOX, 60, 11),
+    ("gear5", "x4^2 + beta1", GEAR_BOX, 60, 11),
+    ("gear5", "(x1^2 + x2^2)*(x1^2 + x2^2 - x3)*(x4^2 + beta1)", GEAR_BOX, 150, 7),
+    ("chua3-pwl", "x1", [(-2, 2)] * 3, 100, 2)])
+def test_factor_zero_points_match_per_point_projection(monkeypatch, name, factor, box,
+                                                       samples, seed):
+    # the zero-set points reach phi_scaled; capture them there
+    model = get_model(name)
+    seen = []
+    real = manifold.phi_scaled
+    monkeypatch.setattr(manifold, "phi_scaled", lambda m, x: seen.append(x) or real(m, x))
+    rep = factor_check(model, factor, box, samples=samples, seed=seed)
+    want = _oracle_factor_zero_points(model, factor, box, samples, seed)
+    assert rep.zero_set_count == len(want)  # none for x4^2 + beta1 > 0
+    assert [np.ascontiguousarray(x.T).tobytes() for x in seen] == \
+        ([want.tobytes()] if len(want) else [])
 
 
 def test_phi_magnitude_equals_gram_schmidt_product(chua3):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from flowcurv import (FixedPoint, ModelError, cubic_k, fixed_points, get_model, lie_phi,
                       load_model, phi, pwl_k, registry)
 from flowcurv.models import (_BUILTIN_BUILDERS, _SNAP_CANDIDATES, _newton_polish, _snap,
-                             magneto_equilibrium)
+                             magneto_equilibrium, solve_columns)
 
 REGISTRY_NAMES = ["chua3-pwl", "chua4-cubic", "chua4-pwl", "chua5-cubic",
                   "chua5-pwl", "gear5", "magnetoconvection5"]
@@ -172,10 +172,36 @@ def _oracle_chua5(model):
     return pts
 
 
+def _oracle_newton_polish(model, x0, max_iter=60, tol=1e-14):
+    # the per-point damped Newton loop that the batched _newton_polish replaced
+    x = np.asarray(x0, dtype=float).copy()
+    region = model.classify(x)
+    for _ in range(max_iter):
+        f = model.velocity(x, region=region)
+        scale = 1.0 + np.linalg.norm(x)
+        if np.linalg.norm(f) <= tol * scale:
+            break
+        J = model.jacobian(x, region=region)
+        try:
+            step = np.linalg.solve(J, f)
+        except np.linalg.LinAlgError:
+            raise ModelError("singular Jacobian in fixed-point Newton iteration")
+        damping = 1.0
+        fn = np.linalg.norm(f)
+        for _ in range(30):
+            x_new = x - damping * step
+            if np.linalg.norm(model.velocity(x_new, region=model.classify(x_new))) < fn:
+                break
+            damping *= 0.5
+        x = x - damping * step
+        region = model.classify(x)
+    return x
+
+
 def _oracle_cubic(model, disc, guess):
     pts = [FixedPoint(np.zeros(model.dim))]
     if disc > 0:
-        loc = _newton_polish(model, np.array(guess(math.sqrt(disc))))
+        loc = _oracle_newton_polish(model, np.array(guess(math.sqrt(disc))))
         pts += [FixedPoint(loc), FixedPoint(-loc)]
     return pts
 
@@ -210,6 +236,44 @@ def test_fixed_points_match_per_family_oracle(name, overrides):
     got, want = fixed_points(model), _oracle_fixed_points(model)
     assert [(fp.location.tobytes(), fp.region, bool(fp.virtual)) for fp in got] == \
         [(fp.location.tobytes(), fp.region, bool(fp.virtual)) for fp in want]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, overrides", [
+    ("chua4-cubic", {}), ("chua5-cubic", {}), ("chua4-cubic", {"c2": -1.7235}),
+    ("chua5-cubic", {"c2": -1.3056}), ("magnetoconvection5", {}),
+    ("magnetoconvection5", {"varsigma": 0.2}), ("magnetoconvection5", {"varsigma": 0.05})])
+def test_batched_newton_polish_matches_per_point_loop(name, overrides):
+    # every guess, polished in one batch, lands on the per-point loop's bits;
+    # perturbed copies take more (and differently damped) steps than the rest
+    model = get_model(name, **overrides)
+    guesses = [np.asarray(g, dtype=float) for g in model.fixed_point_guesses]
+    if name == "magnetoconvection5":
+        guesses.append(magneto_equilibrium(model))
+    guesses += [1.1 * g + 0.05 for g in guesses] + [0.7 * g - 0.02 for g in guesses]
+    got = _newton_polish(model, guesses)
+    want = [_oracle_newton_polish(model, g) for g in guesses]
+    assert [loc.tobytes() for loc in got] == [loc.tobytes() for loc in want]
+
+
+def test_fixed_point_singular_guess_raises():
+    # x1 = 0 has a zero Jacobian and a nonzero velocity; the good guess
+    # before it does not help
+    model = load_model({"name": "flat", "dim": 1, "params": {}, "rhs": ["x1^2 - 1"],
+                        "fixed_point_guesses": [[2.0], [0.0]]})
+    with pytest.raises(ModelError, match="singular Jacobian"):
+        fixed_points(model)
+
+
+def test_solve_columns_matches_single_solves_and_marks_singular():
+    rng = np.random.default_rng(3)
+    J, f = rng.standard_normal((6, 3, 3)), rng.standard_normal((6, 3))
+    want = [np.linalg.solve(J[i], f[i]).tobytes() for i in range(6)]
+    assert [row.tobytes() for row in solve_columns(J, f)] == want
+    J[2] = 0.0
+    got = solve_columns(J, f)
+    assert np.isnan(got[2]).all()
+    assert [got[i].tobytes() for i in (0, 1, 3, 4, 5)] == [want[i] for i in (0, 1, 3, 4, 5)]
 
 
 @pytest.mark.parametrize("name", ["chua3-pwl", "chua4-pwl", "chua5-pwl"])
