@@ -46,19 +46,14 @@ class DerivStack:
     def dim(self):
         return self.derivs.shape[1]
 
-    def matrix(self, count=None, replace_last_with=None):
+    def matrix(self, count=None):
         """First `count` derivatives as determinant-ready column matrices.
 
         Returns shape ``(n, count)`` (or ``(npts, n, count)`` for batches)
-        with derivative k in column k.  `replace_last_with` swaps the final
-        column for another derivative index (1-based), which is how the Lie
-        derivative determinant is formed.
+        with derivative k in column k.
         """
         count = self.order if count is None else count
-        idx = list(range(count))
-        if replace_last_with is not None:
-            idx[-1] = replace_last_with - 1
-        m = self.derivs[idx]  # (count, n) or (count, n, npts)
+        m = self.derivs[:count]  # (count, n) or (count, n, npts)
         if m.ndim == 2:
             return m.T
         return np.transpose(m, (2, 1, 0))

@@ -44,7 +44,8 @@ def lie_phi(model, x, region=None):
     """Lie derivative of phi along the flow: the determinant with X^(n+1) last."""
     n = model.dim
     stack = derivative_stack(model, x, n + 1, region=region)
-    return det_scaled(stack.matrix(count=n, replace_last_with=n + 1))
+    lie = det_scaled(stack.matrix(count=n + 1))[..., 1]
+    return float(lie) if lie.ndim == 0 else lie
 
 
 def phi_scaled(model, x, region=None):
@@ -418,10 +419,11 @@ def _singular_points(model, split, samples, rng):
             or center is not None and np.shape(center) != (len(slow),)):
         raise ValueError(f"the split needs distinct fast_indices in 0..{n - 1} and one "
                          "box range (and box_center value) per slow coordinate")
+    bounds = np.array([*split.box] + [(-3.0, 3.0)] * (4 * len(fast)), dtype=float)
+    draws = rng.uniform(bounds[:, 0], bounds[:, 1], (samples, len(bounds)))
     x0, seeds = np.zeros((n, samples)), np.zeros((5, len(fast), samples))
-    for k in range(samples):
-        x0[slow, k] = [rng.uniform(lo, hi) for lo, hi in split.box]
-        seeds[1:, :, k] = [rng.uniform(-3, 3, len(fast)) for _ in range(4)]
+    x0[slow] = draws[:, :len(slow)].T
+    seeds[1:] = draws[:, len(slow):].reshape(samples, 4, len(fast)).transpose(1, 2, 0)
     if center is not None:
         x0[slow] += np.asarray(center)[:, None]
 
@@ -539,8 +541,7 @@ def factor_check(model, factor, box, samples=200, seed=0,
         raise ValueError("box must give one (lo, hi) range per coordinate")
 
     def sample_points(count):
-        return np.array([[rng.uniform(lo, hi) for lo, hi in box]
-                         for _ in range(count)]).reshape(count, n).T
+        return rng.uniform(*np.array(box, dtype=float).T, (count, n)).T
 
     def project(x):  # one gradient-flow Newton step towards the factor's zero set
         v, g = rows([node], x)[:, 0], rows(grads, x)

@@ -24,7 +24,7 @@ from .geometry import vecnorm
 __all__ = [
     "ModelDef", "FixedPoint", "ModelError",
     "pwl_k", "cubic_k", "fixed_points", "load_model", "get_model", "registry",
-    "region_box", "point_regions",
+    "region_box", "region_samples", "point_regions",
 ]
 
 
@@ -372,6 +372,35 @@ def region_box(model, region, center=None, halfwidth=2.0):
         else:
             lo[i], hi[i] = -0.95, 0.95
     return lo, hi
+
+
+def region_samples(model, rng, count, boxes, regions=(None,), max_draws=math.inf,
+                   project=None):
+    """Up to `count` states by rejection, (n, npts), and the number of draws.
+
+    Draw k is uniform in ``boxes[k % len(boxes)]``, mapped by `project`
+    (rows (m, n) to rows) if given, and kept if it lies in
+    ``regions[k % len(regions)]``: a label tuple names every pwl term's
+    branch, a string the first term's, None any state.  Each round draws
+    the states still missing with one ``rng.uniform`` call, which consumes
+    the stream of as many single draws, and classifies them in one batched
+    call; only a round's last draw can complete the sample, so the points,
+    the draw count and the rng state are the one-at-a-time loop's.  Stops
+    at `count` points or `max_draws` draws.
+    """
+    lo, hi = (np.array([box[i] for box in boxes], dtype=float) for i in (0, 1))
+    chunks, draws, missing = [np.empty((0, model.dim))], 0, count
+    while missing and draws < max_draws:
+        k = np.arange(draws, draws + int(min(missing, max_draws - draws)))
+        rows = rng.uniform(lo[k % len(boxes)], hi[k % len(boxes)])
+        rows = rows if project is None else project(rows)
+        wanted = [regions[j % len(regions)] for j in k]
+        labels = point_regions(model, rows.T) or wanted  # no pwl term: keep all
+        keep = [r is None or lab == r or type(lab) is tuple and lab[0] == r
+                for lab, r in zip(labels, wanted)]
+        chunks.append(rows[np.array(keep, dtype=bool)])
+        draws, missing = draws + len(k), missing - len(chunks[-1])
+    return np.concatenate(chunks).T, draws
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import det_scaled, vecdot, vecnorm, wedge
 from .jets import derivative_stack
+from .models import region_box, region_samples
 
 __all__ = [
     "SpectralError", "Spectrum", "Hyperplane",
@@ -210,27 +211,17 @@ def tls_hyperplane(model, fp):
 def darboux_check_plane(model, plane, samples=200, seed=0):
     """Residual of L_V Pi = lambda * Pi at random points of the plane's region.
 
-    Zero (to rounding) throughout the linear region of a PWL model; samples
-    that classify into a different region are excluded with a warning.
+    Zero (to rounding) throughout the linear region of a PWL model; of at
+    most 50 * samples box draws (`region_samples`), those that classify into
+    a different region are excluded with a warning.
     """
-    from .models import region_box
-
     rng = np.random.default_rng(seed)
     region = plane.base_point.region
-    lo, hi = region_box(model, region, center=plane.base_point.location)
-    points = []
-    excluded = 0
-    attempts = 0
-    while len(points) < samples and attempts < 50 * samples:
-        attempts += 1
-        x = rng.uniform(lo, hi)
-        if model.regions is not None and model.classify(x) != region:
-            excluded += 1
-            continue
-        points.append(x)
+    box = region_box(model, region, center=plane.base_point.location)
+    x, draws = region_samples(model, rng, samples, [box], (region,), max_draws=50 * samples)
+    excluded = draws - x.shape[1]
     if excluded:
         warnings.warn(f"{excluded} region-straddling samples excluded")
-    x = np.array(points).reshape(-1, model.dim).T
     v = np.ascontiguousarray(model.velocity(x).T)
     lam_pi = plane.eigenvalue * plane.value(x)
     residuals = (np.abs(vecdot(v, plane.normal) - lam_pi)

@@ -7,9 +7,10 @@ coplanarity/orthogonality equivalence, and the model-specific structure
 (first integral and cofactor for gear5, on/off singular-approximation
 contrast for the slow-fast models).
 
-Each check draws its sample states one at a time, in a fixed rng order,
-and then evaluates them together in one batched call; batched and
-single-point evaluation agree bit for bit.  A non-finite sample residual
+Each check draws its sample states in array rounds that give the states of
+one-at-a-time draws (`models.region_samples`; several pwl terms are sampled
+by the first one's branch), then evaluates them in one batched call; batched
+and single-point evaluation agree bit for bit.  A non-finite sample residual
 (NaN or inf) is the check's reported residual, and the check fails.
 """
 
@@ -64,30 +65,11 @@ def _worst(residuals):
     return float(np.max(residuals, initial=0.0))
 
 
-def _in_region(model, x, region):
-    """Mask of the columns of `x` (n, npts) that classify into `region`."""
-    labels = model.regions(x)
-    if isinstance(region, tuple):
-        return np.logical_and.reduce([lab == r for lab, r in zip(labels, region)])
-    return labels == region
-
-
 def _in_region_points(model, count, rng):
     """Random points avoiding PWL breakpoints (mixture over the regions), (n, count)."""
-    points = []
     labels = ("pos", "neg", "mid") if model.pwl_args else (None,)
-    k = 0
-    while len(points) < count:
-        region = labels[k % len(labels)]
-        k += 1
-        if region is None:
-            points.append(rng.uniform(-2.0, 2.0, model.dim))
-            continue
-        lo, hi = models.region_box(model, region)
-        x = rng.uniform(lo, hi)
-        if model.classify(x) == region:
-            points.append(x)
-    return np.array(points).T
+    boxes = [models.region_box(model, r) for r in labels]
+    return models.region_samples(model, rng, count, boxes, labels)[0]
 
 
 def _identity_checks(model, rng, instances=200):
@@ -174,27 +156,27 @@ def _plane_checks(model, fps, rng):
 
 
 def _plane_points(model, plane, rng, count):
-    """Random points on the plane inside its fixed point's region, (n, npts)."""
+    """Random points on the plane inside its fixed point's region, (n, npts): box
+    draws solved for the largest normal coordinate, at most 100 * count."""
     region = plane.base_point.region
-    lo, hi = models.region_box(model, region, center=plane.base_point.location)
-    solve_idx = int(np.argmax(np.abs(plane.normal)))
-    pts = []
-    attempts = 0
-    while len(pts) < count and attempts < 100 * count:
-        attempts += 1
-        x = rng.uniform(lo, hi)
-        x[solve_idx] = 0.0
-        x[solve_idx] = -(plane.normal @ x + plane.offset) / plane.normal[solve_idx]
-        if model.classify(x) == region:
-            pts.append(x)
-    return np.array(pts).reshape(-1, model.dim).T
+    box = models.region_box(model, region, center=plane.base_point.location)
+    s = int(np.argmax(np.abs(plane.normal)))
+
+    def project(x):  # contiguous rows, so each dot is the single-point one
+        x[:, s] = 0.0
+        x[:, s] = -(geometry.vecdot(x, plane.normal) + plane.offset) / plane.normal[s]
+        return x
+
+    return models.region_samples(model, rng, count, [box], (region,),
+                                 max_draws=100 * count, project=project)[0]
 
 
 def _plane_factor_samples(model, plane, rng, count=200):
     """|phi| on the plane, and off it by 0.1 along the normal within the region."""
     x = _plane_points(model, plane, rng, count)
     x_off = x + 0.1 * plane.normal[:, None]
-    x_off = x_off[:, _in_region(model, x_off, plane.base_point.region)]
+    x_off = x_off[:, np.array([lab == plane.base_point.region
+                               for lab in models.point_regions(model, x_off)], dtype=bool)]
     return np.abs(manifold.phi(model, x)), np.abs(manifold.phi(model, x_off))
 
 
@@ -298,7 +280,7 @@ def _slowfast_checks(model, seed=0):
 def _gear_checks(model, rng):
     out = []
     # first integral: L_V(x1^2 + x2^2) identically zero
-    x = np.array([rng.uniform(-2, 2, 5) for _ in range(100)]).T
+    x = rng.uniform(-2, 2, (100, 5)).T
     v = model.velocity(x)
     out.append(_result("first integral d(x1^2+x2^2)/dt = 0",
                        _worst(np.abs(2 * x[0] * v[0] + 2 * x[1] * v[1])), 1e-12))

@@ -238,13 +238,11 @@ def test_numerical_failure_exit_2_no_partial_output(tmp_path, capsys):
     assert not out.exists()  # partial outputs are not left behind
 
 
-def test_threads_env_does_not_change_output(tmp_path, capsys, monkeypatch):
+def test_phi_scan_repeat_run_is_byte_identical(tmp_path, capsys):
     args = ["phi-scan", "--model", "chua4-cubic",
             "--grid", "x1=-2:2:7,x2=-1:1:7", "--slice", "x3=0,x4=0"]
     out1, out2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
-    monkeypatch.setenv("FLOWCURV_THREADS", "1")
     assert run(args + ["--out", str(out1)], capsys)[0] == 0
-    monkeypatch.setenv("FLOWCURV_THREADS", "4")
     assert run(args + ["--out", str(out2)], capsys)[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -350,14 +348,12 @@ def test_phi_scan_columns_are_manifold_sample(tmp_path, capsys):
     _assert_scan_matches_library(get_model("chua4-cubic"), *_scan_table(out))
 
 
-def test_phi_scan_chunks_and_threads_match_one_batch(tmp_path, capsys, monkeypatch):
+def test_phi_scan_chunks_match_one_batch(tmp_path, capsys):
     # 2,050 nodes span two 2,048-column chunks
     args = ["phi-scan", "--model", "chua5-pwl", "--grid", "x1=-4:4:41,x2=-1:1:50",
             "--slice", "x3=0,x4=0,x5=0"]
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    monkeypatch.setenv("FLOWCURV_THREADS", "1")
     assert run(args + ["--out", str(out1)], capsys)[0] == 0
-    monkeypatch.setenv("FLOWCURV_THREADS", "2")
     assert run(args + ["--out", str(out2)], capsys)[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
     header, table = _scan_table(out1)

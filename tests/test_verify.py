@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 import struct
 
 import numpy as np
@@ -273,6 +274,125 @@ def test_batched_wedge_and_vecdot_equal_single_calls():
             assert np.array_equal(w[p], _old_wedge(a[p]))
             assert _bits(dots[p]) == _bits(v[p] @ w[p])
             assert _bits(norms[p]) == _bits(np.linalg.norm(v[p]))
+
+
+# ---------------------------------------------------------------------------
+# region_samples against a one-at-a-time rejection loop
+# ---------------------------------------------------------------------------
+
+# pwl(x1 - x2) is not a coordinate, so region_box cannot clamp it and draws
+# are rejected; TWO_PWL has two pwl terms, so its labels are tuples.
+SKEW = {"name": "skew", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
+        "rhs": ["9*(x2 - x1 - pwl(x1 - x2; a, b))", "x1 - x2 + x3", "-14*x2"]}
+TWO_PWL = {"name": "two-pwl", "dim": 3,
+           "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
+           "rhs": ["alpha*(x2 - x1 - pwl(x1; a, b))", "x1 - x2 + x3 - pwl(x2; a, b)",
+                   "-beta*x2"]}
+
+
+def _one_at_a_time(model, rng, count, boxes, regions=(None,), max_draws=math.inf,
+                   project=None):
+    points, draws = [], 0
+    while len(points) < count and draws < max_draws:
+        lo, hi = boxes[draws % len(boxes)]
+        region = regions[draws % len(regions)]
+        draws += 1
+        x = rng.uniform(lo, hi)
+        if project is not None:
+            x = project(x)
+        label = model.classify(x)
+        if isinstance(label, tuple) and not isinstance(region, tuple):
+            label = label[0]  # a string label names the first pwl term's branch
+        if region is None or label is None or label == region:
+            points.append(x)
+    return np.array(points).reshape(-1, model.dim).T, draws
+
+
+def _plane_projections(normal, offset):
+    s = int(np.argmax(np.abs(normal)))
+
+    def single(x):
+        x[s] = 0.0
+        x[s] = -(normal @ x + offset) / normal[s]
+        return x
+
+    def rows(x):
+        x[:, s] = 0.0
+        x[:, s] = -(geometry.vecdot(x, normal) + offset) / normal[s]
+        return x
+
+    return single, rows
+
+
+def _sampler_cases():
+    chua3, cubic = get_model("chua3-pwl"), get_model("chua4-cubic")
+    skew, two = load_model(SKEW), load_model(TWO_PWL)
+    labels = ("pos", "neg", "mid")
+    # solved for x1, so a projected draw can leave the pos box
+    single, rows = _plane_projections(np.array([0.8, 0.36, 0.48]), -1.6)
+    far = (np.array([5.0, -2.0, -2.0]), np.array([9.0, 2.0, 2.0]))
+    return [  # (model, count, boxes, regions, max_draws, single / row projection)
+        (chua3, 100, [models.region_box(chua3, r) for r in labels], labels, math.inf, None),
+        (skew, 90, [models.region_box(skew, r) for r in labels], labels, math.inf, None),
+        (skew, 60, [models.region_box(skew, None)], ("pos", "mid"), math.inf, None),
+        (chua3, 80, [models.region_box(chua3, "pos")], ("pos",), 8000, (single, rows)),
+        (skew, 80, [models.region_box(skew, None)], ("pos",), 100, None),  # cap reached
+        (skew, 30, [far], ("neg",), 150, None),  # cap reached with no point kept
+        (cubic, 70, [models.region_box(cubic, None)], (None,), math.inf, None),
+        (two, 90, [models.region_box(two, r) for r in labels], labels, math.inf, None),
+        (two, 50, [models.region_box(two, "pos")], (("pos", "mid"),), 5000, None),
+    ]
+
+
+@pytest.mark.parametrize("case", range(9))
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_region_samples_equal_one_at_a_time_loop(case, seed):
+    model, count, boxes, regions, cap, projections = _sampler_cases()[case]
+    single, rows = projections or (None, None)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, draws = models.region_samples(model, rng_new, count, boxes, regions,
+                                       max_draws=cap, project=rows)
+    ref, ref_draws = _one_at_a_time(model, rng_old, count, boxes, regions,
+                                    max_draws=cap, project=single)
+    assert got.shape == ref.shape and draws == ref_draws
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
+    assert rng_new.random() == rng_old.random()
+    if cap < math.inf and got.shape[1] < count:
+        assert draws == cap
+
+
+def test_region_samples_cases_cover_rejection_and_cap():
+    kept = []
+    for model, count, boxes, regions, cap, projections in _sampler_cases():
+        rows = projections[1] if projections else None
+        x, draws = models.region_samples(model, np.random.default_rng(0), count, boxes,
+                                         regions, max_draws=cap, project=rows)
+        kept.append((x.shape[1], draws))
+    assert kept[0] == (100, 100)  # clamped boxes keep every draw
+    assert kept[1][0] == 90 and kept[1][1] > 90  # unclamped ones reject some
+    assert kept[3][0] == 80 and kept[3][1] > 80  # so do projected ones
+    assert kept[4][0] < 80 and kept[4][1] == 100
+    assert kept[5] == (0, 150)
+
+
+def test_verify_two_pwl_config_returns(tmp_path, capsys):
+    """A config with two pwl terms is sampled by its first term's branch."""
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(TWO_PWL))
+
+    def stalled(signum, frame):  # pytest.fail's exception passes main's handlers
+        pytest.fail("verify --model on a two-pwl config did not return in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(60)
+    try:
+        code = main(["verify", "--model", str(path)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("[PASS]") == 7 and "[FAIL]" not in out
 
 
 # ---------------------------------------------------------------------------
