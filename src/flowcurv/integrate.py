@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Trajectory", "IntegrationError", "integrate"]
+__all__ = ["Trajectory", "IntegrationError", "integrate", "take_step",
+           "last_state_before_crossing"]
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first)
 _A = [
@@ -409,6 +410,32 @@ def _bisect_event(f, x, k1, h, g, sign_before):
         else:
             hi = mid
     return hi, bisections
+
+
+def take_step(model, x, h, rel_tol, abs_tol):
+    """One true DP step of size h (h < 0 steps back) from x, k1 = f(x): the
+    new state and the step's error norm (`integrate` accepts it at <= 1)."""
+    f, x = model.rhs, np.asarray(x, dtype=float).tolist()
+    x_new, err, _, _ = _dp_step(f, x, f(x), h)
+    return np.array(x_new), _error_norm(x, x_new, err, rel_tol, abs_tol)
+
+
+def last_state_before_crossing(model, x, x_new, h, g):
+    """Last state before g changes sign in the DP step x -> x_new of size h:
+    the step is re-taken from x and the sign change located like a PWL event
+    (`_locate_event`, to a cell 2^-K h <= 1e-12).  Returns the true DP step
+    to one cell before it (x itself at 0) and the number of DP steps taken."""
+    f = model.rhs
+    x, x_new = (np.asarray(s, dtype=float).tolist() for s in (x, x_new))
+    k1 = f(x)
+    dense = _dense_output(x, x_new, h, _dp_step(f, x, k1, h)[3])
+    theta, steps, _ = _locate_event(f, x, k1, h, g, 1 if g(x) > 0 else -1, dense, x_new)
+    cell = 1.0
+    while cell * h > _EVENT_TIME_TOL:
+        cell *= 0.5
+    if theta <= cell:
+        return np.array(x), 1 + steps
+    return np.array(_dp_step(f, x, k1, (theta - cell) * h)[0]), 2 + steps
 
 
 def _initial_step(f, x, k1, rel_tol, abs_tol):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import expr as ex
 from .geometry import det_scaled, vecdot, vecnorm
+from .integrate import last_state_before_crossing
 from .jets import derivative_stack
 from .models import magneto_equilibrium, newton, point_regions, solve_columns
 
@@ -306,63 +307,44 @@ def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9,
                    metadata=metadata)
 
 
-def zero_crossings_on_trajectory(model, traj, time_tol=1e-10,
-                                 degenerate_rtol=1e-12):
+def zero_crossings_on_trajectory(model, traj, degenerate_rtol=1e-12):
     """States where phi changes sign along an integrated trajectory.
 
-    Each bracketed sign change is refined by bisection in time, re-running
-    the integrator over the shrinking subinterval (the trajectory stores no
-    interpolant).  A trajectory with phi ~ 0 at every sample (for instance a
-    fixed point) returns an empty, degenerate-flagged set.
+    A sign change between samples k and k + 1 is located inside the DP step
+    that joined them, re-taken once from x_k (h = t_{k+1} - t_k, ending at
+    the stored x_{k+1}), as `integrate` locates a PWL event; the point is
+    the last state before it (`integrate.last_state_before_crossing`), and
+    nothing is re-integrated.  A sign change between PWL regions, where phi
+    jumps, warns and is flagged in `metadata["straddle"]`;
+    `metadata["dp_steps"]` counts the DP steps taken.  A trajectory with
+    phi ~ 0 at every sample (for instance a fixed point) returns an empty,
+    degenerate-flagged set.
     """
-    from .integrate import integrate  # local import: integrate pulls no manifold code
-
-    times = np.asarray(traj.times)
-    states = np.asarray(traj.states)
-    if len(times) < 2:
-        return ZeroSet(points=np.empty((0, model.dim)), phi_values=np.empty(0),
-                       provenance="trajectory", degenerate=True)
-    values = phi(model, states.T)
-    scale = np.max(np.abs(values))
+    times, states = np.asarray(traj.times), np.asarray(traj.states)
+    values = phi(model, states.T) if len(times) > 1 else np.zeros(len(times))
+    scale = np.max(np.abs(values), initial=0.0)
     if scale == 0.0 or np.all(np.abs(values) <= degenerate_rtol * scale):
         return ZeroSet(points=np.empty((0, model.dim)), phi_values=np.empty(0),
                        provenance="trajectory", degenerate=True)
-
-    points, phis, regions, straddle = [], [], [], []
-    for k in range(len(times) - 1):
-        f0, f1 = values[k], values[k + 1]
-        if not (np.isfinite(f0) and np.isfinite(f1)) or np.sign(f0) * np.sign(f1) >= 0:
-            continue
-        straddles = False
-        if model.regions is not None:
-            r0, r1 = model.classify(states[k]), model.classify(states[k + 1])
-            if r0 != r1:
-                straddles = True
-                warnings.warn(
-                    f"phi sign change between t={times[k]:.6g} and t={times[k+1]:.6g} "
-                    f"straddles PWL regions {r0!r}/{r1!r}; phi is discontinuous there")
-        t_lo, t_hi = times[k], times[k + 1]
-        x_lo = states[k]
-        s_lo = np.sign(f0)
-        while t_hi - t_lo > time_tol:
-            t_mid = 0.5 * (t_lo + t_hi)
-            sub = integrate(model, x_lo, t_mid - t_lo, rel_tol=1e-12, abs_tol=1e-14)
-            x_mid = sub.states[-1]
-            f_mid = float(phi(model, x_mid))
-            if np.sign(f_mid) == s_lo and f_mid != 0.0:
-                t_lo, x_lo = t_mid, x_mid
-            else:
-                t_hi = t_mid
+    labels = point_regions(model, states.T)
+    sign = np.where(np.isfinite(values), np.sign(values), 0.0)
+    points, straddle, dp_steps = [], [], 0
+    for k in np.flatnonzero(sign[:-1] * sign[1:] < 0):
+        straddle.append(bool(labels) and labels[k] != labels[k + 1])
+        if straddle[-1]:
+            warnings.warn(
+                f"phi sign change between t={times[k]:.6g} and t={times[k+1]:.6g} "
+                f"straddles PWL regions {labels[k]!r}/{labels[k + 1]!r}; "
+                "phi is discontinuous there")
+        x_lo, steps = last_state_before_crossing(
+            model, states[k], states[k + 1], float(times[k + 1] - times[k]),
+            lambda x: float(phi(model, np.array(x))))
         points.append(x_lo)
-        phis.append(float(phi(model, x_lo)))
-        straddle.append(straddles)
-        if model.regions is not None:
-            regions.append(model.classify(x_lo))
-
-    pts = np.array(points) if points else np.empty((0, model.dim))
-    return ZeroSet(points=pts, phi_values=np.array(phis), regions=tuple(regions),
-                   provenance="trajectory",
-                   metadata={"straddle": tuple(straddle)})
+        dp_steps += steps
+    pts = np.array(points).reshape(-1, model.dim)
+    return ZeroSet(points=pts, phi_values=phi(model, pts.T),
+                   regions=point_regions(model, pts.T), provenance="trajectory",
+                   metadata={"straddle": tuple(straddle), "dp_steps": dp_steps})
 
 
 # ---------------------------------------------------------------------------

@@ -355,22 +355,25 @@ def _gear_config(params):
 def region_box(model, region, center=None, halfwidth=2.0):
     """Axis-aligned sampling box inside one PWL region.
 
-    The pwl-driven coordinate is clamped to the region's side of the
-    breakpoints with a small safety margin; other coordinates span
-    ``center +- halfwidth``.
+    When the first pwl argument is u = c x_i + d in one coordinate (c a
+    nonzero constant), x_i is clamped so that u lies on the region's side
+    of the breakpoints with a small safety margin; other coordinates span
+    ``center +- halfwidth``.  Any other argument leaves the box unclamped.
     """
     center = np.zeros(model.dim) if center is None else np.asarray(center, dtype=float)
     lo = center - halfwidth
     hi = center + halfwidth
-    if model.pwl_args and isinstance(model.pwl_args[0], ex.Var):
-        i = model.pwl_args[0].index
-        outer = max(2.5, abs(center[i]) + 1.0)
-        if region == "pos":
-            lo[i], hi[i] = 1.05, outer
-        elif region == "neg":
-            lo[i], hi[i] = -outer, -1.05
-        else:
-            lo[i], hi[i] = -0.95, 0.95
+    coords = model.pwl_args[0].free_vars() if model.pwl_args else ()
+    if len(coords) == 1:
+        (i,), arg = coords, model.pwl_args[0]
+        slope = arg.diff(i)
+        c = float(slope.eval(center)) if slope.constant else 0.0
+        if c != 0.0:
+            d = float(arg.eval(np.zeros(model.dim)))
+            outer = max(2.5, abs(float(arg.eval(center))) + 1.0)
+            u_lo, u_hi = {"pos": (1.05, outer),
+                          "neg": (-outer, -1.05)}.get(region, (-0.95, 0.95))
+            lo[i], hi[i] = sorted(((u_lo - d) / c, (u_hi - d) / c))
     return lo, hi
 
 

@@ -213,7 +213,8 @@ def darboux_check_plane(model, plane, samples=200, seed=0):
 
     Zero (to rounding) throughout the linear region of a PWL model; of at
     most 50 * samples box draws (`region_samples`), those that classify into
-    a different region are excluded with a warning.
+    a different region are excluded with a warning.  When every draw is
+    excluded, `max` and `mean` are NaN and `count` is 0.
     """
     rng = np.random.default_rng(seed)
     region = plane.base_point.region
@@ -222,6 +223,9 @@ def darboux_check_plane(model, plane, samples=200, seed=0):
     excluded = draws - x.shape[1]
     if excluded:
         warnings.warn(f"{excluded} region-straddling samples excluded")
+    if not x.shape[1]:
+        return {"max": float("nan"), "mean": float("nan"), "count": 0,
+                "excluded": int(excluded)}
     v = np.ascontiguousarray(model.velocity(x).T)
     lam_pi = plane.eigenvalue * plane.value(x)
     residuals = (np.abs(vecdot(v, plane.normal) - lam_pi)

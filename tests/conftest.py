@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flowcurv import get_model
+from flowcurv import expr, get_model, models
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +43,11 @@ def in_region_points(model, region, count, seed=0, halfwidth=2.0):
         if model.classify(x) == region:
             points.append(x)
     return points
+
+
+def reversed_model(model):
+    """The model with its vector field negated (backward flow as a model)."""
+    exprs = tuple(expr.Neg(e) for e in model.rhs_exprs)
+    rhs, jacobian, jac_exprs = models._build_evaluators(model.dim, exprs)
+    return replace(model, name=model.name + "-reversed", rhs=rhs, jacobian=jacobian,
+                   rhs_exprs=exprs, jac_exprs=jac_exprs)

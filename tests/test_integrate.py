@@ -7,7 +7,8 @@ import pytest
 
 from flowcurv import IntegrationError, get_model, integrate, load_model, registry
 from flowcurv.integrate import _bisect_event, _dp_step, _error_norm
-from flowcurv.verify import _reversed
+
+from conftest import reversed_model
 
 ROTATION = {"name": "rotation", "dim": 2, "params": {}, "rhs": ["-x2", "x1"]}
 
@@ -148,7 +149,7 @@ def _bits(values):
 
 @pytest.mark.parametrize("name", registry() + ["chua3-pwl-reversed"])
 def test_float_step_bit_identical_to_numpy_step(name):
-    model = (_reversed(get_model("chua3-pwl")) if name == "chua3-pwl-reversed"
+    model = (reversed_model(get_model("chua3-pwl")) if name == "chua3-pwl-reversed"
              else get_model(name))
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -168,7 +169,7 @@ def test_float_step_bit_identical_to_numpy_step(name):
 def test_reversed_model_negates_rhs_jacobian_and_stack(name):
     from flowcurv import ModelDef, derivative_stack
     model = get_model(name)
-    rev = _reversed(model)
+    rev = reversed_model(model)
     assert isinstance(rev, ModelDef) and rev.name == name + "-reversed"
     rng = np.random.default_rng(2)
     for _ in range(20):

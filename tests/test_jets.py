@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from flowcurv import derivative_stack, get_model, integrate, load_model, phi, verify
+from flowcurv import derivative_stack, get_model, integrate, load_model, phi
 from flowcurv.jets import MAX_ORDER
+
+from conftest import reversed_model
 
 ROTATION = {"name": "rotation", "dim": 2, "params": {}, "rhs": ["-x2", "x1"]}
 
@@ -44,7 +46,7 @@ def test_stack_order0_matches_velocity(models_by_name):
     # d_1 is the rhs itself, bit for bit and zero signs included, on every
     # model, batched and single-point (acceptance criterion 10 rests on it)
     rng = np.random.default_rng(5)
-    for model in [*models_by_name.values(), verify._reversed(models_by_name["chua3-pwl"])]:
+    for model in [*models_by_name.values(), reversed_model(models_by_name["chua3-pwl"])]:
         x = rng.uniform(-2.5, 2.5, (model.dim, 50))
         x[rng.random(x.shape) < 0.2] = -0.0
         for got, want in [(derivative_stack(model, x, 1).derivs[0], model.velocity(x))] + [

@@ -1,5 +1,7 @@
 """phi, its Lie derivative, Darboux residuals, zero sets, slow/fast checks."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,57 @@ def test_zero_crossings_on_trajectory(chua3):
         assert abs(abs(p[0]) - 1.0) <= 1e-9  # crossing localized to the boundary
         offset = OFFSET3_POS if r == "pos" else -OFFSET3_POS
         assert abs(PLANE3 @ p + offset) <= 1e-2
+
+
+def _old_zero_crossings(model, traj, time_tol=1e-10):
+    """Test-only copy of the time bisection that located trajectory zero
+    crossings before they were found inside the trajectory's own DP step:
+    every bisection step re-integrates from the bracket's lower state."""
+    values = phi(model, traj.states.T)
+    points, regions, straddle = [], [], []
+    for k in range(len(traj.times) - 1):
+        f0, f1 = values[k], values[k + 1]
+        if not (np.isfinite(f0) and np.isfinite(f1)) or np.sign(f0) * np.sign(f1) >= 0:
+            continue
+        straddle.append(model.classify(traj.states[k]) != model.classify(traj.states[k + 1]))
+        t_lo, t_hi, x_lo = traj.times[k], traj.times[k + 1], traj.states[k]
+        while t_hi - t_lo > time_tol:
+            t_mid = 0.5 * (t_lo + t_hi)
+            sub = integrate(model, x_lo, t_mid - t_lo, rel_tol=1e-12, abs_tol=1e-14)
+            x_mid = sub.states[-1]
+            f_mid = float(phi(model, x_mid))
+            if np.sign(f_mid) == np.sign(f0) and f_mid != 0.0:
+                t_lo, x_lo = t_mid, x_mid
+            else:
+                t_hi = t_mid
+        points.append(x_lo)
+        if model.regions is not None:
+            regions.append(model.classify(x_lo))
+    return np.array(points), tuple(regions), tuple(straddle)
+
+
+def test_zero_crossings_match_reintegrating_bisection(chua3, monkeypatch):
+    traj = integrate(chua3, [0.1, 0.1, 0.1], 250.0, rel_tol=1e-10, abs_tol=1e-12)
+    old_points, old_regions, old_straddle = _old_zero_crossings(chua3, traj)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("zero crossings must not re-integrate")
+
+    monkeypatch.setattr(importlib.import_module("flowcurv.integrate"), "integrate", forbidden)
+    with pytest.warns(UserWarning, match="straddles"):
+        zs = zero_crossings_on_trajectory(chua3, traj)
+    assert len(zs) == len(old_points) == 24
+    assert zs.regions == old_regions
+    assert zs.metadata["straddle"] == old_straddle
+    assert np.max(np.abs(zs.points - old_points)) <= 1e-9
+    # one 2^-K h <= 1e-12 cell before the boundary, where bisection in time
+    # to 1e-10 stopped up to ~2e-10 away
+    assert np.max(np.abs(np.abs(zs.points[:, 0]) - 1.0)) <= 1e-11
+    np.testing.assert_array_equal(zs.phi_values, [phi(chua3, p) for p in zs.points])
+    # each point is on the pre-crossing side of its bracket
+    values = phi(chua3, traj.states.T)
+    pre = np.sign(values[np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)])
+    np.testing.assert_array_equal(np.sign(zs.phi_values), pre)
 
 
 def test_zero_crossings_fixed_point_degenerate(chua3):

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowcurv import expr as ex
 from flowcurv import (FixedPoint, ModelError, cubic_k, fixed_points, get_model, lie_phi,
                       load_model, phi, pwl_k, registry)
 from flowcurv.models import (_BUILTIN_BUILDERS, _SNAP_CANDIDATES, _newton_polish, _snap,
-                             magneto_equilibrium, solve_columns)
+                             magneto_equilibrium, point_regions, region_box, solve_columns)
+
+from conftest import reversed_model
 
 REGISTRY_NAMES = ["chua3-pwl", "chua4-cubic", "chua4-pwl", "chua5-cubic",
                   "chua5-pwl", "gear5", "magnetoconvection5"]
@@ -366,6 +369,56 @@ def test_jacobian_matches_finite_differences(models_by_name):
             checked += 1
 
 
+def _old_region_box(model, region, center=None, halfwidth=2.0):
+    """region_box as it was when only a bare coordinate x_i was clamped."""
+    center = np.zeros(model.dim) if center is None else np.asarray(center, dtype=float)
+    lo, hi = center - halfwidth, center + halfwidth
+    if model.pwl_args and isinstance(model.pwl_args[0], ex.Var):
+        i = model.pwl_args[0].index
+        outer = max(2.5, abs(center[i]) + 1.0)
+        if region == "pos":
+            lo[i], hi[i] = 1.05, outer
+        elif region == "neg":
+            lo[i], hi[i] = -outer, -1.05
+        else:
+            lo[i], hi[i] = -0.95, 0.95
+    return lo, hi
+
+
+def test_region_box_of_bare_coordinate_unchanged(models_by_name):
+    rng = np.random.default_rng(4)
+    fps = {model.name: [fp.location for fp in fixed_points(model)]
+           for model in models_by_name.values()}
+    for model in [*models_by_name.values(), *map(load_model, EXTRA_CONFIGS)]:
+        centers = [None, *fps.get(model.name, ()), *rng.uniform(-4, 4, (5, model.dim))]
+        for region in ("pos", "neg", "mid", None):
+            for center in centers:
+                for got, want in zip(region_box(model, region, center),
+                                     _old_region_box(model, region, center)):
+                    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("arg", ["0.25*x1", "0.5 - 0.25*x2", "x3*(-3) + 2"])
+def test_region_box_clamps_one_coordinate_affine_argument(arg):
+    model = load_model({"name": "affine", "dim": 3, "params": {"a": -1.1, "b": -0.7},
+                        "rhs": [f"pwl({arg}; a, b) - x1", "x1 - x2", "-x3"]})
+    rng = np.random.default_rng(5)
+    for region in ("pos", "neg", "mid"):
+        for center in (None, rng.uniform(-3, 3, 3)):
+            lo, hi = region_box(model, region, center)
+            assert np.all(lo < hi)
+            x = rng.uniform(lo, hi, (200, 3)).T
+            assert set(point_regions(model, x)) == {region}
+
+
+def test_region_box_leaves_nonaffine_argument_unclamped():
+    model = load_model({"name": "square", "dim": 3, "params": {"a": -1.1, "b": -0.7},
+                        "rhs": ["pwl(0.1*x1^2; a, b) - x1", "x1 - x2", "-x3"]})
+    for region in ("pos", "neg", "mid"):
+        lo, hi = region_box(model, region)
+        assert lo.tolist() == [-2.0] * 3 and hi.tolist() == [2.0] * 3
+
+
 def test_pwl_jacobian_constant_within_region(chua3, chua5):
     for model in (chua3, chua5):
         rng = np.random.default_rng(9)
@@ -521,12 +574,11 @@ EXTRA_CONFIGS = [
 
 
 def _compiled_rhs_models():
-    from flowcurv.verify import _reversed
     built = [get_model(name) for name in REGISTRY_NAMES]
     json_copies = [load_model(json.dumps(dict(_BUILTIN_BUILDERS[name]({}), name=name + "-json")))
                    for name in REGISTRY_NAMES]
     extra = [load_model(config) for config in EXTRA_CONFIGS]
-    return built + json_copies + extra + [_reversed(m) for m in built + extra]
+    return built + json_copies + extra + [reversed_model(m) for m in built + extra]
 
 
 COMPILED_RHS_MODELS = _compiled_rhs_models()

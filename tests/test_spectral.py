@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from flowcurv import (SpectralError, coplanarity_equivalence,
+from flowcurv import (FixedPoint, SpectralError, coplanarity_equivalence,
                       darboux_check_plane, fixed_points, get_model,
                       hypercoplanarity_check, load_model, spectrum_at,
                       tls_hyperplane)
+from flowcurv.spectral import Hyperplane
 
 from conftest import in_region_points
 
@@ -157,6 +158,22 @@ def test_darboux_check_plane_detects_perturbation(chua3):
     bad = dataclasses.replace(plane, offset=plane.offset + 0.1)
     summary = darboux_check_plane(chua3, bad, samples=100, seed=1)
     assert summary["max"] > 1e-3  # residual O(lambda * 0.1 / scale): non-invariant
+
+
+def test_darboux_check_plane_without_region_draws():
+    # the pos branch of pwl(0.1 x1^2) is |x1| > sqrt(10); region_box cannot
+    # clamp that argument, so no draw of the box around the origin is in it
+    model = load_model({"name": "square", "dim": 3,
+                        "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
+                        "rhs": ["alpha*(x2 - x1 - pwl(0.1*x1^2; a, b))", "x1 - x2 + x3",
+                                "-beta*x2"]})
+    plane = Hyperplane(normal=np.array([1.0, 0.0, 0.0]), offset=0.0,
+                       base_point=FixedPoint(np.zeros(3), region="pos", virtual=True),
+                       eigenvalue=-1.0, fast_eigenvalue=-1.0)
+    with pytest.warns(UserWarning, match="1000 region-straddling samples excluded"):
+        summary = darboux_check_plane(model, plane, samples=20)
+    assert summary["count"] == 0 and summary["excluded"] == 1000
+    assert np.isnan(summary["max"]) and np.isnan(summary["mean"])
 
 
 def test_plane_residual_zero_at_fixed_point(chua3):

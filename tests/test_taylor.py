@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from flowcurv import (derivative_stack, expr as ex, fixed_points, get_model, load_model,
-                      registry, verify)
+                      registry)
 from flowcurv.jets import MAX_ORDER
+
+from conftest import reversed_model
 
 TWO_PWL = {
     "name": "two-pwl", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
@@ -44,7 +46,7 @@ ZERO_SIGNS = {
 
 def _oracle_models():
     models = [get_model(name) for name in registry()]
-    models.append(verify._reversed(get_model("chua3-pwl")))
+    models.append(reversed_model(get_model("chua3-pwl")))
     models += [load_model(TWO_PWL), load_model(POWERS), load_model(ZERO_SIGNS)]
     return models
 

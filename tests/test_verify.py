@@ -1,17 +1,22 @@
 """verify's batched checks against per-point oracles; non-finite residuals; JSON."""
 
+import importlib
 import json
 import math
 import signal
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from flowcurv import geometry, get_model, load_model, manifold, models, spectral, verify
+from flowcurv import (geometry, get_model, integrate, load_model, manifold, models, spectral,
+                      verify)
 from flowcurv.cli import main
 from flowcurv.jets import derivative_stack
 from flowcurv.verify import CheckResult, verify_model
+
+from conftest import reversed_model
 
 # ---------------------------------------------------------------------------
 # Test-only copy of the per-point verify loops that the batched checks
@@ -393,6 +398,80 @@ def test_verify_two_pwl_config_returns(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 7 and "[FAIL]" not in out
+
+
+# The first pwl argument is 0.25 x1: region_box clamps x1 to |x1| > 4.2 for
+# the outer branches, and the TLS planes sit at virtual fixed points
+# x1 = +-0.48, where no plane point lies in the plane's own region.
+QUARTER = {"name": "quarter", "dim": 3,
+           "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
+           "rhs": ["alpha*(x2 - x1 - pwl(0.25*x1; a, b))", "x1 - x2 + x3", "-beta*x2"]}
+
+
+def test_affine_pwl_argument_samples_every_branch():
+    model = load_model(QUARTER)
+    x = verify._in_region_points(model, 500, np.random.default_rng(0))
+    assert Counter(models.point_regions(model, x)) == {"pos": 167, "neg": 167, "mid": 166}
+
+
+def test_plane_checks_without_plane_samples_fail(tmp_path, capsys):
+    path = tmp_path / "quarter.json"
+    path.write_text(json.dumps(QUARTER))
+    assert main(["verify", "--model", str(path)]) == 2
+    out = capsys.readouterr().out
+    for side in "+-":
+        for name in (f"phi factors through plane ({side})",
+                     f"coplanarity = orthogonality on plane ({side})"):
+            assert (f"[FAIL] {name}: residual nan vs 1.0e-06  (no plane sample in region)"
+                    in out)
+    assert out.count("[FAIL]") == 4
+
+
+# ---------------------------------------------------------------------------
+# lie_fd_residuals against the re-integrating oracle it replaced
+# ---------------------------------------------------------------------------
+
+def _old_lie_fd_residuals(model, count=20):
+    """Test-only copy of lie_fd_residuals as it was when the t +- dt states
+    came from integrating forward and with the reversed field."""
+    dt = verify._FD_TIME_STEP
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.5, 0.5, model.dim)
+    horizon, t_min = (0.008, 0.001) if model.name == "gear5" else (2.0, 0.0)
+    traj = integrate(model, x, horizon, rel_tol=1e-12, abs_tol=1e-14)
+    backward = reversed_model(model)
+    first = int(np.searchsorted(traj.times, t_min))
+    errors = []
+    for k in rng.integers(max(1, first), len(traj.times) - 1, size=count * 4):
+        x0 = traj.states[k]
+        plus = integrate(model, x0, dt, rel_tol=1e-13, abs_tol=1e-16).states[-1]
+        minus = integrate(backward, x0, dt, rel_tol=1e-13, abs_tol=1e-16).states[-1]
+        fd = (float(manifold.phi(model, plus)) - float(manifold.phi(model, minus))) / (2 * dt)
+        lie = float(manifold.lie_phi(model, x0))
+        if lie == 0.0:
+            continue
+        errors.append(abs(fd - lie) / abs(lie))
+        if len(errors) >= count:
+            break
+    return errors
+
+
+@pytest.mark.parametrize("name", ["chua4-cubic", "magnetoconvection5", "gear5"])
+def test_lie_fd_residuals_equal_reintegrating_oracle(name, monkeypatch):
+    model = get_model(name)
+    want = _old_lie_fd_residuals(model)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "integrate", counted)
+    monkeypatch.setattr(importlib.import_module("flowcurv.integrate"), "integrate", counted)
+    got = verify.lie_fd_residuals(model)
+    assert len(calls) == 1  # the base trajectory only
+    assert len(got) == 20
+    assert [e.hex() for e in got] == [e.hex() for e in want]
 
 
 # ---------------------------------------------------------------------------
