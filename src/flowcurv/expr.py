@@ -10,19 +10,21 @@ Every node evaluates on floats and 1-D numpy batches (`eval`), gives its
 Taylor coefficient of order j along a trajectory from its children's
 coefficients 0..j (`taylor`, memoized per expansion by `TaylorMemo`),
 writes the Python statements of its own scalar evaluation (`emit`, collected
-by `compile_scalar` into one straight-line function), and `diff` returns the
+by `compile_scalar` into one straight-line function and by `compile_step`
+into one Dormand-Prince step), and `diff` returns the
 exact partial derivative as a new tree (the derivative of a pwl term is its
 branch slope, constant within a region).
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 
 __all__ = [
-    "ExprError", "parse_expression", "Node", "TaylorMemo", "compile_scalar",
+    "ExprError", "parse_expression", "Node", "TaylorMemo", "compile_scalar", "compile_step",
     "Const", "Var", "Add", "Sub", "Neg", "Mul", "Pow", "Pwl", "PwlSlope",
     "classify_pwl", "PWL_LABELS",
 ]
@@ -93,13 +95,18 @@ class _Emitter:
     and no parser limit applies however deep the tree.  Constants are bound
     by name from a tuple, never written as literals, so inf, nan and -0.0
     keep their values.  `value` emits a node once and returns its local.
+    State component i is assigned once, from `state_source(i)`, on its
+    first read; `prefix` names the locals, so several evaluations can share
+    one function body (and, through `constants`, one constant tuple).
     """
 
-    def __init__(self):
+    def __init__(self, constants=None, state_source="s[{}]".format, prefix="t"):
         self.lines = []
-        self.constants = []
+        self.constants = [] if constants is None else constants
         self._names = {}
         self._count = 0
+        self._state_source = state_source
+        self._prefix = prefix
 
     def value(self, node):
         name = self._names.get(id(node))
@@ -111,7 +118,7 @@ class _Emitter:
         # one load per state component, however many Var nodes read it
         name = self._names.get(("x", index))
         if name is None:
-            name = self._names[("x", index)] = self.assign(f"s[{index}]")
+            name = self._names[("x", index)] = self.assign(self._state_source(index))
         return name
 
     def constant(self, value):
@@ -120,12 +127,26 @@ class _Emitter:
 
     def local(self):
         self._count += 1
-        return f"t{self._count - 1}"
+        return f"{self._prefix}{self._count - 1}"
 
     def assign(self, source):
         name = self.local()
         self.lines.append(f"{name} = {source}")
         return name
+
+
+def _build(source, constants, filename, *extra):
+    """Compile `source`, lines defining `make(constants, *extra)`, and
+    return what its `make` returns."""
+    namespace = {}
+    exec(compile("\n".join(source), filename, "exec"), namespace)
+    return namespace["make"](tuple(constants), *extra)
+
+
+def _unpack_constants(constants):
+    if not constants:
+        return []
+    return [f"    {', '.join(f'c{i}' for i in range(len(constants)))}, = constants"]
 
 
 def compile_scalar(exprs):
@@ -138,15 +159,87 @@ def compile_scalar(exprs):
     """
     e = _Emitter()
     outputs = [e.value(node) for node in exprs]
-    source = ["def make(constants):"]
-    if e.constants:
-        source.append(f"    {', '.join(f'c{i}' for i in range(len(e.constants)))}, = constants")
-    source.append("    def scalar(s):")
+    source = ["def make(constants):", *_unpack_constants(e.constants), "    def scalar(s):"]
     source += [f"        {line}" for line in e.lines]
     source += [f"        return [{', '.join(outputs)}]", "    return scalar"]
-    namespace = {}
-    exec(compile("\n".join(source), "<flowcurv compiled rhs>", "exec"), namespace)
-    return namespace["make"](tuple(e.constants))
+    return _build(source, e.constants, "<flowcurv compiled rhs>")
+
+
+# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first).
+# b5 equals the last row of A (b5_2 = b5_7 = 0); the error weights are
+# b5 - b4 (e_2 = 0).
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def compile_step(exprs):
+    """One Dormand-Prince 5(4) step of the field `exprs`, as straight-line Python.
+
+    Returns ``step(x, k1, h, rel_tol, abs_tol) -> (x_new, err_norm, k7,
+    stages)``: x and k1 = f(x) are lists of floats, x_new and k7 = f(x_new)
+    (the next step's k1) lists, `stages` the (k1, k3, k4, k5, k6, k7) of
+    the continuous extension, and err_norm the RMS over components of
+    err / (abs_tol + rel_tol * max(|x|, |x_new|)).  The stage inputs are
+    unrolled per component and the rhs is inlined once per stage (its
+    locals renamed per stage), evaluated as `compile_scalar` does.
+
+    Every sum runs in one fixed order, written out term by term:
+
+    - a stage input is x[c] + h * s, s summing a_ij * k_j[c] in j order
+      from 0.0 (so a lone -0.0 product becomes +0.0), zero tableau entries
+      included;
+    - x_new is x[c] + h * s and the error h * s, s summing b5_j * k_j[c]
+      (resp. e_j * k_j[c]) the same way with zero weights skipped;
+    - the norm is sqrt(acc / n), acc summing q * q in component order from
+      0.0, q = err[c] / (abs_tol + rel_tol * max(abs(x[c]), abs(x_new[c]))).
+
+    These are the operations of the same step written with float64 arrays
+    (`sum()` over the stage arrays, `np.mean` for the norm below 8
+    components), so results agree with it bit for bit, zero signs, infs and
+    NaNs included.
+    """
+    n = len(exprs)
+    constants = []
+    tableau = _Emitter(constants)
+    a = [[tableau.constant(v) for v in row] for row in _DP_A]
+    b = {j: a[-1][j] for j, v in enumerate(_DP_A[-1]) if v != 0.0}
+    err = {j: tableau.constant(v) for j, v in enumerate(_DP_E) if v != 0.0}
+
+    stages = [[f"k1_{c}" for c in range(n)]]   # component names of k1, k2, ...
+
+    def weighted(coefs, c):
+        # 0.0 + w_1 * k_1[c] + w_2 * k_2[c] + ..., left to right
+        return " + ".join(["0.0"] + [f"{w} * {stages[j][c]}" for j, w in coefs])
+
+    lines = [f"{', '.join(f'x{c}' for c in range(n))}, = x",
+             f"{', '.join(stages[0])}, = k1"]
+    for s, row in enumerate(a, start=2):
+        e = _Emitter(constants, lambda c, row=row: f"x{c} + h * ({weighted(enumerate(row), c)})",
+                     prefix=f"t{s}_")
+        outputs = [e.value(node) for node in exprs]
+        lines += e.lines
+        stages.append(outputs)
+    for c in range(n):
+        lines += [f"n{c} = x{c} + h * ({weighted(b.items(), c)})",
+                  f"e{c} = h * ({weighted(err.items(), c)})",
+                  f"q{c} = e{c} / (abs_tol + rel_tol * max(abs(x{c}), abs(n{c})))"]
+    listed = [f"[{', '.join(names)}]" for names in stages]
+    lines += [f"k7 = {listed[6]}",
+              f"acc = {' + '.join(['0.0'] + [f'q{c} * q{c}' for c in range(n)])}",
+              f"return ([{', '.join(f'n{c}' for c in range(n))}], sqrt(acc / {n}), k7, "
+              f"(k1, {', '.join(listed[2:6])}, k7))"]
+    source = ["def make(constants, sqrt):", *_unpack_constants(constants),
+              "    def step(x, k1, h, rel_tol, abs_tol):"]
+    source += [f"        {line}" for line in lines]
+    source += ["    return step"]
+    return _build(source, constants, "<flowcurv compiled step>", math.sqrt)
 
 
 def _cauchy(a, b, j):

@@ -15,23 +15,19 @@ steps at the cell's ends confirm it (`_locate_event`).  Where they do not,
 a secant between the true values moves the cell; the bisection itself
 remains the fallback, counted in `stats["event_fallbacks"]`.
 
-The step loop runs on plain Python floats: the state, the stages k1..k7,
-the new state and the error estimate are lists, and the field is evaluated
-as `model.rhs(state)` on such a list, which runs the model's compiled
-straight-line function.  Python floats use the same IEEE
-double operations as numpy float64, and every sum is taken in a fixed
-order, so trajectories are bit-identical to the same scheme written with
-float64 arrays (`sum()` over the stage arrays, `np.mean` for the norm):
-
-- a stage sum starts from 0.0 (so a lone -0.0 product becomes +0.0, as
-  in `sum()`) and adds a_ij * k_j[c] in j order, zero tableau entries
-  included; the b5 and error sums skip zero weights;
-- the new state is x[c] + h * s, the error h * s;
-- the error norm is sqrt(acc / n), acc summing q * q in component order
-  from 0.0, q = err / (abs_tol + rel_tol * max(|x|, |x_new|)).  numpy's
-  mean sums the same way below 8 components; from 8 on it sums pairwise,
-  so there the last bit of the norm (and hence the step sequence) may
-  differ from an array formulation.
+The step loop runs on plain Python floats: time, step size, state and
+stages are floats and lists of floats, and every step is one call of the
+model's generated Dormand-Prince step (`expr.compile_step`, compiled on the
+model's first integration and handed out by `ModelDef.dp_step`).  That
+function holds the fixed summation order of the stage sums, the new state,
+the error and its fused norm, so trajectories are bit-identical to the
+same scheme written with float64 arrays (`sum()` over the stage arrays,
+`np.mean` for the norm).  numpy's mean sums in order below 8 components;
+from 8 on it sums pairwise, so there the last bit of the norm (and hence
+the step sequence) may differ from an array formulation.  The event
+confirmation steps and the event cut take the same step and discard its
+norm and 7th stage, so `stats["rhs_evals"]` counts six rhs calls per DP
+step of every kind.
 
 Times and states are assembled into float64 arrays once, at the end.  Each
 `Trajectory` carries counters of the work done in `stats`.  Everything is
@@ -42,27 +38,15 @@ reproduce bit-identical trajectories.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expr as ex
+
 __all__ = ["Trajectory", "IntegrationError", "integrate", "take_step",
            "last_state_before_crossing"]
-
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first)
-_A = [
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
-    (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76) = _A
-# b5 equals the last row of A (b5_2 = b5_7 = 0); error weights b5 - b4 (e_2 = 0)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
 
 # Coefficients of the fourth-order continuous extension (Hairer, Norsett &
 # Wanner, Solving ODEs I, II.6; dopri5's contd5)
@@ -98,7 +82,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray            # (nsamples, n)
-    events: tuple = ()            # (time, boundary label) pairs
+    events: tuple = ()            # (time, boundary label) pairs; times are floats
     complete: bool = True
     diagnostic: str = ""
     model_name: str = field(default="", compare=False)
@@ -109,12 +93,14 @@ class Trajectory:
 
 
 def _event_functions(model):
-    """Signed distances to the pwl breakpoints: u(x) - 1 and u(x) + 1."""
+    """Signed distances to the pwl breakpoints: u(x) - 1 and u(x) + 1, each
+    pwl argument u compiled (`expr.compile_scalar`)."""
     funcs = []
     for k, arg in enumerate(model.pwl_args):
+        u = ex.compile_scalar([arg])
         for offset, label in ((-1.0, f"pwl{k}:+1"), (1.0, f"pwl{k}:-1")):
-            def g(x, arg=arg, offset=offset):
-                return float(arg.eval(x)) + offset
+            def g(x, u=u, offset=offset):
+                return u(x)[0] + offset
             funcs.append((g, label))
     return funcs
 
@@ -126,26 +112,30 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
     Returns accepted steps plus event points; the interpolant serves event
     location only, no dense output is returned.
     Raises IntegrationError (partial trajectory attached) on step-size
-    underflow or a non-finite state.
+    underflow, a non-finite state, or when `max_steps` step attempts (a
+    positive int) do not reach the end; ValueError on invalid arguments.
     """
     if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
         raise ValueError("tolerances must be finite and positive")
     if not (0 < t_end < math.inf and math.isfinite(t0)):
         raise ValueError("t_end must be finite and positive, t0 finite")
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 1:
+        raise ValueError(f"max_steps must be a positive int, got {max_steps!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.dim,):
         raise ValueError(f"x0 must have shape ({model.dim},)")
     if not np.isfinite(x0).all():
         raise ValueError("non-finite initial state")
     x = x0.tolist()
+    rel_tol, abs_tol = float(rel_tol), float(abs_tol)
 
     stats = {"rhs_evals": 0, "dp_steps": 0, "accepted_steps": 0, "rejected_steps": 0,
              "event_bisection_steps": 0, "event_fallbacks": 0, "events": 0}
-    f = model.rhs
+    f, step = model.rhs, model.dp_step()
 
     events = _event_functions(model)
     t = float(t0)
-    t_final = t0 + t_end
+    t_final = t + float(t_end)
     times = [t]
     states = [x]
     recorded_events = []
@@ -174,7 +164,7 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
 
     k1 = f(x)
     h = _initial_step(f, x, k1, rel_tol, abs_tol)
-    h_min_factor = 16 * np.finfo(float).eps
+    h_min_factor = 16 * sys.float_info.epsilon
 
     steps = 0
     while t < t_final:
@@ -187,12 +177,11 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
                  f"tolerance budget)")
 
         stats["dp_steps"] += 1
-        x_new, err, k_last, stages = _dp_step(f, x, k1, h)
+        x_new, err_norm, k_last, stages = step(x, k1, h, rel_tol, abs_tol)
         if not all(map(math.isfinite, x_new)):
             stats["rejected_steps"] += 1
             h *= 0.25
             continue
-        err_norm = _error_norm(x, x_new, err, rel_tol, abs_tol)
 
         if err_norm > 1.0:  # reject
             stats["rejected_steps"] += 1
@@ -208,7 +197,7 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
                 if dense is None:
                     dense = _dense_output(x, x_new, h, stages)
                 theta, true_steps, fell_back = _locate_event(
-                    f, x, k1, h, g, event_signs[idx], dense, x_new)
+                    step, x, k1, h, g, event_signs[idx], dense, x_new)
                 stats["dp_steps"] += true_steps
                 stats["event_bisection_steps"] += true_steps
                 stats["event_fallbacks"] += fell_back
@@ -221,7 +210,7 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
             _, label = events[hit_index]
             h_ev = theta_hit * h
             stats["dp_steps"] += 1
-            x = _dp_step(f, x, k1, h_ev)[0]
+            x = _state_after(step, x, k1, h_ev)
             t = t + h_ev
             times.append(t)
             states.append(x)
@@ -251,40 +240,9 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
                       model_name=model.name, stats=stats)
 
 
-def _dp_step(f, x, k1, h):
-    """One Dormand-Prince step of size h from x (k1 = f(x) supplied, FSAL).
-
-    Returns (x_new, err, k7, stages) with lists of floats, `stages` the
-    (k1, k3, k4, k5, k6, k7) that `_dense_output` needs.  The stage sums are
-    written out term by term; Python evaluates them left to right, which is
-    the summation order the module docstring fixes.
-    """
-    k2 = f([xc + h * (0.0 + _A21 * p1) for xc, p1 in zip(x, k1)])
-    k3 = f([xc + h * (0.0 + _A31 * p1 + _A32 * p2)
-            for xc, p1, p2 in zip(x, k1, k2)])
-    k4 = f([xc + h * (0.0 + _A41 * p1 + _A42 * p2 + _A43 * p3)
-            for xc, p1, p2, p3 in zip(x, k1, k2, k3)])
-    k5 = f([xc + h * (0.0 + _A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
-            for xc, p1, p2, p3, p4 in zip(x, k1, k2, k3, k4)])
-    k6 = f([xc + h * (0.0 + _A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
-            for xc, p1, p2, p3, p4, p5 in zip(x, k1, k2, k3, k4, k5)])
-    k7 = f([xc + h * (0.0 + _A71 * p1 + _A72 * p2 + _A73 * p3 + _A74 * p4 + _A75 * p5
-                      + _A76 * p6)
-            for xc, p1, p2, p3, p4, p5, p6 in zip(x, k1, k2, k3, k4, k5, k6)])
-    x_new = [xc + h * (0.0 + _A71 * p1 + _A73 * p3 + _A74 * p4 + _A75 * p5 + _A76 * p6)
-             for xc, p1, p3, p4, p5, p6 in zip(x, k1, k3, k4, k5, k6)]
-    err = [h * (0.0 + _E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
-           for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
-    return x_new, err, k7, (k1, k3, k4, k5, k6, k7)
-
-
-def _error_norm(x, x_new, err, rel_tol, abs_tol):
-    """RMS of err / (abs_tol + rel_tol * max(|x|, |x_new|)), summed in order."""
-    acc = 0.0
-    for xc, nc, ec in zip(x, x_new, err):
-        q = ec / (abs_tol + rel_tol * max(abs(xc), abs(nc)))
-        acc += q * q
-    return math.sqrt(acc / len(err))
+def _state_after(step, x, k1, h):
+    """The new state of one DP step of size h from x (its error norm unused)."""
+    return step(x, k1, h, 1.0, 1.0)[0]
 
 
 def _dense_output(x, x_new, h, stages):
@@ -338,7 +296,7 @@ def _interpolant_root(g, dense, x_new, sign_before, width):
     return c
 
 
-def _locate_event(f, x, k1, h, g, sign_before, dense, x_new):
+def _locate_event(step, x, k1, h, g, sign_before, dense, x_new):
     """`_bisect_event`'s theta, found from the step's interpolant.
 
     The bisection runs to depth K, the least with 2^-K h <= 1e-12, over the
@@ -361,7 +319,7 @@ def _locate_event(f, x, k1, h, g, sign_before, dense, x_new):
 
     def value(i):
         if i not in values:
-            values[i] = g(_dp_step(f, x, k1, math.ldexp(i, -depth) * h)[0])
+            values[i] = g(_state_after(step, x, k1, math.ldexp(i, -depth) * h))
         return values[i]
 
     def side(i):
@@ -386,11 +344,11 @@ def _locate_event(f, x, k1, h, g, sign_before, dense, x_new):
         theta = (hi - values[hi] / (values[hi] - values[hi - 1])) / cells
         if not math.isfinite(theta):
             break
-    theta, bisections = _bisect_event(f, x, k1, h, g, sign_before)
+    theta, bisections = _bisect_event(step, x, k1, h, g, sign_before)
     return theta, len(values) + bisections, True
 
 
-def _bisect_event(f, x, k1, h, g, sign_before):
+def _bisect_event(step, x, k1, h, g, sign_before):
     """Fraction theta of the step at which g crosses zero, to 1e-12 in time.
 
     The reference `_locate_event` reproduces, and its fallback.  Returns
@@ -401,8 +359,7 @@ def _bisect_event(f, x, k1, h, g, sign_before):
     while (hi - lo) * h > _EVENT_TIME_TOL:
         mid = 0.5 * (lo + hi)
         bisections += 1
-        x_mid = _dp_step(f, x, k1, mid * h)[0]
-        val = g(x_mid)
+        val = g(_state_after(step, x, k1, mid * h))
         if val == 0.0:
             return mid, bisections
         if (1 if val > 0 else -1) == sign_before:
@@ -415,9 +372,10 @@ def _bisect_event(f, x, k1, h, g, sign_before):
 def take_step(model, x, h, rel_tol, abs_tol):
     """One true DP step of size h (h < 0 steps back) from x, k1 = f(x): the
     new state and the step's error norm (`integrate` accepts it at <= 1)."""
-    f, x = model.rhs, np.asarray(x, dtype=float).tolist()
-    x_new, err, _, _ = _dp_step(f, x, f(x), h)
-    return np.array(x_new), _error_norm(x, x_new, err, rel_tol, abs_tol)
+    x = np.asarray(x, dtype=float).tolist()
+    x_new, err_norm, _, _ = model.dp_step()(x, model.rhs(x), float(h),
+                                            float(rel_tol), float(abs_tol))
+    return np.array(x_new), err_norm
 
 
 def last_state_before_crossing(model, x, x_new, h, g):
@@ -425,17 +383,17 @@ def last_state_before_crossing(model, x, x_new, h, g):
     the step is re-taken from x and the sign change located like a PWL event
     (`_locate_event`, to a cell 2^-K h <= 1e-12).  Returns the true DP step
     to one cell before it (x itself at 0) and the number of DP steps taken."""
-    f = model.rhs
+    step, h = model.dp_step(), float(h)
     x, x_new = (np.asarray(s, dtype=float).tolist() for s in (x, x_new))
-    k1 = f(x)
-    dense = _dense_output(x, x_new, h, _dp_step(f, x, k1, h)[3])
-    theta, steps, _ = _locate_event(f, x, k1, h, g, 1 if g(x) > 0 else -1, dense, x_new)
+    k1 = model.rhs(x)
+    dense = _dense_output(x, x_new, h, step(x, k1, h, 1.0, 1.0)[3])
+    theta, steps, _ = _locate_event(step, x, k1, h, g, 1 if g(x) > 0 else -1, dense, x_new)
     cell = 1.0
     while cell * h > _EVENT_TIME_TOL:
         cell *= 0.5
     if theta <= cell:
         return np.array(x), 1 + steps
-    return np.array(_dp_step(f, x, k1, (theta - cell) * h)[0]), 2 + steps
+    return np.array(_state_after(step, x, k1, (theta - cell) * h)), 2 + steps
 
 
 def _initial_step(f, x, k1, rel_tol, abs_tol):
@@ -453,4 +411,4 @@ def _initial_step(f, x, k1, rel_tol, abs_tol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1)
+    return float(min(100 * h0, h1))

@@ -11,6 +11,7 @@ coefficients and the Jacobian all share one definition.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -80,6 +81,7 @@ class ModelDef:
     params: dict
     rhs: object            # callable(state, region=None) -> list of components
     jacobian: object       # callable(state, region=None) -> (n, n) ndarray
+    dp_step: object = None  # callable() -> the `expr.compile_step` step, compiled on first call
     regions: object = None  # callable(state) -> branch label, or None
     rhs_exprs: tuple = ()
     jac_exprs: tuple = ()
@@ -103,6 +105,11 @@ class ModelDef:
 def _build_evaluators(dim, exprs):
     scalar = ex.compile_scalar(exprs)
 
+    @functools.cache
+    def dp_step():
+        # compiled on a model's first integration, then reused
+        return ex.compile_step(exprs)
+
     def rhs(state, region=None):
         # one state as a list of floats (the integrator's path) runs the
         # compiled function; batches and pinned regions walk the trees
@@ -121,7 +128,7 @@ def _build_evaluators(dim, exprs):
             rows = [[np.broadcast_to(e, batch) for e in row] for row in rows]
         return np.array(rows, dtype=float)
 
-    return rhs, jacobian, jac_exprs
+    return rhs, jacobian, jac_exprs, dp_step
 
 
 def _build_regions(pwl_nodes):
@@ -189,7 +196,7 @@ def _model_from_config(config, extras=None):
 
     pwl_nodes = [p for e in exprs for p in e.pwl_nodes()]
     pwl_nodes.sort(key=lambda p: p.node_id)
-    rhs, jacobian, jac_exprs = _build_evaluators(dim, exprs)
+    rhs, jacobian, jac_exprs, dp_step = _build_evaluators(dim, exprs)
 
     guesses = tuple(np.asarray(g, dtype=float) for g in config.get("fixed_point_guesses", ()))
     for g in guesses:
@@ -199,7 +206,7 @@ def _model_from_config(config, extras=None):
     extras = extras or {}
     return ModelDef(
         name=name, dim=dim, params=params,
-        rhs=rhs, jacobian=jacobian, regions=_build_regions(pwl_nodes),
+        rhs=rhs, jacobian=jacobian, dp_step=dp_step, regions=_build_regions(pwl_nodes),
         rhs_exprs=exprs, jac_exprs=jac_exprs,
         pwl_args=tuple(node.arg for node in pwl_nodes),
         fixed_point_guesses=guesses,

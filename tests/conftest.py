@@ -48,6 +48,6 @@ def in_region_points(model, region, count, seed=0, halfwidth=2.0):
 def reversed_model(model):
     """The model with its vector field negated (backward flow as a model)."""
     exprs = tuple(expr.Neg(e) for e in model.rhs_exprs)
-    rhs, jacobian, jac_exprs = models._build_evaluators(model.dim, exprs)
+    rhs, jacobian, jac_exprs, dp_step = models._build_evaluators(model.dim, exprs)
     return replace(model, name=model.name + "-reversed", rhs=rhs, jacobian=jacobian,
-                   rhs_exprs=exprs, jac_exprs=jac_exprs)
+                   dp_step=dp_step, rhs_exprs=exprs, jac_exprs=jac_exprs)

@@ -1,12 +1,15 @@
 """Adaptive integration and PWL event handling."""
 
+import gc
 import importlib
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from flowcurv import IntegrationError, get_model, integrate, load_model, registry
-from flowcurv.integrate import _bisect_event, _dp_step, _error_norm
+from flowcurv import IntegrationError, expr, get_model, integrate, load_model, registry
+from flowcurv.integrate import _bisect_event, _event_functions, take_step
 
 from conftest import reversed_model
 
@@ -99,6 +102,13 @@ def test_input_validation(chua3):
         integrate(chua3, [np.inf, 0.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("max_steps", [0, -1, 2.5, True, False, None, np.int64(5)])
+def test_max_steps_must_be_positive_int(chua3, max_steps):
+    # these used to fail as "step budget -1 exhausted", after a step or none
+    with pytest.raises(ValueError, match="max_steps must be a positive int"):
+        integrate(chua3, [0.1, 0.1, 0.1], 1.0, max_steps=max_steps)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"t_end": np.nan}, {"t_end": np.inf},
     {"rel_tol": np.nan}, {"rel_tol": np.inf}, {"abs_tol": np.nan}, {"abs_tol": np.inf},
@@ -111,7 +121,7 @@ def test_non_finite_arguments_rejected(chua3, kwargs):
         integrate(chua3, [0.1, 0.0, 0.0], max_steps=200, **args)
 
 
-# -- float-list DP step against the former numpy formulation -----------------
+# -- the generated step against list-form and numpy oracles ---------------------
 
 _OLD_A = [
     [],
@@ -125,6 +135,57 @@ _OLD_A = [
 _OLD_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _OLD_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
                    -1 / 40])
+
+# the same tableau, as the list-form oracle writes it
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76) = _OLD_A[1:]
+_E1, _E3, _E4, _E5, _E6, _E7 = (float(e) for e in _OLD_E if e != 0.0)
+
+
+def _dp_step(f, x, k1, h):
+    """One DP step from x with k1 = f(x), on lists of floats: (x_new, err, k7,
+    (k1, k3, k4, k5, k6, k7)), each sum written out in the documented order."""
+    k2 = f([xc + h * (0.0 + _A21 * p1) for xc, p1 in zip(x, k1)])
+    k3 = f([xc + h * (0.0 + _A31 * p1 + _A32 * p2)
+            for xc, p1, p2 in zip(x, k1, k2)])
+    k4 = f([xc + h * (0.0 + _A41 * p1 + _A42 * p2 + _A43 * p3)
+            for xc, p1, p2, p3 in zip(x, k1, k2, k3)])
+    k5 = f([xc + h * (0.0 + _A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
+            for xc, p1, p2, p3, p4 in zip(x, k1, k2, k3, k4)])
+    k6 = f([xc + h * (0.0 + _A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+            for xc, p1, p2, p3, p4, p5 in zip(x, k1, k2, k3, k4, k5)])
+    k7 = f([xc + h * (0.0 + _A71 * p1 + _A72 * p2 + _A73 * p3 + _A74 * p4 + _A75 * p5
+                      + _A76 * p6)
+            for xc, p1, p2, p3, p4, p5, p6 in zip(x, k1, k2, k3, k4, k5, k6)])
+    x_new = [xc + h * (0.0 + _A71 * p1 + _A73 * p3 + _A74 * p4 + _A75 * p5 + _A76 * p6)
+             for xc, p1, p3, p4, p5, p6 in zip(x, k1, k3, k4, k5, k6)]
+    err = [h * (0.0 + _E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
+           for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
+    return x_new, err, k7, (k1, k3, k4, k5, k6, k7)
+
+
+def _error_norm(x, x_new, err, rel_tol, abs_tol):
+    """RMS of err / (abs_tol + rel_tol * max(|x|, |x_new|)), summed in order."""
+    acc = 0.0
+    for xc, nc, ec in zip(x, x_new, err):
+        q = ec / (abs_tol + rel_tol * max(abs(xc), abs(nc)))
+        acc += q * q
+    return math.sqrt(acc / len(err))
+
+
+def _tree_rhs(model):
+    """The field by walking the expression trees (no compiled code)."""
+    return lambda s, region=None: [float(e.eval(s, region)) for e in model.rhs_exprs]
+
+
+def _oracle_step(model):
+    """`step(x, k1, h, rel_tol, abs_tol)` from the list-form oracle on the tree walk."""
+    f = _tree_rhs(model)
+
+    def step(x, k1, h, rel_tol, abs_tol):
+        x_new, err, k7, stages = _dp_step(f, x, k1, h)
+        return x_new, _error_norm(x, x_new, err, rel_tol, abs_tol), k7, stages
+    return step
 
 
 def _old_dp_step(f, x, k1, h):
@@ -151,6 +212,7 @@ def _bits(values):
 def test_float_step_bit_identical_to_numpy_step(name):
     model = (reversed_model(get_model("chua3-pwl")) if name == "chua3-pwl-reversed"
              else get_model(name))
+    step = model.dp_step()
     rng = np.random.default_rng(7)
     for _ in range(200):
         x = rng.uniform(-2.5, 2.5, model.dim)
@@ -161,8 +223,144 @@ def test_float_step_bit_identical_to_numpy_step(name):
         for a, b in zip(new, old):
             np.testing.assert_array_equal(_bits(a), _bits(b))
         for rel_tol, abs_tol in ((1e-9, 1e-12), (1e-13, 1e-16)):
-            assert (_error_norm(x.tolist(), new[0], new[1], rel_tol, abs_tol)
-                    == _old_error_norm(x, old[0], old[1], rel_tol, abs_tol))
+            old_norm = _old_error_norm(x, old[0], old[1], rel_tol, abs_tol)
+            assert _error_norm(x.tolist(), new[0], new[1], rel_tol, abs_tol) == old_norm
+            x_new, norm, k7, _ = step(x.tolist(), k1.tolist(), h, rel_tol, abs_tol)
+            assert norm == old_norm
+            np.testing.assert_array_equal(_bits(x_new), _bits(old[0]))
+            np.testing.assert_array_equal(_bits(k7), _bits(old[2]))
+
+
+# configs beyond the built-ins: a constant component, a constant pwl argument,
+# two pwl terms, and an affine and a quadratic pwl argument
+STEP_CONFIGS = {
+    "constant-component": {"name": "cc", "dim": 3, "params": {},
+                           "rhs": ["-x2", "x1", "2.5"]},
+    "constant-pwl-arg": {"name": "cp", "dim": 2, "params": {},
+                         "rhs": ["pwl(2; 1, 2) - x1", "-x2 + pwl(0.5; 3, 4)"]},
+    "two-pwl": {"name": "two-pwl", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
+                "rhs": ["x2 - pwl(x1; a, b)", "x1*x3 - pwl(x2 + x3; b, a)^2",
+                        "-x1 + 0.5*x2*x2 - 2*x3"]},
+    "quarter": {"name": "quarter", "dim": 3,
+                "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
+                "rhs": ["alpha*(x2 - x1 - pwl(0.25*x1; a, b))", "x1 - x2 + x3", "-beta*x2"]},
+    "quadratic": {"name": "quadratic", "dim": 3,
+                  "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
+                  "rhs": ["alpha*(x2 - x1 - pwl(0.1*x1^2; a, b))", "x1 - x2 + x3",
+                          "-beta*x2"]},
+}
+STEP_MODELS = registry() + ["chua3-pwl-reversed"] + list(STEP_CONFIGS)
+
+
+def _step_model(name):
+    if name == "chua3-pwl-reversed":
+        return reversed_model(get_model("chua3-pwl"))
+    return load_model(STEP_CONFIGS[name]) if name in STEP_CONFIGS else get_model(name)
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+@pytest.mark.parametrize("name", STEP_MODELS)
+def test_generated_step_equals_list_oracle(name):
+    # x_new, the fused norm, k7 and the stages, bit for bit, over signed
+    # zeros, step sizes from 1e-12 to 1 in both directions, and states that
+    # overflow to inf and NaN
+    model = _step_model(name)
+    step, oracle = model.dp_step(), _oracle_step(model)
+    rng = np.random.default_rng(5)
+    n = model.dim
+    states = [[-0.0] * n, [0.0, -0.0] * n, [1e300, -1e300] * n, [1e154] * n]
+    states = [s[:n] for s in states] + [rng.uniform(-3, 3, n).tolist() for _ in range(40)]
+    for k, x in enumerate(states):
+        if k % 3 == 0:
+            x[k % n] = -0.0
+        k1 = model.rhs(x)
+        assert _hex(k1) == _hex(_tree_rhs(model)(x))
+        for h in (1e-12, -1e-12, 1e-6, -3e-3, 0.1, 1.0, -1.0, rng.uniform(-1, 1)):
+            for tols in ((1e-9, 1e-12), (1e-13, 1e-16)):
+                got, ref = step(x, k1, h, *tols), oracle(x, k1, h, *tols)
+                _assert_same_step(got, ref)
+    # a step that overflows: inf and NaN land in the same places
+    x = states[2]
+    got, ref = step(x, model.rhs(x), 1e10, 1e-9, 1e-12), oracle(x, model.rhs(x), 1e10, 1e-9, 1e-12)
+    _assert_same_step(got, ref)
+    assert not all(map(math.isfinite, got[0])) and math.isnan(got[1])
+
+
+def _assert_same_step(got, ref):
+    assert _hex(got[0]) == _hex(ref[0])
+    assert float.hex(got[1]) == float.hex(ref[1])
+    assert _hex(got[2]) == _hex(ref[2])
+    assert [_hex(s) for s in got[3]] == [_hex(s) for s in ref[3]]
+
+
+@pytest.mark.parametrize("name", ["two-pwl", "constant-pwl-arg", "quarter", "quadratic",
+                                  "chua5-pwl"])
+def test_compiled_event_values_equal_tree_walk(name):
+    model = _step_model(name)
+    events = _event_functions(model)
+    assert len(events) == 2 * len(model.pwl_args)
+    rng = np.random.default_rng(9)
+    n = model.dim
+    states = [[-0.0] * n, [1.0] * n, [-1.0] * n, [math.inf] * n, [math.nan] * n]
+    states += [rng.uniform(-3, 3, n).tolist() for _ in range(50)]
+    for x in states:
+        expected = [float(arg.eval(x)) + offset
+                    for arg in model.pwl_args for offset in (-1.0, 1.0)]
+        assert _hex([g(x) for g, _ in events]) == _hex(expected)
+
+
+def test_loop_runs_on_python_floats(chua3):
+    # every h the loop passes to the step (event location and cuts included),
+    # every state it stores and every event time is a Python float
+    step = chua3.dp_step()
+    seen = []
+
+    def spy(x, k1, h, rel_tol, abs_tol):
+        seen.append(h)
+        assert all(type(v) is float for v in x + k1)
+        out = step(x, k1, h, rel_tol, abs_tol)
+        assert all(type(v) is float for v in out[0] + out[2])
+        return out
+
+    traj = integrate(replace(chua3, dp_step=lambda: spy), [0.1, 0.1, 0.1], 50.0)
+    assert len(seen) == traj.stats["dp_steps"] and traj.events
+    assert all(type(h) is float for h in seen)
+    assert all(type(t) is float for t, _ in traj.events)
+
+
+def test_step_compiled_lazily_once_per_model(monkeypatch):
+    calls = []
+    compile_step = expr.compile_step
+    monkeypatch.setattr(expr, "compile_step",
+                        lambda exprs: calls.append(exprs) or compile_step(exprs))
+    model = load_model(STEP_CONFIGS["two-pwl"])
+    assert calls == []
+    first = integrate(model, [1.5, 0.5, 0.3], 1.4)
+    second = integrate(model, [1.5, 0.5, 0.3], 1.4)
+    take_step(model, [1.5, 0.5, 0.3], 1e-3, 1e-9, 1e-12)
+    assert calls == [model.rhs_exprs]
+    np.testing.assert_array_equal(first.states, second.states)
+
+
+def test_each_config_integrates_its_own_field():
+    # configs loaded one after another, each dropped before the next, share
+    # no step: every trajectory equals the tree-walk oracle's for its field
+    x0 = [0.3, -0.2, 0.1]
+    for alpha in (9.0, 15.6, 9.0, 12.0):
+        config = dict(STEP_CONFIGS["quarter"], params={**STEP_CONFIGS["quarter"]["params"],
+                                                       "alpha": alpha})
+        model = load_model(config)
+        got = integrate(model, x0, 5.0)
+        oracle = replace(model, rhs=_tree_rhs(model), dp_step=lambda m=model: _oracle_step(m))
+        ref = integrate(oracle, x0, 5.0)
+        np.testing.assert_array_equal(_bits(got.states), _bits(ref.states))
+        np.testing.assert_array_equal(_bits(got.times), _bits(ref.times))
+        assert got.events == ref.events and got.stats == ref.stats
+        del model, oracle, got, ref
+        gc.collect()
 
 
 @pytest.mark.parametrize("name", registry())
@@ -255,9 +453,9 @@ def test_located_events_equal_bisection(name, start, t_end, min_events, rel_tol,
     locate = integrate_module._locate_event
     located = []
 
-    def checked(f, x, k1, h, g, sign_before, dense, x_new):
-        theta, steps, fell_back = locate(f, x, k1, h, g, sign_before, dense, x_new)
-        located.append((theta, _bisect_event(f, x, k1, h, g, sign_before)[0], fell_back))
+    def checked(step, x, k1, h, g, sign_before, dense, x_new):
+        theta, steps, fell_back = locate(step, x, k1, h, g, sign_before, dense, x_new)
+        located.append((theta, _bisect_event(step, x, k1, h, g, sign_before)[0], fell_back))
         return theta, steps, fell_back
 
     monkeypatch.setattr(integrate_module, "_locate_event", checked)
