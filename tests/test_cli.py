@@ -540,3 +540,78 @@ def test_write_table_matches_row_writer(fmt_name, tmp_path):
     assert out.read_bytes() == expected.read_bytes()
     with pytest.raises(ValueError, match="8999 labels for 9000 rows"):
         write_table(out, header, values, fmt_name, labels=labels[1:])
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+def test_write_table_repeated_values_match_row_writer(fmt_name, tmp_path):
+    # columns with few distinct values per 4,096-row block, where each distinct
+    # bit pattern is formatted once and its text reused
+    n = 2 * 4096 + 300
+    rng = np.random.default_rng(7)
+    grid = np.linspace(-4.0, 4.0, 30)
+    odd = [np.nan, -np.nan, _nan(0x7FF8000000000123), _nan(0xFFF0000000000001), np.inf,
+           -np.inf, 5e-324, -5e-324, 2.2250738585072e-310, -0.0, 0.0]
+    mixed = rng.standard_normal(n)   # all distinct in the first block, 3 values after
+    mixed[4096:] = rng.choice([1.5, -0.0, 0.1], n - 4096)
+    table = np.column_stack([
+        np.full(n, 2.5),                                  # constant
+        np.repeat(grid, 300)[:n],                         # x1-like: runs of 300 rows
+        np.tile(np.linspace(-1.0, 1.0, 300), 29)[:n],     # x2-like: one cycle per 300 rows
+        np.where(np.arange(n) % 3 == 0, -0.0, 0.0),       # both zeros in every block
+        np.array(odd)[rng.integers(0, len(odd), n)],      # NaN payloads, signs, inf, subnormals
+        mixed,
+        rng.standard_normal(n),                           # all distinct
+    ])
+    assert table[4095, 1] == table[4096, 1] and table[4095, 2] != table[4096, 2]
+    assert len(np.unique(table[:4096, 5])) == 4096 > len(np.unique(table[4096:, 5]))
+    header = [f"c{k}" for k in range(table.shape[1])] + ["region"]
+    labels = ["pos" if k % 7 else "neg/mid" for k in range(n)]
+    out, expected = tmp_path / f"new.{fmt_name}", tmp_path / f"old.{fmt_name}"
+    write_table(out, header, table, fmt_name, labels=labels)
+    _row_writer(expected, header, [list(row) + [lab] for row, lab in zip(table, labels)],
+                fmt_name)
+    assert out.read_bytes() == expected.read_bytes()
+    if fmt_name == "csv":
+        signed = {line.split(",")[3] for line in out.read_text().splitlines()[1:]}
+        assert signed == {"-0.0", "0.0"}
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("header, values, labels, message", [
+    (["a", "b"], [[1.0, 2.0, 3.0]], None, "2 header names for 3 columns"),
+    (["a", "b", "c"], [[1.0, 2.0, 3.0]], ["pos"], "3 header names for 4 columns"),
+    (["a", "b", "c", "d", "region"], [[1.0, 2.0, 3.0]], ["pos"], "5 header names for 4 columns"),
+    (["a", "b"], [1.0, 2.0], None, r"\(rows, columns\) table, got shape \(2,\)"),
+    (["a"], 1.0, None, r"got shape \(\)"),
+], ids=["short-header", "label-column-unnamed", "long-header", "1-d", "scalar"])
+def test_write_table_rejects_inconsistent_tables(header, values, labels, message, fmt_name,
+                                                 tmp_path):
+    with pytest.raises(ValueError, match=message):
+        write_table(tmp_path / "t.out", header, values, fmt_name, labels=labels)
+    assert list(tmp_path.iterdir()) == []  # checked before the temp file is made
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "pos"', "pos\r", "pos\nneg"])
+def test_write_table_rejects_csv_fields_that_would_shift_columns(field, tmp_path):
+    values = np.array([[1.0], [2.0]])
+    with pytest.raises(ValueError, match="contains a comma, quote or line break"):
+        write_table(tmp_path / "t.csv", ["x", "region"], values, labels=["pos", field])
+    with pytest.raises(ValueError, match="contains a comma, quote or line break"):
+        write_table(tmp_path / "t.csv", ["x", field], values, labels=["pos", "neg"])
+    assert list(tmp_path.iterdir()) == []
+    # JSON quotes its strings, so the same label is written faithfully
+    write_table(tmp_path / "t.json", ["x", "region"], values, "json", labels=["pos", field])
+    assert json.loads((tmp_path / "t.json").read_text())["rows"] == [[1.0, "pos"], [2.0, field]]
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+def test_write_table_takes_a_numpy_label_array(fmt_name, tmp_path):
+    values, labels = np.array([[0.5, -1.0], [2.0, 0.0]]), ["mid", "pos/neg"]
+    header = ["a", "b", "region"]
+    write_table(tmp_path / "list.out", header, values, fmt_name, labels=labels)
+    write_table(tmp_path / "array.out", header, values, fmt_name, labels=np.array(labels))
+    assert (tmp_path / "array.out").read_bytes() == (tmp_path / "list.out").read_bytes()
