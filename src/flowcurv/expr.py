@@ -9,10 +9,10 @@ build time, so differentiation and evaluation see a fixed tree.
 Every node evaluates on floats and 1-D numpy batches (`eval`), gives its
 Taylor coefficient of order j along a trajectory from its children's
 coefficients 0..j (`taylor`, memoized per expansion by `TaylorMemo`),
-writes the Python statements of its own scalar evaluation (`emit`, collected
-by `compile_scalar` into one straight-line function and by `compile_step`
-into one Dormand-Prince step), and `diff` returns the
-exact partial derivative as a new tree (the derivative of a pwl term is its
+writes the Python statements of its own scalar evaluation (`emit`, which
+`compile_step` collects into one straight-line Dormand-Prince step whose
+rhs values equal `eval`'s bit for bit), and `diff` returns the exact
+partial derivative as a new tree (the derivative of a pwl term is its
 branch slope, constant within a region).
 """
 
@@ -24,7 +24,7 @@ import re
 import numpy as np
 
 __all__ = [
-    "ExprError", "parse_expression", "Node", "TaylorMemo", "compile_scalar", "compile_step",
+    "ExprError", "parse_expression", "Node", "TaylorMemo", "compile_step",
     "Const", "Var", "Add", "Sub", "Neg", "Mul", "Pow", "Pwl", "PwlSlope",
     "classify_pwl", "PWL_LABELS",
 ]
@@ -100,9 +100,9 @@ class _Emitter:
     one function body (and, through `constants`, one constant tuple).
     """
 
-    def __init__(self, constants=None, state_source="s[{}]".format, prefix="t"):
+    def __init__(self, constants, state_source=None, prefix="t"):
         self.lines = []
-        self.constants = [] if constants is None else constants
+        self.constants = constants
         self._names = {}
         self._count = 0
         self._state_source = state_source
@@ -135,36 +135,6 @@ class _Emitter:
         return name
 
 
-def _build(source, constants, filename, *extra):
-    """Compile `source`, lines defining `make(constants, *extra)`, and
-    return what its `make` returns."""
-    namespace = {}
-    exec(compile("\n".join(source), filename, "exec"), namespace)
-    return namespace["make"](tuple(constants), *extra)
-
-
-def _unpack_constants(constants):
-    if not constants:
-        return []
-    return [f"    {', '.join(f'c{i}' for i in range(len(constants)))}, = constants"]
-
-
-def compile_scalar(exprs):
-    """One Python function ``f(state) -> [e.eval(state) for e in exprs]``.
-
-    `state` is a list of floats and the region is classified per pwl node,
-    as `eval` does without a pinned region.  The function performs the same
-    float operations in the same order as `eval`, so its results are
-    identical bit for bit, zero signs and NaNs included.
-    """
-    e = _Emitter()
-    outputs = [e.value(node) for node in exprs]
-    source = ["def make(constants):", *_unpack_constants(e.constants), "    def scalar(s):"]
-    source += [f"        {line}" for line in e.lines]
-    source += [f"        return [{', '.join(outputs)}]", "    return scalar"]
-    return _build(source, e.constants, "<flowcurv compiled rhs>")
-
-
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first).
 # b5 equals the last row of A (b5_2 = b5_7 = 0); the error weights are
 # b5 - b4 (e_2 = 0).
@@ -188,7 +158,9 @@ def compile_step(exprs):
     the continuous extension, and err_norm the RMS over components of
     err / (abs_tol + rel_tol * max(|x|, |x_new|)).  The stage inputs are
     unrolled per component and the rhs is inlined once per stage (its
-    locals renamed per stage), evaluated as `compile_scalar` does.
+    locals renamed per stage, a node shared by several components computed
+    once), with the float operations of `eval` in the same order, so every
+    stage value equals `eval` at the stage input bit for bit.
 
     Every sum runs in one fixed order, written out term by term:
 
@@ -235,11 +207,14 @@ def compile_step(exprs):
               f"acc = {' + '.join(['0.0'] + [f'q{c} * q{c}' for c in range(n)])}",
               f"return ([{', '.join(f'n{c}' for c in range(n))}], sqrt(acc / {n}), k7, "
               f"(k1, {', '.join(listed[2:6])}, k7))"]
-    source = ["def make(constants, sqrt):", *_unpack_constants(constants),
+    source = ["def make(constants, sqrt):",
+              f"    {', '.join(f'c{i}' for i in range(len(constants)))}, = constants",
               "    def step(x, k1, h, rel_tol, abs_tol):"]
     source += [f"        {line}" for line in lines]
     source += ["    return step"]
-    return _build(source, constants, "<flowcurv compiled step>", math.sqrt)
+    namespace = {}
+    exec(compile("\n".join(source), "<flowcurv compiled step>", "exec"), namespace)
+    return namespace["make"](tuple(constants), math.sqrt)
 
 
 def _cauchy(a, b, j):

@@ -18,7 +18,7 @@ remains the fallback, counted in `stats["event_fallbacks"]`.
 The step loop runs on plain Python floats: time, step size, state and
 stages are floats and lists of floats, and every step is one call of the
 model's generated Dormand-Prince step (`expr.compile_step`, compiled on the
-model's first integration and handed out by `ModelDef.dp_step`).  That
+model's first integration and cached as `ModelDef.dp_step`).  That
 function holds the fixed summation order of the stage sums, the new state,
 the error and its fused norm, so trajectories are bit-identical to the
 same scheme written with float64 arrays (`sum()` over the stage arrays,
@@ -42,8 +42,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import expr as ex
 
 __all__ = ["Trajectory", "IntegrationError", "integrate", "take_step",
            "last_state_before_crossing"]
@@ -93,14 +91,13 @@ class Trajectory:
 
 
 def _event_functions(model):
-    """Signed distances to the pwl breakpoints: u(x) - 1 and u(x) + 1, each
-    pwl argument u compiled (`expr.compile_scalar`)."""
+    """Signed distances to the pwl breakpoints: u(x) - 1 and u(x) + 1 for
+    each pwl argument u, evaluated on its tree."""
     funcs = []
     for k, arg in enumerate(model.pwl_args):
-        u = ex.compile_scalar([arg])
         for offset, label in ((-1.0, f"pwl{k}:+1"), (1.0, f"pwl{k}:-1")):
-            def g(x, u=u, offset=offset):
-                return u(x)[0] + offset
+            def g(x, arg=arg, offset=offset):
+                return arg.eval(x) + offset
             funcs.append((g, label))
     return funcs
 
@@ -131,7 +128,7 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
 
     stats = {"rhs_evals": 0, "dp_steps": 0, "accepted_steps": 0, "rejected_steps": 0,
              "event_bisection_steps": 0, "event_fallbacks": 0, "events": 0}
-    f, step = model.rhs, model.dp_step()
+    f, step = model.rhs, model.dp_step
 
     events = _event_functions(model)
     t = float(t0)
@@ -373,8 +370,8 @@ def take_step(model, x, h, rel_tol, abs_tol):
     """One true DP step of size h (h < 0 steps back) from x, k1 = f(x): the
     new state and the step's error norm (`integrate` accepts it at <= 1)."""
     x = np.asarray(x, dtype=float).tolist()
-    x_new, err_norm, _, _ = model.dp_step()(x, model.rhs(x), float(h),
-                                            float(rel_tol), float(abs_tol))
+    x_new, err_norm, _, _ = model.dp_step(x, model.rhs(x), float(h),
+                                          float(rel_tol), float(abs_tol))
     return np.array(x_new), err_norm
 
 
@@ -383,7 +380,7 @@ def last_state_before_crossing(model, x, x_new, h, g):
     the step is re-taken from x and the sign change located like a PWL event
     (`_locate_event`, to a cell 2^-K h <= 1e-12).  Returns the true DP step
     to one cell before it (x itself at 0) and the number of DP steps taken."""
-    step, h = model.dp_step(), float(h)
+    step, h = model.dp_step, float(h)
     x, x_new = (np.asarray(s, dtype=float).tolist() for s in (x, x_new))
     k1 = model.rhs(x)
     dense = _dense_output(x, x_new, h, step(x, k1, h, 1.0, 1.0)[3])

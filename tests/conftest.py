@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flowcurv import expr, get_model, models
+from flowcurv import expr, get_model
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +47,13 @@ def in_region_points(model, region, count, seed=0, halfwidth=2.0):
 
 def reversed_model(model):
     """The model with its vector field negated (backward flow as a model)."""
-    exprs = tuple(expr.Neg(e) for e in model.rhs_exprs)
-    rhs, jacobian, jac_exprs, dp_step = models._build_evaluators(model.dim, exprs)
-    return replace(model, name=model.name + "-reversed", rhs=rhs, jacobian=jacobian,
-                   dp_step=dp_step, rhs_exprs=exprs, jac_exprs=jac_exprs)
+    return replace(model, name=model.name + "-reversed",
+                   rhs_exprs=tuple(expr.Neg(e) for e in model.rhs_exprs))
+
+
+def with_attrs(model, **attrs):
+    """A copy of `model` whose instance attributes `attrs` override the class's
+    methods and cached properties (`rhs`, `dp_step`, ...)."""
+    copy = replace(model)
+    vars(copy).update(attrs)
+    return copy

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flowcurv.expr import Add, ExprError, Pow, TaylorMemo, compile_scalar, parse_expression
+from flowcurv.expr import Add, Const, ExprError, Pow, TaylorMemo, compile_step, parse_expression
 
 VARS3 = {"x1": 0, "x2": 1, "x3": 2}
 
@@ -85,14 +85,20 @@ def test_taylor_order0_matches_eval():
     assert c1 == pytest.approx(np.dot(grad, v), rel=1e-14)
 
 
-def test_compile_scalar_shared_nodes_and_powers():
-    # a node shared by several trees is computed once; a power replays
-    # _ipow's products, so each value equals `eval` bit for bit
+def test_compile_step_shared_nodes_and_powers():
+    # a node shared by several trees is computed once per stage; a power
+    # replays _ipow's products, so each stage value equals `eval` bit for bit.
+    # x1..x3 have a zero rhs, so with k1 = 0 and h < 0 every stage input is
+    # x itself (x + -0.0 keeps -0.0, inf and NaN)
     base = parse("x1 - 0.1*x2")
     trees = [Pow(base, k) for k in range(10)] + [Add(base, base), parse("pwl(x3; 2, 3)")]
-    scalar = compile_scalar(trees)
+    field = [Const(0.0)] * 3 + trees
+    step = compile_step(field)
     for x in ([1.1, -0.3, 1.0], [-0.0, 0.0, -1.0], [1e155, 1.0, float("nan")]):
-        assert [float.hex(v) for v in scalar(x)] == [float.hex(float(t.eval(x))) for t in trees]
+        state = x + [0.0] * len(trees)
+        want = [float.hex(float(t.eval(x))) for t in field]
+        for stage in step(state, [0.0] * len(field), -1.0, 1e-9, 1e-12)[3][1:]:
+            assert [float.hex(v) for v in stage] == want
 
 
 def test_parse_error_positions():

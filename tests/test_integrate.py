@@ -3,7 +3,6 @@
 import gc
 import importlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import pytest
 from flowcurv import IntegrationError, expr, get_model, integrate, load_model, registry
 from flowcurv.integrate import _bisect_event, _event_functions, take_step
 
-from conftest import reversed_model
+from conftest import reversed_model, with_attrs
 
 ROTATION = {"name": "rotation", "dim": 2, "params": {}, "rhs": ["-x2", "x1"]}
 
@@ -212,7 +211,7 @@ def _bits(values):
 def test_float_step_bit_identical_to_numpy_step(name):
     model = (reversed_model(get_model("chua3-pwl")) if name == "chua3-pwl-reversed"
              else get_model(name))
-    step = model.dp_step()
+    step = model.dp_step
     rng = np.random.default_rng(7)
     for _ in range(200):
         x = rng.uniform(-2.5, 2.5, model.dim)
@@ -268,7 +267,7 @@ def test_generated_step_equals_list_oracle(name):
     # zeros, step sizes from 1e-12 to 1 in both directions, and states that
     # overflow to inf and NaN
     model = _step_model(name)
-    step, oracle = model.dp_step(), _oracle_step(model)
+    step, oracle = model.dp_step, _oracle_step(model)
     rng = np.random.default_rng(5)
     n = model.dim
     states = [[-0.0] * n, [0.0, -0.0] * n, [1e300, -1e300] * n, [1e154] * n]
@@ -315,7 +314,7 @@ def test_compiled_event_values_equal_tree_walk(name):
 def test_loop_runs_on_python_floats(chua3):
     # every h the loop passes to the step (event location and cuts included),
     # every state it stores and every event time is a Python float
-    step = chua3.dp_step()
+    step = chua3.dp_step
     seen = []
 
     def spy(x, k1, h, rel_tol, abs_tol):
@@ -325,7 +324,7 @@ def test_loop_runs_on_python_floats(chua3):
         assert all(type(v) is float for v in out[0] + out[2])
         return out
 
-    traj = integrate(replace(chua3, dp_step=lambda: spy), [0.1, 0.1, 0.1], 50.0)
+    traj = integrate(with_attrs(chua3, dp_step=spy), [0.1, 0.1, 0.1], 50.0)
     assert len(seen) == traj.stats["dp_steps"] and traj.events
     assert all(type(h) is float for h in seen)
     assert all(type(t) is float for t, _ in traj.events)
@@ -354,7 +353,7 @@ def test_each_config_integrates_its_own_field():
                                                        "alpha": alpha})
         model = load_model(config)
         got = integrate(model, x0, 5.0)
-        oracle = replace(model, rhs=_tree_rhs(model), dp_step=lambda m=model: _oracle_step(m))
+        oracle = with_attrs(model, rhs=_tree_rhs(model), dp_step=_oracle_step(model))
         ref = integrate(oracle, x0, 5.0)
         np.testing.assert_array_equal(_bits(got.states), _bits(ref.states))
         np.testing.assert_array_equal(_bits(got.times), _bits(ref.times))

@@ -353,7 +353,7 @@ def _old_zero_crossings(model, traj, time_tol=1e-10):
             else:
                 t_hi = t_mid
         points.append(x_lo)
-        if model.regions is not None:
+        if model.pwl_args:
             regions.append(model.classify(x_lo))
     return np.array(points), tuple(regions), tuple(straddle)
 

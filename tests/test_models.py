@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcurv import expr as ex
-from flowcurv import (FixedPoint, ModelError, cubic_k, fixed_points, get_model, lie_phi,
-                      load_model, phi, pwl_k, registry)
+from flowcurv import (FixedPoint, ModelError, cubic_k, fixed_points, get_model, integrate,
+                      lie_phi, load_model, phi, pwl_k, registry)
 from flowcurv.models import (_BUILTIN_BUILDERS, _SNAP_CANDIDATES, _newton_polish, _snap,
                              magneto_equilibrium, point_regions, region_box, solve_columns)
 
-from conftest import reversed_model
+from conftest import reversed_model, with_attrs
 
 REGISTRY_NAMES = ["chua3-pwl", "chua4-cubic", "chua4-pwl", "chua5-cubic",
                   "chua5-pwl", "gear5", "magnetoconvection5"]
@@ -322,7 +322,7 @@ def test_snap_tie_break_order():
                 hit |= (state[0] == t[0]) & (state[1] == t[1])
             return [np.where(hit, 0.0, 1.0)] * 2
 
-        got = _snap(replace(base, rhs=rhs), loc, None)
+        got = _snap(with_attrs(base, rhs=rhs), loc, None)
         assert got.tobytes() == (shifted(want) + 0.0).tobytes()
 
 
@@ -337,7 +337,7 @@ def test_snap_box_capped_for_large_dim():
         widths.append(np.shape(state[0]))
         return model.rhs(state, region)
 
-    fps = fixed_points(replace(model, rhs=rhs_spy))
+    fps = fixed_points(with_attrs(model, rhs=rhs_spy))
     assert max(int(np.prod(w)) for w in widths) == 3 ** dim <= _SNAP_CANDIDATES
     # every branch solves to x1 = ... = x6 = c: c = -1/6 (neg), 2/3 (mid), 5/6 (pos)
     assert [(fp.region, fp.virtual) for fp in fps] == \
@@ -548,7 +548,7 @@ def test_velocity_evaluates_on_scalar_and_jet_paths(models_by_name):
             np.testing.assert_array_equal(derivative_stack(model, x, 1).derivs[0], want)
 
 
-# -- the compiled scalar rhs ----------------------------------------------------
+# -- the scalar rhs on lists ---------------------------------------------------
 
 # JSON configs beyond the built-ins: the README example, two pwl terms (one
 # squared, one with a compound argument), powers and constant components
@@ -573,7 +573,7 @@ EXTRA_CONFIGS = [
 ]
 
 
-def _compiled_rhs_models():
+def _rhs_models():
     built = [get_model(name) for name in REGISTRY_NAMES]
     json_copies = [load_model(json.dumps(dict(_BUILTIN_BUILDERS[name]({}), name=name + "-json")))
                    for name in REGISTRY_NAMES]
@@ -581,10 +581,10 @@ def _compiled_rhs_models():
     return built + json_copies + extra + [reversed_model(m) for m in built + extra]
 
 
-COMPILED_RHS_MODELS = _compiled_rhs_models()
+RHS_MODELS = _rhs_models()
 
 
-def _assert_compiled_equals_tree(model, state):
+def _assert_rhs_equals_tree(model, state):
     got = model.rhs(list(state))
     want = [e.eval(list(state)) for e in model.rhs_exprs]
     assert all(type(v) is float for v in got)
@@ -597,37 +597,37 @@ _EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(-
                 math.inf, -math.inf, math.nan, 5e-324, 1e308]
 
 
-@pytest.mark.parametrize("model", COMPILED_RHS_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("model", RHS_MODELS, ids=lambda m: m.name)
 def test_compiled_rhs_bit_identical_fixed_states(model):
     rng = np.random.default_rng(3)
     states = [[v] * model.dim for v in _EDGE_VALUES]
     states += [[v if k == 0 else 0.25 for k in range(model.dim)] for v in _EDGE_VALUES]
     states += rng.uniform(-3, 3, (200, model.dim)).tolist()
     for state in states:
-        _assert_compiled_equals_tree(model, state)
+        _assert_rhs_equals_tree(model, state)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_compiled_rhs_bit_identical_hypothesis(data):
-    model = data.draw(st.sampled_from(COMPILED_RHS_MODELS), label="model")
+    model = data.draw(st.sampled_from(RHS_MODELS), label="model")
     value = st.one_of(st.floats(), st.sampled_from(_EDGE_VALUES),
                       st.floats(min_value=-3, max_value=3))
     state = data.draw(st.lists(value, min_size=model.dim, max_size=model.dim), label="state")
-    _assert_compiled_equals_tree(model, state)
+    _assert_rhs_equals_tree(model, state)
 
 
 def test_compiled_rhs_long_sum():
-    # 300 terms nest 300 deep in the tree; the compiled source nests nothing
+    # 300 terms nest 300 deep in the tree
     rhs = " + ".join(f"{k + 1}*x{k % 2 + 1}" for k in range(300))
     model = load_model({"name": "long", "dim": 2, "params": {}, "rhs": [rhs, "x1"]})
     for state in ([0.5, -0.25], [1e300, 1e300], [-0.0, 0.0]):
-        _assert_compiled_equals_tree(model, state)
+        _assert_rhs_equals_tree(model, state)
     assert model.rhs([1.0, 1.0])[0] == 300 * 301 / 2
 
 
 def test_rhs_batches_and_pinned_regions_walk_the_tree(chua3):
-    # only a plain list without a region takes the compiled path
+    # lists, tuples, batches and pinned regions all walk the trees
     x = [1.5, 0.2, -0.3]
     assert chua3.rhs(x, region="mid") == [e.eval(x, "mid") for e in chua3.rhs_exprs]
     assert chua3.rhs(x, region="mid") != chua3.rhs(x)
@@ -635,3 +635,63 @@ def test_rhs_batches_and_pinned_regions_walk_the_tree(chua3):
     batch = np.array([x, [0.5, 0.0, 0.0]]).T
     np.testing.assert_array_equal(np.asarray(chua3.rhs(batch)).T,
                                   [chua3.rhs(x), chua3.rhs([0.5, 0.0, 0.0])])
+
+
+# -- every evaluator derives from rhs_exprs ---------------------------------------
+
+_NEW_FIELD_CASES = [
+    # (config, rhs of the field swapped in)
+    (_BUILTIN_BUILDERS["chua3-pwl"]({}), None),
+    (EXTRA_CONFIGS[1], None),
+    # pwl arguments moved, so the new field's regions differ from the old
+    (EXTRA_CONFIGS[1], ["x2 - pwl(x3; a, b)", "x1*x3 - pwl(x1 - x2; b, a)^2",
+                        "-x1 + 0.5*x2*x2 - 2*x3"]),
+]
+
+
+@pytest.mark.parametrize("config, rhs", _NEW_FIELD_CASES, ids=["chua3-pwl", "two-pwl", "moved"])
+def test_replaced_rhs_exprs_drive_every_evaluator(config, rhs):
+    # replace(model, rhs_exprs=...) leaves no evaluator on the old field, even
+    # after the old model filled its caches: the copy agrees bit for bit with
+    # a model built from scratch on the new (negated) field
+    model = load_model(config)
+    model.jac_exprs, model.pwl_args, model.dp_step  # noqa: B018 - fill the caches
+    new_config = dict(config, rhs=[f"-({text})" for text in rhs or config["rhs"]])
+    fresh = load_model(new_config)
+    swapped = replace(model, rhs_exprs=fresh.rhs_exprs)
+    rng = np.random.default_rng(4)
+    batch = rng.uniform(-2.5, 2.5, (3, 50))
+    np.testing.assert_array_equal(swapped.velocity(batch), fresh.velocity(batch))
+    assert not np.array_equal(swapped.velocity(batch), model.velocity(batch))
+    regions = fresh.classify(batch)
+    np.testing.assert_array_equal(swapped.classify(batch), regions)
+    if rhs is not None:
+        assert not np.array_equal(model.classify(batch), regions)
+    np.testing.assert_array_equal(swapped.jacobian(batch, regions),
+                                  fresh.jacobian(batch, regions))
+    for x in batch.T.tolist():
+        assert swapped.rhs(x) == fresh.rhs(x) != model.rhs(x)
+        assert swapped.classify(x) == fresh.classify(x)
+        np.testing.assert_array_equal(
+            [[e.eval(x) for e in row] for row in swapped.jac_exprs],
+            [[e.eval(x) for e in row] for row in fresh.jac_exprs])
+        k1 = fresh.rhs(x)
+        assert swapped.dp_step(x, k1, 0.01, 1e-9, 1e-12) == fresh.dp_step(x, k1, 0.01, 1e-9, 1e-12)
+    assert swapped.pwl_args == fresh.pwl_args or rhs is None
+    x0 = [0.3, -0.2, 0.1]
+    got, want = integrate(swapped, x0, 1.0), integrate(fresh, x0, 1.0)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.events == want.events and got.events
+
+
+def test_boolean_dim_and_parameters_rejected():
+    # JSON true is an int to isinstance, but neither a dimension nor a number
+    with pytest.raises(ModelError, match="dim must be a positive integer"):
+        load_model({"name": "b", "dim": True, "params": {"k": 1.0}, "rhs": ["-k*x1"]})
+    with pytest.raises(ModelError, match="parameter 'k' is not numeric"):
+        load_model({"name": "b", "dim": 1, "params": {"k": True}, "rhs": ["-k*x1"]})
+    with pytest.raises(ModelError):
+        load_model('{"name": "b", "dim": true, "params": {"k": true}, "rhs": ["-k*x1"]}')
+    assert load_model({"name": "b", "dim": 1, "params": {"k": 2}, "rhs": ["-k*x1"]}).params == \
+        {"k": 2.0}

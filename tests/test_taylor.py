@@ -142,8 +142,8 @@ def _jet_eval(node, state, region):
 
 def _jet_stack(model, x, order, region=None):
     """d_1..d_order by re-evaluating the rhs on jets at every order."""
-    if region is None and model.regions is not None:
-        region = model.regions(x.astype(float))
+    if region is None and model.pwl_args:
+        region = model.classify(x.astype(float))
     coeffs = np.zeros((order + 1,) + x.shape, dtype=x.dtype)
     coeffs[0] = x
     for k in range(order):

@@ -92,7 +92,7 @@ def _old_darboux_check_plane_max(model, plane, samples, seed):
     while len(residuals) < samples and attempts < 50 * samples:
         attempts += 1
         x = rng.uniform(lo, hi)
-        if model.regions is not None and model.classify(x) != region:
+        if model.pwl_args and model.classify(x) != region:
             continue
         v = model.velocity(x)
         pi = plane.normal @ x + plane.offset
