@@ -20,7 +20,8 @@ from . import expr as ex
 from .geometry import det_scaled, vecdot, vecnorm
 from .integrate import last_state_before_crossing
 from .jets import derivative_stack
-from .models import magneto_equilibrium, newton, point_regions, solve_columns
+from .models import (magneto_equilibrium, newton, point_regions, region_labels,
+                     solve_columns)
 
 __all__ = [
     "ManifoldSample", "ZeroSet", "SlowFastSplit", "GspSummary", "FactorReport",
@@ -116,14 +117,16 @@ def manifold_sample(model, x, region=None):
 class ZeroSet:
     """Refined phi = 0 points with their provenance.
 
-    Grid-edge points satisfy |phi| <= tol_abs + tol_rel * scale with scale
-    the larger |phi| of their bracketing grid nodes, with two exceptions:
-    a grid node where phi is exactly zero is returned as it is, and a point
-    whose bisection hit the floating-point width of the bracket first (phi
-    is then sign-changing between adjacent floats) is kept only when both
-    ends of that final bracket lie in the same PWL region.  Sign changes
-    that survive only across a region boundary are jumps of phi, not zeros;
-    they are dropped and counted in `metadata["dropped_jumps"]`.
+    Grid-edge points satisfy |phi| <= tol_abs + tol_rel * scale, with scale
+    the larger |phi| at the ends of the bracket refined: the edge's grid
+    nodes, or, for an edge split at a PWL breakpoint, the ends of its
+    single-region piece.  There are two exceptions.  A grid node where phi
+    is exactly zero is returned as it is.  A point whose bracket reached
+    the floating-point width first (phi then changes sign between adjacent
+    floats) is kept only when both ends of that final bracket lie in the
+    same PWL region.  A sign change that survives only across a region
+    boundary is a jump of phi, not a zero, at every tolerance; such edges
+    are dropped and counted in `metadata["dropped_jumps"]`.
     """
 
     points: np.ndarray              # (npts, n)
@@ -138,72 +141,148 @@ class ZeroSet:
         return self.points.shape[0]
 
 
-def _phi_chunked(model, states, chunk):
-    """Batched phi over the columns of `states`, at most `chunk` at a time."""
+_CHUNK = 4096  # most points per batched phi call; bounds the stacks' memory
+_ITP_SLACK = 6  # rounds that ITP may spend beyond bisection on one bracket
+
+
+def _phi_chunked(model, states):
+    """Batched phi over the columns of `states`, `_CHUNK` points at a time."""
     npts = states.shape[1]
     values = np.empty(npts)
-    for start in range(0, npts, chunk):
-        sl = slice(start, min(start + chunk, npts))
+    for start in range(0, npts, _CHUNK):
+        sl = slice(start, min(start + _CHUNK, npts))
         values[sl] = phi(model, states[:, sl])
     return values
 
 
-def _refine_edges(model, p_lo, p_hi, f_lo, target, chunk, max_iter=90):
-    """Bisect every bracketed edge [p_lo, p_hi] in lockstep.
+def _refine_edges(model, p_lo, p_hi, f_lo, f_hi, tol_abs, tol_rel, max_iter=90):
+    """Locate one zero of phi on every bracketed edge [p_lo, p_hi], in lockstep.
 
-    Each round evaluates phi once, batched over the edges still open.  Each
-    edge follows the single-edge rule: it stops once |phi(mid)| <= target,
-    is dropped on a non-finite phi, and otherwise halves its bracket towards
-    the sign change until the bracket is one float wide or `max_iter` rounds
-    pass.  Such an unconverged edge ends at the midpoint of its final
-    bracket, and is dropped as a jump when the bracket's ends lie in
-    different PWL regions.  Returns the points, their phi, the mask of edges
-    kept, and counters.
+    Each edge is parametrized by t in [0, 1] and follows the single-edge
+    rule below.  Every batched call is elementwise, so an edge's iterates
+    depend only on its own values, and each result equals refining that
+    edge alone, bit for bit.
+
+    1. Split.  An edge whose end nodes lie in different PWL regions is
+       bisected on the region labels alone (no phi) until the region change
+       is one float wide in t, and phi is evaluated on both sides of it.
+       The lo-side piece is refined if phi changes sign or vanishes on it;
+       otherwise the rest of the edge is, or is split again if its ends
+       still lie in different regions.  An edge with no sign change inside
+       one region is a jump of phi, and is dropped unrefined.
+    2. Refine.  The bracket [a, b] is closed by ITP (Oliveira & Takahashi
+       2021, ACM TOMS 47(1)): regula falsi, truncated towards the midpoint
+       by 0.2 (b - a)^2 / w0 and projected into bisection's minmax interval,
+       so a bracket of initial width w0 reaches one float in at most
+       `_ITP_SLACK` rounds more than bisection.  An edge stops once
+       |phi| <= tol_abs + tol_rel * max(|phi(a)|, |phi(b)|) of its initial
+       bracket, and is dropped on a non-finite phi.
+    3. Fallback.  A bracket one float wide in t (or still open after
+       `max_iter` rounds) ends at its midpoint, and is dropped as a jump when
+       its two ends lie in different PWL regions.
+
+    Returns the edge parameters t, phi there, each edge's tolerance, the
+    mask of edges kept, and counters.
     """
     m = len(f_lo)
     step = p_hi - p_lo
-    lo, hi = np.zeros(m), np.ones(m)
-    mids, f_mid = np.empty(m), np.empty(m)
     eps = np.finfo(float).eps
+    a, b, fa, fb = np.zeros(m), np.ones(m), f_lo.copy(), f_hi.copy()
+    t, f_t = np.full(m, 0.5), np.zeros(m)
+    jumps, nonfinite = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    phi_points = split_edges = 0
 
-    def at(edges, t):
-        return p_lo[edges] + t[:, None] * step[edges]
+    def at(edges, ts):  # states (n, len(edges))
+        return (p_lo[edges] + ts[:, None] * step[edges]).T
 
-    def evaluate(edges):
-        mids[edges] = 0.5 * (lo[edges] + hi[edges])
-        f_mid[edges] = _phi_chunked(model, at(edges, mids[edges]).T, chunk)
-        return f_mid[edges]
+    def phi_at(edges, ts):
+        return _phi_chunked(model, at(edges, ts))
 
-    active, unconverged = np.arange(m), []
-    rounds = phi_points = 0
+    if model.pwl_args and m:
+        hi_labels = region_labels(model, p_hi.T)
+        pending = np.flatnonzero((region_labels(model, p_lo.T) != hi_labels).any(axis=0))
+        split_edges = pending.size
+        while pending.size:
+            start = region_labels(model, at(pending, a[pending]))
+            lo, hi = a[pending], np.ones(pending.size)
+            open_ = np.flatnonzero(hi - lo > eps)
+            while open_.size:  # labels only: lo keeps the start's region, hi not
+                mid = 0.5 * (lo[open_] + hi[open_])
+                same = (region_labels(model, at(pending[open_], mid))
+                        == start[:, open_]).all(axis=0)
+                lo[open_[same]] = mid[same]
+                hi[open_[~same]] = mid[~same]
+                open_ = open_[hi[open_] - lo[open_] > eps]
+            k = pending.size
+            sides = phi_at(np.concatenate([pending, pending]), np.concatenate([lo, hi]))
+            phi_points += 2 * k
+            f_l, f_h = sides[:k], sides[k:]
+            bad = ~(np.isfinite(f_l) & np.isfinite(f_h))
+            nonfinite[pending[bad]] = True
+            # a side where phi is exactly 0 becomes a zero-width bracket there
+            on_lo = ~bad & ((f_l == 0.0) | (np.sign(f_l) * np.sign(fa[pending]) < 0))
+            e = pending[on_lo]
+            a[e] = np.where(f_l[on_lo] == 0.0, lo[on_lo], a[e])
+            b[e], fb[e] = lo[on_lo], f_l[on_lo]
+            rest = ~bad & ~on_lo
+            e, hi, f_h = pending[rest], hi[rest], f_h[rest]
+            a[e], fa[e] = hi, f_h
+            b[e] = np.where(f_h == 0.0, hi, b[e])
+            more = (f_h != 0.0) & (region_labels(model, at(e, hi)) != hi_labels[:, e]).any(axis=0)
+            jumps[e[~more & (np.sign(f_h) * np.sign(fb[e]) > 0)]] = True
+            pending = e[more]
+
+    target = tol_abs + tol_rel * np.maximum(np.abs(fa), np.abs(fb))
+    live = np.flatnonzero(~(jumps | nonfinite))
+    wide = b[live] - a[live] > eps
+    active, unconverged = live[wide], [live[~wide]]
+    w0 = b[active] - a[active]
+    kappa, budget = np.zeros(m), np.zeros(m)
+    kappa[active] = 0.2 / w0
+    # budget = ITP's projection radius + half the width: 2^(_ITP_SLACK - 1)
+    # times the least power of two >= w0, halved after every round
+    mant, expo = np.frexp(w0)
+    budget[active] = np.ldexp(np.where(mant == 0.5, 0.5, 1.0), expo + _ITP_SLACK - 1)
+    rounds = 0
     while active.size and rounds < max_iter:
         rounds += 1
         phi_points += active.size
-        f = evaluate(active)
-        still = np.isfinite(f) & (np.abs(f) > target[active])
-        active, f = active[still], f[still]
-        same = (f > 0) == (f_lo[active] > 0)
-        lo[active[same]] = mids[active[same]]
-        hi[active[~same]] = mids[active[~same]]
-        wide = hi[active] - lo[active] > eps
+        lo, hi, f_a, f_b = a[active], b[active], fa[active], fb[active]
+        w = hi - lo
+        half = 0.5 * (lo + hi)
+        x_f = lo + w * (f_a / (f_a - f_b))
+        sigma = np.sign(half - x_f)
+        delta = kappa[active] * w * w
+        x_t = np.where(delta <= np.abs(half - x_f), x_f + sigma * delta, half)
+        r = np.maximum(budget[active] - 0.5 * w, 0.0)
+        x = np.where(np.abs(x_t - half) <= r, x_t, half - sigma * r)
+        f = phi_at(active, x)
+        t[active], f_t[active] = x, f
+        budget[active] *= 0.5
+        finite = np.isfinite(f)
+        nonfinite[active[~finite]] = True
+        still = finite & (np.abs(f) > target[active])
+        active, x, f = active[still], x[still], f[still]
+        same = (f > 0) == (fa[active] > 0)
+        a[active[same]], fa[active[same]] = x[same], f[same]
+        b[active[~same]], fb[active[~same]] = x[~same], f[~same]
+        wide = b[active] - a[active] > eps
         unconverged.append(active[~wide])
         active = active[wide]
     unconverged = np.concatenate(unconverged + [active])
     phi_points += unconverged.size
-    evaluate(unconverged)
-
-    nonfinite = ~np.isfinite(f_mid)
-    jumps = np.zeros(m, dtype=bool)
+    t[unconverged] = 0.5 * (a[unconverged] + b[unconverged])
+    f_t[unconverged] = phi_at(unconverged, t[unconverged])
+    nonfinite[unconverged[~np.isfinite(f_t[unconverged])]] = True
     if model.pwl_args and unconverged.size:
-        differ = (np.asarray(model.classify(at(unconverged, lo[unconverged]).T))
-                  != np.asarray(model.classify(at(unconverged, hi[unconverged]).T)))
-        jumps[unconverged] = np.atleast_2d(differ).any(axis=0)
+        jumps[unconverged] = (region_labels(model, at(unconverged, a[unconverged]))
+                              != region_labels(model, at(unconverged, b[unconverged]))).any(axis=0)
     jumps &= ~nonfinite
-    counts = {"refine_rounds": rounds, "refine_phi_points": phi_points,
-              "unconverged": int(unconverged.size),
+    counts = {"split_edges": int(split_edges), "refine_rounds": rounds,
+              "refine_phi_points": phi_points, "unconverged": int(unconverged.size),
               "nonfinite_refinements": int(nonfinite.sum()),
               "dropped_jumps": int(jumps.sum())}
-    return p_lo + mids[:, None] * step, f_mid, ~(nonfinite | jumps), counts
+    return t, f_t, target, ~(nonfinite | jumps), counts
 
 
 def grid_states(dim, axes, slice_values):
@@ -224,29 +303,33 @@ def grid_states(dim, axes, slice_values):
     return states, mesh[0].shape
 
 
-def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9,
-                  chunk=4096):
+def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9):
     """Extract the phi = 0 point cloud over a coordinate-aligned grid.
 
     `axes` maps 2 or 3 coordinate indices to (lo, hi, count) ranges; the
-    remaining coordinates are fixed at `slice_values` (default 0).  Grid
-    edges whose endpoints carry opposite phi signs are bisected until |phi|
-    drops below tol_abs + tol_rel * (bracket scale).  All bracketed edges
-    are refined in lockstep: each bisection round evaluates phi once,
-    batched over the edges still open, in slices of at most `chunk` points
-    (the same bound as the grid evaluation).  Batched and single-point phi
-    agree bit for bit, so every point is the one that bisecting its edge
-    alone gives.
+    remaining coordinates are fixed at `slice_values` (default 0).  Each
+    grid edge whose end nodes carry opposite phi signs yields at most one
+    point, where |phi| drops below tol_abs + tol_rel * (bracket scale).  An
+    edge whose ends lie in different PWL regions is first split at the
+    region change, located on the labels alone; if no single-region piece
+    changes sign, phi jumps there rather than vanishing, and the edge is
+    dropped unrefined.  The brackets are then closed by ITP, a safeguarded
+    regula falsi that needs at most a few rounds more than bisection (see
+    `_refine_edges`).  All edges are refined in lockstep: each round
+    evaluates phi once, batched over the edges still open.  Batched and
+    single-point phi agree bit for bit, so every point is the one that
+    refining its edge alone gives.
 
     An edge whose bracket shrinks to one float without meeting the
-    tolerance has the two ends of its final bracket classified; if they
-    fall in different PWL regions, phi jumps there rather than vanishing,
-    and the point is dropped.  A grid node where phi is exactly 0.0 is
-    returned as a point of its own.  The result is a point cloud for
-    plotting, not a meshed surface.  Besides `axes` and `slice`, `metadata`
-    holds the counters `edges_bracketed`, `refine_rounds`,
-    `refine_phi_points` (points passed to batched phi), `unconverged`,
-    `nonfinite_refinements`, `dropped_jumps` and `exact_zero_nodes`.
+    tolerance has the two ends of its final bracket classified, and is
+    dropped as a jump if they fall in different PWL regions.  A grid node
+    where phi is exactly 0.0 is returned as a point of its own.  The result
+    is a point cloud for plotting, not a meshed surface.  Besides `axes` and
+    `slice`, `metadata` holds the counters `edges_bracketed`, `split_edges`
+    (edges whose end nodes lie in different regions), `refine_rounds`,
+    `refine_phi_points` (points passed to batched phi, two per split
+    included), `unconverged`, `nonfinite_refinements`, `dropped_jumps` and
+    `exact_zero_nodes`.
     """
     n = model.dim
     if not (0 <= tol_abs < math.inf and 0 <= tol_rel < math.inf):
@@ -270,7 +353,7 @@ def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9,
 
     states, shape = grid_states(n, axes, slice_values)
     npts = states.shape[1]
-    values = _phi_chunked(model, states, chunk)
+    values = _phi_chunked(model, states)
     finite = np.isfinite(values)
     n_nonfinite = int(npts - finite.sum())
     values_grid = values.reshape(shape)
@@ -289,12 +372,12 @@ def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9,
     edge_lo, edge_hi = np.concatenate(edge_lo), np.concatenate(edge_hi)
 
     f_lo, f_hi = values[edge_lo], values[edge_hi]
-    target = tol_abs + tol_rel * np.maximum(np.abs(f_lo), np.abs(f_hi))
-    points, f_mid, keep, counts = _refine_edges(
-        model, states[:, edge_lo].T, states[:, edge_hi].T, f_lo, target, chunk)
+    p_lo, p_hi = states[:, edge_lo].T, states[:, edge_hi].T
+    t, f_mid, _, keep, counts = _refine_edges(model, p_lo, p_hi, f_lo, f_hi, tol_abs, tol_rel)
+    points = p_lo[keep] + t[keep, None] * (p_hi - p_lo)[keep]
 
     zero_nodes = np.flatnonzero(values == 0.0)
-    pts = np.concatenate([points[keep], states[:, zero_nodes].T])
+    pts = np.concatenate([points, states[:, zero_nodes].T])
     pvals = np.concatenate([f_mid[keep], values[zero_nodes]])
     order = np.lexsort(pts.T[::-1])
     pts, pvals = pts[order], pvals[order]

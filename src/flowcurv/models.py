@@ -25,7 +25,7 @@ from .geometry import vecnorm
 __all__ = [
     "ModelDef", "FixedPoint", "ModelError",
     "pwl_k", "cubic_k", "fixed_points", "load_model", "get_model", "registry",
-    "region_box", "region_samples", "point_regions",
+    "region_box", "region_samples", "region_labels", "point_regions",
 ]
 
 
@@ -149,6 +149,15 @@ class ModelDef:
         return labels if len(labels) > 1 else labels[0]
 
 
+def region_labels(model, states):
+    """Branch labels of the columns of `states` (n, npts), from one batched
+    call: an object array (pwl terms, npts), compared elementwise."""
+    labels = model.classify(states)
+    # a constant pwl argument gives one label for every point
+    return np.array([np.broadcast_to(np.asarray(term, dtype=object), np.shape(states)[1:])
+                     for term in (labels if isinstance(labels, tuple) else (labels,))])
+
+
 def point_regions(model, states):
     """Region of each column of `states` (n, npts), from one batched call.
 
@@ -158,11 +167,8 @@ def point_regions(model, states):
     """
     if not model.pwl_args:
         return ()
-    labels = model.classify(states)
-    # one label array per pwl term; a constant pwl argument gives one label
-    terms = [np.broadcast_to(np.asarray(term, dtype=object), np.shape(states)[1:])
-             for term in (labels if isinstance(labels, tuple) else (labels,))]
-    return tuple(zip(*terms)) if isinstance(labels, tuple) else tuple(terms[0])
+    terms = region_labels(model, states)
+    return tuple(zip(*terms)) if len(terms) > 1 else tuple(terms[0])
 
 
 def _model_from_config(config, extras=None):
