@@ -67,14 +67,16 @@ class TaylorMemo(dict):
     and must be filled through every order asked for; `region` is the branch
     frozen for the whole expansion.  The dict maps each node to the list of
     its coefficients computed so far, so a node costs one `Node.taylor` call
-    per order.  A memo serves one expansion, which keeps concurrent
-    expansions independent.
+    per order.  `branches` holds each pwl node's branch for the expansion,
+    per-point labels already turned into masks.  A memo serves one
+    expansion, which keeps concurrent expansions independent.
     """
 
     def __init__(self, x, region=None):
         super().__init__()
         self.x = x
         self.region = region
+        self.branches = {}
 
     def series(self, node, j):
         """Coefficients 0..j of `node`, as a list indexed by order."""
@@ -515,6 +517,11 @@ class Pwl(Node):
         self.node_id = node_id
         self.constant = arg.constant
 
+    def _branch(self, arg_value, region):
+        # a label, or per-point labels as their (mid, pos) masks
+        branch = _resolve_branch(self.node_id, arg_value, region)
+        return branch if isinstance(branch, str) else (branch == "mid", branch == "pos")
+
     def _branch_value(self, u, branch, j=0):
         # coefficient j > 0 of a branch: the offsets 1.0 and a contribute 0.0
         a, b = self.a, self.b
@@ -525,17 +532,20 @@ class Pwl(Node):
             if branch == "pos":
                 return b * (u - one) + offset
             return b * (u + one) - offset
-        return np.where(branch == "mid", a * u,
-                        np.where(branch == "pos", b * (u - one) + offset,
-                                 b * (u + one) - offset))
+        mid, pos = branch
+        return np.where(mid, a * u, np.where(pos, b * (u - one) + offset,
+                                             b * (u + one) - offset))
 
     def eval(self, state, region=None):
         u = self.arg.eval(state, region)
-        return self._branch_value(u, _resolve_branch(self.node_id, u, region))
+        return self._branch_value(u, self._branch(u, region))
 
     def taylor(self, j, memo):
         u = memo.series(self.arg, j)
-        branch = _resolve_branch(self.node_id, u[0], memo.region)
+        # the branch is frozen for the expansion: found (and masked) once
+        branch = memo.branches.get(self)
+        if branch is None:
+            branch = memo.branches[self] = self._branch(u[0], memo.region)
         return self._branch_value(u[j], branch, j)
 
     def emit(self, e):

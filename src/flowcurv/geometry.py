@@ -39,6 +39,12 @@ def det_scaled(matrix):
     its first n - 1 columns completed by each trailing column in turn, all
     from one elimination, each bit-identical to the square call on that
     completion.  phi and L_V phi are the two completions of d_1..d_{n-1}.
+
+    The batch axes move last once, and each column is divided by its scale
+    straight into the extended-precision work array, in `_lu_det`'s
+    points-last layout.  `DerivStack.matrix` is a transposed view of a
+    stack's (order, n, npts) derivatives, which is that layout already, so
+    the only copy a stack's columns take is that division.
     """
     m = np.asarray(matrix)
     if not np.issubdtype(m.dtype, np.floating):
@@ -46,46 +52,52 @@ def det_scaled(matrix):
     n, cols = m.shape[-2:]
     if cols < n:
         raise ValueError(f"a {n}-row determinant needs at least {n} columns, got {cols}")
-    norms = np.linalg.norm(m.astype(float), axis=-2, keepdims=True)
+    columns = np.moveaxis(m, (-1, -2), (0, 1))  # (cols, n, ...)
+    norms = np.linalg.norm(columns.astype(float), axis=1, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
     scale = np.exp2(np.rint(np.log2(safe)))
-    dets = _lu_det((m / scale.astype(m.dtype)).astype(np.longdouble))
-    scale = scale[..., 0, :]
-    out = (dets * (np.prod(scale[..., :n - 1], axis=-1)[..., None]
-                   * scale[..., n - 1:])).astype(float)
+    work = np.empty(columns.shape, dtype=np.longdouble)
+    np.divide(columns, scale.astype(m.dtype), out=work)  # rounds in m's dtype, then widens
+    dets = _lu_det(work.reshape((cols, n, -1))).reshape((cols - n + 1,) + m.shape[:-2])
+    scale = scale[:, 0]
+    out = np.moveaxis((dets * (np.prod(scale[:n - 1], axis=0) * scale[n - 1:])).astype(float),
+                      0, -1)
     if cols == n:
         out = out[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
 def _lu_det(a):
-    """Batched partial-pivot LU determinants of bordered matrices.
+    """Batched partial-pivot LU determinants of bordered matrices, points last.
 
-    `a` has shape (..., n, n - 1 + m); the result, shape (..., m), holds
-    the determinant of the first n - 1 columns completed by each of the m
-    trailing columns.  Pivots are searched only in the first n - 1 columns,
-    so one elimination serves every completion; m = 1 is the square case.
+    `a` has shape (cols, n, npts) with cols = n - 1 + m, and a[j, i, p] is
+    entry (i, j) of matrix p; it is overwritten.  The result, shape
+    (m, npts), holds the determinant of the first n - 1 columns completed
+    by each of the m trailing columns.  Pivots are searched only in the
+    first n - 1 columns, so one elimination serves every completion; m = 1
+    is the square case.  Each step gathers every point's pivot row with one
+    index pair, moves row k into its place, and updates only the entries
+    right of the pivot column (the eliminated column is never read again),
+    so every elementwise operation runs over a contiguous run of points.
     """
-    batch = a.shape[:-2]
-    n, cols = a.shape[-2:]
-    a = a.reshape((-1, n, cols)).copy()
-    k_pts = a.shape[0]
-    rows = np.arange(k_pts)
-    det = np.ones(k_pts, dtype=a.dtype)
+    cols, n, npts = a.shape
+    points = np.arange(npts)
+    det = np.ones(npts, dtype=a.dtype)
+    products = np.empty((cols - 1, n - 1, npts), dtype=a.dtype)
     for k in range(n - 1):
-        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        piv = k + np.argmax(np.abs(a[k, k:]), axis=0)
         swapped = piv != k
         det[swapped] = -det[swapped]
-        tmp = a[rows, k, :].copy()
-        a[rows, k, :] = a[rows, piv, :]
-        a[rows, piv, :] = tmp
-        pivot = a[:, k, k].copy()
+        row = a[k:, piv, points]  # each point's pivot row, columns k..
+        a[k:, piv, points] = a[k:, k]
+        pivot = row[0]
         det = det * pivot
         divisor = np.where(pivot == 0.0, 1.0, pivot)
-        factor = a[:, k + 1:, k] / divisor[:, None]
-        a[:, k + 1:, k:] = a[:, k + 1:, k:] - factor[:, :, None] * a[:, k, k:][:, None, :]
+        factor = a[k, k + 1:] / divisor
+        a[k + 1:, k + 1:] -= np.multiply(factor, row[1:, None],
+                                         out=products[:cols - k - 1, :n - k - 1])
     # the last row is each completion's final pivot
-    return (det[:, None] * a[:, n - 1, n - 1:]).reshape(batch + (cols - n + 1,))
+    return det * a[n - 1:, n - 1]
 
 # Relative rank-loss threshold: below the rounding floor of double arithmetic
 # after O(n^2) operations.

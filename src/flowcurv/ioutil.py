@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -66,7 +67,8 @@ def _check_table(header, values, fmt_name, labels):
 def write_table(path, header, values, fmt_name="csv", labels=None):
     """Write a (rows, columns) float table atomically (temp file + rename).
 
-    `labels`, if given, is one string per row for a last column. A table
+    `labels`, if given, is one string per row for a last column.  JSON
+    writes a NaN or infinite value as null, so the file is strict JSON. A table
     that cannot be written faithfully (header and column counts differ, values
     not 2-D, a CSV field holding a comma, quote or line break) raises
     `ValueError` before any file is created.
@@ -77,10 +79,14 @@ def write_table(path, header, values, fmt_name="csv", labels=None):
         chunks = _csv_blocks(header, values, labels)
     elif fmt_name == "json":
         rows = values.tolist()
+        # strict JSON has no NaN or Infinity: such a number is written as null
+        for i in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
+            rows[i] = [v if math.isfinite(v) else None for v in rows[i]]
         if labels is not None:
             for row, label in zip(rows, labels):
                 row.append(label)
-        chunks = [json.dumps({"columns": list(header), "rows": rows}, indent=1) + "\n"]
+        chunks = [json.dumps({"columns": list(header), "rows": rows}, indent=1,
+                             allow_nan=False) + "\n"]
     else:
         raise ValueError(f"unknown output format {fmt_name!r}")
     try:

@@ -1,7 +1,9 @@
 """CLI commands, file formats, exit codes, determinism."""
 
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +187,37 @@ def test_curvature_writes_nan_rows_for_degenerate_stacks(tmp_path, capsys):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) > 1 and all(row[1:] == ["nan", "nan"] for row in rows)
 
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_json_tables_write_non_finite_values_as_null(tmp_path, capsys):
+    # degenerate stacks at a fixed point give NaN kappas
+    kappa = tmp_path / "kappa.json"
+    assert run(["curvature", "--model", "chua3-pwl", "--x0", "0,0,0", "--t-end", "1",
+                "--format", "json", "--out", str(kappa)], capsys)[0] == 0
+    rows = _strict_json(kappa)["rows"]
+    assert len(rows) == 11 and all(row[1:] == [None, None] for row in rows)
+    # a stack that overflows gives NaN phi; the finite rows keep their numbers
+    scan, csv_scan = tmp_path / "scan.json", tmp_path / "scan.csv"
+    args = ["phi-scan", "--model", "gear5", "--grid", "x1=-1e200:1e200:3,x2=-1:1:2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(args + ["--format", "json", "--out", str(scan)], capsys)[0] == 0
+        assert run(args + ["--out", str(csv_scan)], capsys)[0] == 0
+    rows = _strict_json(scan)["rows"]
+    csv_rows = [line.split(",") for line in csv_scan.read_text().splitlines()[1:]]
+    assert len(rows) == len(csv_rows) == 6
+    for row, csv_row in zip(rows, csv_rows):
+        assert [repr(v) if v is not None else "nan" for v in row] == csv_row
+    assert sum(row[5] is None for row in rows) == 4
+    write_table(scan, ["a", "b"], np.array([[np.inf, 1.0], [-np.inf, np.nan]]), "json")
+    assert _strict_json(scan)["rows"] == [[None, 1.0], [None, None]]
 
 def test_write_table_bytes(tmp_path):
     header = ["t", "x1", "region"]
@@ -397,10 +430,12 @@ def _row_writer(path, header, rows, fmt_name):
         text = "".join([",".join(header) + "\n"] +
                        [",".join(fmt(v) for v in row) + "\n" for row in rows])
     else:
+        # strict JSON: a NaN or infinite number is null
         payload = {"columns": list(header),
-                   "rows": [[v if isinstance(v, str) else float(v) for v in row]
+                   "rows": [[v if isinstance(v, str) else
+                             float(v) if math.isfinite(v) else None for v in row]
                             for row in rows]}
-        text = json.dumps(payload, indent=1) + "\n"
+        text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
     path.write_text(text, encoding="utf-8")
 
 

@@ -258,7 +258,9 @@ def _check_bordered(bordered):
     """Every completion of `bordered` (..., n, n - 1 + m) against the old code."""
     from flowcurv.geometry import _lu_det
     n, cols = bordered.shape[-2:]
-    lu = _lu_det(bordered.astype(np.longdouble))
+    # the points-last elimination takes (cols, n, npts) and gives (m, npts)
+    work = np.transpose(bordered.astype(np.longdouble).reshape((-1, n, cols)), (2, 1, 0))
+    lu = _lu_det(work.copy()).T.reshape(bordered.shape[:-2] + (cols - n + 1,))
     dets = det_scaled(bordered)
     for j in range(cols - n + 1):
         square = np.concatenate([bordered[..., :n - 1], bordered[..., n - 1 + j:n + j]],
@@ -278,9 +280,31 @@ def test_bordered_elimination_matches_square_lu_on_random_stacks():
                 stack *= 10.0 ** rng.uniform(-30, 30, batch + (1, n - 1 + m))
                 _check_bordered(stack)
     # exact ties and zero pivots exercise the swap and zero-divisor paths
-    ints = rng.integers(-1, 2, (200, 4, 5)).astype(float)
+    ints = rng.integers(-1, 2, (200, 4, 5))
+    for dtype in (float, np.longdouble):
+        _check_bordered(ints.astype(dtype))
+        _check_bordered(np.zeros((3, 3, 4), dtype=dtype))
+    # an integer matrix is taken as float64
     _check_bordered(ints)
-    _check_bordered(np.zeros((3, 3, 4)))
+    _assert_same_bits(det_scaled(ints), det_scaled(ints.astype(float)))
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 3, 4), (0, 1, 1), (4, 0, 2, 3)])
+def test_bordered_elimination_of_an_empty_batch(shape):
+    _check_bordered(np.zeros(shape))
+    n, cols = shape[-2:]
+    expected = shape[:-2] + ((cols - n + 1,) if cols > n else ())
+    assert det_scaled(np.zeros(shape)).shape == expected
+
+
+def test_one_row_determinant_is_the_entry():
+    rng = np.random.default_rng(2)
+    for batch in ((), (7,), (3, 2)):
+        for cols in (1, 2, 4):
+            m = rng.standard_normal(batch + (1, cols)) * 10.0 ** rng.uniform(-30, 30)
+            _check_bordered(m)
+            dets = det_scaled(m)
+            np.testing.assert_array_equal(dets, m[..., 0, :] if cols > 1 else m[..., 0, 0])
 
 
 def test_bordered_elimination_matches_square_lu_on_stiff_stacks(chua5):

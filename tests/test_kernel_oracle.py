@@ -1,0 +1,215 @@
+"""The points-last determinant kernel against a points-first reference, bit for bit.
+
+The reference below is the kernel as it stood before the elimination moved
+its batch axis last: a (npts, n, cols) LU that copies pivot rows with three
+fancy-indexed assignments and updates the eliminated column too, and pwl
+branches compared against their labels at every Taylor order.  phi, L_V phi,
+the cofactor residual, `phi_scaled` and the hypercoplanarity determinant
+must all come out with the same bits, sign bit included.
+"""
+
+import numpy as np
+import pytest
+
+from flowcurv import expr as ex
+from flowcurv import get_model, load_model, manifold
+from flowcurv.spectral import hypercoplanarity_check
+
+from conftest import in_region_points
+from test_manifold import TWO_PWL
+
+
+def _reference_pwl_value(node, u, branch, j):
+    a, b = node.a, node.b
+    one, offset = (1.0, a) if j == 0 else (0.0, 0.0)
+    if isinstance(branch, str):
+        if branch == "mid":
+            return a * u
+        if branch == "pos":
+            return b * (u - one) + offset
+        return b * (u + one) - offset
+    return np.where(branch == "mid", a * u,
+                    np.where(branch == "pos", b * (u - one) + offset,
+                             b * (u + one) - offset))
+
+
+class _LabelMemo(ex.TaylorMemo):
+    """A memo whose pwl nodes resolve and compare their labels at every order."""
+
+    def series(self, node, j):
+        if not isinstance(node, ex.Pwl) or node.constant:
+            return super().series(node, j)
+        s = self.setdefault(node, [])
+        while len(s) <= j:
+            k = len(s)
+            u = self.series(node.arg, k)
+            branch = ex._resolve_branch(node.node_id, u[0], self.region)
+            s.append(_reference_pwl_value(node, u[k], branch, k))
+        return s
+
+
+def _reference_derivs(model, x, order, region):
+    if region is None and model.pwl_args:
+        region = model.classify(x.astype(float))
+    coeffs = np.zeros((order + 1,) + x.shape, dtype=x.dtype)
+    coeffs[0] = x
+    memo = _LabelMemo(coeffs, region)
+    for k in range(order):
+        for i, e in enumerate(model.rhs_exprs):
+            coeffs[k + 1, i] = memo.series(e, k)[k] / (k + 1)
+    derivs = np.empty((order,) + x.shape, dtype=x.dtype)
+    fact = 1.0
+    for k in range(1, order + 1):
+        fact *= k
+        derivs[k - 1] = fact * coeffs[k]
+    return derivs, region
+
+
+def _reference_lu_det(a):
+    batch = a.shape[:-2]
+    n, cols = a.shape[-2:]
+    a = a.reshape((-1, n, cols)).copy()
+    k_pts = a.shape[0]
+    rows = np.arange(k_pts)
+    det = np.ones(k_pts, dtype=a.dtype)
+    for k in range(n - 1):
+        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        swapped = piv != k
+        det[swapped] = -det[swapped]
+        tmp = a[rows, k, :].copy()
+        a[rows, k, :] = a[rows, piv, :]
+        a[rows, piv, :] = tmp
+        pivot = a[:, k, k].copy()
+        det = det * pivot
+        divisor = np.where(pivot == 0.0, 1.0, pivot)
+        factor = a[:, k + 1:, k] / divisor[:, None]
+        a[:, k + 1:, k:] = a[:, k + 1:, k:] - factor[:, :, None] * a[:, k, k:][:, None, :]
+    return (det[:, None] * a[:, n - 1, n - 1:]).reshape(batch + (cols - n + 1,))
+
+
+def _reference_det_scaled(derivs):
+    """Determinants of the stack's columns, from its (npts, n, cols) matrices."""
+    m = derivs.T if derivs.ndim == 2 else np.transpose(derivs, (2, 1, 0))
+    n = m.shape[-2]
+    norms = np.linalg.norm(m.astype(float), axis=-2, keepdims=True)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    scale = np.exp2(np.rint(np.log2(safe)))
+    dets = _reference_lu_det((m / scale.astype(m.dtype)).astype(np.longdouble))
+    scale = scale[..., 0, :]
+    return (dets * (np.prod(scale[..., :n - 1], axis=-1)[..., None]
+                    * scale[..., n - 1:])).astype(float)
+
+
+def _reference_sample(model, x, region=None):
+    x = np.asarray(x, dtype=float)
+    n = model.dim
+    derivs, region = _reference_derivs(model, x.astype(np.longdouble), n + 1, region)
+    dets = _reference_det_scaled(derivs)
+    p, lie = dets[..., 0], dets[..., 1]
+    tr = model.jac_exprs[0][0].eval(x, region)
+    for i in range(1, n):
+        tr = tr + model.jac_exprs[i][i].eval(x, region)
+    resid = np.abs(lie - tr * p) / (1.0 + np.abs(tr * p))
+    if x.ndim == 1:
+        p, lie, resid = float(p), float(lie), float(resid)
+    return p, lie, resid
+
+
+def _reference_double(model, x, region=None):
+    """The double-precision phi, lie_phi and phi_scaled."""
+    x = np.asarray(x, dtype=float)
+    n = model.dim
+    derivs, _ = _reference_derivs(model, x, n + 1, region)
+    p = _reference_det_scaled(derivs[:n])[..., 0]
+    lie = _reference_det_scaled(derivs)[..., 1]
+    value = np.abs(p)
+    scale = np.prod(np.linalg.norm(derivs[:n], axis=1), axis=0)
+    scaled = np.where(scale > 0.0, value / np.where(scale > 0.0, scale, 1.0), 0.0)[()]
+    if x.ndim == 1:
+        p, lie = float(p), float(lie)
+    return p, lie, scaled
+
+
+def _same_bits(a, b):
+    assert (type(a) is float) == (type(b) is float)
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def _check_kernel(model, x, region=None):
+    sample = manifold.manifold_sample(model, x, region)
+    for got, expected in zip((sample.phi, sample.lie, sample.cofactor_residual),
+                             _reference_sample(model, x, region)):
+        _same_bits(got, expected)
+    for got, expected in zip((manifold.phi(model, x, region), manifold.lie_phi(model, x, region),
+                              manifold.phi_scaled(model, x, region)),
+                             _reference_double(model, x, region)):
+        _same_bits(got, expected)
+    derivs, _ = _reference_derivs(model, np.asarray(x, dtype=float), model.dim, region)
+    _same_bits(np.asarray(hypercoplanarity_check(model, x, region).value_det),
+               _reference_det_scaled(derivs)[..., 0])
+
+
+def _states_across_regions(model, count, seed):
+    """States in every region of the first pwl term, some with |x1| = 1 exactly."""
+    x = np.concatenate([in_region_points(model, region, count, seed=seed)
+                        for region in ("neg", "mid", "pos")]).T
+    x[0, ::7] = 1.0
+    x[0, 3::7] = -1.0
+    return x
+
+
+@pytest.mark.parametrize("name", ["chua3-pwl", "chua5-pwl"])
+def test_kernel_matches_points_first_reference(name):
+    model = get_model(name)
+    x = _states_across_regions(model, 40, seed=3)
+    labels = model.classify(x)
+    assert set(labels) == {"neg", "mid", "pos"}
+    _check_kernel(model, x)
+    for i in (0, 3, 5, 50, 100):
+        _check_kernel(model, x[:, i])
+
+
+def test_kernel_matches_reference_on_two_pwl_terms():
+    model = load_model(TWO_PWL)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-3.0, 3.0, (3, 300))
+    x[0, ::9] = 1.0
+    x[1, 4::9] = 1.0 - x[2, 4::9]  # x2 + x3 rounds to the breakpoint or next to it
+    labels = model.classify(x)
+    assert isinstance(labels, tuple) and len(labels) == 2
+    assert all(set(term) == {"neg", "mid", "pos"} for term in labels)
+    _check_kernel(model, x)
+    _check_kernel(model, x, labels)
+    for i in range(5):
+        _check_kernel(model, x[:, i])
+        _check_kernel(model, x[:, i], tuple(term[i] for term in labels))
+
+
+def test_pinned_region_array_matches_classified_one():
+    model = get_model("chua5-pwl")
+    x = _states_across_regions(model, 30, seed=8)
+    labels = model.classify(x)
+    pinned = manifold.manifold_sample(model, x, labels.copy())
+    classified = manifold.manifold_sample(model, x)
+    for field in ("phi", "lie", "cofactor_residual"):
+        _same_bits(getattr(pinned, field), getattr(classified, field))
+    _check_kernel(model, x, labels.copy())
+
+
+def test_successive_expansions_keep_their_own_regions():
+    # the same pwl nodes serve both expansions; masks must not carry over
+    model = get_model("chua3-pwl")
+    x = _states_across_regions(model, 30, seed=9)
+    labels = model.classify(x)
+    shifted = np.roll(labels, 1)
+    assert np.any(shifted != labels)
+    for region in (labels, shifted, np.full(labels.shape, "pos", dtype=object), labels):
+        _check_kernel(model, x, region)
+    two = load_model(TWO_PWL)
+    y = np.random.default_rng(5).uniform(-3.0, 3.0, (3, 200))
+    first, second = two.classify(y)
+    for region in ((first, second), (second, first), (first, second)):
+        _check_kernel(two, y, region)
