@@ -192,7 +192,10 @@ def _cmd_phi_scan(args):
                for name in ("phi", "lie", "cofactor_residual")]
     header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "lie", "cofactor_residual"]
     write_table(args.out, header, np.column_stack([states.T, *columns]), args.format)
-    print(f"{states.shape[1]} samples -> {args.out}")
+    finite = np.logical_and.reduce([np.isfinite(column) for column in columns])
+    nonfinite = finite.size - int(finite.sum())
+    note = f" ({nonfinite} non-finite rows)" if nonfinite else ""
+    print(f"{states.shape[1]} samples -> {args.out}{note}")
     return 0
 
 

@@ -53,15 +53,17 @@ def det_scaled(matrix):
     if cols < n:
         raise ValueError(f"a {n}-row determinant needs at least {n} columns, got {cols}")
     columns = np.moveaxis(m, (-1, -2), (0, 1))  # (cols, n, ...)
-    norms = np.linalg.norm(columns.astype(float), axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    scale = np.exp2(np.rint(np.log2(safe)))
-    work = np.empty(columns.shape, dtype=np.longdouble)
-    np.divide(columns, scale.astype(m.dtype), out=work)  # rounds in m's dtype, then widens
-    dets = _lu_det(work.reshape((cols, n, -1))).reshape((cols - n + 1,) + m.shape[:-2])
-    scale = scale[:, 0]
-    out = np.moveaxis((dets * (np.prod(scale[:n - 1], axis=0) * scale[n - 1:])).astype(float),
-                      0, -1)
+    # an overflowing column gives a non-finite determinant without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(columns.astype(float), axis=1, keepdims=True)
+        safe = np.where(norms > 0.0, norms, 1.0)
+        scale = np.exp2(np.rint(np.log2(safe)))
+        work = np.empty(columns.shape, dtype=np.longdouble)
+        np.divide(columns, scale.astype(m.dtype), out=work)  # rounds in m's dtype, then widens
+        dets = _lu_det(work.reshape((cols, n, -1))).reshape((cols - n + 1,) + m.shape[:-2])
+        scale = scale[:, 0]
+        out = np.moveaxis((dets * (np.prod(scale[:n - 1], axis=0) * scale[n - 1:])).astype(float),
+                          0, -1)
     if cols == n:
         out = out[..., 0]
     return float(out) if out.ndim == 0 else out

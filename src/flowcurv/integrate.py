@@ -24,7 +24,8 @@ the error and its fused norm, so trajectories are bit-identical to the
 same scheme written with float64 arrays (`sum()` over the stage arrays,
 `np.mean` for the norm).  numpy's mean sums in order below 8 components;
 from 8 on it sums pairwise, so there the last bit of the norm (and hence
-the step sequence) may differ from an array formulation.  The event
+the step sequence) may differ from an array formulation.  k1 at the start
+and after an event cut is `ModelDef.velocity` as a list.  The event
 confirmation steps and the event cut take the same step and discard its
 norm and 7th stage, so `stats["rhs_evals"]` counts six rhs calls per DP
 step of every kind.
@@ -102,9 +103,8 @@ def _event_functions(model):
     return funcs
 
 
-def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
-              max_steps=2_000_000):
-    """Integrate `model` from `x0` over [t0, t0 + t_end].
+def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, max_steps=2_000_000):
+    """Integrate `model` from `x0` over [0, t_end].
 
     Returns accepted steps plus event points; the interpolant serves event
     location only, no dense output is returned.
@@ -114,8 +114,8 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
     """
     if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
         raise ValueError("tolerances must be finite and positive")
-    if not (0 < t_end < math.inf and math.isfinite(t0)):
-        raise ValueError("t_end must be finite and positive, t0 finite")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be finite and positive")
     if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 1:
         raise ValueError(f"max_steps must be a positive int, got {max_steps!r}")
     x0 = np.asarray(x0, dtype=float)
@@ -128,11 +128,11 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
 
     stats = {"rhs_evals": 0, "dp_steps": 0, "accepted_steps": 0, "rejected_steps": 0,
              "event_bisection_steps": 0, "event_fallbacks": 0, "events": 0}
-    f, step = model.rhs, model.dp_step
+    step = model.dp_step
 
     events = _event_functions(model)
-    t = float(t0)
-    t_final = t + float(t_end)
+    t = 0.0
+    t_final = float(t_end)
     times = [t]
     states = [x]
     recorded_events = []
@@ -159,8 +159,8 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
 
     event_signs = [signed(g(x)) for g, _ in events]
 
-    k1 = f(x)
-    h = _initial_step(f, x, k1, rel_tol, abs_tol)
+    k1 = model.velocity(x).tolist()
+    h = _initial_step(model, x, k1, rel_tol, abs_tol)
     h_min_factor = 16 * sys.float_info.epsilon
 
     steps = 0
@@ -216,7 +216,7 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, t0=0.0,
             # pre-crossing sign; other events re-read at the split point
             event_signs = [signed(gg(x)) if i != hit_index else -pre_sign
                            for i, (gg, _) in enumerate(events)]
-            k1 = f(x)
+            k1 = model.velocity(x).tolist()
             continue
 
         stats["accepted_steps"] += 1
@@ -370,7 +370,7 @@ def take_step(model, x, h, rel_tol, abs_tol):
     """One true DP step of size h (h < 0 steps back) from x, k1 = f(x): the
     new state and the step's error norm (`integrate` accepts it at <= 1)."""
     x = np.asarray(x, dtype=float).tolist()
-    x_new, err_norm, _, _ = model.dp_step(x, model.rhs(x), float(h),
+    x_new, err_norm, _, _ = model.dp_step(x, model.velocity(x).tolist(), float(h),
                                           float(rel_tol), float(abs_tol))
     return np.array(x_new), err_norm
 
@@ -382,7 +382,7 @@ def last_state_before_crossing(model, x, x_new, h, g):
     to one cell before it (x itself at 0) and the number of DP steps taken."""
     step, h = model.dp_step, float(h)
     x, x_new = (np.asarray(s, dtype=float).tolist() for s in (x, x_new))
-    k1 = model.rhs(x)
+    k1 = model.velocity(x).tolist()
     dense = _dense_output(x, x_new, h, step(x, k1, h, 1.0, 1.0)[3])
     theta, steps, _ = _locate_event(step, x, k1, h, g, 1 if g(x) > 0 else -1, dense, x_new)
     cell = 1.0
@@ -393,7 +393,7 @@ def last_state_before_crossing(model, x, x_new, h, g):
     return np.array(_state_after(step, x, k1, (theta - cell) * h)), 2 + steps
 
 
-def _initial_step(f, x, k1, rel_tol, abs_tol):
+def _initial_step(model, x, k1, rel_tol, abs_tol):
     """Standard order-5 starting-step heuristic."""
     x = np.array(x)
     k1 = np.array(k1)
@@ -402,7 +402,7 @@ def _initial_step(f, x, k1, rel_tol, abs_tol):
     d1 = np.sqrt(np.mean((k1 / scale) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     x1 = x + h0 * k1
-    k2 = np.array(f(x1.tolist()))
+    k2 = model.velocity(x1)
     d2 = np.sqrt(np.mean(((k2 - k1) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)

@@ -117,14 +117,13 @@ def manifold_sample(model, x, region=None):
 class ZeroSet:
     """Refined phi = 0 points with their provenance.
 
-    Grid-edge points satisfy |phi| <= tol_abs + tol_rel * scale, with scale
-    the larger |phi| at the ends of the bracket refined: the edge's grid
-    nodes, or, for an edge split at a PWL breakpoint, the ends of its
-    single-region piece.  There are two exceptions.  A grid node where phi
-    is exactly zero is returned as it is.  A point whose bracket reached
-    the floating-point width first (phi then changes sign between adjacent
-    floats) is kept only when both ends of that final bracket lie in the
-    same PWL region.  A sign change that survives only across a region
+    Grid-edge points satisfy |phi| <= tol_rel * scale, with scale the larger
+    |phi| at the ends of the bracket refined: the edge's grid nodes, or, for
+    an edge split at a PWL breakpoint, the ends of its single-region piece.
+    There are two exceptions.  A grid node where phi is exactly zero is
+    returned as it is.  A point whose bracket reached the floating-point
+    width first (phi then changes sign between adjacent floats) is kept
+    only when both ends of that final bracket lie in the same PWL region.  A sign change that survives only across a region
     boundary is a jump of phi, not a zero, at every tolerance; such edges
     are dropped and counted in `metadata["dropped_jumps"]`.
     """
@@ -143,6 +142,7 @@ class ZeroSet:
 
 _CHUNK = 4096  # most points per batched phi call; bounds the stacks' memory
 _ITP_SLACK = 6  # rounds that ITP may spend beyond bisection on one bracket
+_REFINE_ROUNDS = 90  # rounds at most; a bracket reaches one float within 52 + _ITP_SLACK
 
 
 def _phi_chunked(model, states):
@@ -155,7 +155,7 @@ def _phi_chunked(model, states):
     return values
 
 
-def _refine_edges(model, p_lo, p_hi, f_lo, f_hi, tol_abs, tol_rel, max_iter=90):
+def _refine_edges(model, p_lo, p_hi, f_lo, f_hi, tol_rel):
     """Locate one zero of phi on every bracketed edge [p_lo, p_hi], in lockstep.
 
     Each edge is parametrized by t in [0, 1] and follows the single-edge
@@ -175,11 +175,11 @@ def _refine_edges(model, p_lo, p_hi, f_lo, f_hi, tol_abs, tol_rel, max_iter=90):
        by 0.2 (b - a)^2 / w0 and projected into bisection's minmax interval,
        so a bracket of initial width w0 reaches one float in at most
        `_ITP_SLACK` rounds more than bisection.  An edge stops once
-       |phi| <= tol_abs + tol_rel * max(|phi(a)|, |phi(b)|) of its initial
+       |phi| <= tol_rel * max(|phi(a)|, |phi(b)|) of its initial
        bracket, and is dropped on a non-finite phi.
     3. Fallback.  A bracket one float wide in t (or still open after
-       `max_iter` rounds) ends at its midpoint, and is dropped as a jump when
-       its two ends lie in different PWL regions.
+       `_REFINE_ROUNDS` rounds) ends at its midpoint, and is dropped as a
+       jump when its two ends lie in different PWL regions.
 
     Returns the edge parameters t, phi there, each edge's tolerance, the
     mask of edges kept, and counters.
@@ -232,7 +232,7 @@ def _refine_edges(model, p_lo, p_hi, f_lo, f_hi, tol_abs, tol_rel, max_iter=90):
             jumps[e[~more & (np.sign(f_h) * np.sign(fb[e]) > 0)]] = True
             pending = e[more]
 
-    target = tol_abs + tol_rel * np.maximum(np.abs(fa), np.abs(fb))
+    target = tol_rel * np.maximum(np.abs(fa), np.abs(fb))
     live = np.flatnonzero(~(jumps | nonfinite))
     wide = b[live] - a[live] > eps
     active, unconverged = live[wide], [live[~wide]]
@@ -244,7 +244,7 @@ def _refine_edges(model, p_lo, p_hi, f_lo, f_hi, tol_abs, tol_rel, max_iter=90):
     mant, expo = np.frexp(w0)
     budget[active] = np.ldexp(np.where(mant == 0.5, 0.5, 1.0), expo + _ITP_SLACK - 1)
     rounds = 0
-    while active.size and rounds < max_iter:
+    while active.size and rounds < _REFINE_ROUNDS:
         rounds += 1
         phi_points += active.size
         lo, hi, f_a, f_b = a[active], b[active], fa[active], fb[active]
@@ -303,13 +303,13 @@ def grid_states(dim, axes, slice_values):
     return states, mesh[0].shape
 
 
-def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9):
+def zero_set_grid(model, axes, slice_values=None, tol_rel=1e-9):
     """Extract the phi = 0 point cloud over a coordinate-aligned grid.
 
     `axes` maps 2 or 3 coordinate indices to (lo, hi, count) ranges; the
     remaining coordinates are fixed at `slice_values` (default 0).  Each
     grid edge whose end nodes carry opposite phi signs yields at most one
-    point, where |phi| drops below tol_abs + tol_rel * (bracket scale).  An
+    point, where |phi| drops below tol_rel * (bracket scale).  An
     edge whose ends lie in different PWL regions is first split at the
     region change, located on the labels alone; if no single-region piece
     changes sign, phi jumps there rather than vanishing, and the edge is
@@ -332,7 +332,7 @@ def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9):
     `exact_zero_nodes`.
     """
     n = model.dim
-    if not (0 <= tol_abs < math.inf and 0 <= tol_rel < math.inf):
+    if not 0 <= tol_rel < math.inf:
         raise ValueError("tolerances must be finite and nonnegative")
     axis_items = sorted(axes.items())
     if len(axis_items) not in (2, 3):
@@ -373,7 +373,7 @@ def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9):
 
     f_lo, f_hi = values[edge_lo], values[edge_hi]
     p_lo, p_hi = states[:, edge_lo].T, states[:, edge_hi].T
-    t, f_mid, _, keep, counts = _refine_edges(model, p_lo, p_hi, f_lo, f_hi, tol_abs, tol_rel)
+    t, f_mid, _, keep, counts = _refine_edges(model, p_lo, p_hi, f_lo, f_hi, tol_rel)
     points = p_lo[keep] + t[keep, None] * (p_hi - p_lo)[keep]
 
     zero_nodes = np.flatnonzero(values == 0.0)
@@ -390,7 +390,7 @@ def zero_set_grid(model, axes, slice_values=None, tol_abs=0.0, tol_rel=1e-9):
                    metadata=metadata)
 
 
-def zero_crossings_on_trajectory(model, traj, degenerate_rtol=1e-12):
+def zero_crossings_on_trajectory(model, traj):
     """States where phi changes sign along an integrated trajectory.
 
     A sign change between samples k and k + 1 is located inside the DP step
@@ -400,13 +400,13 @@ def zero_crossings_on_trajectory(model, traj, degenerate_rtol=1e-12):
     nothing is re-integrated.  A sign change between PWL regions, where phi
     jumps, warns and is flagged in `metadata["straddle"]`;
     `metadata["dp_steps"]` counts the DP steps taken.  A trajectory with
-    phi ~ 0 at every sample (for instance a fixed point) returns an empty,
-    degenerate-flagged set.
+    |phi| <= 1e-12 max |phi| at every sample (for instance a fixed point)
+    returns an empty, degenerate-flagged set.
     """
     times, states = np.asarray(traj.times), np.asarray(traj.states)
     values = phi(model, states.T) if len(times) > 1 else np.zeros(len(times))
     scale = np.max(np.abs(values), initial=0.0)
-    if scale == 0.0 or np.all(np.abs(values) <= degenerate_rtol * scale):
+    if scale == 0.0 or np.all(np.abs(values) <= 1e-12 * scale):
         return ZeroSet(points=np.empty((0, model.dim)), phi_values=np.empty(0),
                        provenance="trajectory", degenerate=True)
     labels = point_regions(model, states.T)
@@ -580,8 +580,7 @@ def _poly_basis(n):
     return names, pairs
 
 
-def factor_check(model, factor, box, samples=200, seed=0,
-                 phi_tol=1e-6, fit_tol=1e-6):
+def factor_check(model, factor, box, samples=200, seed=0):
     """Test whether `factor` (an expression string) is a Darboux factor.
 
     Verifies that phi vanishes (in the Hadamard-scaled sense) on the
@@ -645,8 +644,8 @@ def factor_check(model, factor, box, samples=200, seed=0,
     k_scale = max(1.0, float(np.max(np.abs(K))))
     fit_residual = float(np.sqrt(np.mean((K - fitted) ** 2))) / k_scale
 
-    invariant = fit_residual <= fit_tol and (
-        phi_scaled_max is None or phi_scaled_max <= phi_tol)
+    invariant = fit_residual <= 1e-6 and (
+        phi_scaled_max is None or phi_scaled_max <= 1e-6)
     return FactorReport(
         factor=factor, zero_set_count=zero_points.shape[1],
         phi_scaled_max=phi_scaled_max, cofactor_coeffs=coeffs,

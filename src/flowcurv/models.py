@@ -87,8 +87,8 @@ class ModelDef:
       a smooth model);
     - `dp_step`: the model's Dormand-Prince step (`expr.compile_step`),
       compiled on first use;
-    - `rhs`, `velocity`, `jacobian` and `classify` walk the trees; all are
-      pure and re-entrant.
+    - `velocity`, `jacobian` and `classify` walk the trees; all are pure
+      and re-entrant.
     """
 
     name: str
@@ -117,11 +117,6 @@ class ModelDef:
     @functools.cached_property
     def dp_step(self):
         return ex.compile_step(self.rhs_exprs)
-
-    def rhs(self, state, region=None):
-        """The components at a state (list, tuple or array) or a batch (n, npts);
-        a constant component is one float."""
-        return [e.eval(state, region) for e in self.rhs_exprs]
 
     def velocity(self, x, region=None):
         """rhs at a state (n,) or a batch (n, npts), as an ndarray of that shape."""
@@ -434,10 +429,10 @@ def _mirror(fp):
 def _snap(model, loc, region):
     """The exact zero of the velocity on `region` nearest `loc`, in ulps.
 
-    One batched rhs call over the box of floats within a few ulps of `loc`
-    in every coordinate.  The candidate with the least summed ulp distance
-    wins; ties go to the first in the order 0, +1, -1, +2, -2 per coordinate,
-    the first coordinate varying slowest.  `loc` itself is kept when no
+    One batched velocity call over the box of floats within a few ulps of
+    `loc` in every coordinate.  The candidate with the least summed ulp
+    distance wins; ties go to the first in the order 0, +1, -1, +2, -2 per
+    coordinate, the first coordinate varying slowest.  `loc` itself is kept when no
     candidate is an exact zero.  Adding 0.0 turns -0.0 into +0.0.
     """
     width = _SNAP_ULPS
@@ -451,9 +446,7 @@ def _snap(model, loc, region):
         cost += [k, k]
     index = np.indices((len(cost),) * model.dim).reshape(model.dim, -1)
     candidates = np.stack(columns, axis=1)[np.arange(model.dim)[:, None], index]
-    zero = np.ones(index.shape[1], dtype=bool)
-    for v in model.rhs(candidates, region=region):
-        zero &= np.asarray(v) == 0.0
+    zero = (model.velocity(candidates, region) == 0.0).all(axis=0)
     if not zero.any():
         return loc + 0.0
     hits = np.flatnonzero(zero)
@@ -580,7 +573,7 @@ def _branch_fixed_points(model):
     return out
 
 
-def fixed_points(model, include_virtual=True):
+def fixed_points(model):
     """All equilibria of `model`, sorted by location.
 
     One solver serves built-ins and JSON configs alike.  A model with one
@@ -589,8 +582,8 @@ def fixed_points(model, include_virtual=True):
     velocity is exactly zero in double arithmetic, so phi and L_V phi vanish
     exactly there.  Odd-symmetric models take the `neg` point as the mirror
     of the `pos` one.  A branch solution that classifies outside its branch
-    is returned with ``virtual=True`` (drop these with
-    ``include_virtual=False``), unless it coincides with a real equilibrium:
+    is returned with ``virtual=True`` (callers that want only real
+    equilibria filter on it), unless it coincides with a real equilibrium:
     then it is discarded with a "spurious" warning.  All of
     ``model.fixed_point_guesses`` are refined together by batched damped
     Newton (`newton`); one that does not converge is skipped with a warning,
@@ -608,8 +601,6 @@ def fixed_points(model, include_virtual=True):
     for fp in pts:
         if not any(_coincide(fp, o) for o in out):
             out.append(fp)
-    if not include_virtual:
-        out = [fp for fp in out if not fp.virtual]
     out.sort(key=lambda fp: tuple(fp.location))
     return out
 

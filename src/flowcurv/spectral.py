@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _EIG_RESIDUAL_RTOL = 1e-8
+# |Im| <= _REAL_RTOL * (1 + |lambda|) counts as real; conjugates pair at that distance
+_REAL_RTOL = 1e-9
 
 
 class SpectralError(ValueError):
@@ -63,9 +65,9 @@ class Spectrum:
     def left_fast_eigenvector(self):
         return self.left_eigenvectors[:, 0]
 
-    def is_real(self, i, rtol=1e-9):
+    def is_real(self, i):
         lam = self.eigenvalues[i]
-        return abs(lam.imag) <= rtol * (1.0 + abs(lam))
+        return abs(lam.imag) <= _REAL_RTOL * (1.0 + abs(lam))
 
     def dominant_real(self):
         """Index of the real eigenvalue with the largest |Re|."""
@@ -111,7 +113,7 @@ def _spectrum(J):
     n = len(evals)
     for i in range(n):
         lam = evals[i]
-        if abs(lam.imag) <= 1e-9 * (1.0 + abs(lam)):
+        if abs(lam.imag) <= _REAL_RTOL * (1.0 + abs(lam)):
             rights[:, i] = _sign_fix(np.real(rights[:, i]))
             lefts[:, i] = _sign_fix(np.real(lefts[:, i]))
         resid = np.linalg.norm(J @ rights[:, i] - lam * rights[:, i])
@@ -178,14 +180,14 @@ class Hyperplane:
             return (self.eigenvalue * sigma) * c
         raise ValueError(f"unknown normalization {normalization!r}")
 
-    def equation(self, normalization="unit", digits=8):
+    def equation(self, normalization="unit"):
         coeffs = self.display(normalization)
         terms = []
         for i, c in enumerate(coeffs[:-1]):
-            s = f"{abs(c):.{digits}g}*x{i + 1}"
+            s = f"{abs(c):.8g}*x{i + 1}"
             terms.append(("- " if c < 0 else ("+ " if terms else "")) + s)
         off = coeffs[-1]
-        terms.append(("- " if off < 0 else "+ ") + f"{abs(off):.{digits}g}")
+        terms.append(("- " if off < 0 else "+ ") + f"{abs(off):.8g}")
         return " ".join(terms) + " = 0"
 
     def csv_row(self):
@@ -256,7 +258,7 @@ def _realized_slow_basis(spectrum, skip_index):
         for j in range(n):
             if j in (i, skip_index) or j in handled:
                 continue
-            if abs(spectrum.eigenvalues[j] - np.conj(lam)) <= 1e-9 * (1.0 + abs(lam)):
+            if abs(spectrum.eigenvalues[j] - np.conj(lam)) <= _REAL_RTOL * (1.0 + abs(lam)):
                 partner = j
                 break
         if partner is None:
@@ -268,7 +270,7 @@ def _realized_slow_basis(spectrum, skip_index):
     return np.array(basis)
 
 
-def coplanarity_equivalence(model, x, spectrum=None, region=None):
+def coplanarity_equivalence(model, x, region=None):
     """Residual pair for the coplanarity and orthogonality slow-manifold forms.
 
     r1 = |V . (Y_2 ^ ... ^ Y_n)| over the realized slow right eigenvectors,
@@ -279,24 +281,21 @@ def coplanarity_equivalence(model, x, spectrum=None, region=None):
     and the parallelism defect 1 - |cos| of the two normals.
 
     Accepts a state (n,) or a batch (n, npts); each value is then a float
-    or an (npts,) array.  Without `spectrum`, each point uses the spectrum
-    of its own Jacobian: points whose Jacobians are bitwise equal (all of
-    one PWL region) share one decomposition, and a batch equals its points
+    or an (npts,) array.  Each point uses the spectrum of its own Jacobian
+    (`spectrum_at`): points whose Jacobians are bitwise equal (all of one
+    PWL region) share one decomposition, and a batch equals its points
     taken one at a time bit for bit.
     """
     x = np.asarray(x, dtype=float)
     n = model.dim
     v = np.ascontiguousarray(model.velocity(x, region=region).reshape(n, -1).T)
-    if spectrum is not None:
-        groups = [(spectrum, slice(None))]
-    else:
-        J = np.ascontiguousarray(model.jacobian(x, region=region).reshape(n * n, -1).T)
-        _, first, inverse = np.unique(J.view(np.uint64), axis=0, return_index=True,
-                                      return_inverse=True)
-        inverse = inverse.ravel()
-        # decomposed in point order, so the first failing point raises
-        groups = [(_spectrum(J[first[g]].reshape(n, n)), inverse == g)
-                  for g in np.argsort(first)]
+    J = np.ascontiguousarray(model.jacobian(x, region=region).reshape(n * n, -1).T)
+    _, first, inverse = np.unique(J.view(np.uint64), axis=0, return_index=True,
+                                  return_inverse=True)
+    inverse = inverse.ravel()
+    # decomposed in point order, so the first failing point raises
+    groups = [(_spectrum(J[first[g]].reshape(n, n)), inverse == g)
+              for g in np.argsort(first)]
     out = np.empty((5, len(v)))
     for spec, idx in groups:
         i_fast = spec.dominant_real()

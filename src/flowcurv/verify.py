@@ -25,7 +25,7 @@ from . import geometry, manifold, models, spectral
 from .integrate import integrate, take_step
 from .jets import derivative_stack
 
-__all__ = ["CheckResult", "verify_model", "run_suite"]
+__all__ = ["CheckResult", "verify_model"]
 
 # Checks where the pinned finite-difference step cannot resolve the model's
 # fast frequencies are skipped rather than silently failed.
@@ -149,9 +149,7 @@ def _plane_checks(model, fps, rng):
         worst = _worst(np.concatenate([res["r1"] / res["scale1"],
                                        res["r2"] / res["scale2"]]))
         out.append(_result(name, worst, 1e-6) if x.shape[1] else _unsampled(name, 1e-6))
-        res = spectral.coplanarity_equivalence(
-            model, fp.location, spectrum=spectral.spectrum_at(model, fp.location, fp.region),
-            region=fp.region)
+        res = spectral.coplanarity_equivalence(model, fp.location, region=fp.region)
         out.append(_result(f"slow wedge parallel to fast left vector ({side})",
                            res["parallelism_defect"], 1e-8))
     return out
@@ -317,11 +315,3 @@ def verify_model(model, seed=0):
     if model.name == "gear5":
         results += _gear_checks(model, rng)
     return results
-
-
-def run_suite(model_names, seed=0):
-    """Verify several models; returns {name: [CheckResult, ...]}."""
-    out = {}
-    for name in model_names:
-        out[name] = verify_model(models.get_model(name), seed=seed)
-    return out

@@ -53,7 +53,7 @@ def reversed_model(model):
 
 def with_attrs(model, **attrs):
     """A copy of `model` whose instance attributes `attrs` override the class's
-    methods and cached properties (`rhs`, `dp_step`, ...)."""
+    methods and cached properties (`velocity`, `dp_step`, ...)."""
     copy = replace(model)
     vars(copy).update(attrs)
     return copy

@@ -207,7 +207,7 @@ def test_json_tables_write_non_finite_values_as_null(tmp_path, capsys):
     scan, csv_scan = tmp_path / "scan.json", tmp_path / "scan.csv"
     args = ["phi-scan", "--model", "gear5", "--grid", "x1=-1e200:1e200:3,x2=-1:1:2"]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         assert run(args + ["--format", "json", "--out", str(scan)], capsys)[0] == 0
         assert run(args + ["--out", str(csv_scan)], capsys)[0] == 0
     rows = _strict_json(scan)["rows"]
@@ -218,6 +218,21 @@ def test_json_tables_write_non_finite_values_as_null(tmp_path, capsys):
     assert sum(row[5] is None for row in rows) == 4
     write_table(scan, ["a", "b"], np.array([[np.inf, 1.0], [-np.inf, np.nan]]), "json")
     assert _strict_json(scan)["rows"] == [[None, 1.0], [None, None]]
+
+
+def test_phi_scan_reports_non_finite_rows_without_warnings(tmp_path, capsys):
+    # an overflowing stack is counted on stdout, with no numpy warning; a
+    # finite scan's line carries no count
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(["phi-scan", "--model", "gear5", "--grid",
+                                    "x1=-1e200:1e200:3,x2=-1:1:2", "--out", str(out)], capsys)
+    assert (code, stdout, stderr) == (0, f"6 samples -> {out} (4 non-finite rows)\n", "")
+    code, stdout, stderr = run(["phi-scan", "--model", "gear5", "--grid",
+                                "x1=-1:1:3,x2=-1:1:2", "--out", str(out)], capsys)
+    assert (code, stdout, stderr) == (0, f"6 samples -> {out}\n", "")
+
 
 def test_write_table_bytes(tmp_path):
     header = ["t", "x1", "region"]

@@ -358,7 +358,7 @@ def test_refinement_keeps_the_edges_bisection_keeps(name, axes, slice_values, di
     model = load_model(name)
     p_lo, p_hi, f_lo, f_hi = _grid_edges(model, axes, slice_values)
     target = 1e-9 * np.maximum(np.abs(f_lo), np.abs(f_hi))
-    t, f, refined_to, keep, _ = manifold._refine_edges(model, p_lo, p_hi, f_lo, f_hi, 0.0, 1e-9)
+    t, f, refined_to, keep, _ = manifold._refine_edges(model, p_lo, p_hi, f_lo, f_hi, 1e-9)
     differ = np.flatnonzero(keep != _bisection_keep(model, p_lo, p_hi, f_lo, target))
     assert differ.size == differing
     for k in differ:
@@ -454,11 +454,35 @@ def test_zero_set_grid_validation(chua3):
     with pytest.raises(ValueError, match="both"):
         zero_set_grid(chua3, {0: (0, 1, 5), 1: (0, 1, 5)}, {0: 1.0})
     for bad in (np.nan, np.inf, -1.0):
-        for name in ("tol_rel", "tol_abs"):
-            with pytest.raises(ValueError, match="nonnegative"):
-                zero_set_grid(chua3, {0: (-3, 3, 5), 1: (-1, 1, 5)}, **{name: bad})
+        with pytest.raises(ValueError, match="nonnegative"):
+            zero_set_grid(chua3, {0: (-3, 3, 5), 1: (-1, 1, 5)}, tol_rel=bad)
     with pytest.raises(TypeError):  # the phi batch size is fixed, not an option
         zero_set_grid(chua3, {0: (-3, 3, 5), 1: (-1, 1, 5)}, chunk=-4096)
+
+
+def test_fixed_values_are_not_keywords(chua3):
+    # values that only ever took one setting are constants, not options, and
+    # the list evaluator and the suite runner are gone
+    from flowcurv import coplanarity_equivalence, spectrum_at, tls_hyperplane, verify
+    fp = fixed_points(chua3)[2]
+    traj = integrate(chua3, [0.1, 0.1, 0.1], 1.0)
+    calls = [
+        lambda: integrate(chua3, [0.1, 0.1, 0.1], 1.0, t0=0.0),
+        lambda: zero_set_grid(chua3, {0: (-3, 3, 5), 1: (-1, 1, 5)}, tol_abs=0.0),
+        lambda: manifold._refine_edges(chua3, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0),
+                                       np.zeros(0), 1e-9, max_iter=90),
+        lambda: zero_crossings_on_trajectory(chua3, traj, degenerate_rtol=1e-12),
+        lambda: factor_check(chua3, "x1", [(-2, 2)] * 3, samples=10, phi_tol=1e-6),
+        lambda: factor_check(chua3, "x1", [(-2, 2)] * 3, samples=10, fit_tol=1e-6),
+        lambda: tls_hyperplane(chua3, fp).equation(digits=8),
+        lambda: spectrum_at(chua3, fp.location, fp.region).is_real(0, rtol=1e-9),
+        lambda: fixed_points(chua3, include_virtual=False),
+        lambda: coplanarity_equivalence(chua3, fp.location, spectrum=None, region=fp.region),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    assert not hasattr(chua3, "rhs") and not hasattr(verify, "run_suite")
 
 
 def test_zero_crossings_on_trajectory(chua3):

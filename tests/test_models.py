@@ -78,7 +78,7 @@ def test_chua4_fixed_points_virtual(chua4):
         locs, [[-x1, 0, x1, -x1], [0, 0, 0, 0], [x1, 0, -x1, x1]], atol=1e-4)
     # the outer-branch points sit inside |x1| < 1: virtual branch equilibria
     assert [fp.virtual for fp in fps] == [True, False, True]
-    assert fixed_points(chua4, include_virtual=False)[0].region == "mid"
+    assert [fp.region for fp in fixed_points(chua4) if not fp.virtual] == ["mid"]
 
 
 def test_chua5_fixed_points(chua5):
@@ -138,7 +138,7 @@ def _oracle_ulp_neighbors(x, count):
 
 
 def _oracle_zero(model, x, region):
-    return all(v == 0.0 for v in model.rhs(np.asarray(x, dtype=float), region=region))
+    return all(v == 0.0 for v in model.velocity(np.asarray(x, dtype=float), region=region))
 
 
 def _oracle_mirror(fp):
@@ -316,13 +316,13 @@ def test_snap_tie_break_order():
                         ([], (0, 0))]:
         targets = [shifted(z) for z in zeros]
 
-        def rhs(state, region=None):
+        def velocity(state, region=None):
             hit = np.zeros(np.shape(state[0]), dtype=bool)
             for t in targets:
                 hit |= (state[0] == t[0]) & (state[1] == t[1])
-            return [np.where(hit, 0.0, 1.0)] * 2
+            return np.array([np.where(hit, 0.0, 1.0)] * 2)
 
-        got = _snap(with_attrs(base, rhs=rhs), loc, None)
+        got = _snap(with_attrs(base, velocity=velocity), loc, None)
         assert got.tobytes() == (shifted(want) + 0.0).tobytes()
 
 
@@ -333,11 +333,11 @@ def test_snap_box_capped_for_large_dim():
     model = load_model({"name": "chain6", "dim": dim, "params": {}, "rhs": rhs})
     widths = []
 
-    def rhs_spy(state, region=None):
+    def velocity_spy(state, region=None):
         widths.append(np.shape(state[0]))
-        return model.rhs(state, region)
+        return model.velocity(state, region)
 
-    fps = fixed_points(with_attrs(model, rhs=rhs_spy))
+    fps = fixed_points(with_attrs(model, velocity=velocity_spy))
     assert max(int(np.prod(w)) for w in widths) == 3 ** dim <= _SNAP_CANDIDATES
     # every branch solves to x1 = ... = x6 = c: c = -1/6 (neg), 2/3 (mid), 5/6 (pos)
     assert [(fp.region, fp.virtual) for fp in fps] == \
@@ -536,19 +536,19 @@ def test_param_override_rebuilds_derived_constants():
 
 
 def test_velocity_evaluates_on_scalar_and_jet_paths(models_by_name):
-    # rhs on a list of Python floats (the integrator's path) equals velocity
-    # and the stack's first derivative, bit for bit
+    # the tree walk on a list of Python floats equals velocity and the
+    # stack's first derivative, bit for bit
     from flowcurv.jets import derivative_stack
     rng = np.random.default_rng(8)
     for model in models_by_name.values():
         for _ in range(20):
             x = rng.uniform(-3, 3, model.dim)
             want = model.velocity(x)
-            np.testing.assert_array_equal(model.rhs(x.tolist()), want)
+            np.testing.assert_array_equal([e.eval(x.tolist()) for e in model.rhs_exprs], want)
             np.testing.assert_array_equal(derivative_stack(model, x, 1).derivs[0], want)
 
 
-# -- the scalar rhs on lists ---------------------------------------------------
+# -- velocity as the integrator's k1: a list of floats --------------------------
 
 # JSON configs beyond the built-ins: the README example, two pwl terms (one
 # squared, one with a compound argument), powers and constant components
@@ -584,8 +584,11 @@ def _rhs_models():
 RHS_MODELS = _rhs_models()
 
 
-def _assert_rhs_equals_tree(model, state):
-    got = model.rhs(list(state))
+def _assert_velocity_equals_tree(model, state):
+    # the integrator's k1, `velocity(x).tolist()`, is the tree walk on a
+    # list of Python floats, bit for bit
+    with np.errstate(all="ignore"):  # inf and NaN states warn on float64 scalars
+        got = model.velocity(list(state)).tolist()
     want = [e.eval(list(state)) for e in model.rhs_exprs]
     assert all(type(v) is float for v in got)
     # float.hex tells -0.0 from 0.0
@@ -604,7 +607,7 @@ def test_compiled_rhs_bit_identical_fixed_states(model):
     states += [[v if k == 0 else 0.25 for k in range(model.dim)] for v in _EDGE_VALUES]
     states += rng.uniform(-3, 3, (200, model.dim)).tolist()
     for state in states:
-        _assert_rhs_equals_tree(model, state)
+        _assert_velocity_equals_tree(model, state)
 
 
 @settings(max_examples=300, deadline=None)
@@ -614,7 +617,7 @@ def test_compiled_rhs_bit_identical_hypothesis(data):
     value = st.one_of(st.floats(), st.sampled_from(_EDGE_VALUES),
                       st.floats(min_value=-3, max_value=3))
     state = data.draw(st.lists(value, min_size=model.dim, max_size=model.dim), label="state")
-    _assert_rhs_equals_tree(model, state)
+    _assert_velocity_equals_tree(model, state)
 
 
 def test_compiled_rhs_long_sum():
@@ -622,19 +625,19 @@ def test_compiled_rhs_long_sum():
     rhs = " + ".join(f"{k + 1}*x{k % 2 + 1}" for k in range(300))
     model = load_model({"name": "long", "dim": 2, "params": {}, "rhs": [rhs, "x1"]})
     for state in ([0.5, -0.25], [1e300, 1e300], [-0.0, 0.0]):
-        _assert_rhs_equals_tree(model, state)
-    assert model.rhs([1.0, 1.0])[0] == 300 * 301 / 2
+        _assert_velocity_equals_tree(model, state)
+    assert model.velocity([1.0, 1.0])[0] == 300 * 301 / 2
 
 
 def test_rhs_batches_and_pinned_regions_walk_the_tree(chua3):
     # lists, tuples, batches and pinned regions all walk the trees
     x = [1.5, 0.2, -0.3]
-    assert chua3.rhs(x, region="mid") == [e.eval(x, "mid") for e in chua3.rhs_exprs]
-    assert chua3.rhs(x, region="mid") != chua3.rhs(x)
-    assert chua3.rhs(tuple(x)) == chua3.rhs(x)
+    assert chua3.velocity(x, region="mid").tolist() == [e.eval(x, "mid") for e in chua3.rhs_exprs]
+    assert chua3.velocity(x, region="mid").tolist() != chua3.velocity(x).tolist()
+    assert chua3.velocity(tuple(x)).tolist() == chua3.velocity(x).tolist()
     batch = np.array([x, [0.5, 0.0, 0.0]]).T
-    np.testing.assert_array_equal(np.asarray(chua3.rhs(batch)).T,
-                                  [chua3.rhs(x), chua3.rhs([0.5, 0.0, 0.0])])
+    np.testing.assert_array_equal(chua3.velocity(batch).T,
+                                  [chua3.velocity(x), chua3.velocity([0.5, 0.0, 0.0])])
 
 
 # -- every evaluator derives from rhs_exprs ---------------------------------------
@@ -670,12 +673,13 @@ def test_replaced_rhs_exprs_drive_every_evaluator(config, rhs):
     np.testing.assert_array_equal(swapped.jacobian(batch, regions),
                                   fresh.jacobian(batch, regions))
     for x in batch.T.tolist():
-        assert swapped.rhs(x) == fresh.rhs(x) != model.rhs(x)
+        assert swapped.velocity(x).tolist() == fresh.velocity(x).tolist() \
+            != model.velocity(x).tolist()
         assert swapped.classify(x) == fresh.classify(x)
         np.testing.assert_array_equal(
             [[e.eval(x) for e in row] for row in swapped.jac_exprs],
             [[e.eval(x) for e in row] for row in fresh.jac_exprs])
-        k1 = fresh.rhs(x)
+        k1 = fresh.velocity(x).tolist()
         assert swapped.dp_step(x, k1, 0.01, 1e-9, 1e-12) == fresh.dp_step(x, k1, 0.01, 1e-9, 1e-12)
     assert swapped.pwl_args == fresh.pwl_args or rhs is None
     x0 = [0.3, -0.2, 0.1]
