@@ -19,8 +19,8 @@ from .manifold import (FactorReport, GspSummary, ManifoldSample, SlowFastSplit,
                        ZeroSet, darboux_residual, default_split, factor_check,
                        gsp_order0_residual, lie_phi, manifold_sample, phi,
                        phi_scaled, zero_crossings_on_trajectory, zero_set_grid)
-from .models import (FixedPoint, ModelDef, ModelError, cubic_k, fixed_points,
-                     get_model, load_model, pwl_k, registry)
+from .models import (FixedPoint, ModelDef, ModelError, fixed_points, get_model,
+                     load_model, registry)
 from .spectral import (Hyperplane, SpectralError, Spectrum,
                        coplanarity_equivalence, darboux_check_plane,
                        hypercoplanarity_check, spectrum_at, tls_hyperplane)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DerivStack", "derivative_stack",
-    "ModelDef", "FixedPoint", "ModelError", "pwl_k", "cubic_k",
+    "ModelDef", "FixedPoint", "ModelError",
     "fixed_points", "load_model", "get_model", "registry",
     "OrthoBasis", "CurvatureSet", "DegenerateStackError", "gram_schmidt",
     "curvatures", "curvature1_3d", "torsion_3d", "wedge",

@@ -144,6 +144,13 @@ def _join_regions(regions, count):
     return [r if isinstance(r, str) else "/".join(r) for r in regions] or [""] * count
 
 
+def _nonfinite_note(values):
+    """' (k non-finite rows)' for the k rows of `values` (rows, columns) that
+    hold a NaN or an infinity; '' when there is none."""
+    count = int(np.count_nonzero(~np.isfinite(values).all(axis=1)))
+    return f" ({count} non-finite rows)" if count else ""
+
+
 # -- commands -----------------------------------------------------------------
 
 def _cmd_list_models(args):
@@ -192,10 +199,7 @@ def _cmd_phi_scan(args):
                for name in ("phi", "lie", "cofactor_residual")]
     header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "lie", "cofactor_residual"]
     write_table(args.out, header, np.column_stack([states.T, *columns]), args.format)
-    finite = np.logical_and.reduce([np.isfinite(column) for column in columns])
-    nonfinite = finite.size - int(finite.sum())
-    note = f" ({nonfinite} non-finite rows)" if nonfinite else ""
-    print(f"{states.shape[1]} samples -> {args.out}{note}")
+    print(f"{states.shape[1]} samples -> {args.out}{_nonfinite_note(np.column_stack(columns))}")
     return 0
 
 
@@ -249,7 +253,7 @@ def _cmd_curvature(args):
     # one batched frame; a degenerate stack's row is NaN
     kappas = geometry.curvatures(derivative_stack(model, traj.states.T, model.dim)).kappas
     write_table(args.out, header, np.column_stack([traj.times, kappas]), args.format)
-    print(f"{len(traj)} samples -> {args.out}")
+    print(f"{len(traj)} samples -> {args.out}{_nonfinite_note(kappas)}")
     return 0
 
 

@@ -561,7 +561,7 @@ class Pwl(Node):
 
     def diff(self, var):
         inner = self.arg.diff(var)
-        return _mul(PwlSlope(self.arg, self.a, self.b, self.node_id), inner)
+        return _mul(PwlSlope(self), inner)
 
     def free_vars(self):
         return self.arg.free_vars()
@@ -576,21 +576,15 @@ class Pwl(Node):
 class PwlSlope(Node):
     """Region-wise slope of a Pwl node (a in the middle branch, b outside)."""
 
-    __slots__ = ("arg", "a", "b", "node_id")
+    __slots__ = ("pwl",)
 
-    def __init__(self, arg, a, b, node_id=0):
-        self.arg = arg
-        self.a = float(a)
-        self.b = float(b)
-        self.node_id = node_id
+    def __init__(self, pwl):
+        self.pwl = pwl
 
     def eval(self, state, region=None):
-        u = self.arg.eval(state, region)
-        branch = _resolve_branch(self.node_id, u, region)
-        if isinstance(branch, str):
-            slope = self.a if branch == "mid" else self.b
-        else:
-            slope = np.where(branch == "mid", self.a, self.b)
+        u = self.pwl.arg.eval(state, region)
+        # the branch's first Taylor coefficient per unit step of its argument
+        slope = self.pwl._branch_value(1.0, self.pwl._branch(u, region), 1)
         return slope if not isinstance(u, np.ndarray) else np.broadcast_to(slope, u.shape).copy()
 
     def diff(self, var):
@@ -598,10 +592,10 @@ class PwlSlope(Node):
         return Const(0.0)
 
     def free_vars(self):
-        return self.arg.free_vars()
+        return self.pwl.arg.free_vars()
 
     def __repr__(self):
-        return f"pwl_slope({self.arg!r}; {self.a}, {self.b})"
+        return f"pwl_slope({self.pwl.arg!r}; {self.pwl.a}, {self.pwl.b})"
 
 
 # -- light constant folding so Jacobian trees stay small ----------------------

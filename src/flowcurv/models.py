@@ -24,33 +24,13 @@ from .geometry import vecnorm
 
 __all__ = [
     "ModelDef", "FixedPoint", "ModelError",
-    "pwl_k", "cubic_k", "fixed_points", "load_model", "get_model", "registry",
+    "fixed_points", "load_model", "get_model", "registry",
     "region_box", "region_samples", "region_labels", "point_regions",
 ]
 
 
 class ModelError(ValueError):
     """Raised for invalid configs and unsupported model requests."""
-
-
-def pwl_k(x1, a, b):
-    """Chua's three-segment diode characteristic.
-
-    b*x1 + a - b for x1 >= 1, a*x1 for |x1| <= 1, b*x1 - a + b for
-    x1 <= -1.  The outer branches are evaluated anchored at the breakpoints
-    (a + b*(x1 - 1), -a + b*(x1 + 1)), which makes the branch values agree
-    exactly at |x1| = 1 for every (a, b); |x1| = 1 itself counts as the
-    middle branch (the value is branch-independent there, the slope is not).
-    """
-    x1 = np.asarray(x1, dtype=float)
-    out = np.where(x1 > 1.0, b * (x1 - 1.0) + a,
-                   np.where(x1 < -1.0, b * (x1 + 1.0) - a, a * x1))
-    return float(out) if out.ndim == 0 else out
-
-
-def cubic_k(x1, c1, c2):
-    """Smooth odd-symmetric diode characteristic c1*x1^3 + c2*x1."""
-    return c1 * x1 ** 3 + c2 * x1
 
 
 @dataclass(frozen=True)
@@ -81,6 +61,7 @@ class ModelDef:
     ``dataclasses.replace(model, rhs_exprs=...)`` gives a model whose every
     evaluator follows the new field:
 
+    - `dim`: the number of trees, one per state coordinate;
     - `jac_exprs`: the Jacobian trees, ``jac_exprs[i][j]`` the partial of
       component i by x_(j+1);
     - `pwl_args`: the argument tree of each pwl node, by node id (empty for
@@ -92,17 +73,19 @@ class ModelDef:
     """
 
     name: str
-    dim: int
     params: dict
     rhs_exprs: tuple
     fixed_point_guesses: tuple = ()
-    odd_symmetric: bool = False
     slowfast_defaults: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         # Fill the first cache entry at construction: added mid-computation,
         # it raised grid-scan's peak RSS by 3.6 MB (heap fragmentation).
         self.pwl_args  # noqa: B018
+
+    @property
+    def dim(self):
+        return len(self.rhs_exprs)
 
     @functools.cached_property
     def jac_exprs(self):
@@ -166,7 +149,7 @@ def point_regions(model, states):
     return tuple(zip(*terms)) if len(terms) > 1 else tuple(terms[0])
 
 
-def _model_from_config(config, extras=None):
+def _model_from_config(config, slowfast_defaults=None):
     required = {"name", "dim", "params", "rhs"}
     allowed = required | {"fixed_point_guesses"}
     unknown = set(config) - allowed
@@ -202,12 +185,8 @@ def _model_from_config(config, extras=None):
         if g.shape != (dim,):
             raise ModelError(f"fixed-point guess {g} has wrong dimension")
 
-    extras = extras or {}
-    return ModelDef(
-        name=name, dim=dim, params=params, rhs_exprs=tuple(exprs),
-        fixed_point_guesses=guesses,
-        **extras,
-    )
+    return ModelDef(name=name, params=params, rhs_exprs=tuple(exprs),
+                    fixed_point_guesses=guesses, slowfast_defaults=slowfast_defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +262,7 @@ def _chua4_cubic_config(params):
             "beta1*(x2 - x1 - x3)",
             "beta2*x2",
         ],
-        # x2 = 0, x3 = -x1, x4 = x1, with cubic_k(x1) = -x1
+        # x2 = 0, x3 = -x1, x4 = x1, with c1*x1^3 + c2*x1 = -x1
         "fixed_point_guesses": _odd_guesses(4, -(1.0 + p["c2"]) / p["c1"],
                                             lambda x1: [x1, 0.0, -x1, x1]),
     }
@@ -420,12 +399,6 @@ _SNAP_ULPS = 2
 _SNAP_CANDIDATES = (2 * _SNAP_ULPS + 1) ** 5
 
 
-def _mirror(fp):
-    loc = -fp.location
-    region = {"pos": "neg", "neg": "pos", "mid": "mid"}.get(fp.region, fp.region)
-    return FixedPoint(location=loc, region=region, virtual=fp.virtual)
-
-
 def _snap(model, loc, region):
     """The exact zero of the velocity on `region` nearest `loc`, in ulps.
 
@@ -549,7 +522,7 @@ def _coincide(a, b):
 def _branch_fixed_points(model):
     """Per-region affine solve of a one-pwl model, each solution snapped."""
     found = []
-    for region in ("mid", "pos") if model.odd_symmetric else ex.PWL_LABELS:
+    for region in ex.PWL_LABELS:
         c = model.velocity(np.zeros(model.dim), region=region)
         loc = solve_columns(model.jacobian(np.zeros(model.dim), region=region)[None], -c[None])[0]
         if np.isnan(loc).any():
@@ -559,8 +532,6 @@ def _branch_fixed_points(model):
             continue  # branch is not affine: only Newton guesses apply
         loc = _snap(model, loc, region)
         found.append(FixedPoint(loc, region=region, virtual=model.classify(loc) != region))
-        if model.odd_symmetric and region == "pos":
-            found.append(_mirror(found[-1]))
     real = [fp for fp in found if not fp.virtual]
     out = []
     for fp in found:
@@ -580,11 +551,11 @@ def fixed_points(model):
     pwl node is affine on each branch: each branch's affine system is solved
     once and the solution snapped (`_snap`) to the nearest state whose
     velocity is exactly zero in double arithmetic, so phi and L_V phi vanish
-    exactly there.  Odd-symmetric models take the `neg` point as the mirror
-    of the `pos` one.  A branch solution that classifies outside its branch
-    is returned with ``virtual=True`` (callers that want only real
-    equilibria filter on it), unless it coincides with a real equilibrium:
-    then it is discarded with a "spurious" warning.  All of
+    exactly there.  Every branch is solved, none mirrored from another, so a
+    built-in and its JSON copy give the same bits.  A branch solution that
+    classifies outside its branch is returned with ``virtual=True`` (callers
+    that want only real equilibria filter on it), unless it coincides with a
+    real equilibrium: then it is discarded with a "spurious" warning.  All of
     ``model.fixed_point_guesses`` are refined together by batched damped
     Newton (`newton`); one that does not converge is skipped with a warning,
     and a singular Jacobian at any guess raises `ModelError`.
@@ -632,8 +603,6 @@ _SLOWFAST_DEFAULTS = {
                            "box": [(-0.02, 0.02)] * 4, "box_center": "equilibrium"},
 }
 
-_ODD_SYMMETRIC = {"chua3-pwl", "chua4-pwl", "chua5-pwl", "chua4-cubic", "chua5-cubic"}
-
 
 def registry():
     """Names of the built-in models."""
@@ -645,11 +614,7 @@ def get_model(name, **param_overrides):
     if name not in _BUILTIN_BUILDERS:
         raise ModelError(f"unknown model {name!r}; known: {', '.join(registry())}")
     config = _BUILTIN_BUILDERS[name](param_overrides)
-    extras = {
-        "odd_symmetric": name in _ODD_SYMMETRIC,
-        "slowfast_defaults": _SLOWFAST_DEFAULTS.get(name),
-    }
-    return _model_from_config(config, extras=extras)
+    return _model_from_config(config, slowfast_defaults=_SLOWFAST_DEFAULTS.get(name))
 
 
 def load_model(source):

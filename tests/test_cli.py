@@ -12,6 +12,7 @@ from flowcurv import (derivative_stack, fixed_points, geometry, get_model, integ
                       load_model, manifold_sample, models, tls_hyperplane, zero_set_grid)
 from flowcurv.cli import main
 from flowcurv.manifold import grid_states
+from flowcurv.models import _BUILTIN_BUILDERS
 from flowcurv.ioutil import write_table
 from flowcurv.verify import verify_model
 
@@ -149,6 +150,21 @@ def test_hyperplane_stdout_and_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("name", ["chua3-pwl", "chua4-pwl", "chua5-pwl"])
+def test_hyperplane_builtin_and_json_copy_agree(tmp_path, name, capsys):
+    # a built-in and its JSON config copy are one circuit: the same fixed
+    # points, down to the sign of zero, and the same planes
+    config = tmp_path / "copy.json"
+    config.write_text(json.dumps(dict(_BUILTIN_BUILDERS[name]({}), name=name + "-json")))
+    outputs = []
+    for model, stem in ((name, "builtin"), (str(config), "copy")):
+        out = tmp_path / f"{stem}.csv"
+        code, stdout, stderr = run(["hyperplane", "--model", model, "--out", str(out)], capsys)
+        assert (code, stderr) == (0, "")
+        outputs.append((stdout.replace(str(out), "PLANES"), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_curvature_command(tmp_path, capsys):
     out = tmp_path / "kappa.csv"
     code, _, _ = run(["curvature", "--model", "chua3-pwl", "--x0", "0.1,0.1,0.1",
@@ -187,6 +203,18 @@ def test_curvature_writes_nan_rows_for_degenerate_stacks(tmp_path, capsys):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) > 1 and all(row[1:] == ["nan", "nan"] for row in rows)
 
+
+def test_curvature_reports_non_finite_rows(tmp_path, capsys):
+    # every stack at a fixed point is degenerate, so every row is NaN and
+    # counted on stdout; a run without such a row keeps the plain line
+    out = tmp_path / "kappa.csv"
+    code, stdout, stderr = run(["curvature", "--model", "chua3-pwl", "--x0", "0,0,0",
+                                "--t-end", "1", "--out", str(out)], capsys)
+    assert (code, stdout, stderr) == (0, f"11 samples -> {out} (11 non-finite rows)\n", "")
+    code, stdout, stderr = run(["curvature", "--model", "chua3-pwl", "--x0", "0.1,0.1,0.1",
+                                "--t-end", "1", "--out", str(out)], capsys)
+    rows = len(out.read_text().splitlines()) - 1
+    assert (code, stdout, stderr) == (0, f"{rows} samples -> {out}\n", "")
 
 
 def _strict_json(path):

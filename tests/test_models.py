@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcurv import expr as ex
-from flowcurv import (FixedPoint, ModelError, cubic_k, fixed_points, get_model, integrate,
-                      lie_phi, load_model, phi, pwl_k, registry)
+from flowcurv import (FixedPoint, ModelError, fixed_points, get_model, integrate, lie_phi,
+                      load_model, phi, registry)
 from flowcurv.models import (_BUILTIN_BUILDERS, _SNAP_CANDIDATES, _newton_polish, _snap,
                              magneto_equilibrium, point_regions, region_box, solve_columns)
 
@@ -28,12 +28,19 @@ def test_registry_names():
 
 # -- diode characteristics ----------------------------------------------------
 
+def _characteristic(text, **params):
+    """The parsed tree of `text` as a function of x1 (a float or an array)."""
+    node, _ = ex.parse_expression(text, {"x1": 0}, params)
+    return lambda x1: node.eval(np.asarray(x1, dtype=float)[None])
+
+
 def test_pwl_k_values():
     a, b = -8 / 7, -5 / 7
-    assert pwl_k(0.0, a, b) == 0.0
-    assert pwl_k(1.0, a, b) == pytest.approx(-8 / 7, abs=1e-15)
+    pwl_k = _characteristic("pwl(x1; a, b)", a=a, b=b)
+    assert pwl_k(0.0) == 0.0
+    assert pwl_k(1.0) == pytest.approx(-8 / 7, abs=1e-15)
     # hand evaluation of b*x1 + a - b at x1 = 3/2 gives -3/2
-    assert pwl_k(1.5, a, b) == pytest.approx(-1.5, abs=1e-15)
+    assert pwl_k(1.5) == pytest.approx(-1.5, abs=1e-15)
 
 
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5), x=st.floats(-4, 4))
@@ -41,23 +48,23 @@ def test_pwl_k_values():
 def test_pwl_branch_continuity_and_symmetry(a, b, x):
     # both outer branch formulas reproduce the middle-branch value exactly
     # at their breakpoints, for every (a, b)
-    assert pwl_k(1.0, a, b) == a and pwl_k(np.nextafter(1.0, 2.0), a, b) == \
+    pwl_k = _characteristic("pwl(x1; a, b)", a=a, b=b)
+    assert pwl_k(1.0) == a and pwl_k(np.nextafter(1.0, 2.0)) == \
         pytest.approx(a, abs=4 * abs(b) * np.finfo(float).eps + 1e-300)
-    assert pwl_k(-1.0, a, b) == -a
-    assert abs(pwl_k(np.nextafter(1.0, 2.0), a, b) - pwl_k(1.0, a, b)) \
-        <= abs(b) * 2 ** -50
-    assert abs(pwl_k(np.nextafter(-1.0, -2.0), a, b) - pwl_k(-1.0, a, b)) \
-        <= abs(b) * 2 ** -50
-    assert pwl_k(-x, a, b) == -pwl_k(x, a, b)
+    assert pwl_k(-1.0) == -a
+    assert abs(pwl_k(np.nextafter(1.0, 2.0)) - pwl_k(1.0)) <= abs(b) * 2 ** -50
+    assert abs(pwl_k(np.nextafter(-1.0, -2.0)) - pwl_k(-1.0)) <= abs(b) * 2 ** -50
+    assert pwl_k(-x) == -pwl_k(x)
 
 
 def test_cubic_k_values():
-    assert cubic_k(0.0, 0.3937, -0.7235) == 0.0
-    assert cubic_k(1.0, 0.3937, -0.7235) == pytest.approx(-0.3298, abs=1e-12)
-    assert cubic_k(-2.0, 0.1068, -0.3056) == pytest.approx(-0.2432, abs=1e-12)
+    chua4, chua5 = (_characteristic("c1*x1^3 + c2*x1", c1=c1, c2=c2)
+                    for c1, c2 in ((0.3937, -0.7235), (0.1068, -0.3056)))
+    assert chua4(0.0) == 0.0
+    assert chua4(1.0) == pytest.approx(-0.3298, abs=1e-12)
+    assert chua5(-2.0) == pytest.approx(-0.2432, abs=1e-12)
     x = np.linspace(-3, 3, 31)
-    np.testing.assert_allclose(cubic_k(-x, 0.1068, -0.3056),
-                               -cubic_k(x, 0.1068, -0.3056), atol=0)
+    np.testing.assert_allclose(chua5(-x), -chua5(x), atol=0)
 
 
 # -- fixed points --------------------------------------------------------------
@@ -98,11 +105,11 @@ def test_fixed_point_invariant_and_exactness(models_by_name):
 
 
 def test_chua_fixed_point_sets_symmetric(models_by_name):
-    for name, model in models_by_name.items():
-        if not model.odd_symmetric:
-            continue
-        locs = sorted(tuple(fp.location) for fp in fixed_points(model))
-        mirrored = sorted(tuple(-fp.location) for fp in fixed_points(model))
+    # every Chua circuit is odd, f(-x) = -f(x): its equilibria come in +-pairs
+    for name in ("chua3-pwl", "chua4-pwl", "chua5-pwl", "chua4-cubic", "chua5-cubic"):
+        locs = sorted(tuple(fp.location) for fp in fixed_points(models_by_name[name]))
+        mirrored = sorted(tuple(-v for v in loc) for loc in locs)
+        assert locs
         np.testing.assert_allclose(locs, mirrored, atol=0)
 
 
@@ -142,8 +149,9 @@ def _oracle_zero(model, x, region):
 
 
 def _oracle_mirror(fp):
+    # the mirrored point with _snap's convention: -0.0 turns into +0.0
     region = {"pos": "neg", "neg": "pos", "mid": "mid"}.get(fp.region, fp.region)
-    return FixedPoint(-fp.location, region=region, virtual=fp.virtual)
+    return FixedPoint(-fp.location + 0.0, region=region, virtual=fp.virtual)
 
 
 def _oracle_chua34(model, branch):
@@ -281,9 +289,9 @@ def test_solve_columns_matches_single_solves_and_marks_singular():
 
 @pytest.mark.parametrize("name", ["chua3-pwl", "chua4-pwl", "chua5-pwl"])
 def test_pwl_json_config_fixed_points_exact(name):
-    # a JSON copy of a built-in (no odd symmetry, every branch solved on its
-    # own) gets the built-in's equilibria, virtual ones included, with an
-    # exactly zero phi and L_V phi and no warning
+    # a JSON copy of a built-in gets the built-in's equilibria bit for bit,
+    # the sign of zero and virtual ones included, with an exactly zero phi
+    # and L_V phi and no warning
     builtin = get_model(name)
     model = load_model(json.dumps(dict(_BUILTIN_BUILDERS[name]({}), name=name + "-json")))
     with warnings.catch_warnings():
@@ -292,7 +300,7 @@ def test_pwl_json_config_fixed_points_exact(name):
     want = fixed_points(builtin)
     assert [(fp.region, fp.virtual) for fp in got] == [(fp.region, fp.virtual) for fp in want]
     for fp, ref in zip(got, want):
-        np.testing.assert_array_equal(fp.location, ref.location)  # -0.0 == 0.0
+        assert fp.location.tobytes() == ref.location.tobytes()
         assert float(phi(model, fp.location, region=fp.region)) == 0.0
         assert float(lie_phi(model, fp.location, region=fp.region)) == 0.0
 
@@ -466,8 +474,11 @@ def test_load_model_from_json_text_and_registry_alias(chua3):
     alpha, beta = 9.0, 100.0 / 7.0
     a, b = -8.0 / 7.0, -5.0 / 7.0
 
+    def pwl_k(x1):  # the anchored outer branches of expr.Pwl
+        return b * (x1 - 1.0) + a if x1 > 1.0 else b * (x1 + 1.0) - a if x1 < -1.0 else a * x1
+
     def hand_rhs(x):
-        return np.array([alpha * (x[1] - x[0] - pwl_k(x[0], a, b)),
+        return np.array([alpha * (x[1] - x[0] - pwl_k(x[0])),
                          x[0] - x[1] + x[2],
                          -beta * x[1]])
 
