@@ -15,10 +15,9 @@ from .geometry import (CurvatureSet, DegenerateStackError, OrthoBasis,
                        trace_expansion_residual, torsion_3d, wedge)
 from .integrate import IntegrationError, Trajectory, integrate
 from .jets import DerivStack, derivative_stack
-from .manifold import (FactorReport, GspSummary, ManifoldSample, SlowFastSplit,
-                       ZeroSet, darboux_residual, default_split, factor_check,
-                       gsp_order0_residual, lie_phi, manifold_sample, phi,
-                       phi_scaled, zero_crossings_on_trajectory, zero_set_grid)
+from .manifold import (FactorReport, ManifoldSample, ZeroSet, darboux_residual,
+                       factor_check, lie_phi, manifold_sample, phi, phi_scaled,
+                       zero_crossings_on_trajectory, zero_set_grid)
 from .models import (FixedPoint, ModelDef, ModelError, fixed_points, get_model,
                      load_model, registry)
 from .spectral import (Hyperplane, SpectralError, Spectrum,
@@ -34,10 +33,9 @@ __all__ = [
     "OrthoBasis", "CurvatureSet", "DegenerateStackError", "gram_schmidt",
     "curvatures", "curvature1_3d", "torsion_3d", "wedge",
     "det_norm_product_residual", "det_multiplicativity_residual", "trace_expansion_residual",
-    "ManifoldSample", "ZeroSet", "SlowFastSplit", "GspSummary", "FactorReport",
+    "ManifoldSample", "ZeroSet", "FactorReport",
     "phi", "lie_phi", "phi_scaled", "darboux_residual", "manifold_sample",
-    "zero_set_grid", "zero_crossings_on_trajectory", "default_split",
-    "gsp_order0_residual", "factor_check",
+    "zero_set_grid", "zero_crossings_on_trajectory", "factor_check",
     "Trajectory", "IntegrationError", "integrate",
     "Spectrum", "Hyperplane", "SpectralError", "spectrum_at", "tls_hyperplane",
     "darboux_check_plane", "coplanarity_equivalence", "hypercoplanarity_check",

@@ -258,9 +258,9 @@ def _cmd_curvature(args):
 
 
 def _cmd_verify(args):
+    if args.all == (args.model is not None):
+        raise ConfigError("verify needs exactly one of --model NAME or --all")
     names = models.registry() if args.all else [args.model]
-    if names == [None]:
-        raise ConfigError("verify needs --model NAME or --all")
     failed = 0
     records = []
     for name in names:

@@ -24,10 +24,9 @@ from .models import (magneto_equilibrium, newton, point_regions, region_labels,
                      solve_columns)
 
 __all__ = [
-    "ManifoldSample", "ZeroSet", "SlowFastSplit", "GspSummary", "FactorReport",
+    "ManifoldSample", "ZeroSet", "FactorReport",
     "phi", "lie_phi", "phi_scaled", "darboux_residual", "manifold_sample",
-    "grid_states", "zero_set_grid", "zero_crossings_on_trajectory",
-    "default_split", "gsp_order0_residual", "factor_check",
+    "grid_states", "zero_set_grid", "zero_crossings_on_trajectory", "factor_check",
 ]
 
 
@@ -431,66 +430,30 @@ def zero_crossings_on_trajectory(model, traj):
 
 
 # ---------------------------------------------------------------------------
-# Slow/fast (order-eps^0) residuals
+# Singular approximation of a slow/fast model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlowFastSplit:
-    """Fast components, small parameter, and slow-variable sampling box."""
-
-    fast_indices: tuple
-    epsilon: float
-    box: tuple              # one (lo, hi) per slow coordinate
-    box_center: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-
-
-def default_split(model):
-    """SlowFastSplit from the model's registered defaults."""
-    d = model.slowfast_defaults
-    if d is None:
-        raise ValueError(f"model {model.name!r} has no slow/fast defaults")
-    pname, mode = d["epsilon_param"]
-    eps = model.params[pname]
-    if mode == "inverse":
-        eps = 1.0 / eps
-    center = None
-    if d.get("box_center") == "equilibrium":
-        center = np.delete(magneto_equilibrium(model), d["fast"])
-    return SlowFastSplit(fast_indices=tuple(d["fast"]), epsilon=float(eps),
-                         box=tuple(tuple(b) for b in d["box"]), box_center=center)
-
-
-def _sample_count(samples):
-    if not isinstance(samples, (int, np.integer)) or samples < 0:
-        raise ValueError(f"samples must be a nonnegative integer, got {samples!r}")
-    return int(samples)
-
-
-def _singular_points(model, split, samples, rng):
+def _singular_points(model, samples, rng):
     """Points on the singular approximation, from `samples` random draws.
 
-    Each draw takes the slow variables uniformly in the split's box (shifted
-    by its center), then four random fast seeds to try after a zero one.
-    Seed round s runs capped Newton on every draw still unsolved, batched.
+    The split is the model's `slowfast_defaults`: the `fast` components, one
+    `box` range per slow coordinate, and a `box_center` that is None or
+    "equilibrium" (the box is then shifted by the slow coordinates of
+    `magneto_equilibrium`).  Each draw takes the slow variables uniformly in
+    the box, then four random fast seeds to try after a zero one.  Seed
+    round s runs capped Newton on every draw still unsolved, batched.
     Returns the solved points in draw order, shape (count, n).
     """
-    n, fast, samples = model.dim, list(split.fast_indices), _sample_count(samples)
-    slow, center = [i for i in range(n) if i not in fast], split.box_center
-    if (not fast or len(slow) != n - len(fast) or len(split.box) != len(slow)
-            or center is not None and np.shape(center) != (len(slow),)):
-        raise ValueError(f"the split needs distinct fast_indices in 0..{n - 1} and one "
-                         "box range (and box_center value) per slow coordinate")
-    bounds = np.array([*split.box] + [(-3.0, 3.0)] * (4 * len(fast)), dtype=float)
+    defaults, n = model.slowfast_defaults, model.dim
+    fast = list(defaults["fast"])
+    slow = [i for i in range(n) if i not in fast]
+    bounds = np.array([*defaults["box"]] + [(-3.0, 3.0)] * (4 * len(fast)), dtype=float)
     draws = rng.uniform(bounds[:, 0], bounds[:, 1], (samples, len(bounds)))
     x0, seeds = np.zeros((n, samples)), np.zeros((5, len(fast), samples))
     x0[slow] = draws[:, :len(slow)].T
     seeds[1:] = draws[:, len(slow):].reshape(samples, 4, len(fast)).transpose(1, 2, 0)
-    if center is not None:
-        x0[slow] += np.asarray(center)[:, None]
+    if defaults["box_center"] == "equilibrium":
+        x0[slow] += np.delete(magneto_equilibrium(model), fast)[:, None]
 
     def capped(x):
         f = model.velocity(x)[fast].T
@@ -509,49 +472,6 @@ def _singular_points(model, split, samples, rng):
         x0[:, todo], status = newton(x0[:, todo], capped, 80)
         solved[todo] = status == 1
     return x0[:, solved].T
-
-
-@dataclass(frozen=True)
-class GspSummary:
-    n_requested: int
-    n_solved: int
-    n_skipped: int
-    max_scaled: float
-    mean_scaled: float
-    epsilon: float
-
-
-def _grad_phi(model, x):
-    """Centered-difference gradients of phi at the columns of `x` (n, npts),
-    rows (npts, n), from one batched phi call."""
-    n, npts = x.shape
-    h, i = 1e-6 * (1.0 + np.abs(x)), np.arange(n)
-    shifted = np.tile(x[:, None, None], (1, 2, n, 1))
-    # only coordinate i moves; the others stay copies (adding 0.0 turns -0.0 into +0.0)
-    shifted[i, 0, i], shifted[i, 1, i] = x + h, x - h
-    values = phi(model, shifted.reshape(n, -1)).reshape(2, n, npts)
-    return ((values[0] - values[1]) / (2.0 * h)).T
-
-
-def gsp_order0_residual(model, split, samples, seed=0):
-    """|phi| on the singular approximation, scaled by phi's local gradient.
-
-    Samples the slow variables in the split's box, solves the fast equations
-    f(x, z, 0) = 0 for the fast components, and reports the max and mean of
-    |phi| / |grad phi| there (a distance-to-zero-set estimate).  The
-    order-eps^0 claim is that these vanish as the split stiffens; rebuild
-    the model with a scaled stiffness parameter to observe the trend.
-    """
-    x = _singular_points(model, split, samples, np.random.default_rng(seed)).T
-    solved = x.shape[1]
-    if not solved:  # nothing to report: 0.0 for no samples, NaN for none solved
-        empty = float("nan") if samples else 0.0
-        return GspSummary(samples, 0, samples, empty, empty, split.epsilon)
-    value = np.abs(phi(model, x))
-    grad = vecnorm(_grad_phi(model, x))
-    arr = np.where(grad > 0, value / np.where(grad > 0, grad, 1.0), 0.0)
-    return GspSummary(samples, solved, samples - solved, float(arr.max()),
-                      float(arr.mean()), split.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +498,12 @@ def _poly_basis(n):
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     names += [f"x{i + 1}*x{j + 1}" for i, j in pairs]
     return names, pairs
+
+
+def _sample_count(samples):
+    if not isinstance(samples, (int, np.integer)) or samples < 0:
+        raise ValueError(f"samples must be a nonnegative integer, got {samples!r}")
+    return int(samples)
 
 
 def factor_check(model, factor, box, samples=200, seed=0):

@@ -590,17 +590,15 @@ _BUILTIN_BUILDERS = {
     "gear5": _gear_config,
 }
 
-# Defaults used by the slow/fast residual analyses: which component is fast,
-# the interpretation of the small parameter, and where to sample the slow
-# variables.  The magnetoconvection box hugs its convection equilibrium: the
+# The slow/fast split that `manifold._singular_points` samples: which
+# components are fast, one (lo, hi) range per slow coordinate, and the box
+# centre.  The magnetoconvection box hugs its convection equilibrium: the
 # stationarity of its Jacobian on f1 = 0 is only a near-equilibrium property.
 _SLOWFAST_DEFAULTS = {
-    "chua4-cubic": {"fast": (0,), "epsilon_param": ("alpha1", "inverse"),
-                    "box": [(-2.0, 2.0)] * 3, "box_center": None},
-    "chua5-cubic": {"fast": (0,), "epsilon_param": ("alpha1", "inverse"),
-                    "box": [(-1.5, 1.5)] * 4, "box_center": None},
-    "magnetoconvection5": {"fast": (0,), "epsilon_param": ("varsigma", "direct"),
-                           "box": [(-0.02, 0.02)] * 4, "box_center": "equilibrium"},
+    "chua4-cubic": {"fast": (0,), "box": [(-2.0, 2.0)] * 3, "box_center": None},
+    "chua5-cubic": {"fast": (0,), "box": [(-1.5, 1.5)] * 4, "box_center": None},
+    "magnetoconvection5": {"fast": (0,), "box": [(-0.02, 0.02)] * 4,
+                           "box_center": "equilibrium"},
 }
 
 
@@ -618,17 +616,26 @@ def get_model(name, **param_overrides):
 
 
 def load_model(source):
-    """Load a ModelDef from a registry name, JSON text, config dict, or path."""
+    """Load a ModelDef from a registry name, JSON text, config dict, or path.
+
+    A config may not take a built-in's name: verify picks its model-specific
+    checks by name, and would run them on the config.
+    """
+    if isinstance(source, str) and source in _BUILTIN_BUILDERS:
+        return get_model(source)
     if isinstance(source, dict):
-        return _model_from_config(source)
-    if isinstance(source, str):
-        if source in _BUILTIN_BUILDERS:
-            return get_model(source)
-        stripped = source.lstrip()
-        if stripped.startswith("{"):
-            return _model_from_config(json.loads(source))
-        with open(source, "r", encoding="utf-8") as fh:
-            return _model_from_config(json.load(fh))
-    if hasattr(source, "read"):
-        return _model_from_config(json.load(source))
-    raise ModelError(f"cannot load model from {type(source).__name__}")
+        config = source
+    elif isinstance(source, str):
+        if source.lstrip().startswith("{"):
+            config = json.loads(source)
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+    elif hasattr(source, "read"):
+        config = json.load(source)
+    else:
+        raise ModelError(f"cannot load model from {type(source).__name__}")
+    if isinstance(config, dict) and config.get("name") in registry():
+        raise ModelError(f"config name {config['name']!r} is a built-in model's; "
+                         "give the config its own name")
+    return _model_from_config(config)

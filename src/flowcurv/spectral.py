@@ -57,14 +57,6 @@ class Spectrum:
     left_eigenvectors: np.ndarray   # (n, n), column i is tY for eigenvalue i
     jacobian: np.ndarray
 
-    @property
-    def fast_eigenvalue(self):
-        return self.eigenvalues[0]
-
-    @property
-    def left_fast_eigenvector(self):
-        return self.left_eigenvectors[:, 0]
-
     def is_real(self, i):
         lam = self.eigenvalues[i]
         return abs(lam.imag) <= _REAL_RTOL * (1.0 + abs(lam))

@@ -252,13 +252,12 @@ def _slowfast_checks(model, seed=0):
     if model.slowfast_defaults is None:
         return []
     name = "singular-approximation Darboux contrast"
-    split = manifold.default_split(model)
-    x = manifold._singular_points(model, split, 60, np.random.default_rng(seed)).T
+    x = manifold._singular_points(model, 60, np.random.default_rng(seed)).T
     if not x.size:
         return [_result(name, 0.0, 10.0, note="no constraint solutions found",
                         larger_is_better=True)]
     x_off = x.copy()
-    x_off[split.fast_indices[0]] += 0.5
+    x_off[model.slowfast_defaults["fast"][0]] += 0.5
     on = manifold.darboux_residual(model, x)
     off = manifold.darboux_residual(model, x_off)
     worst = _worst(np.concatenate([on, off]))

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from flowcurv import (darboux_residual, default_split, factor_check,
+from flowcurv import (darboux_residual, factor_check,
                       fixed_points, get_model, det_norm_product_residual,
                       det_multiplicativity_residual, trace_expansion_residual,
                       load_model, phi, registry, tls_hyperplane)
@@ -237,12 +237,11 @@ def test_criterion_8_cubic_local_invariance(capsys):
     details = []
     for name in ("chua4-cubic", "chua5-cubic", "magnetoconvection5"):
         model = get_model(name)
-        split = default_split(model)
         on, off = [], []
-        for x in _singular_points(model, split, 60, np.random.default_rng(12)):
+        for x in _singular_points(model, 60, np.random.default_rng(12)):
             on.append(float(darboux_residual(model, x)))
             y = x.copy()
-            y[split.fast_indices[0]] += 0.5
+            y[model.slowfast_defaults["fast"][0]] += 0.5
             off.append(float(darboux_residual(model, y)))
         ratio = float(np.median(off) / np.median(on))
         details.append(f"{name}: {ratio:.0f}x")

@@ -294,6 +294,26 @@ def test_verify_solves_fixed_points_once(monkeypatch):
     assert calls == ["chua3-pwl"]
 
 
+@pytest.mark.parametrize("args", [["--model", "nonexistent", "--all"],
+                                  ["--model", "chua3-pwl", "--all"], []],
+                         ids=["unknown-model", "known-model", "neither"])
+def test_verify_needs_exactly_one_of_model_or_all(args, capsys):
+    # --all used to run every built-in and drop --model without a word
+    code, out, err = run(["verify", *args], capsys)
+    assert code == 1 and out == ""
+    assert "config error: verify needs exactly one of --model NAME or --all" in err
+
+
+def test_verify_rejects_config_with_builtin_name(tmp_path, capsys):
+    # verify picks gear5's checks by name; on this 3-D circuit they died on x4
+    config = tmp_path / "g.json"
+    config.write_text(json.dumps(dict(_BUILTIN_BUILDERS["chua3-pwl"]({}), name="gear5")))
+    code, out, err = run(["verify", "--model", str(config)], capsys)
+    assert code == 1 and out == ""
+    assert "config error: config name 'gear5' is a built-in model's" in err
+    assert "Traceback" not in err
+
+
 def test_config_error_exit_1(capsys):
     code, _, err = run(["integrate", "--model", "nope", "--x0", "0,0,0",
                         "--t-end", "1", "--out", "/tmp/x.csv"], capsys)

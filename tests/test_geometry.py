@@ -1,10 +1,11 @@
 """Gram-Schmidt frame, curvatures, and the determinant identities."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,7 +31,45 @@ def test_single_projection_removal():
     np.testing.assert_array_equal(np.diag(basis.beta), [1.0, 1.0])
 
 
+def _reconstructs_within_rounding(basis, v):
+    """u_i = beta_i @ v to 2 m n ulps of the row's largest |beta_i| @ |v|.
+
+    Each row takes 2 (m - 1) rounded updates and an n-term product, so the
+    error scales with |beta| @ |v|, not with |u|: |beta| reaches 1e10 on
+    stacks that DEGENERACY_RTOL accepts, and even the exact frame rounded to
+    float64 then misses an absolute tolerance.  The bound is per row, since
+    entries of u_i (and of beta_i) that cancel to tiny values still carry
+    the rounding of the larger terms they cancelled.
+    """
+    m, n = v.shape
+    err = np.abs(basis.beta @ v - basis.vectors).max(axis=1)
+    scale = (np.abs(basis.beta) @ np.abs(v)).max(axis=1)
+    return bool((err <= 2 * m * n * np.finfo(float).eps * scale).all())
+
+
+# Two accepted stacks that an absolute 1e-9 reconstruction tolerance failed:
+# a second row 1e-10 off the first's span (|beta| reaches 1e10), and the first
+# of the near-degenerate 5x5 stacks of
+# test_two_pass_frame_matches_adaptive_oracle_near_degeneracy (|beta| 1.6e9).
+PINNED_1E10 = np.array([[0.0, 1e-10, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 3.0, 0.0],
+                        [0.0, 0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0, 0.0],
+                        [0.0, 1.0, 1.0, 0.0, 0.0]])
+PINNED_NEAR_DEGENERATE = np.array([
+    [-1.0512243535238837, -0.3619874275365686, 0.8116259196764026,
+     -1.2512308147872921, -1.2758971463181288],
+    [1.073779434785835, 1.1801655972128011, 1.7434452131360432,
+     -0.17687203551915195, 0.9477546410453541],
+    [-2.1513637727938897, -1.0774037145011113, 0.592597565239636,
+     -1.9564048128490654, -2.463507732092927],
+    [0.7056896051316012, -0.4824733156440579, 0.8190838006113762,
+     0.9376138570178348, -1.8092151302399992],
+    [0.3320635178804922, -0.0148111279589886, 0.003968281252857634,
+     -1.121159225824319, -1.2537742691114708]])
+
+
 @given(arrays(np.float64, (5, 5), elements=st.floats(-10, 10)))
+@example(PINNED_1E10)
+@example(PINNED_NEAR_DEGENERATE)
 @settings(max_examples=60, deadline=None)
 def test_orthogonality_and_beta_reconstruction(v):
     try:
@@ -43,7 +82,20 @@ def test_orthogonality_and_beta_reconstruction(v):
             tol = 1e-10 * np.linalg.norm(u[i]) * np.linalg.norm(u[j])
             assert abs(u[i] @ u[j]) <= tol
     # u_i = sum_j beta[i, j] input_j
-    np.testing.assert_allclose(basis.beta @ v, u, atol=1e-9 * max(1, np.abs(u).max()))
+    assert _reconstructs_within_rounding(basis, v)
+
+
+@pytest.mark.parametrize("v", [PINNED_1E10, PINNED_NEAR_DEGENERATE],
+                         ids=["1e-10-row", "near-degenerate"])
+def test_beta_reconstruction_bound_catches_one_corrupted_entry(v):
+    basis = gram_schmidt(v)
+    assert np.abs(basis.beta).max() > 1e9
+    assert _reconstructs_within_rounding(basis, v)
+    # the largest below-diagonal beta entry, off by one part in 1e12
+    beta = basis.beta.copy()
+    i, j = np.unravel_index(np.argmax(np.abs(np.tril(beta, -1))), beta.shape)
+    beta[i, j] *= 1.0 + 1e-12
+    assert not _reconstructs_within_rounding(replace(basis, beta=beta), v)
 
 
 def test_prefix_span_invariance():

@@ -2,19 +2,19 @@
 
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from flowcurv import expr as ex
 
-from flowcurv import (darboux_residual, default_split, factor_check,
-                      fixed_points, get_model, gsp_order0_residual, integrate,
-                      lie_phi, load_model, manifold_sample, phi, phi_scaled,
+from flowcurv import (darboux_residual, factor_check, fixed_points, get_model,
+                      integrate, lie_phi, load_model, manifold_sample, phi, phi_scaled,
                       zero_crossings_on_trajectory, zero_set_grid)
 from flowcurv import manifold
-from flowcurv.models import point_regions
-from flowcurv.manifold import SlowFastSplit, _grad_phi, _singular_points
+from flowcurv.models import magneto_equilibrium, point_regions
+from flowcurv.manifold import _singular_points
 from flowcurv.verify import lie_fd_residuals
 
 from conftest import in_region_points
@@ -569,72 +569,42 @@ def test_zero_crossings_empty_on_sign_definite_arc(chua3):
 
 # -- slow/fast ------------------------------------------------------------------
 
-def test_gsp_toy_observed_order_epsilon():
-    # eps xdot = -x + z, zdot = -z: phi on the singular set x = z scales O(eps)
-    def toy(eps):
-        return load_model({
-            "name": "toy", "dim": 2, "params": {"k": 1.0 / eps},
-            "rhs": ["k*(x2 - x1)", "-x2"],
-        })
-
-    epsilons = np.array([1e-2, 1e-3, 1e-4])
-    values = []
-    for eps in epsilons:
-        split = SlowFastSplit(fast_indices=(0,), epsilon=eps, box=((0.5, 1.5),))
-        summary = gsp_order0_residual(toy(eps), split, samples=40, seed=0)
-        assert summary.n_solved == 40
-        values.append(summary.mean_scaled)
-    slopes = np.diff(np.log(values)) / np.diff(np.log(epsilons))
-    assert np.all(np.abs(slopes - 1.0) < 0.2)  # observed order O(eps)
-
-
-def test_gsp_chua4_cubic_stiffness_scaling():
-    # scaling up the fast rate alpha1 shrinks the scaled residual monotonically
-    means = []
-    for factor in (1.0, 10.0, 100.0):
-        model = get_model("chua4-cubic", alpha1=2.1429 * factor)
-        split = default_split(model)
-        summary = gsp_order0_residual(model, split, samples=40, seed=1)
-        assert summary.n_solved > 30
-        means.append(summary.mean_scaled)
-    assert means[0] > means[1] > means[2]
-
-
 @pytest.mark.parametrize("name", ["chua4-cubic", "chua5-cubic", "magnetoconvection5"])
 def test_singular_points_solve_the_fast_equations(name):
-    from flowcurv.manifold import _singular_points
     model = get_model(name)
-    split = default_split(model)
-    points = list(_singular_points(model, split, 30, np.random.default_rng(1)))
-    summary = gsp_order0_residual(model, split, samples=30, seed=1)
-    assert summary.n_solved == len(points) > 20
-    assert summary.n_skipped == 30 - len(points)
+    fast = list(model.slowfast_defaults["fast"])
+    points = _singular_points(model, 30, np.random.default_rng(1))
+    assert 20 < len(points) <= 30
     for x in points:
-        fast = model.velocity(x)[list(split.fast_indices)]
-        assert np.linalg.norm(fast) <= 1e-12 * (1.0 + np.linalg.norm(x))
+        assert np.linalg.norm(model.velocity(x)[fast]) <= 1e-12 * (1.0 + np.linalg.norm(x))
 
 
-def test_gsp_zero_samples():
-    model = get_model("chua4-cubic")
-    summary = gsp_order0_residual(model, default_split(model), samples=0)
-    assert summary.n_requested == 0 and summary.n_solved == 0
+def test_slowfast_defaults_are_consistent(models_by_name):
+    # the sampler trusts these entries: distinct fast indices, one box range
+    # per slow coordinate, and magnetoconvection's centre in the slow dimension
+    with_defaults = {name: model for name, model in models_by_name.items()
+                     if model.slowfast_defaults is not None}
+    assert sorted(with_defaults) == ["chua4-cubic", "chua5-cubic", "magnetoconvection5"]
+    for model in with_defaults.values():
+        defaults = model.slowfast_defaults
+        fast = defaults["fast"]
+        assert fast and len(set(fast)) == len(fast)
+        assert all(0 <= i < model.dim for i in fast)
+        assert len(defaults["box"]) == model.dim - len(fast)
+        assert all(lo < hi for lo, hi in defaults["box"])
+        assert defaults["box_center"] in (None, "equilibrium")
+    magneto = with_defaults["magnetoconvection5"]
+    assert magneto.slowfast_defaults["box_center"] == "equilibrium"
+    center = np.delete(magneto_equilibrium(magneto), magneto.slowfast_defaults["fast"])
+    assert center.shape == (len(magneto.slowfast_defaults["box"]),)
 
 
-def test_default_split_magneto_centered_on_equilibrium():
-    model = get_model("magnetoconvection5")
-    split = default_split(model)
-    assert split.fast_indices == (0,)
-    assert split.box_center is not None and split.box_center.shape == (4,)
-    with pytest.raises(ValueError, match="positive"):
-        SlowFastSplit(fast_indices=(0,), epsilon=0.0, box=((0, 1),))
+# A test-only copy of the per-point loops that the batched Newton driver
+# replaced: the fast solve of the singular approximation and its sampler.
+# The batched code must give their bits.
 
-
-# Test-only copies of the per-point loops that the batched Newton driver
-# replaced: the fast solve of the singular approximation, its sampler, and
-# the finite-difference gradient of phi.  The batched code must give their bits.
-
-def _oracle_solve_fast(model, split, slow_values, seeds):
-    fast = list(split.fast_indices)
+def _oracle_solve_fast(model, defaults, slow_values, seeds):
+    fast = list(defaults["fast"])
     slow = [i for i in range(model.dim) if i not in fast]
     for seed in seeds:
         x = np.zeros(model.dim)
@@ -661,26 +631,16 @@ def _oracle_solve_fast(model, split, slow_values, seeds):
     return None
 
 
-def _oracle_singular_points(model, split, samples, rng):
-    nfast = len(split.fast_indices)
+def _oracle_singular_points(model, defaults, samples, rng):
+    nfast = len(defaults["fast"])
     for _ in range(samples):
-        slow_values = np.array([rng.uniform(lo, hi) for lo, hi in split.box])
-        if split.box_center is not None:
-            slow_values = split.box_center + slow_values
+        slow_values = np.array([rng.uniform(lo, hi) for lo, hi in defaults["box"]])
+        if defaults["box_center"] == "equilibrium":
+            slow_values = np.delete(magneto_equilibrium(model), defaults["fast"]) + slow_values
         seeds = [np.zeros(nfast)] + [rng.uniform(-3, 3, nfast) for _ in range(4)]
-        x = _oracle_solve_fast(model, split, slow_values, seeds)
+        x = _oracle_solve_fast(model, defaults, slow_values, seeds)
         if x is not None:
             yield x
-
-
-def _oracle_grad_phi(model, x):
-    g = np.empty(model.dim)
-    for i in range(model.dim):
-        h = 1e-6 * (1.0 + abs(x[i]))
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        g[i] = (float(phi(model, xp)) - float(phi(model, xm))) / (2.0 * h)
-    return g
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -688,13 +648,11 @@ def _oracle_grad_phi(model, x):
 @pytest.mark.parametrize("name", ["chua4-cubic", "chua5-cubic", "magnetoconvection5"])
 def test_singular_points_match_per_point_solve(name, seed):
     model = get_model(name)
-    split = default_split(model)
-    got = _singular_points(model, split, 40, np.random.default_rng(seed))
-    want = list(_oracle_singular_points(model, split, 40, np.random.default_rng(seed)))
+    got = _singular_points(model, 40, np.random.default_rng(seed))
+    want = list(_oracle_singular_points(model, model.slowfast_defaults, 40,
+                                        np.random.default_rng(seed)))
     assert got.shape == (len(want), model.dim)
     assert got.tobytes() == np.array(want).tobytes()
-    grads = _grad_phi(model, got[:8].T)
-    assert grads.tobytes() == np.array([_oracle_grad_phi(model, x) for x in got[:8]]).tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -704,43 +662,13 @@ def test_singular_points_later_seed_after_singular_zero_seed():
     # seed, while draws with x2 > 1 solve from zero in the same batch
     model = load_model({"name": "kink", "dim": 2, "params": {},
                         "rhs": ["x1^3 + pwl(x2; 0, 1)*x1 - 1", "-x2"]})
-    split = SlowFastSplit(fast_indices=(0,), epsilon=1.0, box=((0.0, 2.0),))
-    got = _singular_points(model, split, 30, np.random.default_rng(4))
-    want = list(_oracle_singular_points(model, split, 30, np.random.default_rng(4)))
+    model = replace(model, slowfast_defaults={"fast": (0,), "box": [(0.0, 2.0)],
+                                              "box_center": None})
+    got = _singular_points(model, 30, np.random.default_rng(4))
+    want = list(_oracle_singular_points(model, model.slowfast_defaults, 30,
+                                        np.random.default_rng(4)))
     assert len(want) == 30 and got.tobytes() == np.array(want).tobytes()
     assert (got[:, 1] <= 1.0).any() and (got[:, 1] > 1.0).any()
-
-
-@pytest.mark.parametrize("fast", [(), (0, 0), (4,), (-1,)])
-def test_gsp_rejects_bad_fast_indices(fast):
-    # () used to "solve" every draw
-    model = get_model("chua4-cubic")
-    split = SlowFastSplit(fast_indices=fast, epsilon=0.1, box=((-2, 2),) * 3)
-    with pytest.raises(ValueError, match="distinct fast_indices"):
-        gsp_order0_residual(model, split, samples=5)
-
-
-def test_gsp_rejects_box_of_wrong_length():
-    # one range for three slow coordinates used to broadcast to all three
-    model = get_model("chua4-cubic")
-    split = SlowFastSplit(fast_indices=(0,), epsilon=0.1, box=((-2, 2),))
-    with pytest.raises(ValueError, match="box range"):
-        gsp_order0_residual(model, split, samples=5)
-
-
-def test_gsp_rejects_box_center_of_wrong_length():
-    model = get_model("chua4-cubic")
-    split = SlowFastSplit(fast_indices=(0,), epsilon=0.1, box=((-1, 1),) * 3,
-                          box_center=np.zeros(4))
-    with pytest.raises(ValueError, match="box_center"):
-        gsp_order0_residual(model, split, samples=5)
-
-
-@pytest.mark.parametrize("samples", [-3, 2.5])
-def test_gsp_rejects_bad_sample_count(samples):
-    model = get_model("chua4-cubic")
-    with pytest.raises(ValueError, match="nonnegative integer"):
-        gsp_order0_residual(model, default_split(model), samples=samples)
 
 
 # -- Darboux factors -------------------------------------------------------------

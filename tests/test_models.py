@@ -468,6 +468,22 @@ def test_unknown_keys_and_symbols_rejected():
         load_model({"name": "bad", "dim": 1, "params": {}, "rhs": ["q*x1"]})
 
 
+@pytest.mark.parametrize("form", ["dict", "text", "path", "file"])
+def test_config_with_builtin_name_rejected(form, tmp_path):
+    # verify keys model-specific checks on the name, so a config may not take one
+    config = dict(_BUILTIN_BUILDERS["chua3-pwl"]({}), name="gear5")
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(config))
+    source = {"dict": config, "text": json.dumps(config), "path": str(path)}
+    with pytest.raises(ModelError, match="'gear5' is a built-in model's"):
+        if form == "file":
+            with open(path) as fh:
+                load_model(fh)
+        else:
+            load_model(source[form])
+    assert load_model(dict(config, name="gear5-json")).dim == 3
+
+
 def test_load_model_from_json_text_and_registry_alias(chua3):
     # the chua3-pwl alias loads the same model as hand-coded closures
     alias = load_model("chua3-pwl")
@@ -655,7 +671,7 @@ def test_rhs_batches_and_pinned_regions_walk_the_tree(chua3):
 
 _NEW_FIELD_CASES = [
     # (config, rhs of the field swapped in)
-    (_BUILTIN_BUILDERS["chua3-pwl"]({}), None),
+    (dict(_BUILTIN_BUILDERS["chua3-pwl"]({}), name="chua3-json"), None),
     (EXTRA_CONFIGS[1], None),
     # pwl arguments moved, so the new field's regions differ from the old
     (EXTRA_CONFIGS[1], ["x2 - pwl(x3; a, b)", "x1*x3 - pwl(x1 - x2; b, a)^2",

@@ -23,7 +23,7 @@ def test_chua3_spectrum_golden(chua3):
     spec = spectrum_at(chua3, fp.location, region=fp.region)
     assert spec.eigenvalues[0].imag == 0
     assert spec.eigenvalues[0].real == pytest.approx(-3.9421, abs=1e-3)
-    t_y = spec.left_fast_eigenvector.real
+    t_y = spec.left_eigenvectors[:, 0].real
     t_y = t_y / t_y[2]
     np.testing.assert_allclose(t_y, [2.8759, -3.9421, 1.0], atol=1e-3)
 
@@ -32,7 +32,7 @@ def test_chua4_spectrum_golden(chua4):
     fp = outer_fps(chua4)[0]
     spec = spectrum_at(chua4, fp.location, region=fp.region)
     assert spec.eigenvalues[0].real == pytest.approx(-2.5039, abs=1e-3)
-    t_y = spec.left_fast_eigenvector.real
+    t_y = spec.left_eigenvectors[:, 0].real
     t_y = t_y / np.linalg.norm(t_y)
     gold = np.array([-0.7532, -0.01895, 0.6574, -0.007568])
     sign = np.sign(t_y @ gold)

@@ -162,10 +162,9 @@ def _old_stack_checks(model, rng):
 
 
 def _old_slowfast_checks(model):
-    split = manifold.default_split(model)
-    fast = split.fast_indices[0]
+    fast = model.slowfast_defaults["fast"][0]
     on, off = [], []
-    for x in manifold._singular_points(model, split, 60, np.random.default_rng(0)):
+    for x in manifold._singular_points(model, 60, np.random.default_rng(0)):
         on.append(float(manifold.darboux_residual(model, x)))
         x_off = x.copy()
         x_off[fast] += 0.5
