@@ -192,14 +192,21 @@ def _cmd_phi_scan(args):
                          rel_tol=1e-9 if args.rel_tol is None else args.rel_tol,
                          abs_tol=1e-12 if args.abs_tol is None else args.abs_tol)
         states = traj.states.T
+        del traj
+    # one (n + 3, npts) table: the states, then phi, lie and the cofactor
+    # residual, each filled in place; written through its (rows, columns) view
+    n, npts = states.shape
+    table = np.empty((n + 3, npts))
+    table[:n] = states
+    del states
     # 2,048-column chunks bound the memory of the longdouble stacks
-    parts = [manifold.manifold_sample(model, states[:, start:start + 2048])
-             for start in range(0, states.shape[1], 2048)]
-    columns = [np.concatenate([getattr(part, name) for part in parts])
-               for name in ("phi", "lie", "cofactor_residual")]
-    header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "lie", "cofactor_residual"]
-    write_table(args.out, header, np.column_stack([states.T, *columns]), args.format)
-    print(f"{states.shape[1]} samples -> {args.out}{_nonfinite_note(np.column_stack(columns))}")
+    for start in range(0, npts, 2048):
+        block = slice(start, start + 2048)
+        sample = manifold.manifold_sample(model, table[:n, block])
+        table[n:, block] = sample.phi, sample.lie, sample.cofactor_residual
+    header = [f"x{i + 1}" for i in range(n)] + ["phi", "lie", "cofactor_residual"]
+    write_table(args.out, header, table.T, args.format)
+    print(f"{npts} samples -> {args.out}{_nonfinite_note(table[n:].T)}")
     return 0
 
 

@@ -31,7 +31,9 @@ class DerivStack:
     """Time derivatives d_k = X^(k) of the trajectory through one point.
 
     ``derivs[k - 1]`` is the k-th derivative; shape ``(order, n)`` for a
-    single point or ``(order, n, npts)`` for a batch.
+    single point or ``(order, n, npts)`` for a batch.  ``derivative_stack``
+    returns it as a view of its coefficient array, rows 1..order scaled by
+    k! in place, so the stack allocates one array.
     """
 
     point: np.ndarray
@@ -93,9 +95,9 @@ def derivative_stack(model, x, order, region=None):
         for i, e in enumerate(model.rhs_exprs):
             coeffs[k + 1, i] = memo.series(e, k)[k] / (k + 1)
 
-    derivs = np.empty((order,) + x.shape, dtype=x.dtype)
+    # d_k = k! c_k, scaled in place, so the stack holds no second array
     fact = 1.0
     for k in range(1, order + 1):
         fact *= k
-        derivs[k - 1] = fact * coeffs[k]
-    return DerivStack(point=x, derivs=derivs, region=region)
+        coeffs[k] *= fact
+    return DerivStack(point=x, derivs=coeffs[1:], region=region)

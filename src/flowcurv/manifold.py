@@ -102,10 +102,12 @@ def manifold_sample(model, x, region=None):
     stack = derivative_stack(model, x.astype(np.longdouble), n + 1, region=region)
     dets = det_scaled(stack.matrix(count=n + 1))
     p, lie = dets[..., 0], dets[..., 1]
-    tr = model.jac_exprs[0][0].eval(x, stack.region)
-    for i in range(1, n):
-        tr = tr + model.jac_exprs[i][i].eval(x, stack.region)
-    resid = np.abs(lie - tr * p) / (1.0 + np.abs(tr * p))
+    # an overflowing state or determinant gives a non-finite row without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = model.jac_exprs[0][0].eval(x, stack.region)
+        for i in range(1, n):
+            tr = tr + model.jac_exprs[i][i].eval(x, stack.region)
+        resid = np.abs(lie - tr * p) / (1.0 + np.abs(tr * p))
     if x.ndim == 1:
         p, lie, resid = float(p), float(lie), float(resid)
     return ManifoldSample(point=x, phi=p, lie=lie, cofactor_residual=resid,

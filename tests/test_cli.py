@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -249,14 +250,17 @@ def test_json_tables_write_non_finite_values_as_null(tmp_path, capsys):
 
 
 def test_phi_scan_reports_non_finite_rows_without_warnings(tmp_path, capsys):
-    # an overflowing stack is counted on stdout, with no numpy warning; a
-    # finite scan's line carries no count
+    # an overflowing stack (1e200), or a finite stack whose determinants
+    # overflow (1e40: inf - inf in the residual), is counted on stdout with no
+    # numpy warning; a finite scan's line carries no count
     out = tmp_path / "scan.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, stdout, stderr = run(["phi-scan", "--model", "gear5", "--grid",
-                                    "x1=-1e200:1e200:3,x2=-1:1:2", "--out", str(out)], capsys)
-    assert (code, stdout, stderr) == (0, f"6 samples -> {out} (4 non-finite rows)\n", "")
+    for bound in ("1e200", "1e40"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run(["phi-scan", "--model", "gear5", "--grid",
+                                        f"x1=-{bound}:{bound}:3,x2=-1:1:2", "--out", str(out)],
+                                       capsys)
+        assert (code, stdout, stderr) == (0, f"6 samples -> {out} (4 non-finite rows)\n", "")
     code, stdout, stderr = run(["phi-scan", "--model", "gear5", "--grid",
                                 "x1=-1:1:3,x2=-1:1:2", "--out", str(out)], capsys)
     assert (code, stdout, stderr) == (0, f"6 samples -> {out}\n", "")
@@ -455,6 +459,32 @@ def test_phi_scan_chunks_match_one_batch(tmp_path, capsys):
     header, table = _scan_table(out1)
     assert table.shape[0] == 2050
     _assert_scan_matches_library(get_model("chua5-pwl"), header, table, per_point=False)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_phi_scan_memory_is_one_table_and_one_chunk(tmp_path, capsys):
+    # the scan holds one (n + 3, npts) float table and the stack of one
+    # 2,048-point chunk; a second copy of the states or of the result columns
+    # (5.8 MB together at 90,000 nodes) breaks the bound
+    model = get_model("chua5-pwl")
+    n, npts = model.dim, 300 * 300
+    chunk = grid_states(n, {0: (-4.0, 4.0, 300), 1: (-1.0, 1.0, 300)}, {})[0][:, :2048]
+    chunk_peak = _traced_peak(manifold_sample, model, chunk)
+    scan_peak = _traced_peak(main, ["phi-scan", "--model", "chua5-pwl",
+                                    "--grid", "x1=-4:4:300,x2=-1:1:300",
+                                    "--slice", "x3=0,x4=0,x5=0",
+                                    "--out", str(tmp_path / "scan.csv")])
+    assert capsys.readouterr().out.startswith(f"{npts} samples")
+    table_bytes = npts * (n + 3) * 8
+    assert scan_peak < table_bytes + 1.25 * chunk_peak, (scan_peak, table_bytes, chunk_peak)
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys):
