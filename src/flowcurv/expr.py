@@ -46,8 +46,6 @@ class ExprError(ValueError):
 
 def classify_pwl(value):
     """Branch label(s) for a pwl argument; |value| = 1 ties to the middle branch."""
-    if isinstance(value, float):  # a Python float or a float64 scalar: no array round trip
-        return "pos" if value > 1.0 else "neg" if value < -1.0 else "mid"
     v = np.asarray(value)
     if v.ndim == 0:
         v = float(v)

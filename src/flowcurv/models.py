@@ -104,11 +104,6 @@ class ModelDef:
     def velocity(self, x, region=None):
         """rhs at a state (n,) or a batch (n, npts), as an ndarray of that shape."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            # one state walks the trees on Python floats: the same IEEE
-            # arithmetic as on float64 scalars, without their overhead
-            state = x.tolist()
-            return np.array([e.eval(state, region) for e in self.rhs_exprs], dtype=float)
         out = np.empty(x.shape)
         for i, e in enumerate(self.rhs_exprs):
             out[i] = e.eval(x, region)

@@ -624,17 +624,15 @@ def _long_sum_model():
 @pytest.mark.parametrize("model", RHS_MODELS + [_long_sum_model()], ids=lambda m: m.name)
 def test_compiled_rhs_bit_identical_fixed_states(model):
     # the integrator's k1, `velocity(x).tolist()` of one state, walks the trees
-    # on Python floats; column 0 of the (n, 1) batch walk reaches the same bits
-    # through numpy arrays
+    # on float64 scalars; column 0 of the (n, 1) batch walk reaches the same
+    # bits through numpy arrays
     rng = np.random.default_rng(3)
     states = [[v] * model.dim for v in _EDGE_VALUES]
     states += [[v if k == 0 else 0.25 for k in range(model.dim)] for v in _EDGE_VALUES]
     states += rng.uniform(-3, 3, (200, model.dim)).tolist()
     for state in states:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy scalar warns on the float walk
+        with np.errstate(all="ignore"):  # inf and NaN states warn on float64
             got = model.velocity(state).tolist()
-        with np.errstate(all="ignore"):  # inf and NaN states warn on float64 arrays
             want = model.velocity(np.array(state)[:, None])[:, 0].tolist()
         assert all(type(v) is float for v in got)
         # float.hex tells -0.0 from 0.0
