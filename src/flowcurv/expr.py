@@ -24,7 +24,7 @@ import re
 import numpy as np
 
 __all__ = [
-    "ExprError", "parse_expression", "Node", "TaylorMemo", "compile_step",
+    "ExprError", "parse_expression", "Node", "TaylorMemo", "compile_step", "pwl_args",
     "Const", "Var", "Add", "Sub", "Neg", "Mul", "Pow", "Pwl", "PwlSlope",
     "classify_pwl", "PWL_LABELS",
 ]
@@ -151,14 +151,22 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
+def pwl_args(exprs):
+    """The argument tree of each pwl node of the trees `exprs`, by node id."""
+    nodes = sorted((p for e in exprs for p in e.pwl_nodes()), key=lambda p: p.node_id)
+    return tuple(node.arg for node in nodes)
+
+
 def compile_step(exprs):
     """One Dormand-Prince 5(4) step of the field `exprs`, as straight-line Python.
 
     Returns ``step(x, k1, h, rel_tol, abs_tol) -> (x_new, err_norm, k7,
-    stages)``: x and k1 = f(x) are lists of floats, x_new and k7 = f(x_new)
-    (the next step's k1) lists, `stages` the (k1, k3, k4, k5, k6, k7) of
-    the continuous extension, and err_norm the RMS over components of
-    err / (abs_tol + rel_tol * max(|x|, |x_new|)).  The stage inputs are
+    stages, pwl_values)``: x and k1 = f(x) are lists of floats, x_new and
+    k7 = f(x_new) (the next step's k1) lists, `stages` the (k1, k3, k4, k5,
+    k6, k7) of the continuous extension, err_norm the RMS over components
+    of err / (abs_tol + rel_tol * max(|x|, |x_new|)), and `pwl_values` the
+    list of each pwl argument's value at x_new, in `pwl_args(exprs)` order
+    (empty for a smooth field).  The stage inputs are
     unrolled per component and the rhs is inlined once per stage (its
     locals renamed per stage, a node shared by several components computed
     once), with the float operations of `eval` in the same order, so every
@@ -178,6 +186,12 @@ def compile_step(exprs):
     (`sum()` over the stage arrays, `np.mean` for the norm below 8
     components), so results agree with it bit for bit, zero signs, infs and
     NaNs included.
+    `pwl_values` costs no evaluation: they are the argument locals of the
+    7th (FSAL) stage, whose input sums the same products as x_new plus the
+    term a_72 * k2[c] = 0.0 * k2[c], which x_new skips.  While k2 is finite
+    that term is a zero, and adding a zero to s (never -0.0, its sum starts
+    from 0.0) leaves s unchanged, so the stage input is x_new bit for bit
+    and every value equals `arg.eval(x_new)`.
     """
     n = len(exprs)
     constants = []
@@ -200,6 +214,8 @@ def compile_step(exprs):
         outputs = [e.value(node) for node in exprs]
         lines += e.lines
         stages.append(outputs)
+    # the 7th stage emitted every pwl argument already: its locals, no new line
+    pwl_values = [e.value(arg) for arg in pwl_args(exprs)]
     for c in range(n):
         lines += [f"n{c} = x{c} + h * ({weighted(b.items(), c)})",
                   f"e{c} = h * ({weighted(err.items(), c)})",
@@ -208,7 +224,7 @@ def compile_step(exprs):
     lines += [f"k7 = {listed[6]}",
               f"acc = {' + '.join(['0.0'] + [f'q{c} * q{c}' for c in range(n)])}",
               f"return ([{', '.join(f'n{c}' for c in range(n))}], sqrt(acc / {n}), k7, "
-              f"(k1, {', '.join(listed[2:6])}, k7))"]
+              f"(k1, {', '.join(listed[2:6])}, k7), [{', '.join(pwl_values)}])"]
     source = ["def make(constants, sqrt):",
               f"    {', '.join(f'c{i}' for i in range(len(constants)))}, = constants",
               "    def step(x, k1, h, rel_tol, abs_tol):"]

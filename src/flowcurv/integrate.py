@@ -28,12 +28,21 @@ the step sequence) may differ from an array formulation.  k1 at the start
 and after an event cut is `ModelDef.velocity` as a list.  The event
 confirmation steps and the event cut take the same step and discard its
 norm and 7th stage, so `stats["rhs_evals"]` counts six rhs calls per DP
-step of every kind.
+step of every kind.  A step whose state is not finite, or whose norm is
+NaN, is rejected and retried at a quarter of h.
 
-Times and states are assembled into float64 arrays once, at the end.  Each
-`Trajectory` carries counters of the work done in `stats`.  Everything is
-plain deterministic float arithmetic: identical inputs and tolerances
-reproduce bit-identical trajectories.
+The breakpoint distances u - 1 and u + 1 at an accepted step's end come
+from the step as well: its fifth output is each pwl argument's value at
+x_new, read off the 7th (FSAL) stage, bit for bit the tree's value there.
+The trees are walked (`_event_functions`) only for the initial signs, at
+the split point after an event cut, and inside the locator; the sign list
+is copied only on a step where a sign changes.
+
+Times and states are assembled into float64 arrays once, at the end.  The
+work counters are local ints until then, and `stats` is built once, for the
+returned `Trajectory` and for the partial one an `IntegrationError` carries
+alike.  Everything is plain deterministic float arithmetic: identical
+inputs and tolerances reproduce bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -91,16 +100,30 @@ class Trajectory:
         return len(self.times)
 
 
+# each pwl argument u gives two events, in this order: u - 1 (its "+1"
+# breakpoint) and u + 1 (its "-1" breakpoint)
+_BREAKPOINTS = ((-1.0, "+1"), (1.0, "-1"))
+
+
 def _event_functions(model):
     """Signed distances to the pwl breakpoints: u(x) - 1 and u(x) + 1 for
     each pwl argument u, evaluated on its tree."""
     funcs = []
     for k, arg in enumerate(model.pwl_args):
-        for offset, label in ((-1.0, f"pwl{k}:+1"), (1.0, f"pwl{k}:-1")):
+        for offset, side in _BREAKPOINTS:
             def g(x, arg=arg, offset=offset):
                 return arg.eval(x) + offset
-            funcs.append((g, label))
+            funcs.append((g, f"pwl{k}:{side}"))
     return funcs
+
+
+def _side(g_val):
+    """+1 or -1 beyond the deadband around a breakpoint, 0 within it."""
+    if g_val > _EVENT_DEADBAND:
+        return 1
+    if g_val < -_EVENT_DEADBAND:
+        return -1
+    return 0
 
 
 def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, max_steps=2_000_000):
@@ -125,116 +148,124 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, max_steps=2_000_000
         raise ValueError("non-finite initial state")
     x = x0.tolist()
     rel_tol, abs_tol = float(rel_tol), float(abs_tol)
-
-    stats = {"rhs_evals": 0, "dp_steps": 0, "accepted_steps": 0, "rejected_steps": 0,
-             "event_bisection_steps": 0, "event_fallbacks": 0, "events": 0}
     step = model.dp_step
+    isfinite = math.isfinite
+    deadband = _EVENT_DEADBAND
 
     events = _event_functions(model)
+    # event 2k + i is breakpoint i of pwl argument k: g = pwl_values[k] + offset
+    reads = tuple((2 * k + i, k, offset) for k in range(len(model.pwl_args))
+                  for i, (offset, _) in enumerate(_BREAKPOINTS))
+    event_signs = [_side(g(x)) for g, _ in events]
+
     t = 0.0
     t_final = float(t_end)
     times = [t]
-    states = [x]
+    states = list(x)  # the samples' components, row after row
     recorded_events = []
-
-    def count_rhs():
-        # k1 and the starting-step probe, six stages per DP step, and k1
-        # again after every event cut
-        stats["events"] = len(recorded_events)
-        stats["rhs_evals"] = 2 + 6 * stats["dp_steps"] + stats["events"]
-
-    def fail(message):
-        count_rhs()
-        traj = Trajectory(times=np.array(times), states=np.array(states),
-                          events=tuple(recorded_events), complete=False,
-                          diagnostic=message, model_name=model.name, stats=stats)
-        raise IntegrationError(message, trajectory=traj)
-
-    def signed(g_val):
-        if g_val > _EVENT_DEADBAND:
-            return 1
-        if g_val < -_EVENT_DEADBAND:
-            return -1
-        return 0
-
-    event_signs = [signed(g(x)) for g, _ in events]
+    attempts = dp_steps = accepted_steps = rejected_steps = 0
+    located_steps = fallbacks = 0
+    diagnostic = ""
 
     k1 = model.velocity(x).tolist()
     h = _initial_step(model, x, k1, rel_tol, abs_tol)
     h_min_factor = 16 * sys.float_info.epsilon
 
-    steps = 0
     while t < t_final:
-        if steps >= max_steps:
-            fail(f"step budget {max_steps} exhausted at t = {t:.6g}")
-        steps += 1
-        h = min(h, t_final - t)
-        if h <= h_min_factor * max(abs(t), 1.0):
-            fail(f"step size underflow at t = {t:.6g} (stiffness beyond the "
-                 f"tolerance budget)")
+        if attempts >= max_steps:
+            diagnostic = f"step budget {max_steps} exhausted at t = {t:.6g}"
+            break
+        attempts += 1
+        if t_final - t < h:
+            h = t_final - t
+        if h <= h_min_factor * (t if t > 1.0 else 1.0):  # max(abs(t), 1.0); t >= 0
+            diagnostic = (f"step size underflow at t = {t:.6g} (stiffness beyond the "
+                          f"tolerance budget)")
+            break
 
-        stats["dp_steps"] += 1
-        x_new, err_norm, k_last, stages = step(x, k1, h, rel_tol, abs_tol)
-        if not all(map(math.isfinite, x_new)):
-            stats["rejected_steps"] += 1
+        dp_steps += 1
+        x_new, err_norm, k_last, stages, pwl_values = step(x, k1, h, rel_tol, abs_tol)
+        # a non-finite state (a finite sum has finite terms; one that
+        # overflowed does not say), or a NaN norm beside a finite state: a
+        # non-finite stage that the state's weights skip
+        if (not (isfinite(sum(x_new)) or all(map(isfinite, x_new)))
+                or err_norm != err_norm):
+            rejected_steps += 1
             h *= 0.25
             continue
 
         if err_norm > 1.0:  # reject
-            stats["rejected_steps"] += 1
+            rejected_steps += 1
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             continue
 
-        # event scan on the accepted span
-        theta_hit, hit_index, dense = None, None, None
-        new_signs = list(event_signs)
-        for idx, (g, _) in enumerate(events):
-            s_new = signed(g(x_new))
-            if event_signs[idx] != 0 and s_new != 0 and s_new != event_signs[idx]:
+        # event scan on the accepted span: the breakpoint distances at x_new
+        # come from the step's 7th stage, not from the trees
+        theta_hit, dense, new_signs = None, None, None
+        for idx, k, offset in reads:
+            g_val = pwl_values[k] + offset
+            s_new = 1 if g_val > deadband else -1 if g_val < -deadband else 0
+            s_old = event_signs[idx]
+            if s_new == s_old or s_new == 0:
+                continue
+            if new_signs is None:
+                new_signs = event_signs.copy()
+            new_signs[idx] = s_new
+            if s_old != 0:
                 if dense is None:
                     dense = _dense_output(x, x_new, h, stages)
                 theta, true_steps, fell_back = _locate_event(
-                    step, x, k1, h, g, event_signs[idx], dense, x_new)
-                stats["dp_steps"] += true_steps
-                stats["event_bisection_steps"] += true_steps
-                stats["event_fallbacks"] += fell_back
+                    step, x, k1, h, events[idx][0], s_old, dense, x_new)
+                dp_steps += true_steps
+                located_steps += true_steps
+                fallbacks += fell_back
                 if theta_hit is None or theta < theta_hit:
                     theta_hit, hit_index = theta, idx
-            new_signs[idx] = s_new
 
         if theta_hit is not None:
             pre_sign = event_signs[hit_index]
-            _, label = events[hit_index]
             h_ev = theta_hit * h
-            stats["dp_steps"] += 1
+            dp_steps += 1
             x = _state_after(step, x, k1, h_ev)
             t = t + h_ev
             times.append(t)
-            states.append(x)
-            recorded_events.append((t, label))
+            states += x
+            recorded_events.append((t, events[hit_index][1]))
             # post-crossing side of the hit boundary is the flip of the
             # pre-crossing sign; other events re-read at the split point
-            event_signs = [signed(gg(x)) if i != hit_index else -pre_sign
-                           for i, (gg, _) in enumerate(events)]
+            event_signs = [_side(g(x)) if i != hit_index else -pre_sign
+                           for i, (g, _) in enumerate(events)]
             k1 = model.velocity(x).tolist()
             continue
 
-        stats["accepted_steps"] += 1
+        accepted_steps += 1
         t = t + h
         x = x_new
         k1 = k_last  # FSAL
-        event_signs = [s if s != 0 else old for s, old in zip(new_signs, event_signs)]
+        if new_signs is not None:
+            event_signs = new_signs
         times.append(t)
-        states.append(x)
+        states += x
         if err_norm == 0.0:
             h *= 5.0
         else:
-            h *= min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            # min(5.0, max(0.2, factor)); factor >= 0.9 at err_norm <= 1
+            factor = 0.9 * err_norm ** -0.2
+            h *= factor if factor < 5.0 else 5.0
 
-    count_rhs()
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      events=tuple(recorded_events), complete=True,
-                      model_name=model.name, stats=stats)
+    # rhs calls: k1 and the starting-step probe, six stages per DP step, and
+    # k1 again after every event cut
+    n_events = len(recorded_events)
+    stats = {"rhs_evals": 2 + 6 * dp_steps + n_events, "dp_steps": dp_steps,
+             "accepted_steps": accepted_steps, "rejected_steps": rejected_steps,
+             "event_bisection_steps": located_steps, "event_fallbacks": fallbacks,
+             "events": n_events}
+    traj = Trajectory(times=np.array(times), states=np.array(states).reshape(len(times), -1),
+                      events=tuple(recorded_events), complete=not diagnostic,
+                      diagnostic=diagnostic, model_name=model.name, stats=stats)
+    if diagnostic:
+        raise IntegrationError(diagnostic, trajectory=traj)
+    return traj
 
 
 def _state_after(step, x, k1, h):
@@ -370,8 +401,8 @@ def take_step(model, x, h, rel_tol, abs_tol):
     """One true DP step of size h (h < 0 steps back) from x, k1 = f(x): the
     new state and the step's error norm (`integrate` accepts it at <= 1)."""
     x = np.asarray(x, dtype=float).tolist()
-    x_new, err_norm, _, _ = model.dp_step(x, model.velocity(x).tolist(), float(h),
-                                          float(rel_tol), float(abs_tol))
+    x_new, err_norm, *_ = model.dp_step(x, model.velocity(x).tolist(), float(h),
+                                        float(rel_tol), float(abs_tol))
     return np.array(x_new), err_norm
 
 

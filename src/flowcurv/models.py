@@ -93,9 +93,7 @@ class ModelDef:
 
     @functools.cached_property
     def pwl_args(self):
-        nodes = sorted((p for e in self.rhs_exprs for p in e.pwl_nodes()),
-                       key=lambda p: p.node_id)
-        return tuple(node.arg for node in nodes)
+        return ex.pwl_args(self.rhs_exprs)
 
     @functools.cached_property
     def dp_step(self):

@@ -177,12 +177,14 @@ def _tree_rhs(model):
 
 
 def _oracle_step(model):
-    """`step(x, k1, h, rel_tol, abs_tol)` from the list-form oracle on the tree walk."""
+    """`step(x, k1, h, rel_tol, abs_tol)` from the list-form oracle on the tree
+    walk, the pwl arguments evaluated on their trees at x_new."""
     f = _tree_rhs(model)
 
     def step(x, k1, h, rel_tol, abs_tol):
         x_new, err, k7, stages = _dp_step(f, x, k1, h)
-        return x_new, _error_norm(x, x_new, err, rel_tol, abs_tol), k7, stages
+        return (x_new, _error_norm(x, x_new, err, rel_tol, abs_tol), k7, stages,
+                [arg.eval(x_new) for arg in model.pwl_args])
     return step
 
 
@@ -223,7 +225,7 @@ def test_float_step_bit_identical_to_numpy_step(name):
         for rel_tol, abs_tol in ((1e-9, 1e-12), (1e-13, 1e-16)):
             old_norm = _old_error_norm(x, old[0], old[1], rel_tol, abs_tol)
             assert _error_norm(x.tolist(), new[0], new[1], rel_tol, abs_tol) == old_norm
-            x_new, norm, k7, _ = step(x.tolist(), k1.tolist(), h, rel_tol, abs_tol)
+            x_new, norm, k7, _, _ = step(x.tolist(), k1.tolist(), h, rel_tol, abs_tol)
             assert norm == old_norm
             np.testing.assert_array_equal(_bits(x_new), _bits(old[0]))
             np.testing.assert_array_equal(_bits(k7), _bits(old[2]))
@@ -260,6 +262,27 @@ def _hex(values):
     return [float.hex(v) for v in values]
 
 
+_STEP_TOLS = ((1e-9, 1e-12), (1e-13, 1e-16))
+
+
+def _step_grid(model):
+    """(x, k1, step sizes) of the generated-step checks: signed zeros, step
+    sizes from 1e-12 to 1 in both directions, and states that overflow to inf
+    and NaN.  The third state, stepped by 1e10, overflows the step itself."""
+    rng = np.random.default_rng(5)
+    n = model.dim
+    states = [[-0.0] * n, [0.0, -0.0] * n, [1e300, -1e300] * n, [1e154] * n]
+    states = [s[:n] for s in states] + [rng.uniform(-3, 3, n).tolist() for _ in range(40)]
+    grid = []
+    for k, x in enumerate(states):
+        if k % 3 == 0:
+            x[k % n] = -0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e300 overflows float64 scalars
+            k1 = model.velocity(x).tolist()
+        grid.append((x, k1, (1e-12, -1e-12, 1e-6, -3e-3, 0.1, 1.0, -1.0, rng.uniform(-1, 1))))
+    return grid
+
+
 @pytest.mark.parametrize("name", STEP_MODELS)
 def test_generated_step_equals_list_oracle(name):
     # x_new, the fused norm, k7 and the stages, bit for bit, over signed
@@ -267,27 +290,37 @@ def test_generated_step_equals_list_oracle(name):
     # overflow to inf and NaN
     model = _step_model(name)
     step, oracle = model.dp_step, _oracle_step(model)
-    rng = np.random.default_rng(5)
-    n = model.dim
-    states = [[-0.0] * n, [0.0, -0.0] * n, [1e300, -1e300] * n, [1e154] * n]
-    states = [s[:n] for s in states] + [rng.uniform(-3, 3, n).tolist() for _ in range(40)]
-    for k, x in enumerate(states):
-        if k % 3 == 0:
-            x[k % n] = -0.0
-        with np.errstate(over="ignore", invalid="ignore"):  # 1e300 overflows float64 scalars
-            k1 = model.velocity(x).tolist()
+    grid = _step_grid(model)
+    for x, k1, step_sizes in grid:
         assert _hex(k1) == _hex(_tree_rhs(model)(x))
-        for h in (1e-12, -1e-12, 1e-6, -3e-3, 0.1, 1.0, -1.0, rng.uniform(-1, 1)):
-            for tols in ((1e-9, 1e-12), (1e-13, 1e-16)):
+        for h in step_sizes:
+            for tols in _STEP_TOLS:
                 got, ref = step(x, k1, h, *tols), oracle(x, k1, h, *tols)
                 _assert_same_step(got, ref)
     # a step that overflows: inf and NaN land in the same places
-    x = states[2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = model.velocity(x).tolist()
+    x, k1, _ = grid[2]
     got, ref = step(x, k1, 1e10, 1e-9, 1e-12), oracle(x, k1, 1e10, 1e-9, 1e-12)
     _assert_same_step(got, ref)
     assert not all(map(math.isfinite, got[0])) and math.isnan(got[1])
+
+
+@pytest.mark.parametrize("name", STEP_MODELS)
+def test_step_pwl_values_are_tree_values_at_x_new(name):
+    # the step's fifth output is each pwl argument's value at x_new, in
+    # pwl_args order: the tree walk at x_new, bit for bit, wherever x_new is
+    # finite (the event scan reads nothing else)
+    model = _step_model(name)
+    step = model.dp_step
+    checked = 0
+    for x, k1, step_sizes in _step_grid(model):
+        for h in step_sizes + (1e10,):
+            for tols in _STEP_TOLS:
+                x_new, _, _, _, values = step(x, k1, h, *tols)
+                assert len(values) == len(model.pwl_args)
+                if all(map(math.isfinite, x_new)):
+                    assert _hex(values) == _hex([arg.eval(x_new) for arg in model.pwl_args])
+                    checked += 1
+    assert checked >= 600
 
 
 def _assert_same_step(got, ref):
@@ -414,6 +447,54 @@ def test_stats_counts_chua3(chua3):
     assert (short.stats["dp_steps"], short.stats["rhs_evals"], short.stats["events"]) \
         == (3_344, 20_097, 31)
     assert short.stats["accepted_steps"] == 2_724 and len(short) == 2_756
+
+
+def test_event_trees_walked_only_off_the_accepted_steps(chua3, monkeypatch):
+    # the accepted steps read u -+ 1 from the step's 7th stage; the trees are
+    # walked for the initial signs, after an event cut and in the locator
+    integrate_module = importlib.import_module("flowcurv.integrate")
+    event_functions = integrate_module._event_functions
+    calls = []
+
+    def counted(model):
+        def wrap(g):
+            return lambda x: calls.append(None) or g(x)
+        return [(wrap(g), label) for g, label in event_functions(model)]
+
+    monkeypatch.setattr(integrate_module, "_event_functions", counted)
+    traj = integrate(chua3, [0.1, 0.1, 0.1], 200.0, rel_tol=1e-9, abs_tol=1e-12)
+    assert traj.stats["accepted_steps"] == 10_852 and traj.stats["events"] == 127
+    assert 0 < len(calls) < traj.stats["accepted_steps"]
+
+
+def test_nan_error_norm_rejects_the_step():
+    # the generated step can return a finite state beside a NaN norm: a
+    # stage the state's weights skip overflows to inf - inf
+    overflow = load_model({"name": "nan-norm", "dim": 2, "params": {},
+                           "rhs": ["x1^2 + (x1^2*x1^2 - x1^4)", "-x2"]})
+    x = [1e76, 1.0]
+    x_new, norm, *_ = overflow.dp_step(x, overflow.velocity(x).tolist(), 1e-76, 1e-9, 1e-12)
+    assert all(map(math.isfinite, x_new)) and math.isnan(norm)
+    # integrate rejects such a step like a non-finite state: a quarter of h,
+    # from the same state, counted as rejected
+    model = load_model(ROTATION)
+    step = model.dp_step
+    calls = []
+
+    def nan_once(x, k1, h, rel_tol, abs_tol):
+        out = step(x, k1, h, rel_tol, abs_tol)
+        if len(calls) == 4:
+            out = (out[0], math.nan) + out[2:]
+        calls.append((x, h, out[0], out[1]))
+        return out
+
+    traj = integrate(with_attrs(model, dp_step=nan_once), [1.0, 0.0], 3.0)
+    _check_stats_identities(traj)
+    x, h, dropped, _ = calls[4]
+    assert calls[5][:2] == (x, 0.25 * h)
+    assert dropped not in traj.states.tolist()
+    # no events here: every call is a step attempt, rejected unless its norm <= 1
+    assert traj.stats["rejected_steps"] == sum(not norm <= 1.0 for *_, norm in calls)
 
 
 def test_stats_without_events_and_on_failure(gear):
