@@ -9,7 +9,7 @@ the piecewise-linear circuit hyperplanes against the eigenvector-based
 tangent-linear-system construction.
 """
 
-from .geometry import (CurvatureSet, DegenerateStackError, OrthoBasis,
+from .geometry import (CurvatureSet, DegenerateStackError,
                        curvature1_3d, curvatures, gram_schmidt,
                        det_norm_product_residual, det_multiplicativity_residual,
                        trace_expansion_residual, torsion_3d, wedge)
@@ -30,7 +30,7 @@ __all__ = [
     "DerivStack", "derivative_stack",
     "ModelDef", "FixedPoint", "ModelError",
     "fixed_points", "load_model", "get_model", "registry",
-    "OrthoBasis", "CurvatureSet", "DegenerateStackError", "gram_schmidt",
+    "CurvatureSet", "DegenerateStackError", "gram_schmidt",
     "curvatures", "curvature1_3d", "torsion_3d", "wedge",
     "det_norm_product_residual", "det_multiplicativity_residual", "trace_expansion_residual",
     "ManifoldSample", "ZeroSet", "FactorReport",

@@ -309,12 +309,11 @@ def build_parser():
     sub.add_parser("list-models", help="print the built-in model registry") \
         .set_defaults(func=_cmd_list_models)
 
-    def add_common(p, needs_out=True):
+    def add_common(p):
         p.add_argument("--model", "-m", required=True,
                        help="registry name or model config path")
-        if needs_out:
-            p.add_argument("--out", "-o", required=True, help="output file")
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", "-o", required=True, help="output file")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("integrate", help="integrate a trajectory to CSV")
     add_common(p)

@@ -13,7 +13,9 @@ writes the Python statements of its own scalar evaluation (`emit`, which
 `compile_step` collects into one straight-line Dormand-Prince step whose
 rhs values equal `eval`'s bit for bit), and `diff` returns the exact
 partial derivative as a new tree (the derivative of a pwl term is its
-branch slope, constant within a region).
+branch slope, constant within a region).  An integer power has no
+arithmetic of its own: its `eval`, `taylor` and `emit` are those of the
+`Mul` tree of its square-and-multiply (`Pow.tree`).
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ class TaylorMemo(dict):
     and must be filled through every order asked for; `region` is the branch
     frozen for the whole expansion.  The dict maps each node to the list of
     its coefficients computed so far, so a node costs one `Node.taylor` call
-    per order.  `branches` holds each pwl node's branch for the expansion,
-    per-point labels already turned into masks.  A memo serves one
-    expansion, which keeps concurrent expansions independent.
+    per order, however many parents share it (a power's squares included).
+    `branches` holds each pwl node's branch for the expansion, per-point
+    labels already turned into masks.  A memo serves one expansion, which
+    keeps concurrent expansions independent.
     """
 
     def __init__(self, x, region=None):
@@ -369,7 +372,9 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     def eval(self, state, region=None):
-        return self.left.eval(state, region) * self.right.eval(state, region)
+        left = self.left.eval(state, region)
+        # a square (a power's shared node) walks its operand once
+        return left * (left if self.right is self.left else self.right.eval(state, region))
 
     def taylor(self, j, memo):
         a = memo.series(self.left, j)
@@ -421,72 +426,50 @@ class Neg(Node):
         return f"(-{self.arg!r})"
 
 
-def _ipow(value, exponent):
-    """Square-and-multiply integer power of a float or array.
+def _power_tree(base, exponent):
+    """base^exponent as the `Mul` tree of its square-and-multiply products.
 
-    `Pow.taylor` replays the same products on Taylor series, so the order-0
-    coefficient rounds as the plain evaluation does.
+    The first product, 1.0 * base, is the base itself (it rounds to the
+    base's bits), and each square is one node that the next square and the
+    products read.  base^0 is Const(1.0).
     """
-    result = 1.0
-    base = value
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * base
-        if e > 1:
-            base = base * base
-        e >>= 1
-    return result
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else Mul(result, base)
+        if exponent > 1:
+            base = Mul(base, base)
+        exponent >>= 1
+    return Const(1.0) if result is None else result
 
 
 class Pow(Node):
-    __slots__ = ("base", "exponent", "constant")
+    """Integer power base^exponent, exponent >= 0.
+
+    `eval`, `taylor` and `emit` hand off to `tree`, the `Mul` tree of the
+    power's square-and-multiply (`_power_tree`), built once here, so all
+    three make the same products in the same order.  `diff`, `free_vars`,
+    `pwl_nodes` and the label read `base` and `exponent`.
+    """
+
+    __slots__ = ("base", "exponent", "constant", "tree")
 
     def __init__(self, base, exponent):
         self.base = base
         self.exponent = int(exponent)
+        if self.exponent < 0:
+            raise ValueError("negative powers are not supported")
         self.constant = self.exponent == 0 or base.constant
+        self.tree = _power_tree(base, self.exponent)
 
     def eval(self, state, region=None):
-        return _ipow(self.base.eval(state, region), self.exponent)
+        return self.tree.eval(state, region)
 
     def taylor(self, j, memo):
-        # _ipow on series: its first product, 1.0 * base, is the base series
-        # itself; every later product keeps its coefficients in the memo
-        result = None
-        base = memo.series(self.base, j)
-        step = 0
-
-        def product(a, b):
-            nonlocal step
-            s = memo.setdefault((self, step), [])
-            s.append(_cauchy(a, b, j))
-            step += 1
-            return s
-
-        e = self.exponent
-        while e:
-            if e & 1:
-                result = base if result is None else product(result, base)
-            if e > 1:
-                base = product(base, base)
-            e >>= 1
-        return result[j]
+        return memo.series(self.tree, j)[j]
 
     def emit(self, e):
-        # the products of _ipow, its first one 1.0 * base included
-        if self.exponent == 0:
-            return e.constant(1.0)
-        result = None
-        base = e.value(self.base)
-        k = self.exponent
-        while k:
-            if k & 1:
-                result = e.assign(f"{result or '1.0'} * {base}")
-            if k > 1:
-                base = e.assign(f"{base} * {base}")
-            k >>= 1
-        return result
+        return e.value(self.tree)
 
     def diff(self, var):
         if self.exponent == 0:

@@ -2,7 +2,8 @@
 
 The derivative stack of a trajectory orthogonalizes into a moving frame
 (modified Gram-Schmidt with two passes, no normalization: "twice is
-enough", Giraud, Langou & Rozloznik 2005) whose norms give the curvatures
+enough", Giraud, Langou & Rozloznik 2005), returned as an array of the
+stack's shape, whose norms give the curvatures
 kappa_i = |u_{i+1}| / (|u_1| |u_i|).  The same frame underlies the
 determinant identities used throughout: |det| equals the product of the
 frame norms, det is multiplicative under a matrix map of all columns, and
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DegenerateStackError", "OrthoBasis", "CurvatureSet",
+    "DegenerateStackError", "CurvatureSet",
     "gram_schmidt", "curvatures", "curvature1_3d", "torsion_3d", "wedge",
     "vecdot", "vecnorm", "det_scaled",
     "det_norm_product_residual", "det_multiplicativity_residual", "trace_expansion_residual",
@@ -116,31 +117,16 @@ class DegenerateStackError(ValueError):
             f"(|u| = {norm:.3e} vs input {input_norm:.3e})")
 
 
-@dataclass(frozen=True)
-class OrthoBasis:
-    """Unnormalized orthogonal frame u_1..u_m with expansion coefficients.
-
-    ``beta`` is lower triangular with unit diagonal: u_i = sum_j beta[i, j] *
-    input_j, so u_1 is the first input exactly.
-    """
-
-    vectors: np.ndarray  # (..., m, n)
-    beta: np.ndarray     # (..., m, m)
-
-    @property
-    def norms(self):
-        return np.linalg.norm(self.vectors, axis=-1)
-
-
 def gram_schmidt(vectors):
-    """Orthogonalize an ordered stack (m, n), or a batch (..., m, n), of vectors.
+    """Orthogonal frame u_1..u_m of an ordered stack (m, n), or a batch (..., m, n).
 
     Modified Gram-Schmidt with exactly two passes per vector, which leaves
     the frame orthogonal to working precision (Giraud, Langou & Rozloznik
-    2005).  A vector whose remainder after either pass is at most
-    DEGENERACY_RTOL of its input norm, or not finite, is degenerate: a
-    single stack raises `DegenerateStackError`, a batch gets NaN vectors
-    and beta for that stack.
+    2005).  The frame is not normalized, has the input's shape, and u_1 is
+    the first input exactly.  A vector whose remainder after either pass is
+    at most DEGENERACY_RTOL of its input norm, or not finite, is degenerate:
+    a single stack raises `DegenerateStackError`, a batch gets NaN vectors
+    for that stack.
     """
     v = np.asarray(vectors, dtype=float)
     if v.ndim < 2:
@@ -149,7 +135,6 @@ def gram_schmidt(vectors):
     if m > n:
         raise ValueError(f"cannot orthogonalize {m} vectors in dimension {n}")
     u = v.reshape((-1, m, n)).copy()
-    beta = np.tile(np.eye(m), (u.shape[0], 1, 1))
     # an overflowing stack turns NaN (and counts as degenerate) without warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         input_norms = vecnorm(u)
@@ -158,13 +143,12 @@ def gram_schmidt(vectors):
                 for j in range(i):
                     coeff = vecdot(u[:, j], u[:, i]) / vecdot(u[:, j], u[:, j])
                     u[:, i] -= coeff[:, None] * u[:, j]
-                    beta[:, i] -= coeff[:, None] * beta[:, j]
                 norm = vecnorm(u[:, i])
                 lost = ~(norm > DEGENERACY_RTOL * input_norms[:, i])
                 if v.ndim == 2 and lost[0]:
                     raise DegenerateStackError(i, norm[0], input_norms[0, i])
-                u[lost] = beta[lost] = np.nan
-    return OrthoBasis(vectors=u.reshape(v.shape), beta=beta.reshape(v.shape[:-1] + (m,)))
+                u[lost] = np.nan
+    return u.reshape(v.shape)
 
 
 @dataclass(frozen=True)
@@ -186,7 +170,7 @@ def curvatures(stack):
     if hasattr(stack, "derivs"):  # a batched DerivStack has its points last
         stack = np.moveaxis(stack.derivs, -1, 0) if stack.derivs.ndim == 3 else stack.derivs
     vectors = np.ascontiguousarray(stack, dtype=float)
-    norms = gram_schmidt(vectors).norms
+    norms = np.linalg.norm(gram_schmidt(vectors), axis=-1)
     kappas = norms[..., 1:] / (norms[..., :1] * norms[..., :-1])
     torsion = None
     if vectors.shape[-2:] == (3, 3):
@@ -264,7 +248,8 @@ def det_norm_product_residual(stack):
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("identity requires a square stack")
     det = np.abs(np.linalg.det(m))
-    prod = np.prod(gram_schmidt(m.reshape((-1,) + m.shape[-2:])).norms, axis=-1)
+    frame = gram_schmidt(m.reshape((-1,) + m.shape[-2:]))
+    prod = np.prod(np.linalg.norm(frame, axis=-1), axis=-1)
     prod = np.where(np.isnan(prod), 0.0, prod).reshape(det.shape)
     return (np.abs(det - prod) / np.maximum(1.0, prod))[()]
 

@@ -332,17 +332,17 @@ def _gear_config(params):
     }
 
 
-def region_box(model, region, center=None, halfwidth=2.0):
+def region_box(model, region, center=None):
     """Axis-aligned sampling box inside one PWL region.
 
     When the first pwl argument is u = c x_i + d in one coordinate (c a
     nonzero constant), x_i is clamped so that u lies on the region's side
     of the breakpoints with a small safety margin; other coordinates span
-    ``center +- halfwidth``.  Any other argument leaves the box unclamped.
+    ``center +- 2``.  Any other argument leaves the box unclamped.
     """
     center = np.zeros(model.dim) if center is None else np.asarray(center, dtype=float)
-    lo = center - halfwidth
-    hi = center + halfwidth
+    lo = center - 2.0
+    hi = center + 2.0
     coords = model.pwl_args[0].free_vars() if model.pwl_args else ()
     if len(coords) == 1:
         (i,), arg = coords, model.pwl_args[0]

@@ -32,6 +32,14 @@ __all__ = ["CheckResult", "verify_model"]
 _FD_TIME_STEP = 1e-5
 _LIE_FD_MODELS = {"chua4-cubic", "magnetoconvection5", "gear5"}
 
+# The singular-approximation contrast draws from this fixed seed, not from
+# `verify_model`'s.  magnetoconvection5's median off-set / on-set ratio is
+# 40.5 here, but with the draws of seeds 0-199 it falls below the gate of 10
+# at two of them (9.08 at seed 28, 8.48 at seed 94).  The cubic circuits keep
+# a wide margin over seeds 0-39 and 1913053642 (chua4-cubic >= 428,
+# chua5-cubic >= 2.46e4).
+_SLOWFAST_SEED = 0
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -240,7 +248,7 @@ def lie_fd_residuals(model, count=20):
     return (np.abs(fd - lie)[lie != 0.0] / np.abs(lie[lie != 0.0]))[:count].tolist()
 
 
-def _lie_fd_checks(model, rng, count=20):
+def _lie_fd_checks(model, count=20):
     if model.pwl_args or model.name not in _LIE_FD_MODELS:
         return []
     errors = lie_fd_residuals(model, count=count)
@@ -248,11 +256,11 @@ def _lie_fd_checks(model, rng, count=20):
                     note=f"dt = {_FD_TIME_STEP:g}, {len(errors)} points")]
 
 
-def _slowfast_checks(model, seed=0):
+def _slowfast_checks(model):
     if model.slowfast_defaults is None:
         return []
     name = "singular-approximation Darboux contrast"
-    x = manifold._singular_points(model, 60, np.random.default_rng(seed)).T
+    x = manifold._singular_points(model, 60, np.random.default_rng(_SLOWFAST_SEED)).T
     if not x.size:
         return [_result(name, 0.0, 10.0, note="no constraint solutions found",
                         larger_is_better=True)]
@@ -309,7 +317,7 @@ def verify_model(model, seed=0):
     results += _stack_checks(model, rng)
     results += _darboux_checks(model, rng)
     results += _plane_checks(model, fps, rng)
-    results += _lie_fd_checks(model, rng)
+    results += _lie_fd_checks(model)
     results += _slowfast_checks(model)
     if model.name == "gear5":
         results += _gear_checks(model, rng)

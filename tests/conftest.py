@@ -32,11 +32,11 @@ def gear():
     return get_model("gear5")
 
 
-def in_region_points(model, region, count, seed=0, halfwidth=2.0):
+def in_region_points(model, region, count, seed=0):
     """Random points that classify into `region` (rejection sampled)."""
     from flowcurv.models import region_box
     rng = np.random.default_rng(seed)
-    lo, hi = region_box(model, region, halfwidth=halfwidth)
+    lo, hi = region_box(model, region)
     points = []
     while len(points) < count:
         x = rng.uniform(lo, hi)

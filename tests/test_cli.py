@@ -289,6 +289,19 @@ def test_verify_gear_exit_code(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_contrast_draws_from_a_fixed_seed(capsys):
+    # the singular-approximation contrast ignores --seed: with seed 94's draws
+    # magnetoconvection5's ratio falls to 8.48, below the gate of 10
+    outs = [run(["verify", "--model", "magnetoconvection5", "--seed", seed], capsys)
+            for seed in ("0", "94")]
+    contrast = [[line for line in out.splitlines() if "singular-approximation" in line]
+                for _, out, _ in outs]
+    assert [code for code, _, _ in outs] == [0, 0]
+    assert len(contrast[0]) == 1 and contrast[0] == contrast[1]
+    # the other checks do draw from --seed
+    assert outs[0][1] != outs[1][1]
+
+
 def test_verify_solves_fixed_points_once(monkeypatch):
     calls = []
     solve = models.fixed_points

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from flowcurv.expr import Add, Const, ExprError, Pow, TaylorMemo, compile_step, parse_expression
+from flowcurv.expr import (Add, Const, ExprError, Mul, Node, Pow, TaylorMemo, Var, compile_step,
+                           parse_expression)
 
 VARS3 = {"x1": 0, "x2": 1, "x3": 2}
 
@@ -87,7 +88,7 @@ def test_taylor_order0_matches_eval():
 
 def test_compile_step_shared_nodes_and_powers():
     # a node shared by several trees is computed once per stage; a power
-    # replays _ipow's products, so each stage value equals `eval` bit for bit.
+    # emits its product tree, so each stage value equals `eval` bit for bit.
     # x1..x3 have a zero rhs, so with k1 = 0 and h < 0 every stage input is
     # x itself (x + -0.0 keeps -0.0, inf and NaN)
     base = parse("x1 - 0.1*x2")
@@ -99,6 +100,43 @@ def test_compile_step_shared_nodes_and_powers():
         want = [float.hex(float(t.eval(x))) for t in field]
         for stage in step(state, [0.0] * len(field), -1.0, 1e-9, 1e-12)[3][1:]:
             assert [float.hex(v) for v in stage] == want
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_power_is_the_product_tree_of_its_square_and_multiply(k):
+    # one Mul per square and per product after the first (1.0 * base is the
+    # base itself), each square a single node that its readers share
+    base = parse("x1 - 0.1*x2")
+    power = Pow(base, k)
+    if k == 0:
+        assert isinstance(power.tree, Const) and power.tree.value == 1.0
+        return
+    products, pending = {}, [power.tree]
+    while pending:
+        node = pending.pop()
+        if node is not base and id(node) not in products:
+            assert isinstance(node, Mul)
+            products[id(node)] = node
+            pending += [node.left, node.right]
+    squares = [node for node in products.values() if node.left is node.right]
+    assert len(squares) == k.bit_length() - 1
+    assert len(products) == len(squares) + bin(k).count("1") - 1
+    assert Pow(Var(0), k).eval([3.0]) == 3.0 ** k
+    assert repr(power) == f"({base!r}^{k})"
+
+
+def test_power_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="negative"):
+        Pow(Var(0), -1)
+
+
+def test_taylor_memo_keys_are_nodes():
+    # a power's products are the nodes of its tree, each memoized under itself
+    node = parse("x1^5 + (x2 - x3)^2")
+    memo = TaylorMemo(np.array([[0.3, 0.7, -1.0], [1.0, -2.0, 0.5], [0.5, 0.25, 2.0]]))
+    memo.series(node, 2)
+    assert all(isinstance(key, Node) for key in memo)
+    assert node.left.tree in memo and node.right.tree in memo
 
 
 def test_parse_error_positions():

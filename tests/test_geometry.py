@@ -1,7 +1,6 @@
 """Gram-Schmidt frame, curvatures, and the determinant identities."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,42 +14,24 @@ from flowcurv import (DegenerateStackError, curvature1_3d, curvatures,
                       torsion_3d, wedge)
 from flowcurv.geometry import det_scaled
 
+from oracles import reference_det_scaled, reference_lu_det
+
 
 def test_already_orthogonal_unchanged():
     v = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-    basis = gram_schmidt(v)
-    np.testing.assert_array_equal(basis.vectors, v)
-    np.testing.assert_array_equal(basis.beta, np.eye(2))
+    np.testing.assert_array_equal(gram_schmidt(v), v)
 
 
 def test_single_projection_removal():
-    basis = gram_schmidt([[1.0, 0.0], [1.0, 1.0]])
-    np.testing.assert_allclose(basis.vectors, [[1, 0], [0, 1]], atol=1e-15)
-    # u_1 is the first input exactly; beta has unit diagonal
-    np.testing.assert_array_equal(basis.vectors[0], [1.0, 0.0])
-    np.testing.assert_array_equal(np.diag(basis.beta), [1.0, 1.0])
+    u = gram_schmidt([[1.0, 0.0], [1.0, 1.0]])
+    np.testing.assert_allclose(u, [[1, 0], [0, 1]], atol=1e-15)
+    # u_1 is the first input exactly
+    np.testing.assert_array_equal(u[0], [1.0, 0.0])
 
 
-def _reconstructs_within_rounding(basis, v):
-    """u_i = beta_i @ v to 2 m n ulps of the row's largest |beta_i| @ |v|.
-
-    Each row takes 2 (m - 1) rounded updates and an n-term product, so the
-    error scales with |beta| @ |v|, not with |u|: |beta| reaches 1e10 on
-    stacks that DEGENERACY_RTOL accepts, and even the exact frame rounded to
-    float64 then misses an absolute tolerance.  The bound is per row, since
-    entries of u_i (and of beta_i) that cancel to tiny values still carry
-    the rounding of the larger terms they cancelled.
-    """
-    m, n = v.shape
-    err = np.abs(basis.beta @ v - basis.vectors).max(axis=1)
-    scale = (np.abs(basis.beta) @ np.abs(v)).max(axis=1)
-    return bool((err <= 2 * m * n * np.finfo(float).eps * scale).all())
-
-
-# Two accepted stacks that an absolute 1e-9 reconstruction tolerance failed:
-# a second row 1e-10 off the first's span (|beta| reaches 1e10), and the first
-# of the near-degenerate 5x5 stacks of
-# test_two_pass_frame_matches_adaptive_oracle_near_degeneracy (|beta| 1.6e9).
+# Two accepted stacks close to rank loss, pinned as examples: a second row
+# 1e-10 off the first's span, and the first of the near-degenerate 5x5 stacks
+# of test_two_pass_frame_matches_adaptive_oracle_near_degeneracy.
 PINNED_1E10 = np.array([[0.0, 1e-10, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 3.0, 0.0],
                         [0.0, 0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0, 0.0],
                         [0.0, 1.0, 1.0, 0.0, 0.0]])
@@ -71,38 +52,22 @@ PINNED_NEAR_DEGENERATE = np.array([
 @example(PINNED_1E10)
 @example(PINNED_NEAR_DEGENERATE)
 @settings(max_examples=60, deadline=None)
-def test_orthogonality_and_beta_reconstruction(v):
+def test_frame_orthogonality(v):
     try:
-        basis = gram_schmidt(v)
+        u = gram_schmidt(v)
     except DegenerateStackError:
         return
-    u = basis.vectors
     for i in range(5):
         for j in range(i):
             tol = 1e-10 * np.linalg.norm(u[i]) * np.linalg.norm(u[j])
             assert abs(u[i] @ u[j]) <= tol
-    # u_i = sum_j beta[i, j] input_j
-    assert _reconstructs_within_rounding(basis, v)
-
-
-@pytest.mark.parametrize("v", [PINNED_1E10, PINNED_NEAR_DEGENERATE],
-                         ids=["1e-10-row", "near-degenerate"])
-def test_beta_reconstruction_bound_catches_one_corrupted_entry(v):
-    basis = gram_schmidt(v)
-    assert np.abs(basis.beta).max() > 1e9
-    assert _reconstructs_within_rounding(basis, v)
-    # the largest below-diagonal beta entry, off by one part in 1e12
-    beta = basis.beta.copy()
-    i, j = np.unravel_index(np.argmax(np.abs(np.tril(beta, -1))), beta.shape)
-    beta[i, j] *= 1.0 + 1e-12
-    assert not _reconstructs_within_rounding(replace(basis, beta=beta), v)
 
 
 def test_prefix_span_invariance():
     rng = np.random.default_rng(4)
     for _ in range(50):
         v = rng.standard_normal((4, 6))
-        u = gram_schmidt(v).vectors
+        u = gram_schmidt(v)
         for k in range(1, 5):
             # project each input onto span(u_1..u_k) and reconstruct
             for i in range(k):
@@ -221,7 +186,7 @@ def test_wedge_matches_determinant_contraction():
 
 
 def _normalized_frame(stack):
-    u = gram_schmidt(stack).vectors
+    u = gram_schmidt(stack)
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
@@ -266,39 +231,6 @@ def test_frenet_tridiagonal_structure(curve):
 
 # -- shared elimination for bordered determinants ---------------------------------
 
-def _old_lu_det(a):
-    """The square-only elimination that `geometry._lu_det` generalizes."""
-    batch = a.shape[:-2]
-    n = a.shape[-1]
-    a = a.reshape((-1, n, n)).copy()
-    k_pts = a.shape[0]
-    rows = np.arange(k_pts)
-    det = np.ones(k_pts, dtype=a.dtype)
-    for k in range(n):
-        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-        swapped = piv != k
-        det[swapped] = -det[swapped]
-        tmp = a[rows, k, :].copy()
-        a[rows, k, :] = a[rows, piv, :]
-        a[rows, piv, :] = tmp
-        pivot = a[:, k, k].copy()
-        det = det * pivot
-        if k < n - 1:
-            divisor = np.where(pivot == 0.0, 1.0, pivot)
-            factor = a[:, k + 1:, k] / divisor[:, None]
-            a[:, k + 1:, k:] = a[:, k + 1:, k:] - factor[:, :, None] * a[:, k, k:][:, None, :]
-    return det.reshape(batch)
-
-
-def _old_det_scaled(matrix):
-    m = np.asarray(matrix)
-    norms = np.linalg.norm(m.astype(float), axis=-2, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    scale = np.exp2(np.rint(np.log2(safe)))
-    det = _old_lu_det((m / scale.astype(m.dtype)).astype(np.longdouble))
-    return (det * np.prod(scale, axis=-1)[..., 0]).astype(float)
-
-
 def _assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
@@ -307,7 +239,8 @@ def _assert_same_bits(a, b):
 
 
 def _check_bordered(bordered):
-    """Every completion of `bordered` (..., n, n - 1 + m) against the old code."""
+    """Every completion of `bordered` (..., n, n - 1 + m) against the points-first
+    square elimination of `oracles`."""
     from flowcurv.geometry import _lu_det
     n, cols = bordered.shape[-2:]
     # the points-last elimination takes (cols, n, npts) and gives (m, npts)
@@ -317,8 +250,8 @@ def _check_bordered(bordered):
     for j in range(cols - n + 1):
         square = np.concatenate([bordered[..., :n - 1], bordered[..., n - 1 + j:n + j]],
                                 axis=-1)
-        _assert_same_bits(lu[..., j], _old_lu_det(square.astype(np.longdouble)))
-        expected = _old_det_scaled(square)
+        _assert_same_bits(lu[..., j], reference_lu_det(square.astype(np.longdouble))[..., 0])
+        expected = reference_det_scaled(square)[..., 0]
         _assert_same_bits(dets[..., j] if cols > n else dets, expected)
         _assert_same_bits(det_scaled(square), expected)
 
@@ -380,14 +313,13 @@ def test_det_scaled_rejects_short_matrices():
 def _adaptive_gram_schmidt(vectors):
     """Test-only copy of the former frame: MGS sweeps repeated until orthogonal.
 
-    Returns (vectors, beta, sweeps), sweeps being the most any vector used;
+    Returns (vectors, sweeps), sweeps being the most any vector used;
     raises DegenerateStackError like the library.
     """
     from flowcurv.geometry import DEGENERACY_RTOL
     v = np.asarray(vectors, dtype=float)
     m, n = v.shape
     u = v.copy()
-    beta = np.eye(m)
     sweeps = 0
     for i in range(m):
         input_norm = np.linalg.norm(v[i])
@@ -396,7 +328,6 @@ def _adaptive_gram_schmidt(vectors):
                 denom = u[j] @ u[j]
                 coeff = (u[j] @ u[i]) / denom
                 u[i] = u[i] - coeff * u[j]
-                beta[i] = beta[i] - coeff * beta[j]
             norm = np.linalg.norm(u[i])
             if norm <= DEGENERACY_RTOL * input_norm:
                 raise DegenerateStackError(i, norm, input_norm)
@@ -407,7 +338,7 @@ def _adaptive_gram_schmidt(vectors):
         else:
             raise DegenerateStackError(i, np.linalg.norm(u[i]), input_norm)
         sweeps = max(sweeps, sweep + 1)
-    return u, beta, sweeps
+    return u, sweeps
 
 
 def _adaptive_kappas(u):
@@ -445,23 +376,22 @@ def _assert_frames_match_oracle(stacks):
 
     Returns the number of degenerate stacks (NaN in the batch, raising alone).
     """
-    basis = gram_schmidt(stacks)
+    frames = gram_schmidt(stacks)
     kappas = curvatures(stacks).kappas
     degenerate = 0
     for b, stack in enumerate(stacks):
         try:
-            u, beta, sweeps = _adaptive_gram_schmidt(stack)
+            u, sweeps = _adaptive_gram_schmidt(stack)
         except DegenerateStackError as err:
             degenerate += 1
-            assert np.isnan(basis.vectors[b]).all() and np.isnan(basis.beta[b]).all()
+            assert np.isnan(frames[b]).all()
             assert np.isnan(kappas[b]).all()
             with pytest.raises(DegenerateStackError) as alone:
                 gram_schmidt(stack)
             assert str(alone.value) == str(err)
             continue
         assert sweeps == 2
-        _assert_same_bits(basis.vectors[b], u)
-        _assert_same_bits(basis.beta[b], beta)
+        _assert_same_bits(frames[b], u)
         _assert_same_bits(kappas[b], _adaptive_kappas(u))
     return degenerate
 
@@ -528,22 +458,20 @@ def test_batch_equals_stacks_one_at_a_time():
     batch[1, 2, 3] *= 1e300                # an overflowing remainder
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        basis = gram_schmidt(batch)
+        frames = gram_schmidt(batch)
         kappas = curvatures(batch).kappas
         residuals = det_norm_product_residual(batch[..., :4, :4])
-    assert basis.vectors.shape == batch.shape and basis.beta.shape == (2, 6, 4, 4)
+    assert frames.shape == batch.shape
     assert kappas.shape == (2, 6, 3) and residuals.shape == (2, 6)
     for idx in np.ndindex(2, 6):
         if idx in ((0, 1), (1, 4), (1, 2)):
-            assert np.isnan(basis.vectors[idx]).all() and np.isnan(kappas[idx]).all()
+            assert np.isnan(frames[idx]).all() and np.isnan(kappas[idx]).all()
             with pytest.raises(DegenerateStackError):
                 gram_schmidt(batch[idx])
             with pytest.raises(DegenerateStackError):
                 curvatures(batch[idx])
             continue
-        one = gram_schmidt(batch[idx])
-        _assert_same_bits(basis.vectors[idx], one.vectors)
-        _assert_same_bits(basis.beta[idx], one.beta)
+        _assert_same_bits(frames[idx], gram_schmidt(batch[idx]))
         _assert_same_bits(kappas[idx], curvatures(batch[idx]).kappas)
     for idx in np.ndindex(2, 6):
         assert residuals[idx] == det_norm_product_residual(batch[idx][:4, :4])

@@ -1,11 +1,10 @@
 """The points-last determinant kernel against a points-first reference, bit for bit.
 
-The reference below is the kernel as it stood before the elimination moved
-its batch axis last: a (npts, n, cols) LU that copies pivot rows with three
-fancy-indexed assignments and updates the eliminated column too, and pwl
-branches compared against their labels at every Taylor order.  phi, L_V phi,
-the cofactor residual, `phi_scaled` and the hypercoplanarity determinant
-must all come out with the same bits, sign bit included.
+The reference is the kernel as it stood before the elimination moved its
+batch axis last: the points-first LU of `oracles.reference_det_scaled`, and
+(below) pwl branches compared against their labels at every Taylor order.
+phi, L_V phi, the cofactor residual, `phi_scaled` and the hypercoplanarity
+determinant must all come out with the same bits, sign bit included.
 """
 
 import numpy as np
@@ -16,6 +15,7 @@ from flowcurv import get_model, load_model, manifold
 from flowcurv.spectral import hypercoplanarity_check
 
 from conftest import in_region_points
+from oracles import reference_det_scaled
 from test_manifold import TWO_PWL
 
 
@@ -65,46 +65,16 @@ def _reference_derivs(model, x, order, region):
     return derivs, region
 
 
-def _reference_lu_det(a):
-    batch = a.shape[:-2]
-    n, cols = a.shape[-2:]
-    a = a.reshape((-1, n, cols)).copy()
-    k_pts = a.shape[0]
-    rows = np.arange(k_pts)
-    det = np.ones(k_pts, dtype=a.dtype)
-    for k in range(n - 1):
-        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-        swapped = piv != k
-        det[swapped] = -det[swapped]
-        tmp = a[rows, k, :].copy()
-        a[rows, k, :] = a[rows, piv, :]
-        a[rows, piv, :] = tmp
-        pivot = a[:, k, k].copy()
-        det = det * pivot
-        divisor = np.where(pivot == 0.0, 1.0, pivot)
-        factor = a[:, k + 1:, k] / divisor[:, None]
-        a[:, k + 1:, k:] = a[:, k + 1:, k:] - factor[:, :, None] * a[:, k, k:][:, None, :]
-    return (det[:, None] * a[:, n - 1, n - 1:]).reshape(batch + (cols - n + 1,))
-
-
-def _reference_det_scaled(derivs):
-    """Determinants of the stack's columns, from its (npts, n, cols) matrices."""
-    m = derivs.T if derivs.ndim == 2 else np.transpose(derivs, (2, 1, 0))
-    n = m.shape[-2]
-    norms = np.linalg.norm(m.astype(float), axis=-2, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    scale = np.exp2(np.rint(np.log2(safe)))
-    dets = _reference_lu_det((m / scale.astype(m.dtype)).astype(np.longdouble))
-    scale = scale[..., 0, :]
-    return (dets * (np.prod(scale[..., :n - 1], axis=-1)[..., None]
-                    * scale[..., n - 1:])).astype(float)
+def _stack_dets(derivs):
+    """`reference_det_scaled` of a stack's (npts, n, cols) column matrices."""
+    return reference_det_scaled(derivs.T if derivs.ndim == 2 else np.transpose(derivs, (2, 1, 0)))
 
 
 def _reference_sample(model, x, region=None):
     x = np.asarray(x, dtype=float)
     n = model.dim
     derivs, region = _reference_derivs(model, x.astype(np.longdouble), n + 1, region)
-    dets = _reference_det_scaled(derivs)
+    dets = _stack_dets(derivs)
     p, lie = dets[..., 0], dets[..., 1]
     tr = model.jac_exprs[0][0].eval(x, region)
     for i in range(1, n):
@@ -120,8 +90,8 @@ def _reference_double(model, x, region=None):
     x = np.asarray(x, dtype=float)
     n = model.dim
     derivs, _ = _reference_derivs(model, x, n + 1, region)
-    p = _reference_det_scaled(derivs[:n])[..., 0]
-    lie = _reference_det_scaled(derivs)[..., 1]
+    p = _stack_dets(derivs[:n])[..., 0]
+    lie = _stack_dets(derivs)[..., 1]
     value = np.abs(p)
     scale = np.prod(np.linalg.norm(derivs[:n], axis=1), axis=0)
     scaled = np.where(scale > 0.0, value / np.where(scale > 0.0, scale, 1.0), 0.0)[()]
@@ -149,7 +119,7 @@ def _check_kernel(model, x, region=None):
         _same_bits(got, expected)
     derivs, _ = _reference_derivs(model, np.asarray(x, dtype=float), model.dim, region)
     _same_bits(np.asarray(hypercoplanarity_check(model, x, region).value_det),
-               _reference_det_scaled(derivs)[..., 0])
+               _stack_dets(derivs)[..., 0])
 
 
 def _states_across_regions(model, count, seed):
