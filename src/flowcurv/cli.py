@@ -95,6 +95,8 @@ def _parse_grid(text, dim, min_nodes=1):
             raise ConfigError(f"bad grid component {part!r}: bounds must be finite")
         if count < min_nodes:
             raise ConfigError(f"bad grid component {part!r}: count must be at least {min_nodes}")
+        if idx in axes:
+            raise ConfigError(f"x{idx + 1} is given twice in --grid")
         axes[idx] = (lo, hi, count)
     if len(axes) not in (2, 3):
         raise ConfigError("--grid must span 2 or 3 coordinates")
@@ -113,7 +115,12 @@ def _parse_slice(text, dim, model, axes):
             name, value = part.split("=")
         except ValueError as err:
             raise ConfigError(f"bad slice component {part!r}") from err
-        raw[_axis_index(name.strip(), dim)] = value.strip()
+        idx = _axis_index(name.strip(), dim)
+        if idx in raw:
+            raise ConfigError(f"x{idx + 1} is given twice in --slice")
+        if idx in axes:
+            raise ConfigError("a coordinate cannot be both a grid axis and a slice value")
+        raw[idx] = value.strip()
     resolved = {}
     fp_needed = [i for i, v in raw.items() if v == "fp"]
     if fp_needed:

@@ -13,9 +13,11 @@ writes the Python statements of its own scalar evaluation (`emit`, which
 `compile_step` collects into one straight-line Dormand-Prince step whose
 rhs values equal `eval`'s bit for bit), and `diff` returns the exact
 partial derivative as a new tree (the derivative of a pwl term is its
-branch slope, constant within a region).  An integer power has no
-arithmetic of its own: its `eval`, `taylor` and `emit` are those of the
-`Mul` tree of its square-and-multiply (`Pow.tree`).
+branch slope, constant within a region).  Coefficient 0 is `eval`'s value
+bit for bit.  An integer power has no arithmetic of its own: its `eval`,
+`taylor` and `emit` are those of the `Mul` tree of its square-and-multiply
+(`Pow.tree`).  `walk` visits every node once, after its `children`; each
+question about a tree's structure reads it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import re
 import numpy as np
 
 __all__ = [
-    "ExprError", "parse_expression", "Node", "TaylorMemo", "compile_step", "pwl_args",
+    "ExprError", "parse_expression", "Node", "TaylorMemo", "compile_step", "pwl_args", "walk",
     "Const", "Var", "Add", "Sub", "Neg", "Mul", "Pow", "Pwl", "PwlSlope",
     "classify_pwl", "PWL_LABELS",
 ]
@@ -70,6 +72,8 @@ class TaylorMemo(dict):
     frozen for the whole expansion.  The dict maps each node to the list of
     its coefficients computed so far, so a node costs one `Node.taylor` call
     per order, however many parents share it (a power's squares included).
+    Coefficient 0 is each node's `taylor(0, memo)`, the float operations of
+    `eval`; a node without state dependence gets 0.0 above it.
     `branches` holds each pwl node's branch for the expansion, per-point
     labels already turned into masks.  A memo serves one expansion, which
     keeps concurrent expansions independent.
@@ -85,9 +89,7 @@ class TaylorMemo(dict):
         """Coefficients 0..j of `node`, as a list indexed by order."""
         s = self.get(node)
         if s is None:
-            # a node without state dependence is a plain number, as in `eval`:
-            # its value at order 0 and 0.0 above
-            s = self[node] = [node.eval(self.x[0], self.region)] if node.constant else []
+            s = self[node] = [node.taylor(0, self)]
         while len(s) <= j:
             s.append(0.0 if node.constant else node.taylor(len(s), self))
         return s
@@ -154,9 +156,25 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
+def walk(trees):
+    """The nodes of `trees`, each once and after its children (iterative post-order)."""
+    done = set()
+    stack = [(tree, False) for tree in reversed(trees)]
+    while stack:
+        node, expanded = stack.pop()
+        if node in done:
+            continue
+        if expanded:
+            done.add(node)
+            yield node
+        else:
+            stack.append((node, True))
+            stack += [(child, False) for child in reversed(node.children)]
+
+
 def pwl_args(exprs):
     """The argument tree of each pwl node of the trees `exprs`, by node id."""
-    nodes = sorted((p for e in exprs for p in e.pwl_nodes()), key=lambda p: p.node_id)
+    nodes = sorted((p for p in walk(exprs) if isinstance(p, Pwl)), key=lambda p: p.node_id)
     return tuple(node.arg for node in nodes)
 
 
@@ -239,9 +257,10 @@ def compile_step(exprs):
 
 
 def _cauchy(a, b, j):
-    """Coefficient j of the product of two series: sum_i a_i b_{j-i}, from 0.0 in i order."""
-    acc = 0.0
-    for i in range(j + 1):
+    """Coefficient j of the product of two series: sum_i a_i b_{j-i} in i order, from
+    the first term, so coefficient 0 is the a_0 * b_0 of `eval`, zero sign included."""
+    acc = a[0] * b[j]
+    for i in range(1, j + 1):
         acc = acc + a[i] * b[j - i]
     return acc
 
@@ -250,14 +269,15 @@ class Node:
     """Base expression node."""
 
     constant = False  # True where the value does not depend on the state
+    children = ()  # the nodes this one is written with, which `walk` reads
 
     def eval(self, state, region=None):
         raise NotImplementedError
 
     def taylor(self, j, memo):
         """Taylor coefficient j of this node, from the coefficients 0..j of
-        its children in `memo` (a `TaylorMemo`).  Constant nodes never get
-        here: the memo gives them their value and zeros."""
+        its children in `memo` (a `TaylorMemo`).  Constant nodes get here at
+        order 0 only: the memo gives them 0.0 above it."""
         raise NotImplementedError
 
     def emit(self, e):
@@ -268,12 +288,6 @@ class Node:
     def diff(self, var):
         raise NotImplementedError
 
-    def free_vars(self):
-        return set()
-
-    def pwl_nodes(self):
-        return []
-
 
 class Const(Node):
     __slots__ = ("value",)
@@ -283,6 +297,9 @@ class Const(Node):
         self.value = float(value)
 
     def eval(self, state, region=None):
+        return self.value
+
+    def taylor(self, j, memo):
         return self.value
 
     def emit(self, e):
@@ -314,26 +331,18 @@ class Var(Node):
     def diff(self, var):
         return Const(1.0 if var == self.index else 0.0)
 
-    def free_vars(self):
-        return {self.index}
-
     def __repr__(self):
         return self.name
 
 
 class _Binary(Node):
-    __slots__ = ("left", "right", "constant")
+    __slots__ = ("left", "right", "constant", "children")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
         self.constant = left.constant and right.constant
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
-
-    def pwl_nodes(self):
-        return self.left.pwl_nodes() + self.right.pwl_nodes()
+        self.children = (left, right)
 
 
 class Add(_Binary):
@@ -398,11 +407,12 @@ class Mul(_Binary):
 
 
 class Neg(Node):
-    __slots__ = ("arg", "constant")
+    __slots__ = ("arg", "constant", "children")
 
     def __init__(self, arg):
         self.arg = arg
         self.constant = arg.constant
+        self.children = (arg,)
 
     def eval(self, state, region=None):
         return -self.arg.eval(state, region)
@@ -415,12 +425,6 @@ class Neg(Node):
 
     def diff(self, var):
         return _neg(self.arg.diff(var))
-
-    def free_vars(self):
-        return self.arg.free_vars()
-
-    def pwl_nodes(self):
-        return self.arg.pwl_nodes()
 
     def __repr__(self):
         return f"(-{self.arg!r})"
@@ -448,11 +452,12 @@ class Pow(Node):
 
     `eval`, `taylor` and `emit` hand off to `tree`, the `Mul` tree of the
     power's square-and-multiply (`_power_tree`), built once here, so all
-    three make the same products in the same order.  `diff`, `free_vars`,
-    `pwl_nodes` and the label read `base` and `exponent`.
+    three make the same products in the same order.  `diff`, the label and
+    `children`, which is ``(base,)``, read the power as it is written, so
+    ``x^0`` keeps its base's pwl terms.
     """
 
-    __slots__ = ("base", "exponent", "constant", "tree")
+    __slots__ = ("base", "exponent", "constant", "tree", "children")
 
     def __init__(self, base, exponent):
         self.base = base
@@ -461,6 +466,7 @@ class Pow(Node):
             raise ValueError("negative powers are not supported")
         self.constant = self.exponent == 0 or base.constant
         self.tree = _power_tree(base, self.exponent)
+        self.children = (base,)
 
     def eval(self, state, region=None):
         return self.tree.eval(state, region)
@@ -478,12 +484,6 @@ class Pow(Node):
         if self.exponent == 1:
             return inner
         return _mul(_mul(Const(self.exponent), Pow(self.base, self.exponent - 1)), inner)
-
-    def free_vars(self):
-        return self.base.free_vars()
-
-    def pwl_nodes(self):
-        return self.base.pwl_nodes()
 
     def __repr__(self):
         return f"({self.base!r}^{self.exponent})"
@@ -507,7 +507,7 @@ class Pwl(Node):
     b*u + a - b is the same real function but rounds differently there).
     """
 
-    __slots__ = ("arg", "a", "b", "node_id", "constant")
+    __slots__ = ("arg", "a", "b", "node_id", "constant", "children")
 
     def __init__(self, arg, a, b, node_id=0):
         self.arg = arg
@@ -515,6 +515,7 @@ class Pwl(Node):
         self.b = float(b)
         self.node_id = node_id
         self.constant = arg.constant
+        self.children = (arg,)
 
     def _branch(self, arg_value, region):
         # a label, or per-point labels as their (mid, pos) masks
@@ -562,12 +563,6 @@ class Pwl(Node):
         inner = self.arg.diff(var)
         return _mul(PwlSlope(self), inner)
 
-    def free_vars(self):
-        return self.arg.free_vars()
-
-    def pwl_nodes(self):
-        return self.arg.pwl_nodes() + [self]
-
     def __repr__(self):
         return f"pwl({self.arg!r}; {self.a}, {self.b})"
 
@@ -575,10 +570,11 @@ class Pwl(Node):
 class PwlSlope(Node):
     """Region-wise slope of a Pwl node (a in the middle branch, b outside)."""
 
-    __slots__ = ("pwl",)
+    __slots__ = ("pwl", "children")
 
     def __init__(self, pwl):
         self.pwl = pwl
+        self.children = (pwl.arg,)
 
     def eval(self, state, region=None):
         u = self.pwl.arg.eval(state, region)
@@ -589,9 +585,6 @@ class PwlSlope(Node):
     def diff(self, var):
         # piecewise constant; derivative vanishes within each region
         return Const(0.0)
-
-    def free_vars(self):
-        return self.pwl.arg.free_vars()
 
     def __repr__(self):
         return f"pwl_slope({self.pwl.arg!r}; {self.pwl.a}, {self.pwl.b})"

@@ -36,25 +36,16 @@ class DerivStack:
     k! in place, so the stack allocates one array.
     """
 
-    point: np.ndarray
     derivs: np.ndarray
     region: object = field(default=None, compare=False)
 
-    @property
-    def order(self):
-        return self.derivs.shape[0]
-
-    @property
-    def dim(self):
-        return self.derivs.shape[1]
-
     def matrix(self, count=None):
-        """First `count` derivatives as determinant-ready column matrices.
+        """First `count` derivatives (all by default) as determinant-ready
+        column matrices.
 
         Returns shape ``(n, count)`` (or ``(npts, n, count)`` for batches)
         with derivative k in column k.
         """
-        count = self.order if count is None else count
         m = self.derivs[:count]  # (count, n) or (count, n, npts)
         if m.ndim == 2:
             return m.T
@@ -100,4 +91,4 @@ def derivative_stack(model, x, order, region=None):
     for k in range(1, order + 1):
         fact *= k
         coeffs[k] *= fact
-    return DerivStack(point=x, derivs=coeffs[1:], region=region)
+    return DerivStack(derivs=coeffs[1:], region=region)

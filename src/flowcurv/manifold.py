@@ -80,7 +80,6 @@ class ManifoldSample:
     array) for a batch.
     """
 
-    point: np.ndarray
     phi: float
     lie: float
     cofactor_residual: float
@@ -110,8 +109,7 @@ def manifold_sample(model, x, region=None):
         resid = np.abs(lie - tr * p) / (1.0 + np.abs(tr * p))
     if x.ndim == 1:
         p, lie, resid = float(p), float(lie), float(resid)
-    return ManifoldSample(point=x, phi=p, lie=lie, cofactor_residual=resid,
-                          region=stack.region)
+    return ManifoldSample(phi=p, lie=lie, cofactor_residual=resid, region=stack.region)
 
 
 @dataclass(frozen=True)
@@ -484,7 +482,6 @@ def _singular_points(model, samples, rng):
 class FactorReport:
     """Outcome of testing a candidate Darboux factor against phi and L_V."""
 
-    factor: str
     zero_set_count: int
     phi_scaled_max: float | None     # max scaled |phi| on the factor's zero set
     cofactor_coeffs: np.ndarray      # affine + quadratic basis coefficients
@@ -575,7 +572,7 @@ def factor_check(model, factor, box, samples=200, seed=0):
     invariant = fit_residual <= 1e-6 and (
         phi_scaled_max is None or phi_scaled_max <= 1e-6)
     return FactorReport(
-        factor=factor, zero_set_count=zero_points.shape[1],
+        zero_set_count=zero_points.shape[1],
         phi_scaled_max=phi_scaled_max, cofactor_coeffs=coeffs,
         cofactor_basis=tuple(basis_names), cofactor_fit_residual=fit_residual,
         lie_factor_max=lie_max, first_integral=first_integral,

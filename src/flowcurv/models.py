@@ -343,7 +343,7 @@ def region_box(model, region, center=None):
     center = np.zeros(model.dim) if center is None else np.asarray(center, dtype=float)
     lo = center - 2.0
     hi = center + 2.0
-    coords = model.pwl_args[0].free_vars() if model.pwl_args else ()
+    coords = {node.index for node in ex.walk(model.pwl_args[:1]) if isinstance(node, ex.Var)}
     if len(coords) == 1:
         (i,), arg = coords, model.pwl_args[0]
         slope = arg.diff(i)
@@ -490,14 +490,15 @@ def newton(x, step, max_iter):
     return x, status
 
 
-def _newton_polish(model, guesses, max_iter=60, tol=1e-14):
-    """Damped Newton on the velocity from all guesses (npts, n) at once; a step
-    halves until the velocity norm falls, at most 30 times.  Returns the
-    points (npts, n); a singular Jacobian raises `ModelError`."""
+def _newton_polish(model, guesses):
+    """Damped Newton on the velocity from all guesses (npts, n) at once, at most
+    60 steps to |f| <= 1e-14 (1 + |x|); a step halves until the velocity norm
+    falls, at most 30 times.  Returns the points (npts, n); a singular
+    Jacobian raises `ModelError`."""
     def damped(x):
         f = model.velocity(x)
         fn = vecnorm(f.T)
-        converged = fn <= tol * (1.0 + vecnorm(x.T))
+        converged = fn <= 1e-14 * (1.0 + vecnorm(x.T))
         step = solve_columns(np.moveaxis(model.jacobian(x), -1, 0), f.T).T
         if np.isnan(step[:, ~converged]).any():
             raise ModelError("singular Jacobian in fixed-point Newton iteration")
@@ -510,7 +511,7 @@ def _newton_polish(model, guesses, max_iter=60, tol=1e-14):
             damping[~done] *= 0.5
         return x - damping * step, converged.astype(int)
 
-    return newton(np.reshape(guesses, (-1, model.dim)).T, damped, max_iter)[0].T
+    return newton(np.reshape(guesses, (-1, model.dim)).T, damped, 60)[0].T
 
 
 def _coincide(a, b):

@@ -80,9 +80,9 @@ def _in_region_points(model, count, rng):
     return models.region_samples(model, rng, count, boxes, labels)[0]
 
 
-def _identity_checks(model, rng, instances=200):
+def _identity_checks(model, rng):
     n = model.dim
-    draws = rng.standard_normal((instances, 2, n, n))  # stack, then J: one draw at a time
+    draws = rng.standard_normal((200, 2, n, n))  # stack, then J: one draw at a time
     stack, J = draws[:, 0], draws[:, 1]
     return [
         _result("identity |det| = prod |u_i|",
@@ -104,14 +104,15 @@ def _fixed_point_checks(model, fps):
                     note=f"{len(fps)} points, exact zero required")]
 
 
-def _stack_checks(model, rng, count=100):
+def _stack_checks(model, rng):
     if not model.pwl_args:
         return []
-    st = derivative_stack(model, _in_region_points(model, count, rng), model.dim + 1)
+    x = _in_region_points(model, 100, rng)
+    st = derivative_stack(model, x, model.dim + 1)
     # contiguous (npts, ...) layouts, so each J d_k and norm is the BLAS
     # call a single point makes
     d = np.ascontiguousarray(np.moveaxis(st.derivs, -1, 0))
-    J = np.ascontiguousarray(np.moveaxis(model.jacobian(st.point, region=st.region), -1, 0))
+    J = np.ascontiguousarray(np.moveaxis(model.jacobian(x, region=st.region), -1, 0))
     residuals = []
     for k in range(model.dim):
         num = geometry.vecnorm(d[:, k + 1] - (J @ d[:, k, :, None])[..., 0])
@@ -121,10 +122,10 @@ def _stack_checks(model, rng, count=100):
                     _worst(np.concatenate(residuals)), 1e-12)]
 
 
-def _darboux_checks(model, rng, count=500):
+def _darboux_checks(model, rng):
     if not model.pwl_args:
         return []
-    residuals = manifold.darboux_residual(model, _in_region_points(model, count, rng))
+    residuals = manifold.darboux_residual(model, _in_region_points(model, 500, rng))
     return [_result("Darboux residual L_V phi = Tr(J) phi", _worst(residuals), 1e-8)]
 
 
@@ -145,7 +146,7 @@ def _plane_checks(model, fps, rng):
         out.append(_result(f"plane Darboux L_V Pi = lambda Pi ({side})",
                            summary["max"], 1e-8))
         name = f"phi factors through plane ({side})"
-        on, off = _plane_factor_samples(model, plane, rng, count=200)
+        on, off = _plane_factor_samples(model, plane, rng)
         med_off = float(np.median(off)) if off.size else float("nan")
         ratio = float(np.max(on)) / med_off if med_off > 0 else float("inf")
         out.append(_result(name, ratio, 1e-6, note="max |phi| on-plane / median off-plane")
@@ -184,17 +185,17 @@ def _plane_points(model, plane, rng, count):
                                  max_draws=100 * count, project=project)[0]
 
 
-def _plane_factor_samples(model, plane, rng, count=200):
+def _plane_factor_samples(model, plane, rng):
     """|phi| on the plane, and off it by 0.1 along the normal within the region."""
-    x = _plane_points(model, plane, rng, count)
+    x = _plane_points(model, plane, rng, 200)
     x_off = x + 0.1 * plane.normal[:, None]
     x_off = x_off[:, np.array([lab == plane.base_point.region
                                for lab in models.point_regions(model, x_off)], dtype=bool)]
     return np.abs(manifold.phi(model, x)), np.abs(manifold.phi(model, x_off))
 
 
-def _hypercoplanarity_checks(model, rng, count=50):
-    res = spectral.hypercoplanarity_check(model, _in_region_points(model, count, rng))
+def _hypercoplanarity_checks(model, rng):
+    res = spectral.hypercoplanarity_check(model, _in_region_points(model, 50, rng))
     return [_result("phi det route = wedge route", _worst(res.agreement_residual), 1e-12,
                     note="Hadamard-scaled")]
 
@@ -248,10 +249,10 @@ def lie_fd_residuals(model, count=20):
     return (np.abs(fd - lie)[lie != 0.0] / np.abs(lie[lie != 0.0]))[:count].tolist()
 
 
-def _lie_fd_checks(model, count=20):
+def _lie_fd_checks(model):
     if model.pwl_args or model.name not in _LIE_FD_MODELS:
         return []
-    errors = lie_fd_residuals(model, count=count)
+    errors = lie_fd_residuals(model)
     return [_result("L_V phi = d phi/dt (centered FD)", _worst(errors), 1e-4,
                     note=f"dt = {_FD_TIME_STEP:g}, {len(errors)} points")]
 

@@ -409,6 +409,23 @@ def test_bad_numeric_arguments_are_config_errors(args, tmp_path, capsys):
     assert not out.exists()
 
 
+DUPLICATE_COORDINATES = {
+    "grid-axis-sliced": ["--grid", "x1=-1:1:3,x2=-1:1:3", "--slice", "x1=5"],
+    "grid-axis-twice": ["--grid", "x1=-1:1:3,x1=-3:3:5,x2=-1:1:3"],
+    "slice-twice": ["--grid", "x1=-1:1:3,x2=-1:1:3", "--slice", "x3=0,x3=7"],
+}
+
+
+@pytest.mark.parametrize("command", ["phi-scan", "manifold"])
+@pytest.mark.parametrize("args", DUPLICATE_COORDINATES.values(),
+                         ids=DUPLICATE_COORDINATES.keys())
+def test_coordinate_given_twice_is_config_error(command, args, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, stdout, err = run([command, "--model", "chua3-pwl", *args, "--out", str(out)], capsys)
+    assert code == 1 and "config error" in err and not stdout
+    assert not out.exists()
+
+
 def test_zero_tol_rel_is_accepted(tmp_path, capsys):
     out = tmp_path / "zs.csv"
     code, stdout, _ = run(["manifold", "--model", "chua3-pwl", "--grid", "x1=-3:3:12,x2=-1:1:12",

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from flowcurv.expr import (Add, Const, ExprError, Mul, Node, Pow, TaylorMemo, Var, compile_step,
-                           parse_expression)
+from flowcurv import derivative_stack, get_model, load_model, registry
+from flowcurv.expr import (Add, Const, ExprError, Mul, Node, Pow, Pwl, TaylorMemo, Var,
+                           compile_step, parse_expression, pwl_args, walk)
+
+from test_taylor import TWO_PWL, _assert_same, _states
 
 VARS3 = {"x1": 0, "x2": 1, "x3": 2}
 
@@ -84,6 +87,74 @@ def test_taylor_order0_matches_eval():
     assert c0 == node.eval(x)
     grad = [node.diff(i).eval(x) for i in range(3)]
     assert c1 == pytest.approx(np.dot(grad, v), rel=1e-14)
+
+
+@pytest.mark.parametrize("name", registry())
+def test_taylor_order0_is_eval_bit_for_bit(name):
+    # float64 states with +-0.0 coordinates: a product's coefficient 0 is
+    # eval's a * b, so a -0.0 product keeps its sign (from 0.0 it would not)
+    model = get_model(name)
+    x = _states(model, 2000, seed=11)
+    region = model.classify(x)
+    memo = TaylorMemo(x[None], region)
+    for node in walk(model.rhs_exprs):
+        _assert_same(np.broadcast_to(memo.series(node, 0)[0], x.shape[1:]),
+                     np.broadcast_to(node.eval(x, region), x.shape[1:]))
+    _assert_same(derivative_stack(model, x, 1).derivs[0], model.velocity(x))
+    for point in x.T[:50]:
+        _assert_same(derivative_stack(model, point, 1).derivs[0], model.velocity(point))
+
+
+def _reachable(trees):
+    seen, pending = {}, list(trees)
+    while pending:
+        node = pending.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            pending += node.children
+    return seen
+
+
+@pytest.mark.parametrize("trees", [
+    [parse("(x1 - 0.1*x2)^5 + pwl(x1 + x3; 2, 3)^3 - x3^0")],
+    list(load_model(TWO_PWL).jac_exprs[1]),
+    [e for row in get_model("chua4-cubic").jac_exprs for e in row],
+], ids=["composite-power", "two-pwl-jacobian", "chua4-cubic-jacobian"])
+def test_walk_visits_each_node_once_children_first(trees):
+    order = list(walk(trees))
+    position = {id(node): k for k, node in enumerate(order)}
+    assert len(position) == len(order)
+    assert position.keys() == _reachable(trees).keys()
+    for node in order:
+        assert all(position[id(child)] < position[id(node)] for child in node.children)
+
+
+def test_power_children_are_its_base():
+    # the structure a power is written with, not its product tree: x^0
+    # keeps its base's pwl term
+    base = parse("pwl(x1 + x3; 2, 3) - x2")
+    for k in (0, 1, 5):
+        assert Pow(base, k).children == (base,)
+    assert pwl_args([Pow(base, 0)]) == (base.left.arg,)
+
+
+def _old_pwl_nodes(node):
+    """The retired per-class `pwl_nodes` recursion."""
+    if isinstance(node, Pwl):
+        return _old_pwl_nodes(node.arg) + [node]
+    if isinstance(node, Pow):
+        return _old_pwl_nodes(node.base)
+    if hasattr(node, "left"):
+        return _old_pwl_nodes(node.left) + _old_pwl_nodes(node.right)
+    return _old_pwl_nodes(node.arg) if hasattr(node, "arg") else []
+
+
+@pytest.mark.parametrize("name", list(registry()) + ["two-pwl"])
+def test_pwl_args_unchanged(name):
+    model = load_model(TWO_PWL) if name == "two-pwl" else get_model(name)
+    nodes = sorted((p for e in model.rhs_exprs for p in _old_pwl_nodes(e)),
+                   key=lambda p: p.node_id)
+    assert pwl_args(model.rhs_exprs) == tuple(p.arg for p in nodes)
 
 
 def test_compile_step_shared_nodes_and_powers():

@@ -2,8 +2,11 @@
 
 1. A test-only copy of the operator-overloaded `Jet` recurrence the stack
    used before Taylor coefficients were computed node by node: every rhs
-   tree is evaluated again, on jets of growing length, at every order.  The
-   node-by-node stack must equal it bit for bit, zero signs included.
+   tree is evaluated again, on jets of growing length, at every order.  Its
+   product sums each coefficient from its first term, as the stack does
+   (the retired `Jet` summed from zeros, which turned a lone -0.0 product
+   into +0.0).  The node-by-node stack must equal it bit for bit, zero
+   signs included.
 2. The symbolic recurrence d_{k+1} = (d d_k / dx) V, built with sympy as
    exact rational polynomials and evaluated exactly (skipped without sympy).
 """
@@ -35,8 +38,8 @@ POWERS = {
 # x1 and x2 never move: their coefficients above order 0 are +0.0 and -0.0.
 # Each other component applies one node rule to them on its own, so the zero
 # sign that rule gives shows up unchanged in that component's derivatives
-# (random states almost never expose it elsewhere: a Cauchy sum starts from
-# +0.0, and adding +0.0 hides a -0.0).
+# (random states rarely expose it elsewhere: a product's coefficient j > 0
+# sums j + 1 terms, and adding a +0.0 term hides a -0.0).
 ZERO_SIGNS = {
     "name": "zero-signs", "dim": 10, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
     "rhs": ["x1 - x1", "-(x1 - x1)", "x2^1", "1 - x1", "x2 - 1", "x2 + 1",
@@ -89,9 +92,10 @@ class _Jet:
         if isinstance(other, (int, float, np.floating)):
             return _Jet(self.coeffs * other)
         a, b = self.coeffs, self._coerce(other).coeffs
-        out = np.zeros_like(a)
+        out = np.empty_like(a)
         for k in range(a.shape[0]):
-            for j in range(k + 1):
+            out[k] = a[0] * b[k]
+            for j in range(1, k + 1):
                 out[k] += a[j] * b[k - j]
         return _Jet(out)
 
