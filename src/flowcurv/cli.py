@@ -9,13 +9,18 @@ configuration error, 2 numerical failure (diagnostic on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import pickle
+import signal
 import sys
+import threading
 
 import numpy as np
 
-from . import geometry, manifold, models, spectral, verify
+from . import geometry, ioutil, manifold, models, spectral, verify
 from .integrate import IntegrationError, integrate
 from .ioutil import fmt, write_table
 from .jets import derivative_stack
@@ -151,11 +156,122 @@ def _join_regions(regions, count):
     return [r if isinstance(r, str) else "/".join(r) for r in regions] or [""] * count
 
 
-def _nonfinite_note(values):
-    """' (k non-finite rows)' for the k rows of `values` (rows, columns) that
-    hold a NaN or an infinity; '' when there is none."""
-    count = int(np.count_nonzero(~np.isfinite(values).all(axis=1)))
+def _nonfinite_rows(values):
+    """The number of rows of `values` (rows, columns) that hold a NaN or an infinity."""
+    return int(np.count_nonzero(~np.isfinite(values).all(axis=1)))
+
+
+def _nonfinite_note(count):
+    """' (k non-finite rows)' for k > 0 such rows; '' when there is none."""
     return f" ({count} non-finite rows)" if count else ""
+
+
+# phi-scan evaluates its columns in chunks of this width, which bounds the
+# memory of the longdouble stacks; its shares are runs of whole chunks
+_SCAN_CHUNK = 2048
+
+
+def _scan_shares(npts, fmt_name):
+    """Column bounds of phi-scan's k shares of whole chunks, one per usable CPU.
+
+    k is at most a quarter of the chunk count.  It is 1 for JSON output (one
+    document), where the process cannot fork or read its CPU affinity, and
+    when the process runs other threads, which a forked child would lack.
+    """
+    chunks = -(-npts // _SCAN_CHUNK)
+    k = 1
+    if (fmt_name == "csv" and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        k = max(1, min(len(os.sched_getaffinity(0)), chunks // 4))
+    return [min(chunks * i // k * _SCAN_CHUNK, npts) for i in range(k + 1)]
+
+
+def _share_table(states, lo, hi):
+    """The (n + 3, hi - lo) table of one share: its states, then room for phi,
+    lie and the cofactor residual."""
+    n = len(states)
+    table = np.empty((n + 3, hi - lo))
+    table[:n] = states[:, lo:hi]
+    return table
+
+
+def _scan_share(model, table):
+    """Fill a share table's last three rows a chunk at a time; returns its count
+    of non-finite rows."""
+    n = len(table) - 3
+    for start in range(0, table.shape[1], _SCAN_CHUNK):
+        block = slice(start, start + _SCAN_CHUNK)
+        sample = manifold.manifold_sample(model, table[:n, block])
+        table[n:, block] = sample.phi, sample.lie, sample.cofactor_residual
+    return _nonfinite_rows(table[n:].T)
+
+
+class _Worker:
+    """A forked process that scans the columns lo:hi of `states` into the CSV
+    rows of a part file beside `out`.  It sends its count of non-finite rows,
+    or the exception it met, through a pipe and leaves through os._exit."""
+
+    def __init__(self, model, states, lo, hi, out):
+        self.columns, self.pid, self.pipe = f"{lo}:{hi}", None, None
+        fd, self.part = ioutil.temp_file(out)
+        try:
+            self.pipe, write_end = os.pipe()
+            try:
+                self.pid = os.fork()
+                if self.pid == 0:
+                    self._work(model, states, lo, hi, fd, write_end)
+            finally:
+                os.close(write_end)
+        except BaseException:
+            self.stop()
+            raise
+        finally:
+            os.close(fd)
+
+    @staticmethod
+    def _work(model, states, lo, hi, fd, write_end):
+        """The whole life of the worker process; it never returns."""
+        try:
+            try:
+                table = _share_table(states, lo, hi)
+                result = _scan_share(model, table)
+                with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                    fh.writelines(ioutil.csv_rows(table.T))
+            except BaseException as err:  # raised again by the parent
+                result = err
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+        finally:
+            os._exit(0)
+
+    def join(self):
+        """Wait for the worker; returns its count of non-finite rows, or raises
+        the exception it met."""
+        with os.fdopen(self.pipe, "rb") as pipe:
+            self.pipe = None
+            payload = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not payload:
+            raise RuntimeError(f"the phi-scan worker of columns {self.columns} ended "
+                               f"without a result (wait status {status})")
+        result = pickle.loads(payload)
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    def stop(self):
+        """Close the pipe, kill and reap the worker if it was not joined, and
+        remove the part file."""
+        if self.pipe is not None:
+            os.close(self.pipe)
+            self.pipe = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self.part)
 
 
 # -- commands -----------------------------------------------------------------
@@ -200,20 +316,30 @@ def _cmd_phi_scan(args):
                          abs_tol=1e-12 if args.abs_tol is None else args.abs_tol)
         states = traj.states.T
         del traj
-    # one (n + 3, npts) table: the states, then phi, lie and the cofactor
-    # residual, each filled in place; written through its (rows, columns) view
+    # shares 1..k-1 run in forked workers; this process scans share 0 into one
+    # (n + 3, columns) table, written through its (rows, columns) view, and
+    # appends the workers' part files in share order
     n, npts = states.shape
-    table = np.empty((n + 3, npts))
-    table[:n] = states
-    del states
-    # 2,048-column chunks bound the memory of the longdouble stacks
-    for start in range(0, npts, 2048):
-        block = slice(start, start + 2048)
-        sample = manifold.manifold_sample(model, table[:n, block])
-        table[n:, block] = sample.phi, sample.lie, sample.cofactor_residual
+    bounds = _scan_shares(npts, args.format)
     header = [f"x{i + 1}" for i in range(n)] + ["phi", "lie", "cofactor_residual"]
-    write_table(args.out, header, table.T, args.format)
-    print(f"{npts} samples -> {args.out}{_nonfinite_note(table[n:].T)}")
+    workers, counts = [], []
+
+    def parts():
+        for worker in workers:
+            counts.append(worker.join())
+            yield worker.part
+
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            workers.append(_Worker(model, states, lo, hi, args.out))
+        table = _share_table(states, 0, bounds[1])
+        del states
+        counts.append(_scan_share(model, table))
+        write_table(args.out, header, table.T, args.format, parts=parts())
+    finally:
+        for worker in workers:
+            worker.stop()
+    print(f"{npts} samples -> {args.out}{_nonfinite_note(sum(counts))}")
     return 0
 
 
@@ -267,7 +393,7 @@ def _cmd_curvature(args):
     # one batched frame; a degenerate stack's row is NaN
     kappas = geometry.curvatures(derivative_stack(model, traj.states.T, model.dim)).kappas
     write_table(args.out, header, np.column_stack([traj.times, kappas]), args.format)
-    print(f"{len(traj)} samples -> {args.out}{_nonfinite_note(kappas)}")
+    print(f"{len(traj)} samples -> {args.out}{_nonfinite_note(_nonfinite_rows(kappas))}")
     return 0
 
 

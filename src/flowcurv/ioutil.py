@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+import shutil
 import tempfile
 
 import numpy as np
 
-__all__ = ["fmt", "write_table"]
+__all__ = ["csv_rows", "fmt", "temp_file", "write_table"]
 
 # CSV rows are formatted and written a block at a time, so the text held in
 # memory is bounded whatever the table size
@@ -38,8 +40,8 @@ def _column_text(column):
     return text[inverse].tolist()
 
 
-def _csv_blocks(header, values, labels):
-    yield ",".join(header) + "\n"
+def csv_rows(values, labels=None):
+    """The CSV text of a (rows, columns) float table's rows, no header, a block at a time."""
     for start in range(0, len(values), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
         columns = [_column_text(column) for column in values[start:stop].T]
@@ -64,19 +66,30 @@ def _check_table(header, values, fmt_name, labels):
             raise ValueError(f"CSV field {field!r} contains a comma, quote or line break")
 
 
-def write_table(path, header, values, fmt_name="csv", labels=None):
+def temp_file(path):
+    """(fd, name) of a new `.flowcurv-` temp file beside `path`; an OSError names `path`."""
+    try:
+        return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".flowcurv-")
+    except OSError as err:  # name the output, not the temp file
+        raise OSError(err.errno, err.strerror, os.fspath(path)) from err
+
+
+def write_table(path, header, values, fmt_name="csv", labels=None, parts=()):
     """Write a (rows, columns) float table atomically (temp file + rename).
 
     `labels`, if given, is one string per row for a last column.  JSON
     writes a NaN or infinite value as null, so the file is strict JSON. A table
     that cannot be written faithfully (header and column counts differ, values
     not 2-D, a CSV field holding a comma, quote or line break) raises
-    `ValueError` before any file is created.
+    `ValueError` before any file is created.  `parts` (CSV only) names files
+    of further rows as `csv_rows` writes them; each is appended in turn, after
+    the table's own rows, without being read into memory, and is taken from
+    the iterable only once those rows are written.
     """
     values = np.asarray(values, dtype=float)
     _check_table(header, values, fmt_name, labels)
     if fmt_name == "csv":
-        chunks = _csv_blocks(header, values, labels)
+        chunks = itertools.chain([",".join(header) + "\n"], csv_rows(values, labels))
     elif fmt_name == "json":
         rows = values.tolist()
         # strict JSON has no NaN or Infinity: such a number is written as null
@@ -89,14 +102,14 @@ def write_table(path, header, values, fmt_name="csv", labels=None):
                              allow_nan=False) + "\n"]
     else:
         raise ValueError(f"unknown output format {fmt_name!r}")
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".flowcurv-")
-    except OSError as err:  # name the output, not the temp file
-        raise OSError(err.errno, err.strerror, os.fspath(path)) from err
+    fd, tmp = temp_file(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
+            for part in parts:
+                fh.flush()
+                with open(part, "rb") as rows:
+                    shutil.copyfileobj(rows, fh.buffer)
         os.replace(tmp, path)
     except BaseException:
         try:

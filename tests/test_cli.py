@@ -1,7 +1,9 @@
 """CLI commands, file formats, exit codes, determinism."""
 
+import errno
 import json
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -9,8 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from flowcurv import (derivative_stack, fixed_points, geometry, get_model, integrate,
-                      load_model, manifold_sample, models, tls_hyperplane, zero_set_grid)
+from flowcurv import (derivative_stack, fixed_points, geometry, get_model, integrate, ioutil,
+                      load_model, manifold, manifold_sample, models, tls_hyperplane,
+                      zero_set_grid)
 from flowcurv.cli import main
 from flowcurv.manifold import grid_states
 from flowcurv.models import _BUILTIN_BUILDERS
@@ -518,6 +521,103 @@ def test_phi_scan_memory_is_one_table_and_one_chunk(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"{npts} samples")
     table_bytes = npts * (n + 3) * 8
     assert scan_peak < table_bytes + 1.25 * chunk_peak, (scan_peak, table_bytes, chunk_peak)
+
+
+# -- phi-scan's forked shares ---------------------------------------------------
+
+def _scan_run(args, out, capsys, monkeypatch, cpus):
+    """(outcome, stdout, stderr, file bytes or None, forks) of one phi-scan with `cpus`
+    usable CPUs; the outcome is the exit code, or the repr of an uncaught RuntimeError."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    try:
+        outcome = main(["phi-scan"] + args + ["--out", str(out)])
+    except RuntimeError as err:
+        outcome = repr(err)
+    captured = capsys.readouterr()
+    data = out.read_bytes() if out.exists() else None
+    # no temp or part file, and no child process, is left behind
+    assert [p.name for p in out.parent.iterdir() if p.name.startswith(".flowcurv-")] == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return outcome, captured.out, captured.err, data, len(forks)
+
+
+FORKED_SCANS = {
+    # 16,900 nodes: nine chunks, two shares
+    "chua5-grid": (["--model", "chua5-pwl", "--grid", "x1=-4:4:130,x2=-1:1:130",
+                    "--slice", "x3=0,x4=0,x5=0"], 2),
+    # 22,650 nodes in three shares, each holding non-finite rows (x1 != 0 overflows)
+    "gear5-non-finite": (["--model", "gear5", "--grid", "x1=-1e40:1e40:151,x2=-1:1:150"], 3),
+    "trajectory": (["--model", "chua5-pwl", "--x0", "0.1,0.1,0.1,0.1,0.1", "--t-end", "12"], 2),
+    "json": (["--model", "chua5-pwl", "--grid", "x1=-4:4:130,x2=-1:1:130", "--format", "json"],
+             1),
+}
+
+
+@pytest.mark.parametrize("case", FORKED_SCANS.values(), ids=FORKED_SCANS.keys())
+def test_forked_phi_scan_matches_one_share(case, tmp_path, capsys, monkeypatch):
+    args, shares = case
+    out = tmp_path / "scan.out"
+    one = _scan_run(args, out, capsys, monkeypatch, cpus=1)
+    forked = _scan_run(args, out, capsys, monkeypatch, cpus=3)
+    assert one[0] == 0 and one[4] == 0
+    assert forked[4] == shares - 1
+    assert forked[:4] == one[:4]
+    if "gear5" in args:
+        assert one[1].endswith(" (22500 non-finite rows)\n")
+
+
+def _failing(target, error, where):
+    """A stand-in for `target` that raises `error` in the test's process
+    ("parent"), in every other process ("worker") or everywhere ("any")."""
+    pid = os.getpid()
+
+    def fail(*args, **kwargs):
+        if where == "any" or (os.getpid() == pid) == (where == "parent"):
+            raise error
+        return target(*args, **kwargs)
+    return fail
+
+
+# (where the stand-in goes, the error it raises, the one-share run's outcome)
+SCAN_FAILURES = {
+    "numerical": (manifold, "manifold_sample", FloatingPointError("overflow"), 2),
+    "write": (ioutil, "csv_rows", OSError(errno.ENOSPC, "No space left on device"), 1),
+    "crash": (manifold, "manifold_sample", RuntimeError("a defect"),
+              repr(RuntimeError("a defect"))),
+}
+
+
+@pytest.mark.parametrize("where", ["worker", "parent"])
+@pytest.mark.parametrize("failure", SCAN_FAILURES.values(), ids=SCAN_FAILURES.keys())
+def test_failed_phi_scan_share_fails_like_one_share(failure, where, tmp_path, capsys,
+                                                    monkeypatch):
+    # a failure in any share gives the one-share run's exit code and message,
+    # no output and no file or process left behind
+    module, name, error, outcome = failure
+    args, _ = FORKED_SCANS["chua5-grid"]
+    out = tmp_path / "scan.csv"
+    target = getattr(module, name)
+    monkeypatch.setattr(module, name, _failing(target, error, "any"))
+    one = _scan_run(args, out, capsys, monkeypatch, cpus=1)
+    monkeypatch.setattr(module, name, _failing(target, error, where))
+    forked = _scan_run(args, out, capsys, monkeypatch, cpus=3)
+    assert (one[0], one[1], one[3]) == (outcome, "", None)
+    assert forked[:4] == one[:4] and forked[4] == 1
+
+
+def test_phi_scan_worker_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
+    pid = os.getpid()
+    sample = manifold.manifold_sample
+    monkeypatch.setattr(manifold, "manifold_sample",
+                        lambda *a: sample(*a) if os.getpid() == pid else os._exit(3))
+    args, _ = FORKED_SCANS["chua5-grid"]
+    outcome, stdout, _, data, forks = _scan_run(args, tmp_path / "scan.csv", capsys,
+                                                monkeypatch, cpus=3)
+    assert forks == 1 and (stdout, data) == ("", None)
+    assert "ended without a result" in outcome
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys):
