@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -171,18 +172,25 @@ def _nonfinite_note(count):
 _SCAN_CHUNK = 2048
 
 
-def _scan_shares(npts, fmt_name):
-    """Column bounds of phi-scan's k shares of whole chunks, one per usable CPU.
+def _share_count(most):
+    """The number of shares to split a command's work into: one per CPU the
+    process may run on, at most `most`.  It is 1 where the process cannot fork
+    or read its CPU affinity, and when it runs other threads, which a forked
+    child would lack."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), most))
 
-    k is at most a quarter of the chunk count.  It is 1 for JSON output (one
-    document), where the process cannot fork or read its CPU affinity, and
-    when the process runs other threads, which a forked child would lack.
+
+def _scan_shares(npts, fmt_name):
+    """Column bounds of phi-scan's k shares of whole chunks (`_share_count`).
+
+    k is at most a quarter of the chunk count, and 1 for JSON output (one
+    document).
     """
     chunks = -(-npts // _SCAN_CHUNK)
-    k = 1
-    if (fmt_name == "csv" and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1):
-        k = max(1, min(len(os.sched_getaffinity(0)), chunks // 4))
+    k = _share_count(chunks // 4) if fmt_name == "csv" else 1
     return [min(chunks * i // k * _SCAN_CHUNK, npts) for i in range(k + 1)]
 
 
@@ -206,37 +214,42 @@ def _scan_share(model, table):
     return _nonfinite_rows(table[n:].T)
 
 
-class _Worker:
-    """A forked process that scans the columns lo:hi of `states` into the CSV
-    rows of a part file beside `out`.  It sends its count of non-finite rows,
-    or the exception it met, through a pipe and leaves through os._exit."""
+def _scan_part(model, states, lo, hi, fd):
+    """A phi-scan worker's work: scan the columns lo:hi of `states` and write
+    their CSV rows to the open part file `fd`; returns their count of
+    non-finite rows."""
+    with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        table = _share_table(states, lo, hi)
+        count = _scan_share(model, table)
+        fh.writelines(ioutil.csv_rows(table.T))
+    return count
 
-    def __init__(self, model, states, lo, hi, out):
-        self.columns, self.pid, self.pipe = f"{lo}:{hi}", None, None
-        fd, self.part = ioutil.temp_file(out)
+
+class _Worker:
+    """`func(*args)` run in a forked process, which sends back its picklable
+    result, or the exception it met, through a pipe and leaves through
+    os._exit.  `what` names the worker in the error of one that ends without
+    a result."""
+
+    def __init__(self, what, func, *args):
+        self.what, self.pid = what, None
+        self.pipe, write_end = os.pipe()
         try:
-            self.pipe, write_end = os.pipe()
-            try:
-                self.pid = os.fork()
-                if self.pid == 0:
-                    self._work(model, states, lo, hi, fd, write_end)
-            finally:
-                os.close(write_end)
+            self.pid = os.fork()
+            if self.pid == 0:
+                self._work(func, args, write_end)
         except BaseException:
             self.stop()
             raise
         finally:
-            os.close(fd)
+            os.close(write_end)
 
     @staticmethod
-    def _work(model, states, lo, hi, fd, write_end):
+    def _work(func, args, write_end):
         """The whole life of the worker process; it never returns."""
         try:
             try:
-                table = _share_table(states, lo, hi)
-                result = _scan_share(model, table)
-                with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                    fh.writelines(ioutil.csv_rows(table.T))
+                result = func(*args)
             except BaseException as err:  # raised again by the parent
                 result = err
             with os.fdopen(write_end, "wb") as pipe:
@@ -245,24 +258,22 @@ class _Worker:
             os._exit(0)
 
     def join(self):
-        """Wait for the worker; returns its count of non-finite rows, or raises
-        the exception it met."""
+        """Wait for the worker; returns its result, or raises the exception it met."""
         with os.fdopen(self.pipe, "rb") as pipe:
             self.pipe = None
             payload = pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         if not payload:
-            raise RuntimeError(f"the phi-scan worker of columns {self.columns} ended "
-                               f"without a result (wait status {status})")
+            raise RuntimeError(f"the {self.what} ended without a result "
+                               f"(wait status {status})")
         result = pickle.loads(payload)
         if isinstance(result, BaseException):
             raise result
         return result
 
     def stop(self):
-        """Close the pipe, kill and reap the worker if it was not joined, and
-        remove the part file."""
+        """Close the pipe, and kill and reap the worker if it was not joined."""
         if self.pipe is not None:
             os.close(self.pipe)
             self.pipe = None
@@ -270,8 +281,6 @@ class _Worker:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(self.part)
 
 
 # -- commands -----------------------------------------------------------------
@@ -322,23 +331,32 @@ def _cmd_phi_scan(args):
     n, npts = states.shape
     bounds = _scan_shares(npts, args.format)
     header = [f"x{i + 1}" for i in range(n)] + ["phi", "lie", "cofactor_residual"]
-    workers, counts = [], []
+    workers, parts, counts = [], [], []
 
-    def parts():
-        for worker in workers:
+    def joined():
+        for worker, part in zip(workers, parts):
             counts.append(worker.join())
-            yield worker.part
+            yield part
 
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            workers.append(_Worker(model, states, lo, hi, args.out))
+            fd, part = ioutil.temp_file(args.out)
+            parts.append(part)
+            try:
+                workers.append(_Worker(f"phi-scan worker of columns {lo}:{hi}",
+                                       _scan_part, model, states, lo, hi, fd))
+            finally:
+                os.close(fd)
         table = _share_table(states, 0, bounds[1])
         del states
         counts.append(_scan_share(model, table))
-        write_table(args.out, header, table.T, args.format, parts=parts())
+        write_table(args.out, header, table.T, args.format, parts=joined())
     finally:
         for worker in workers:
             worker.stop()
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(part)
     print(f"{npts} samples -> {args.out}{_nonfinite_note(sum(counts))}")
     return 0
 
@@ -401,11 +419,24 @@ def _cmd_verify(args):
     if args.all == (args.model is not None):
         raise ConfigError("verify needs exactly one of --model NAME or --all")
     names = models.registry() if args.all else [args.model]
+    # model i goes to share i mod k; shares 1..k-1 run in forked workers while
+    # this process runs share 0, and the results print in registry order
+    k = _share_count(len(names))
+    workers = []
+    try:
+        for s in range(1, k):
+            workers.append(_Worker(f"verify worker of {', '.join(names[s::k])}",
+                                   _verify_share, names[s::k], args.seed))
+        shares = [_verify_share(names[::k], args.seed)] + [w.join() for w in workers]
+    finally:
+        for worker in workers:
+            worker.stop()
     failed = 0
     records = []
-    for name in names:
-        model = _load(name)
-        results = verify.verify_model(model, seed=args.seed)
+    for i, name in enumerate(names):
+        results = shares[i % k][i // k]
+        if isinstance(results, Exception):
+            raise results
         failed += sum(not r.passed for r in results)
         if args.format == "json":
             records += [_check_record(name, r) for r in results]
@@ -423,6 +454,19 @@ def _cmd_verify(args):
         print(f"{failed} check(s) failed", file=sys.stderr)
         return 2
     return 0
+
+
+def _verify_share(names, seed):
+    """The verify results of each model of `names` in turn; the exception that
+    stops the share takes the place of its model's results and ends the list."""
+    outcomes = []
+    for name in names:
+        try:
+            outcomes.append(verify.verify_model(_load(name), seed=seed))
+        except Exception as err:  # raised again in registry order
+            outcomes.append(err)
+            break
+    return outcomes
 
 
 def _check_record(model_name, r):
@@ -500,9 +544,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process, built on the first `main` call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError) as err:  # an OSError here: the output cannot be written

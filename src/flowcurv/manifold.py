@@ -455,10 +455,20 @@ def _singular_points(model, samples, rng):
     if defaults["box_center"] == "equilibrium":
         x0[slow] += np.delete(magneto_equilibrium(model), fast)[:, None]
 
+    # only the fast components of the rhs and the fast x fast Jacobian block
+    rhs = [model.rhs_exprs[i] for i in fast]
+    jac = [[model.jac_exprs[i][j] for j in fast] for i in fast]
+
     def capped(x):
-        f = model.velocity(x)[fast].T
+        f = np.empty((len(fast), x.shape[1]))
+        jf = np.empty((len(fast),) + f.shape)
+        for i, e in enumerate(rhs):
+            f[i] = e.eval(x)
+            for j, d in enumerate(jac[i]):
+                jf[i, j] = d.eval(x)
+        f = f.T
         converged = vecnorm(f) <= 1e-12 * (1.0 + vecnorm(x.T))
-        step = solve_columns(np.moveaxis(model.jacobian(x)[np.ix_(fast, fast)], -1, 0), f)
+        step = solve_columns(np.moveaxis(jf, -1, 0), f)
         limit, norm = 1.0 + vecnorm(x[fast].T), vecnorm(step)
         cap = norm > limit
         step[cap] *= (limit[cap] / norm[cap])[:, None]

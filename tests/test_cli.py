@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from flowcurv import (derivative_stack, fixed_points, geometry, get_model, integrate, ioutil,
-                      load_model, manifold, manifold_sample, models, tls_hyperplane,
-                      zero_set_grid)
+                      load_model, manifold, manifold_sample, models, spectral,
+                      tls_hyperplane, verify, zero_set_grid)
 from flowcurv.cli import main
 from flowcurv.manifold import grid_states
 from flowcurv.models import _BUILTIN_BUILDERS
@@ -525,23 +525,29 @@ def test_phi_scan_memory_is_one_table_and_one_chunk(tmp_path, capsys):
 
 # -- phi-scan's forked shares ---------------------------------------------------
 
-def _scan_run(args, out, capsys, monkeypatch, cpus):
-    """(outcome, stdout, stderr, file bytes or None, forks) of one phi-scan with `cpus`
-    usable CPUs; the outcome is the exit code, or the repr of an uncaught RuntimeError."""
+def _forked_run(argv, directory, capsys, monkeypatch, cpus):
+    """(outcome, stdout, stderr, forks) of one CLI run with `cpus` usable CPUs; the
+    outcome is the exit code, or the repr of an uncaught RuntimeError."""
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     try:
-        outcome = main(["phi-scan"] + args + ["--out", str(out)])
+        outcome = main(argv)
     except RuntimeError as err:
         outcome = repr(err)
     captured = capsys.readouterr()
-    data = out.read_bytes() if out.exists() else None
-    # no temp or part file, and no child process, is left behind
-    assert [p.name for p in out.parent.iterdir() if p.name.startswith(".flowcurv-")] == []
+    # no temp or part file in `directory`, and no child process, is left behind
+    assert [p.name for p in directory.iterdir() if p.name.startswith(".flowcurv-")] == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return outcome, captured.out, captured.err, data, len(forks)
+    return outcome, captured.out, captured.err, len(forks)
+
+
+def _scan_run(args, out, capsys, monkeypatch, cpus):
+    """(outcome, stdout, stderr, file bytes or None, forks) of one phi-scan (`_forked_run`)."""
+    outcome, stdout, stderr, forks = _forked_run(["phi-scan"] + args + ["--out", str(out)],
+                                                 out.parent, capsys, monkeypatch, cpus)
+    return outcome, stdout, stderr, out.read_bytes() if out.exists() else None, forks
 
 
 FORKED_SCANS = {
@@ -618,6 +624,87 @@ def test_phi_scan_worker_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
                                                 monkeypatch, cpus=3)
     assert forks == 1 and (stdout, data) == ("", None)
     assert "ended without a result" in outcome
+
+
+# -- verify --all's forked shares --------------------------------------------------
+
+def _verify_run(args, tmp_path, capsys, monkeypatch, cpus):
+    """(outcome, stdout, stderr, forks) of one verify run in `tmp_path` (`_forked_run`)."""
+    monkeypatch.chdir(tmp_path)
+    return _forked_run(["verify", *args], tmp_path, capsys, monkeypatch, cpus)
+
+
+@pytest.mark.parametrize("fmt_name", ["text", "json"])
+@pytest.mark.parametrize("seed", ["0", "1913053642"])
+def test_forked_verify_all_matches_one_share(seed, fmt_name, tmp_path, capsys, monkeypatch):
+    # seven models in three shares; at seed 1913053642 a Darboux check fails (exit 2)
+    args = ["--all", "--seed", seed, "--format", fmt_name]
+    one = _verify_run(args, tmp_path, capsys, monkeypatch, cpus=1)
+    forked = _verify_run(args, tmp_path, capsys, monkeypatch, cpus=3)
+    assert one[0] == (2 if seed == "1913053642" else 0) and one[3] == 0
+    assert forked[:3] == one[:3] and forked[3] == 2
+
+
+def _verify_failing(errors, where):
+    """A stand-in for verify_model that raises errors[model name] where `_failing` says."""
+    target = verify.verify_model
+    failing = {name: _failing(target, error, where) for name, error in errors.items()}
+    return lambda model, **kw: failing.get(model.name, target)(model, **kw)
+
+
+# (the error raised at a model, the one-share run's outcome)
+VERIFY_FAILURES = {
+    "numerical": (spectral.SpectralError("no usable eigenstructure"), 2),
+    "crash": (RuntimeError("a defect"), repr(RuntimeError("a defect"))),
+}
+
+
+@pytest.mark.parametrize("fmt_name", ["text", "json"])
+# with three shares chua5-pwl is in a worker's share and chua5-cubic in the parent's
+@pytest.mark.parametrize("where, name", [("worker", "chua5-pwl"), ("parent", "chua5-cubic")])
+@pytest.mark.parametrize("failure", VERIFY_FAILURES.values(), ids=VERIFY_FAILURES.keys())
+def test_failed_verify_share_fails_like_one_share(failure, where, name, fmt_name, tmp_path,
+                                                  capsys, monkeypatch):
+    # the one-share run prints the models before the failed one (text), then
+    # stops with its exit code and message; every share count does the same
+    error, outcome = failure
+    args = ["--all", "--format", fmt_name]
+    monkeypatch.setattr(verify, "verify_model", _verify_failing({name: error}, "any"))
+    one = _verify_run(args, tmp_path, capsys, monkeypatch, cpus=1)
+    monkeypatch.setattr(verify, "verify_model", _verify_failing({name: error}, where))
+    forked = _verify_run(args, tmp_path, capsys, monkeypatch, cpus=3)
+    before = models.registry().index(name) if fmt_name == "text" else 0
+    assert one[0] == outcome and one[1].count("== ") == before
+    assert one[2] == ("flowcurv: numerical failure: no usable eigenstructure\n"
+                      if outcome == 2 else "")
+    assert forked[:3] == one[:3] and forked[3] == 2
+
+
+def test_verify_raises_the_first_failure_in_registry_order(tmp_path, capsys, monkeypatch):
+    # chua4-cubic (a worker's share) fails before magnetoconvection5 (the parent's)
+    errors = {"chua4-cubic": spectral.SpectralError("first"),
+              "magnetoconvection5": RuntimeError("later")}
+    monkeypatch.setattr(verify, "verify_model", _verify_failing(errors, "any"))
+    one = _verify_run(["--all"], tmp_path, capsys, monkeypatch, cpus=1)
+    forked = _verify_run(["--all"], tmp_path, capsys, monkeypatch, cpus=3)
+    assert one[0] == 2 and one[2] == "flowcurv: numerical failure: first\n"
+    assert forked[:3] == one[:3] and forked[3] == 2
+
+
+def test_verify_worker_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
+    pid = os.getpid()
+    target = verify.verify_model
+    monkeypatch.setattr(verify, "verify_model",
+                        lambda *a, **kw: target(*a, **kw) if os.getpid() == pid else os._exit(3))
+    outcome, stdout, _, forks = _verify_run(["--all"], tmp_path, capsys, monkeypatch, cpus=3)
+    assert forks == 2 and stdout == ""
+    assert "ended without a result" in outcome
+
+
+def test_verify_one_model_never_forks(tmp_path, capsys, monkeypatch):
+    outcome, stdout, _, forks = _verify_run(["--model", "gear5"], tmp_path, capsys,
+                                            monkeypatch, cpus=3)
+    assert (outcome, forks) == (0, 0) and stdout.startswith("== gear5\n")
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys):
