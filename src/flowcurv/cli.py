@@ -291,10 +291,16 @@ def _cmd_list_models(args):
     return 0
 
 
+def _trajectory(model, args):
+    """The trajectory of `model` from --x0 to --t-end, at the --rel-tol and
+    --abs-tol given (`integrate`'s defaults for the others)."""
+    tolerances = {k: v for k in ("rel_tol", "abs_tol") if (v := getattr(args, k)) is not None}
+    return integrate(model, _parse_vector(args.x0, model.dim), args.t_end, **tolerances)
+
+
 def _cmd_integrate(args):
     model = _load(args.model)
-    x0 = _parse_vector(args.x0, model.dim)
-    traj = integrate(model, x0, args.t_end, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    traj = _trajectory(model, args)
     header = ["t"] + [f"x{i + 1}" for i in range(model.dim)] + ["region"]
     write_table(args.out, header, np.column_stack([traj.times, traj.states]), args.format,
                 labels=_join_regions(models.point_regions(model, traj.states.T), len(traj)))
@@ -319,12 +325,7 @@ def _cmd_phi_scan(args):
             raise ConfigError("--x0 requires --t-end")
         if args.slice:
             raise ConfigError("--slice applies to a grid scan (--grid), not to --x0")
-        x0 = _parse_vector(args.x0, model.dim)
-        traj = integrate(model, x0, args.t_end,
-                         rel_tol=1e-9 if args.rel_tol is None else args.rel_tol,
-                         abs_tol=1e-12 if args.abs_tol is None else args.abs_tol)
-        states = traj.states.T
-        del traj
+        states = _trajectory(model, args).states.T
     # shares 1..k-1 run in forked workers; this process scans share 0 into one
     # (n + 3, columns) table, written through its (rows, columns) view, and
     # appends the workers' part files in share order
@@ -405,8 +406,7 @@ def _cmd_hyperplane(args):
 
 def _cmd_curvature(args):
     model = _load(args.model)
-    x0 = _parse_vector(args.x0, model.dim)
-    traj = integrate(model, x0, args.t_end, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    traj = _trajectory(model, args)
     header = ["t"] + [f"kappa{i + 1}" for i in range(model.dim - 1)]
     # one batched frame; a degenerate stack's row is NaN
     kappas = geometry.curvatures(derivative_stack(model, traj.states.T, model.dim)).kappas
@@ -478,7 +478,9 @@ def _check_record(model_name, r):
             "margin_dec": r.margin_dec}
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process, built on first use."""
     parser = _Parser(prog="flowcurv",
                      description="Slow invariant manifolds via curvature of the flow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -492,23 +494,23 @@ def build_parser():
         p.add_argument("--out", "-o", required=True, help="output file")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def add_trajectory(p, x0_help=None, required=True):
+        # a tolerance not given is None: `integrate`'s default for it
+        p.add_argument("--x0", required=required, help=x0_help)
+        p.add_argument("--t-end", type=_positive, required=required)
+        p.add_argument("--rel-tol", type=_positive)
+        p.add_argument("--abs-tol", type=_positive)
+
     p = sub.add_parser("integrate", help="integrate a trajectory to CSV")
     add_common(p)
-    p.add_argument("--x0", required=True, help="initial state, comma separated")
-    p.add_argument("--t-end", type=_positive, required=True)
-    p.add_argument("--rel-tol", type=_positive, default=1e-9)
-    p.add_argument("--abs-tol", type=_positive, default=1e-12)
+    add_trajectory(p, "initial state, comma separated")
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("phi-scan", help="phi/Lie/cofactor samples on a grid or trajectory")
     add_common(p)
     p.add_argument("--grid", help="grid spec, e.g. x1=-4:4:100,x2=-1:1:100")
     p.add_argument("--slice", default="", help="fixed coordinates, e.g. x3=fp,x4=0")
-    p.add_argument("--x0", help="trajectory scan: initial state")
-    p.add_argument("--t-end", type=_positive)
-    # trajectory scan only; None tells a given value from the 1e-9/1e-12 default
-    p.add_argument("--rel-tol", type=_positive)
-    p.add_argument("--abs-tol", type=_positive)
+    add_trajectory(p, "trajectory scan: initial state", required=False)
     p.set_defaults(func=_cmd_phi_scan)
 
     p = sub.add_parser("manifold", help="extract the phi = 0 point cloud on a grid")
@@ -527,10 +529,7 @@ def build_parser():
 
     p = sub.add_parser("curvature", help="Frenet curvatures along a trajectory")
     add_common(p)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--t-end", type=_positive, required=True)
-    p.add_argument("--rel-tol", type=_positive, default=1e-9)
-    p.add_argument("--abs-tol", type=_positive, default=1e-12)
+    add_trajectory(p)
     p.set_defaults(func=_cmd_curvature)
 
     p = sub.add_parser("verify", help="run the residual verification suites")
@@ -544,14 +543,8 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The one parser of this process, built on the first `main` call."""
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError) as err:  # an OSError here: the output cannot be written

@@ -30,7 +30,7 @@ import numpy as np
 __all__ = [
     "ExprError", "parse_expression", "Node", "TaylorMemo", "compile_step", "pwl_args", "walk",
     "Const", "Var", "Add", "Sub", "Neg", "Mul", "Pow", "Pwl", "PwlSlope",
-    "classify_pwl", "PWL_LABELS",
+    "classify_pwl", "PWL_LABELS", "evaluate",
 ]
 
 PWL_LABELS = ("neg", "mid", "pos")
@@ -73,7 +73,7 @@ class TaylorMemo(dict):
     its coefficients computed so far, so a node costs one `Node.taylor` call
     per order, however many parents share it (a power's squares included).
     Coefficient 0 is each node's `taylor(0, memo)`, the float operations of
-    `eval`; a node without state dependence gets 0.0 above it.
+    `eval`; a `constant` node gets 0.0 above it.
     `branches` holds each pwl node's branch for the expansion, per-point
     labels already turned into masks.  A memo serves one expansion, which
     keeps concurrent expansions independent.
@@ -172,6 +172,16 @@ def walk(trees):
             stack += [(child, False) for child in reversed(node.children)]
 
 
+def evaluate(trees, x, region=None):
+    """The values of `trees` at a state x (n,) or a batch (n, npts), as one
+    float64 array (len(trees),) + x.shape[1:]: row i is ``trees[i].eval(x,
+    region)``, a constant tree's value broadcast."""
+    out = np.empty((len(trees),) + np.shape(x)[1:])
+    for i, tree in enumerate(trees):
+        out[i] = tree.eval(x, region)
+    return out
+
+
 def pwl_args(exprs):
     """The argument tree of each pwl node of the trees `exprs`, by node id."""
     nodes = sorted((p for p in walk(exprs) if isinstance(p, Pwl)), key=lambda p: p.node_id)
@@ -268,7 +278,7 @@ def _cauchy(a, b, j):
 class Node:
     """Base expression node."""
 
-    constant = False  # True where the value does not depend on the state
+    constant = False  # fixed along a stack: no state in it, or a pwl slope (frozen branch)
     children = ()  # the nodes this one is written with, which `walk` reads
 
     def eval(self, state, region=None):
@@ -571,6 +581,7 @@ class PwlSlope(Node):
     """Region-wise slope of a Pwl node (a in the middle branch, b outside)."""
 
     __slots__ = ("pwl", "children")
+    constant = True
 
     def __init__(self, pwl):
         self.pwl = pwl

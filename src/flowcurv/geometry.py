@@ -111,10 +111,13 @@ class DegenerateStackError(ValueError):
     """A stack vector lost (almost) all of its norm to the preceding span."""
 
     def __init__(self, index, norm, input_norm):
-        self.index = index
+        self.index, self.norm, self.input_norm = index, norm, input_norm
         super().__init__(
             f"vector {index + 1} is linearly dependent on its predecessors "
             f"(|u| = {norm:.3e} vs input {input_norm:.3e})")
+
+    def __reduce__(self):  # rebuilt from its arguments, not its message
+        return type(self), (self.index, self.norm, self.input_norm)
 
 
 def gram_schmidt(vectors):

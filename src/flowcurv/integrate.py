@@ -324,6 +324,14 @@ def _interpolant_root(g, dense, x_new, sign_before, width):
     return c
 
 
+def _event_depth(h):
+    """The event cell's depth: the least K with 2^-K h <= 1e-12."""
+    depth = 0
+    while math.ldexp(h, -depth) > _EVENT_TIME_TOL:
+        depth += 1
+    return depth
+
+
 def _locate_event(step, x, k1, h, g, sign_before, dense, x_new):
     """`_bisect_event`'s theta, found from the step's interpolant.
 
@@ -339,9 +347,7 @@ def _locate_event(step, x, k1, h, g, sign_before, dense, x_new):
 
     Returns (theta, true DP steps taken, whether the bisection ran).
     """
-    depth = 0
-    while math.ldexp(h, -depth) > _EVENT_TIME_TOL:
-        depth += 1
+    depth = _event_depth(h)
     cells = 1 << depth
     values = {}
 
@@ -416,9 +422,7 @@ def last_state_before_crossing(model, x, x_new, h, g):
     k1 = model.velocity(x).tolist()
     dense = _dense_output(x, x_new, h, step(x, k1, h, 1.0, 1.0)[3])
     theta, steps, _ = _locate_event(step, x, k1, h, g, 1 if g(x) > 0 else -1, dense, x_new)
-    cell = 1.0
-    while cell * h > _EVENT_TIME_TOL:
-        cell *= 0.5
+    cell = math.ldexp(1.0, -_event_depth(h))
     if theta <= cell:
         return np.array(x), 1 + steps
     return np.array(_state_after(step, x, k1, (theta - cell) * h)), 2 + steps

@@ -51,6 +51,16 @@ class DerivStack:
             return m.T
         return np.transpose(m, (2, 1, 0))
 
+    def hadamard_scaled(self, value):
+        """|value| over the product of the derivative norms (Hadamard scale);
+        0.0 for a stack with a zero derivative, NaN where value or scale is
+        not finite, so an overflowing stack never reads as a zero."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.prod(np.linalg.norm(self.derivs, axis=1), axis=0)
+            value = np.abs(value)
+            scaled = np.divide(value, scale, out=np.zeros_like(scale), where=scale != 0.0)
+        return np.where(np.isfinite(value) & np.isfinite(scale), scaled, np.nan)[()]
+
 
 def derivative_stack(model, x, order, region=None):
     """Compute d_1..d_order, the exact time derivatives of the flow at `x`.

@@ -54,12 +54,11 @@ def phi_scaled(model, x, region=None):
 
     Dimensionless in [0, 1]; the natural "how zero is phi here" measure when
     raw determinants span hundreds of orders of magnitude across models.
+    0.0 where a derivative vanishes, NaN where phi or the scale is not
+    finite (`DerivStack.hadamard_scaled`).
     """
     stack = derivative_stack(model, x, model.dim, region=region)
-    value = np.abs(det_scaled(stack.matrix()))
-    norms = np.linalg.norm(stack.derivs, axis=1)  # (n,) or (n, npts)
-    scale = np.prod(norms, axis=0)
-    return np.where(scale > 0.0, value / np.where(scale > 0.0, scale, 1.0), 0.0)[()]
+    return stack.hadamard_scaled(det_scaled(stack.matrix()))
 
 
 def darboux_residual(model, x, region=None):
@@ -103,9 +102,9 @@ def manifold_sample(model, x, region=None):
     p, lie = dets[..., 0], dets[..., 1]
     # an overflowing state or determinant gives a non-finite row without warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        tr = model.jac_exprs[0][0].eval(x, stack.region)
-        for i in range(1, n):
-            tr = tr + model.jac_exprs[i][i].eval(x, stack.region)
+        tr, *rest = ex.evaluate([model.jac_exprs[i][i] for i in range(n)], x, stack.region)
+        for term in rest:
+            tr = tr + term
         resid = np.abs(lie - tr * p) / (1.0 + np.abs(tr * p))
     if x.ndim == 1:
         p, lie, resid = float(p), float(lie), float(resid)
@@ -457,18 +456,12 @@ def _singular_points(model, samples, rng):
 
     # only the fast components of the rhs and the fast x fast Jacobian block
     rhs = [model.rhs_exprs[i] for i in fast]
-    jac = [[model.jac_exprs[i][j] for j in fast] for i in fast]
+    jac = [model.jac_exprs[i][j] for i in fast for j in fast]
 
     def capped(x):
-        f = np.empty((len(fast), x.shape[1]))
-        jf = np.empty((len(fast),) + f.shape)
-        for i, e in enumerate(rhs):
-            f[i] = e.eval(x)
-            for j, d in enumerate(jac[i]):
-                jf[i, j] = d.eval(x)
-        f = f.T
+        f = ex.evaluate(rhs, x).T
         converged = vecnorm(f) <= 1e-12 * (1.0 + vecnorm(x.T))
-        step = solve_columns(np.moveaxis(jf, -1, 0), f)
+        step = solve_columns(ex.evaluate(jac, x).T.reshape(-1, len(fast), len(fast)), f)
         limit, norm = 1.0 + vecnorm(x[fast].T), vecnorm(step)
         cap = norm > limit
         step[cap] *= (limit[cap] / norm[cap])[:, None]
@@ -532,7 +525,7 @@ def factor_check(model, factor, box, samples=200, seed=0):
     grads = [node.diff(i) for i in range(n)]
 
     def rows(nodes, x):  # contiguous rows (npts, len(nodes)), as at each point alone
-        return np.stack([np.broadcast_to(e.eval(x), x.shape[1:]) for e in nodes], axis=-1)
+        return np.ascontiguousarray(ex.evaluate(nodes, x).T)
 
     rng = np.random.default_rng(seed)
     box = [tuple(b) for b in box]
@@ -543,10 +536,10 @@ def factor_check(model, factor, box, samples=200, seed=0):
         return rng.uniform(*np.array(box, dtype=float).T, (count, n)).T
 
     def project(x):  # one gradient-flow Newton step towards the factor's zero set
-        v, g = rows([node], x)[:, 0], rows(grads, x)
+        v, g = ex.evaluate([node], x)[0], rows(grads, x)
         gnorm2 = vecdot(g, g)
         x = x - v * g.T / np.where(gnorm2 == 0.0, 1.0, gnorm2)
-        converged = np.abs(rows([node], x)[:, 0]) <= 1e-12 * (1.0 + np.abs(v))
+        converged = np.abs(ex.evaluate([node], x)[0]) <= 1e-12 * (1.0 + np.abs(v))
         return x, np.where(gnorm2 == 0.0, -1, converged.astype(int))
 
     x, status = newton(sample_points(samples), project, 80)
@@ -558,7 +551,7 @@ def factor_check(model, factor, box, samples=200, seed=0):
 
     # cofactor estimate K = L_V(factor)/factor away from the zero set
     box_points = sample_points(max(samples, 50))
-    box_values = rows([node], box_points)[:, 0]
+    box_values = ex.evaluate([node], box_points)[0]
     factor_scale = np.max(np.abs(box_values))
     if factor_scale == 0.0:
         raise ValueError("factor is identically zero on the sampling box")

@@ -101,20 +101,13 @@ class ModelDef:
 
     def velocity(self, x, region=None):
         """rhs at a state (n,) or a batch (n, npts), as an ndarray of that shape."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        for i, e in enumerate(self.rhs_exprs):
-            out[i] = e.eval(x, region)
-        return out
+        return ex.evaluate(self.rhs_exprs, np.asarray(x, dtype=float), region)
 
     def jacobian(self, x, region=None):
         """(n, n) at a state (n,), (n, n, npts) over a batch (n, npts)."""
         x = np.asarray(x, dtype=float)
-        out = np.empty((self.dim, self.dim) + x.shape[1:])
-        for i, row in enumerate(self.jac_exprs):
-            for j, e in enumerate(row):
-                out[i, j] = e.eval(x, region)
-        return out
+        trees = [e for row in self.jac_exprs for e in row]
+        return ex.evaluate(trees, x, region).reshape((self.dim, self.dim) + x.shape[1:])
 
     def classify(self, x):
         """Branch label at a state, or per point over a batch (n, npts): a
@@ -192,9 +185,19 @@ def _model_from_config(config, slowfast_defaults=None):
 # expressions evaluated in double precision, not re-typed decimals.
 # ---------------------------------------------------------------------------
 
-def _chua3_config(params):
-    p = {"alpha": 9.0, "beta": 100.0 / 7.0, "a": -8.0 / 7.0, "b": -5.0 / 7.0}
-    p.update(params)
+def _builtin(**defaults):
+    """`build(p)` as a built-in's config builder: p is these parameter defaults
+    updated by its argument, and `get_model` overrides these names only."""
+    def wrap(build):
+        def config(params):
+            return build({**defaults, **params})
+        config.params = tuple(defaults)
+        return config
+    return wrap
+
+
+@_builtin(alpha=9.0, beta=100.0 / 7.0, a=-8.0 / 7.0, b=-5.0 / 7.0)
+def _chua3_config(p):
     return {
         "name": "chua3-pwl", "dim": 3, "params": p,
         "rhs": [
@@ -205,12 +208,10 @@ def _chua3_config(params):
     }
 
 
-def _chua4_pwl_config(params):
-    # The published eigenvector and hyperplane coefficients for this circuit
-    # require alpha2 = +0.18 even though the defining text prints -0.18.
-    p = {"alpha1": 2.1429, "alpha2": 0.18, "beta1": 0.0774, "beta2": 0.003,
-         "a": -0.42, "b": 1.2}
-    p.update(params)
+# The published eigenvector and hyperplane coefficients for this circuit
+# require alpha2 = +0.18 even though the defining text prints -0.18.
+@_builtin(alpha1=2.1429, alpha2=0.18, beta1=0.0774, beta2=0.003, a=-0.42, b=1.2)
+def _chua4_pwl_config(p):
     return {
         "name": "chua4-pwl", "dim": 4, "params": p,
         "rhs": [
@@ -222,10 +223,9 @@ def _chua4_pwl_config(params):
     }
 
 
-def _chua5_pwl_config(params):
-    p = {"alpha1": 9.934, "alpha2": 1.0, "beta1": 14.47, "beta2": -406.5,
-         "gamma1": -0.0152, "gamma2": 41000.0, "a": -1.246, "b": -0.6724}
-    p.update(params)
+@_builtin(alpha1=9.934, alpha2=1.0, beta1=14.47, beta2=-406.5, gamma1=-0.0152,
+          gamma2=41000.0, a=-1.246, b=-0.6724)
+def _chua5_pwl_config(p):
     return {
         "name": "chua5-pwl", "dim": 5, "params": p,
         "rhs": [
@@ -248,10 +248,8 @@ def _odd_guesses(dim, disc, branch):
     return guesses
 
 
-def _chua4_cubic_config(params):
-    p = {"alpha1": 2.1429, "alpha2": 0.18, "beta1": 0.0774, "beta2": 0.003,
-         "c1": 0.3937, "c2": -0.7235}
-    p.update(params)
+@_builtin(alpha1=2.1429, alpha2=0.18, beta1=0.0774, beta2=0.003, c1=0.3937, c2=-0.7235)
+def _chua4_cubic_config(p):
     return {
         "name": "chua4-cubic", "dim": 4, "params": p,
         "rhs": [
@@ -266,10 +264,9 @@ def _chua4_cubic_config(params):
     }
 
 
-def _chua5_cubic_config(params):
-    p = {"alpha1": 9.934, "alpha2": 1.0, "beta1": 14.47, "beta2": -406.5,
-         "gamma1": -0.0152, "gamma2": 41000.0, "c1": 0.1068, "c2": -0.3056}
-    p.update(params)
+@_builtin(alpha1=9.934, alpha2=1.0, beta1=14.47, beta2=-406.5, gamma1=-0.0152,
+          gamma2=41000.0, c1=0.1068, c2=-0.3056)
+def _chua5_cubic_config(p):
     g1 = p["gamma1"]
 
     def branch(x1):  # x2 = x4 = x1 + x3, x5 = -x3
@@ -290,12 +287,8 @@ def _chua5_cubic_config(params):
     }
 
 
-def _magneto_config(params):
-    p = {"sigma": 1.0, "r": 14.47, "q": 5.0, "varsigma": 0.09683, "omega": 0.1081}
-    extra = set(params) - set(p)
-    if extra:
-        raise ModelError(f"unknown magnetoconvection parameters: {sorted(extra)}")
-    p.update(params)
+@_builtin(sigma=1.0, r=14.47, q=5.0, varsigma=0.09683, omega=0.1081)
+def _magneto_config(p):
     om, vs = p["omega"], p["varsigma"]
     # derived couplings; recomputed whenever the base parameters change
     p["cq"] = om * (3.0 - om) / (vs ** 2 * (4.0 - om))
@@ -317,9 +310,8 @@ def _magneto_config(params):
     }
 
 
-def _gear_config(params):
-    p = {"L": 1000.0, "beta1": 800.0, "beta2": 1200.0}
-    p.update(params)
+@_builtin(L=1000.0, beta1=800.0, beta2=1200.0)
+def _gear_config(p):
     return {
         "name": "gear5", "dim": 5, "params": p,
         "rhs": [
@@ -607,10 +599,15 @@ def registry():
 
 
 def get_model(name, **param_overrides):
-    """Build a built-in model, optionally overriding parameters."""
+    """Build a built-in model, overriding some of its own parameters (no other name)."""
     if name not in _BUILTIN_BUILDERS:
         raise ModelError(f"unknown model {name!r}; known: {', '.join(registry())}")
-    config = _BUILTIN_BUILDERS[name](param_overrides)
+    builder = _BUILTIN_BUILDERS[name]
+    unknown = set(param_overrides) - set(builder.params)
+    if unknown:
+        raise ModelError(f"unknown parameters of {name}: {sorted(unknown)}; "
+                         f"its parameters are {', '.join(builder.params)}")
+    config = builder(param_overrides)
     return _model_from_config(config, slowfast_defaults=_SLOWFAST_DEFAULTS.get(name))
 
 

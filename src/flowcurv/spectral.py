@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 _EIG_RESIDUAL_RTOL = 1e-8
-# |Im| <= _REAL_RTOL * (1 + |lambda|) counts as real; conjugates pair at that distance
+# |Im| <= _REAL_RTOL * (1 + |lambda|) counts as real
 _REAL_RTOL = 1e-9
 
 
@@ -102,10 +102,10 @@ def _spectrum(J):
         used.add(j)
         lefts[:, i] = lefts_raw[:, j]
 
-    n = len(evals)
-    for i in range(n):
-        lam = evals[i]
-        if abs(lam.imag) <= _REAL_RTOL * (1.0 + abs(lam)):
+    spectrum = Spectrum(eigenvalues=evals, right_eigenvectors=rights,
+                        left_eigenvectors=lefts, jacobian=J)
+    for i, lam in enumerate(evals):
+        if spectrum.is_real(i):  # its vectors' signs are fixed in place
             rights[:, i] = _sign_fix(np.real(rights[:, i]))
             lefts[:, i] = _sign_fix(np.real(lefts[:, i]))
         resid = np.linalg.norm(J @ rights[:, i] - lam * rights[:, i])
@@ -113,8 +113,7 @@ def _spectrum(J):
             raise SpectralError(
                 f"near-defective Jacobian: eigenvector residual {resid:.3e} "
                 f"for eigenvalue {lam}")
-    return Spectrum(eigenvalues=evals, right_eigenvectors=rights,
-                    left_eigenvectors=lefts, jacobian=J)
+    return spectrum
 
 
 def _canonical(normal, offset):
@@ -231,34 +230,17 @@ def darboux_check_plane(model, plane, samples=200, seed=0):
 def _realized_slow_basis(spectrum, skip_index):
     """Real basis of the span of all eigenvectors except `skip_index`.
 
-    Complex-conjugate pairs are replaced by (Re, Im) of one member, the
+    A complex-conjugate pair is replaced by (Re, Im) of its member with
+    positive imaginary part, which the spectrum's order puts first: the
     standard real realization of their invariant subspace.
     """
-    n = len(spectrum.eigenvalues)
     basis = []
-    handled = set()
-    for i in range(n):
-        if i == skip_index or i in handled:
-            continue
-        lam = spectrum.eigenvalues[i]
+    for i, lam in enumerate(spectrum.eigenvalues):
         vec = spectrum.right_eigenvectors[:, i]
         if spectrum.is_real(i):
-            basis.append(np.real(vec))
-            continue
-        # find the conjugate partner
-        partner = None
-        for j in range(n):
-            if j in (i, skip_index) or j in handled:
-                continue
-            if abs(spectrum.eigenvalues[j] - np.conj(lam)) <= _REAL_RTOL * (1.0 + abs(lam)):
-                partner = j
-                break
-        if partner is None:
-            raise SpectralError(
-                "complex eigenvalue without a conjugate partner in the slow set")
-        handled.update({i, partner})
-        basis.append(np.real(vec))
-        basis.append(np.imag(vec))
+            basis += [np.real(vec)] if i != skip_index else []
+        elif lam.imag > 0:
+            basis += [np.real(vec), np.imag(vec)]
     return np.array(basis)
 
 
@@ -325,7 +307,8 @@ def hypercoplanarity_check(model, x, region=None):
     rounding, so it stays meaningful near phi's zero set.  Both values
     vanish on the TLS plane of the region, where the stack vectors are
     hypercoplanar (spanned by the slow eigenbasis).  A stack with a zero
-    derivative scores 0; a non-finite stack gives non-finite values.
+    derivative scores 0; a non-finite stack gives non-finite values, and
+    NaN scaled ones (`DerivStack.hadamard_scaled`, as `phi_scaled`).
 
     Accepts a state (n,) or a batch (n, npts); the fields are then floats
     or (npts,) arrays, equal bit for bit to the single-point values.
@@ -337,13 +320,8 @@ def hypercoplanarity_check(model, x, region=None):
     # contiguous rows, as a single point's stack has them
     rows = np.ascontiguousarray(np.moveaxis(stack.derivs, -1, 0) if x.ndim > 1 else stack.derivs)
     value_wedge = vecdot(rows[..., 0, :], wedge(rows[..., 1:, :]))
-    scale = np.prod(np.linalg.norm(stack.derivs, axis=1), axis=0)
-
-    def scaled(value):
-        return np.divide(value, scale, out=np.zeros_like(scale), where=scale != 0.0)
-
-    fields = (value_det, value_wedge, scaled(np.abs(value_det - value_wedge)),
-              scaled(np.abs(value_det)))
+    fields = (value_det, value_wedge, stack.hadamard_scaled(value_det - value_wedge),
+              stack.hadamard_scaled(value_det))
     if x.ndim == 1:
         fields = tuple(float(f) for f in fields)
     return HypercoplanarityResult(*fields)

@@ -104,8 +104,14 @@ def _fixed_point_checks(model, fps):
                     note=f"{len(fps)} points, exact zero required")]
 
 
-def _stack_checks(model, rng):
-    if not model.pwl_args:
+def _affine_in_regions(model):
+    """Whether the Jacobian is constant in each PWL region (every Jacobian tree
+    `constant`), which the derivative-stack and Darboux identities need."""
+    return all(e.constant for row in model.jac_exprs for e in row)
+
+
+def _affine_checks(model, rng):
+    if not _affine_in_regions(model):
         return []
     x = _in_region_points(model, 100, rng)
     st = derivative_stack(model, x, model.dim + 1)
@@ -118,15 +124,10 @@ def _stack_checks(model, rng):
         num = geometry.vecnorm(d[:, k + 1] - (J @ d[:, k, :, None])[..., 0])
         den = geometry.vecnorm(d[:, k + 1])
         residuals.append(num[den != 0.0] / den[den != 0.0])
+    darboux = manifold.darboux_residual(model, _in_region_points(model, 500, rng))
     return [_result("derivative stack d_{k+1} = J d_k",
-                    _worst(np.concatenate(residuals)), 1e-12)]
-
-
-def _darboux_checks(model, rng):
-    if not model.pwl_args:
-        return []
-    residuals = manifold.darboux_residual(model, _in_region_points(model, 500, rng))
-    return [_result("Darboux residual L_V phi = Tr(J) phi", _worst(residuals), 1e-8)]
+                    _worst(np.concatenate(residuals)), 1e-12),
+            _result("Darboux residual L_V phi = Tr(J) phi", _worst(darboux), 1e-8)]
 
 
 def _plane_checks(model, fps, rng):
@@ -315,8 +316,7 @@ def verify_model(model, seed=0):
     results += _fixed_point_checks(model, fps)
     results += _hypercoplanarity_checks(model, rng)
     results += _eigen_checks(model, fps)
-    results += _stack_checks(model, rng)
-    results += _darboux_checks(model, rng)
+    results += _affine_checks(model, rng)
     results += _plane_checks(model, fps, rng)
     results += _lie_fd_checks(model)
     results += _slowfast_checks(model)

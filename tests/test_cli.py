@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -14,7 +15,10 @@ import pytest
 from flowcurv import (derivative_stack, fixed_points, geometry, get_model, integrate, ioutil,
                       load_model, manifold, manifold_sample, models, spectral,
                       tls_hyperplane, verify, zero_set_grid)
+from flowcurv import cli
 from flowcurv.cli import main
+from flowcurv.expr import ExprError
+from flowcurv.integrate import IntegrationError
 from flowcurv.manifold import grid_states
 from flowcurv.models import _BUILTIN_BUILDERS
 from flowcurv.ioutil import write_table
@@ -963,3 +967,14 @@ def test_write_table_takes_a_numpy_label_array(fmt_name, tmp_path):
     write_table(tmp_path / "list.out", header, values, fmt_name, labels=labels)
     write_table(tmp_path / "array.out", header, values, fmt_name, labels=np.array(labels))
     assert (tmp_path / "array.out").read_bytes() == (tmp_path / "list.out").read_bytes()
+
+
+@pytest.mark.parametrize("error", [
+    cli.ConfigError("bad --x0"), models.ModelError("unknown model 'x'"),
+    ExprError("unexpected token ')'", 3, "x1 +)"), spectral.SpectralError("non-finite Jacobian"),
+    IntegrationError("step size underflow"), geometry.DegenerateStackError(1, 1e-20, 1.0)],
+    ids=lambda e: type(e).__name__)
+def test_cli_errors_survive_a_pickle_round_trip(error):
+    # a forked worker pickles the exception it met, and the parent raises it again
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)

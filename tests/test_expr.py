@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from flowcurv import derivative_stack, get_model, load_model, registry
-from flowcurv.expr import (Add, Const, ExprError, Mul, Node, Pow, Pwl, TaylorMemo, Var,
-                           compile_step, parse_expression, pwl_args, walk)
+from dataclasses import replace
+
+from flowcurv import derivative_stack, expr, get_model, load_model, manifold, registry
+from flowcurv.expr import (Add, Const, ExprError, Mul, Node, Pow, Pwl, PwlSlope, TaylorMemo,
+                           Var, compile_step, evaluate, parse_expression, pwl_args, walk)
 
 from test_taylor import TWO_PWL, _assert_same, _states
 
@@ -222,3 +224,96 @@ def test_parse_error_positions():
 def test_pwl_requires_constant_slopes():
     with pytest.raises(ExprError, match="constant"):
         parse("pwl(x1; x2, 1)")
+
+
+def _per_tree(trees, x, region=None):
+    """One `eval` call per tree, each broadcast to the batch and copied into place."""
+    return np.array([np.broadcast_to(t.eval(x, region), np.shape(x)[1:]) for t in trees],
+                    dtype=float)
+
+
+FACTOR = "x1^2 + x2*x3 - pwl(x1; 2, 3)"
+
+
+def _evaluator_trees(model):
+    """The tree lists that `evaluate`'s callers pass: the rhs (`velocity`), the
+    Jacobian (`jacobian`), the fast rows and fast block of the capped Newton
+    step, the Jacobian diagonal (the trace) and a factor's gradient rows."""
+    n = model.dim
+    fast = [0, n - 1]
+    factor, _ = parse_expression(FACTOR, {f"x{i + 1}": i for i in range(n)}, {})
+    return {"velocity": list(model.rhs_exprs),
+            "jacobian": [e for row in model.jac_exprs for e in row],
+            "fast rows": [model.rhs_exprs[i] for i in fast],
+            "fast block": [model.jac_exprs[i][j] for i in fast for j in fast],
+            "trace": [model.jac_exprs[i][i] for i in range(n)],
+            "factor rows": [factor.diff(i) for i in range(n)]}
+
+
+def _evaluator_models():
+    return [get_model(name) for name in registry()] + [load_model(TWO_PWL)]
+
+
+@pytest.mark.parametrize("model", _evaluator_models(), ids=lambda m: m.name)
+def test_evaluate_is_per_tree_eval_bit_for_bit(model):
+    x = _states(model, 500, seed=3)
+    for what, trees in _evaluator_trees(model).items():
+        for region in (None, model.classify(x)):
+            got = evaluate(trees, x, region)
+            assert got.shape == (len(trees), 500) and got.dtype == np.float64, what
+            _assert_same(got, _per_tree(trees, x, region))
+        for point in x.T[:40]:
+            _assert_same(evaluate(trees, point, model.classify(point)),
+                         _per_tree(trees, point, model.classify(point)))
+
+
+@pytest.mark.parametrize("model", _evaluator_models(), ids=lambda m: m.name)
+def test_evaluator_callers_equal_per_tree_eval(model, monkeypatch):
+    # every caller of `evaluate` gives the bits it gives on per-tree eval calls
+    n = model.dim
+    x = _states(model, 300, seed=4)
+    # one fast coordinate whose own rate is not identically zero
+    fast = next(i for i in range(n) if not isinstance(model.jac_exprs[i][i], Const)
+                or model.jac_exprs[i][i].value != 0.0)
+    split = {"fast": (fast,), "box": [(-2.0, 2.0)] * (n - 1), "box_center": None}
+    box = [(-2.0, 2.0)] * n
+
+    def outputs():
+        sample = manifold.manifold_sample(model, x)
+        report = manifold.factor_check(model, FACTOR, box, samples=40, seed=2)
+        singular = manifold._singular_points(
+            replace(model, slowfast_defaults=split), 30, np.random.default_rng(5))
+        assert singular.size
+        single = [model.velocity(x[:, 0]), model.jacobian(x[:, 0]),
+                  manifold.manifold_sample(model, x[:, 0]).cofactor_residual]
+        return [model.velocity(x), model.jacobian(x), sample.cofactor_residual, singular,
+                report.cofactor_coeffs, report.lie_factor_max, *single]
+
+    got = outputs()
+    monkeypatch.setattr(expr, "evaluate", _per_tree)
+    for a, b in zip(got, outputs(), strict=True):
+        _assert_same(np.asarray(a), np.asarray(b))
+
+
+@pytest.mark.parametrize("model", _evaluator_models(), ids=lambda m: m.name)
+def test_cofactor_residual_sums_the_trace_in_component_order(model):
+    # Tr(J) = J_11 + J_22 + ... + J_nn, added left to right from per-tree values
+    x = _states(model, 300, seed=6)
+    sample = manifold.manifold_sample(model, x)
+    tr = model.jac_exprs[0][0].eval(x, sample.region)
+    for i in range(1, model.dim):
+        tr = tr + model.jac_exprs[i][i].eval(x, sample.region)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.abs(sample.lie - tr * sample.phi) / (1.0 + np.abs(tr * sample.phi))
+    _assert_same(sample.cofactor_residual, want)
+
+
+def test_pwl_slope_is_constant_along_a_stack():
+    # a stack freezes its branch, so a slope is constant, and with it a
+    # product of a slope and a constant; a slope times a state is not
+    u = parse("pwl(x1; 2, 3)")
+    slope = PwlSlope(u)
+    assert slope.constant
+    assert Mul(slope, Const(2.0)).constant
+    assert not Mul(slope, Var(0)).constant
+    assert u.diff(0).constant and not parse("pwl(x1; 2, 3)^2").diff(0).constant

@@ -803,3 +803,34 @@ def test_lie_phi_matches_time_derivative(name):
     errors = lie_fd_residuals(get_model(name), count=20)
     assert len(errors) >= 10
     assert max(errors) <= 1e-4
+
+
+def test_phi_scaled_is_nan_where_the_stack_overflows(gear):
+    # gear5's stack overflows at x1 = 1e200: phi is NaN, and so is every
+    # Hadamard-scaled value, never 0.0 (which would put the state on the manifold)
+    from flowcurv.spectral import hypercoplanarity_check
+    x = np.array([1e200, 1.0, 0.0, 0.0, 0.0])
+    batch = np.stack([x, np.full(5, 0.5)], axis=1)
+    with np.errstate(all="ignore"):
+        assert math.isnan(phi(gear, x))
+        assert math.isnan(phi_scaled(gear, x))
+        assert math.isnan(hypercoplanarity_check(gear, x).scaled_value)
+        assert math.isnan(hypercoplanarity_check(gear, x).agreement_residual)
+        scaled = phi_scaled(gear, batch)
+        assert math.isnan(scaled[0]) and 0.0 < scaled[1] < 1.0
+        np.testing.assert_array_equal(hypercoplanarity_check(gear, batch).scaled_value, scaled)
+    # a zero derivative (a fixed point) still gives 0.0
+    assert phi_scaled(gear, np.zeros(5)) == 0.0
+
+
+@pytest.mark.parametrize("name", ["chua3-pwl", "chua4-pwl", "chua5-pwl", "chua4-cubic",
+                                  "chua5-cubic", "magnetoconvection5", "gear5"])
+def test_phi_scaled_is_the_hypercoplanarity_scaled_value(name):
+    from flowcurv.spectral import hypercoplanarity_check
+    model = get_model(name)
+    x = np.random.default_rng(12).uniform(-3.0, 3.0, (model.dim, 1000))
+    scaled = phi_scaled(model, x)
+    assert np.isfinite(scaled).all()
+    np.testing.assert_array_equal(scaled, hypercoplanarity_check(model, x).scaled_value)
+    for point in x.T[:20]:
+        assert phi_scaled(model, point) == hypercoplanarity_check(model, point).scaled_value

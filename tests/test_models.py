@@ -562,6 +562,22 @@ def test_param_override_rebuilds_derived_constants():
     assert scaled.params["cq"] == pytest.approx(base.params["cq"] / 4, rel=1e-12)
 
 
+@pytest.mark.parametrize("name, override", [
+    ("chua3-pwl", "alpah"), ("gear5", "alpha"), ("chua5-cubic", "a"),
+    ("magnetoconvection5", "cq"), ("magnetoconvection5", "cm"), ("magnetoconvection5", "c5")])
+def test_param_override_of_an_unknown_name_is_rejected(name, override):
+    with pytest.raises(ModelError, match=f"unknown parameters of {name}: \\['{override}'\\]"):
+        get_model(name, **{override: 10.0})
+
+
+def test_param_override_accepts_each_builtins_own_parameters():
+    for name in registry():
+        own = _BUILTIN_BUILDERS[name].params
+        assert set(own) <= set(get_model(name).params)
+        model = get_model(name, **{own[0]: 0.5})
+        assert model.params[own[0]] == 0.5
+
+
 def test_velocity_evaluates_on_scalar_and_jet_paths(models_by_name):
     # the tree walk on a list of Python floats equals velocity and the
     # stack's first derivative, bit for bit

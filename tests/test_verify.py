@@ -426,6 +426,55 @@ def test_plane_checks_without_plane_samples_fail(tmp_path, capsys):
     assert out.count("[FAIL]") == 4
 
 
+def _chua3_like(name, first_rhs, third_rhs="-beta*x2"):
+    return {"name": name, "dim": 3, "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
+            "rhs": [first_rhs, "x1 - x2 + x3", third_rhs]}
+
+
+# The two piecewise-linear identities (d_{k+1} = J d_k and L_V phi = Tr(J) phi)
+# need a Jacobian that is constant in each region: every Jacobian tree constant.
+SQUARE_ARG = _chua3_like("square-arg", "alpha*(x2 - x1 - pwl(0.1*x1^2; a, b))")
+SQUARED_PWL = _chua3_like("squared-pwl", "alpha*(x2 - x1 - pwl(x1; a, b)^2)")
+POWERS = {"name": "powers", "dim": 3,
+          "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
+          "rhs": ["alpha*(x2 - x1^1 - pwl(x1; a, b)) - 0.01*x1^7 + 0.1*pwl(x1; a, b)^3",
+                  "x1 - x2 + x3 + 0.01*x2^2 - 0.001*x2^5", "-beta*x2 + 0.5*x3^0 - 0.01*x3^3"]}
+ZERO_POWER = _chua3_like("zero-power", "alpha*(x2 - x1 - pwl(x1; a, b))", "-beta*x2 + 0.5*x3^0")
+LINEAR = _chua3_like("linear", "alpha*(x2 - 0.5*x1)")
+IDENTITIES = ("derivative stack d_{k+1} = J d_k", "Darboux residual L_V phi = Tr(J) phi")
+
+
+@pytest.mark.parametrize("model, affine", [
+    *[(get_model(name), name.endswith("-pwl")) for name in models.registry()],
+    (load_model(QUARTER), True), (load_model(ZERO_POWER), True), (load_model(TWO_PWL), True),
+    (load_model(LINEAR), True), (load_model(SQUARE_ARG), False),
+    (load_model(SQUARED_PWL), False), (load_model(POWERS), False)],
+    ids=lambda v: getattr(v, "name", ""))
+def test_affine_in_regions(model, affine):
+    assert verify._affine_in_regions(model) is affine
+    if affine:  # then the stack recurrence holds to rounding
+        x = verify._in_region_points(model, 40, np.random.default_rng(1))
+        st = derivative_stack(model, x, model.dim + 1)
+        J = model.jacobian(x, region=st.region)
+        for k in range(model.dim):
+            step = np.einsum("ijp,jp->ip", J, st.derivs[k])
+            np.testing.assert_allclose(st.derivs[k + 1], step, rtol=1e-10,
+                                       atol=1e-12 * np.abs(st.derivs[k + 1]).max())
+
+
+@pytest.mark.parametrize("config, runs", [(SQUARE_ARG, False), (POWERS, False), (LINEAR, True)],
+                         ids=["square-arg", "powers", "linear"])
+def test_pwl_identities_run_where_the_jacobian_is_constant_in_each_region(
+        config, runs, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["verify", "--model", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "[FAIL]" not in out
+    for name in IDENTITIES:
+        assert (f"[PASS] {name}:" in out) is runs
+
+
 # ---------------------------------------------------------------------------
 # lie_fd_residuals against the re-integrating oracle it replaced
 # ---------------------------------------------------------------------------
