@@ -192,16 +192,15 @@ def compile_step(exprs):
     """One Dormand-Prince 5(4) step of the field `exprs`, as straight-line Python.
 
     Returns ``step(x, k1, h, rel_tol, abs_tol) -> (x_new, err_norm, k7,
-    stages, pwl_values)``: x and k1 = f(x) are lists of floats, x_new and
-    k7 = f(x_new) (the next step's k1) lists, `stages` the (k1, k3, k4, k5,
-    k6, k7) of the continuous extension, err_norm the RMS over components
+    pwl_values)``: x and k1 = f(x) are lists of floats, x_new and k7 =
+    f(x_new) (the next step's k1) lists, err_norm the RMS over components
     of err / (abs_tol + rel_tol * max(|x|, |x_new|)), and `pwl_values` the
     list of each pwl argument's value at x_new, in `pwl_args(exprs)` order
-    (empty for a smooth field).  The stage inputs are
-    unrolled per component and the rhs is inlined once per stage (its
-    locals renamed per stage, a node shared by several components computed
-    once), with the float operations of `eval` in the same order, so every
-    stage value equals `eval` at the stage input bit for bit.
+    (empty for a smooth field).  The stage inputs are unrolled per
+    component and the rhs is inlined once per stage (its locals renamed per
+    stage, a node shared by several components computed once), with the
+    float operations of `eval` in the same order, so every stage value
+    equals `eval` at the stage input bit for bit.
 
     Every sum runs in one fixed order, written out term by term:
 
@@ -251,11 +250,9 @@ def compile_step(exprs):
         lines += [f"n{c} = x{c} + h * ({weighted(b.items(), c)})",
                   f"e{c} = h * ({weighted(err.items(), c)})",
                   f"q{c} = e{c} / (abs_tol + rel_tol * max(abs(x{c}), abs(n{c})))"]
-    listed = [f"[{', '.join(names)}]" for names in stages]
-    lines += [f"k7 = {listed[6]}",
-              f"acc = {' + '.join(['0.0'] + [f'q{c} * q{c}' for c in range(n)])}",
-              f"return ([{', '.join(f'n{c}' for c in range(n))}], sqrt(acc / {n}), k7, "
-              f"(k1, {', '.join(listed[2:6])}, k7), [{', '.join(pwl_values)}])"]
+    lines += [f"acc = {' + '.join(['0.0'] + [f'q{c} * q{c}' for c in range(n)])}",
+              f"return ([{', '.join(f'n{c}' for c in range(n))}], sqrt(acc / {n}), "
+              f"[{', '.join(stages[6])}], [{', '.join(pwl_values)}])"]
     source = ["def make(constants, sqrt):",
               f"    {', '.join(f'c{i}' for i in range(len(constants)))}, = constants",
               "    def step(x, k1, h, rel_tol, abs_tol):"]

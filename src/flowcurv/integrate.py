@@ -8,12 +8,11 @@ the crossing is recorded, so the Jacobian discontinuities are localized and
 every stretch between events stays inside one region.
 
 The located time is the one a bisection with true DP steps would return
-(`_bisect_event`), found without its ~40 re-steps: the accepted step's own
-stages give Dormand-Prince's continuous extension at no extra rhs call, the
-root of g on it picks the bisection's final dyadic cell, and a few true
-steps at the cell's ends confirm it (`_locate_event`).  Where they do not,
-a secant between the true values moves the cell; the bisection itself
-remains the fallback, counted in `stats["event_fallbacks"]`.
+(`_bisect_event`), found without its ~40 re-steps: Anderson-Bjorck regula
+falsi on the values of g after true DP steps narrows a bracket over the
+bisection's dyadic points until it is one cell wide (`_locate_event`),
+about four true steps per crossing.  The bisection itself remains the
+reference and the fallback, counted in `stats["event_fallbacks"]`.
 
 The step loop runs on plain Python floats: time, step size, state and
 stages are floats and lists of floats, and every step is one call of the
@@ -25,14 +24,14 @@ same scheme written with float64 arrays (`sum()` over the stage arrays,
 `np.mean` for the norm).  numpy's mean sums in order below 8 components;
 from 8 on it sums pairwise, so there the last bit of the norm (and hence
 the step sequence) may differ from an array formulation.  k1 at the start
-and after an event cut is `ModelDef.velocity` as a list.  The event
-confirmation steps and the event cut take the same step and discard its
-norm and 7th stage, so `stats["rhs_evals"]` counts six rhs calls per DP
-step of every kind.  A step whose state is not finite, or whose norm is
-NaN, is rejected and retried at a quarter of h.
+and after an event cut is `ModelDef.velocity` as a list.  The locator's
+steps and the event cut take the same step and discard its norm and 7th
+stage, so `stats["rhs_evals"]` counts six rhs calls per DP step of every
+kind.  A step whose state is not finite, or whose norm is NaN, is rejected
+and retried at a quarter of h.
 
 The breakpoint distances u - 1 and u + 1 at an accepted step's end come
-from the step as well: its fifth output is each pwl argument's value at
+from the step as well: its fourth output is each pwl argument's value at
 x_new, read off the 7th (FSAL) stage, bit for bit the tree's value there.
 The trees are walked (`_event_functions`) only for the initial signs, at
 the split point after an event cut, and inside the locator; the sign list
@@ -56,16 +55,9 @@ import numpy as np
 __all__ = ["Trajectory", "IntegrationError", "integrate", "take_step",
            "last_state_before_crossing"]
 
-# Coefficients of the fourth-order continuous extension (Hairer, Norsett &
-# Wanner, Solving ODEs I, II.6; dopri5's contd5)
-_D1, _D3, _D4, _D5, _D6, _D7 = (-12715105075 / 11282082432, 87487479700 / 32700410799,
-                                -10690763975 / 1880347072, 701980252875 / 199316789632,
-                                -1453857185 / 822651844, 69997945 / 29380423)
-
 _EVENT_TIME_TOL = 1e-12
 _EVENT_DEADBAND = 1e-9
-_INTERPOLANT_ITERATIONS = 50   # Illinois steps on the interpolant, at most
-_CONFIRM_TRIES = 6             # dyadic cells tried before bisecting
+_FALSI_TRIALS = 60   # true steps `_locate_event` tries before bisecting
 
 
 class IntegrationError(RuntimeError):
@@ -83,7 +75,7 @@ class Trajectory:
     `stats` counts the work done: rhs evaluations (2 + 6 per DP step + 1
     per event), DP steps (all of them, event location included), accepted
     and rejected steps, the true DP steps spent locating events
-    (`event_bisection_steps`: confirmation steps plus any fallback
+    (`event_bisection_steps`: regula falsi trials plus any fallback
     bisection), the events whose location fell back to bisection, and
     events.
     """
@@ -93,7 +85,6 @@ class Trajectory:
     events: tuple = ()            # (time, boundary label) pairs; times are floats
     complete: bool = True
     diagnostic: str = ""
-    model_name: str = field(default="", compare=False)
     stats: dict = field(default_factory=dict, compare=False)
 
     def __len__(self):
@@ -129,8 +120,7 @@ def _side(g_val):
 def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, max_steps=2_000_000):
     """Integrate `model` from `x0` over [0, t_end].
 
-    Returns accepted steps plus event points; the interpolant serves event
-    location only, no dense output is returned.
+    Returns the accepted steps plus the event points, nothing between them.
     Raises IntegrationError (partial trajectory attached) on step-size
     underflow, a non-finite state, or when `max_steps` step attempts (a
     positive int) do not reach the end; ValueError on invalid arguments.
@@ -184,7 +174,7 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, max_steps=2_000_000
             break
 
         dp_steps += 1
-        x_new, err_norm, k_last, stages, pwl_values = step(x, k1, h, rel_tol, abs_tol)
+        x_new, err_norm, k_last, pwl_values = step(x, k1, h, rel_tol, abs_tol)
         # a non-finite state (a finite sum has finite terms; one that
         # overflowed does not say), or a NaN norm beside a finite state: a
         # non-finite stage that the state's weights skip
@@ -201,7 +191,7 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, max_steps=2_000_000
 
         # event scan on the accepted span: the breakpoint distances at x_new
         # come from the step's 7th stage, not from the trees
-        theta_hit, dense, new_signs = None, None, None
+        theta_hit, new_signs = None, None
         for idx, k, offset in reads:
             g_val = pwl_values[k] + offset
             s_new = 1 if g_val > deadband else -1 if g_val < -deadband else 0
@@ -212,10 +202,8 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, max_steps=2_000_000
                 new_signs = event_signs.copy()
             new_signs[idx] = s_new
             if s_old != 0:
-                if dense is None:
-                    dense = _dense_output(x, x_new, h, stages)
                 theta, true_steps, fell_back = _locate_event(
-                    step, x, k1, h, events[idx][0], s_old, dense, x_new)
+                    step, x, k1, h, events[idx][0], s_old, x_new)
                 dp_steps += true_steps
                 located_steps += true_steps
                 fallbacks += fell_back
@@ -262,7 +250,7 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, max_steps=2_000_000
              "events": n_events}
     traj = Trajectory(times=np.array(times), states=np.array(states).reshape(len(times), -1),
                       events=tuple(recorded_events), complete=not diagnostic,
-                      diagnostic=diagnostic, model_name=model.name, stats=stats)
+                      diagnostic=diagnostic, stats=stats)
     if diagnostic:
         raise IntegrationError(diagnostic, trajectory=traj)
     return traj
@@ -273,57 +261,6 @@ def _state_after(step, x, k1, h):
     return step(x, k1, h, 1.0, 1.0)[0]
 
 
-def _dense_output(x, x_new, h, stages):
-    """Per component, the coefficients (r1..r5) of the step's interpolant."""
-    rows = []
-    for x0, x1, p1, p3, p4, p5, p6, p7 in zip(x, x_new, *stages):
-        ydiff = x1 - x0
-        bspl = h * p1 - ydiff
-        rows.append((x0, ydiff, bspl, ydiff - h * p7 - bspl,
-                     h * (_D1 * p1 + _D3 * p3 + _D4 * p4 + _D5 * p5 + _D6 * p6 + _D7 * p7)))
-    return rows
-
-
-def _interpolate(dense, theta):
-    """State at fraction theta of the step, from `_dense_output`'s rows."""
-    eta = 1.0 - theta
-    return [r1 + theta * (r2 + eta * (r3 + theta * (r4 + eta * r5)))
-            for r1, r2, r3, r4, r5 in dense]
-
-
-def _interpolant_root(g, dense, x_new, sign_before, width):
-    """Root of g along the interpolant by Illinois regula falsi, to `width`.
-
-    0.0 when the step's start is not on the pre-crossing side (a sign
-    carried over the deadband): the crossing is then at the start.
-    """
-    a, fa, b, fb = 0.0, g(_interpolate(dense, 0.0)), 1.0, g(x_new)
-    if not ((1 if fa > 0 else -1) == sign_before and fa * fb < 0):
-        return 0.0
-    c, side = a, 0
-    for _ in range(_INTERPOLANT_ITERATIONS):
-        c_new = (a * fb - b * fa) / (fb - fa)
-        if not a < c_new < b:  # no progress, or an overflowed value
-            break
-        c, c_prev = c_new, c
-        if abs(c - c_prev) <= width:
-            break
-        fc = g(_interpolate(dense, c))
-        if fc * fb > 0:
-            b, fb = c, fc
-            if side == -1:
-                fa *= 0.5
-            side = -1
-        elif fc * fa > 0:
-            a, fa = c, fc
-            if side == 1:
-                fb *= 0.5
-            side = 1
-        else:
-            break
-    return c
-
-
 def _event_depth(h):
     """The event cell's depth: the least K with 2^-K h <= 1e-12."""
     depth = 0
@@ -332,54 +269,61 @@ def _event_depth(h):
     return depth
 
 
-def _locate_event(step, x, k1, h, g, sign_before, dense, x_new):
-    """`_bisect_event`'s theta, found from the step's interpolant.
+def _locate_event(step, x, k1, h, g, sign_before, x_new):
+    """`_bisect_event`'s theta, found by regula falsi on true DP steps.
 
     The bisection runs to depth K, the least with 2^-K h <= 1e-12, over the
     dyadic points i 2^-K; write G(i) for the side of g after a true DP step
     to i 2^-K (pre, post or an exact zero; i = 0 counts as pre and i = 2^K
     as post, the bisection never evaluates them).  When G is monotone along
-    the step, the bisection returns point i with G(i-1) pre and G(i) post,
-    or G(i) zero and G(i+1) post.  The interpolant's root picks a cell
-    (i-1, i); true steps confirm it, and a cell that fails moves by secant
-    between the true values.  After `_CONFIRM_TRIES` cells, or on a depth
-    too fine for dyadic floats, the bisection runs after all.
+    the step, the bisection returns the point i with G(i-1) pre and G(i)
+    post, or the zero i between a pre and a post point.  This search keeps
+    a bracket (lo, hi), lo pre and hi post, from g(x) and g(x_new).  Each
+    trial steps to the regula falsi point of the end values, rounded into
+    lo+1..hi-1, or to the midpoint where an end value is on the wrong side,
+    zero or not finite; the end that stays is scaled by 1 - f_new / f_moved,
+    or by 0.5 where that is not positive (Anderson & Bjorck 1973), so it
+    does not stay for long.  A bracket one cell wide returns hi.  A zero
+    without a pre and a post neighbour, `_FALSI_TRIALS` trials, or a depth
+    too fine for dyadic floats runs the bisection after all.
 
     Returns (theta, true DP steps taken, whether the bisection ran).
     """
     depth = _event_depth(h)
-    cells = 1 << depth
-    values = {}
+    steps = 0
 
     def value(i):
-        if i not in values:
-            values[i] = g(_state_after(step, x, k1, math.ldexp(i, -depth) * h))
-        return values[i]
+        nonlocal steps
+        steps += 1
+        return g(_state_after(step, x, k1, math.ldexp(i, -depth) * h))
 
-    def side(i):
-        if i <= 0 or i >= cells:
-            return "pre" if i <= 0 else "post"
-        val = value(i)
-        if val == 0.0:
-            return "zero"
-        return "pre" if (1 if val > 0 else -1) == sign_before else "post"
+    def side(val):  # 1 pre, -1 post, 0 an exact zero
+        return 0 if val == 0.0 else 1 if (1 if val > 0 else -1) == sign_before else -1
 
-    theta = _interpolant_root(g, dense, x_new, sign_before, math.ldexp(1.0, -depth))
-    for _ in range(_CONFIRM_TRIES if depth <= 52 else 0):
-        hi = min(max(int(theta * cells), 0), cells - 1) + 1
-        lo_side, hi_side = side(hi - 1), side(hi)
-        if lo_side == "pre" and (hi_side == "post"
-                                 or hi_side == "zero" and side(hi + 1) == "post"):
-            return math.ldexp(hi, -depth), len(values), False
-        if lo_side == "zero" and hi_side == "post" and side(hi - 2) == "pre":
-            return math.ldexp(hi - 1, -depth), len(values), False
-        if hi - 1 not in values or hi not in values or values[hi - 1] == values[hi]:
+    lo, f_lo, hi, f_hi = 0, g(x), 1 << depth, g(x_new)
+    for _ in range(_FALSI_TRIALS if depth <= 52 else 0):
+        if hi - lo == 1:
+            return math.ldexp(hi, -depth), steps, False
+        if 0.0 < sign_before * f_lo < math.inf and 0.0 < -sign_before * f_hi < math.inf:
+            i = min(max(lo + round((hi - lo) * (f_lo / (f_lo - f_hi))), lo + 1), hi - 1)
+        else:
+            i = (lo + hi) // 2
+        f = value(i)
+        if f == 0.0:
+            if ((i - 1 == lo or side(value(i - 1)) == 1)
+                    and (i + 1 == hi or side(value(i + 1)) == -1)):
+                return math.ldexp(i, -depth), steps, False
             break
-        theta = (hi - values[hi] / (values[hi] - values[hi - 1])) / cells
-        if not math.isfinite(theta):
-            break
+        pre = side(f) == 1
+        f_moved = f_lo if pre else f_hi
+        m = 1.0 - f / f_moved if f_moved != 0.0 else 0.0
+        m = m if 0.0 < m < math.inf else 0.5
+        if pre:
+            lo, f_lo, f_hi = i, f, f_hi * m
+        else:
+            hi, f_hi, f_lo = i, f, f_lo * m
     theta, bisections = _bisect_event(step, x, k1, h, g, sign_before)
-    return theta, len(values) + bisections, True
+    return theta, steps + bisections, True
 
 
 def _bisect_event(step, x, k1, h, g, sign_before):
@@ -414,18 +358,17 @@ def take_step(model, x, h, rel_tol, abs_tol):
 
 def last_state_before_crossing(model, x, x_new, h, g):
     """Last state before g changes sign in the DP step x -> x_new of size h:
-    the step is re-taken from x and the sign change located like a PWL event
+    the sign change is located like a PWL event, on true steps from x
     (`_locate_event`, to a cell 2^-K h <= 1e-12).  Returns the true DP step
     to one cell before it (x itself at 0) and the number of DP steps taken."""
     step, h = model.dp_step, float(h)
     x, x_new = (np.asarray(s, dtype=float).tolist() for s in (x, x_new))
     k1 = model.velocity(x).tolist()
-    dense = _dense_output(x, x_new, h, step(x, k1, h, 1.0, 1.0)[3])
-    theta, steps, _ = _locate_event(step, x, k1, h, g, 1 if g(x) > 0 else -1, dense, x_new)
+    theta, steps, _ = _locate_event(step, x, k1, h, g, 1 if g(x) > 0 else -1, x_new)
     cell = math.ldexp(1.0, -_event_depth(h))
     if theta <= cell:
-        return np.array(x), 1 + steps
-    return np.array(_state_after(step, x, k1, (theta - cell) * h)), 2 + steps
+        return np.array(x), steps
+    return np.array(_state_after(step, x, k1, (theta - cell) * h)), 1 + steps
 
 
 def _initial_step(model, x, k1, rel_tol, abs_tol):

@@ -92,13 +92,15 @@ def derivative_stack(model, x, order, region=None):
     coeffs = np.zeros((order + 1,) + x.shape, dtype=x.dtype)
     coeffs[0] = x
     memo = TaylorMemo(coeffs, region)
-    for k in range(order):
-        for i, e in enumerate(model.rhs_exprs):
-            coeffs[k + 1, i] = memo.series(e, k)[k] / (k + 1)
+    # an overflowing state gives non-finite derivatives, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(order):
+            for i, e in enumerate(model.rhs_exprs):
+                coeffs[k + 1, i] = memo.series(e, k)[k] / (k + 1)
 
-    # d_k = k! c_k, scaled in place, so the stack holds no second array
-    fact = 1.0
-    for k in range(1, order + 1):
-        fact *= k
-        coeffs[k] *= fact
+        # d_k = k! c_k, scaled in place, so the stack holds no second array
+        fact = 1.0
+        for k in range(1, order + 1):
+            fact *= k
+            coeffs[k] *= fact
     return DerivStack(derivs=coeffs[1:], region=region)

@@ -113,7 +113,7 @@ def manifold_sample(model, x, region=None):
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Refined phi = 0 points with their provenance.
+    """Refined phi = 0 points, from grid edges or along a trajectory.
 
     Grid-edge points satisfy |phi| <= tol_rel * scale, with scale the larger
     |phi| at the ends of the bracket refined: the edge's grid nodes, or, for
@@ -129,7 +129,6 @@ class ZeroSet:
     points: np.ndarray              # (npts, n)
     phi_values: np.ndarray          # (npts,)
     regions: tuple = ()
-    provenance: str = "grid-edge"
     degenerate: bool = False
     n_nonfinite: int = 0
     metadata: dict = field(default_factory=dict)
@@ -384,15 +383,14 @@ def zero_set_grid(model, axes, slice_values=None, tol_rel=1e-9):
                 "edges_bracketed": int(edge_lo.size), **counts,
                 "exact_zero_nodes": int(zero_nodes.size)}
     return ZeroSet(points=pts, phi_values=pvals, regions=regions,
-                   provenance="grid-edge", n_nonfinite=n_nonfinite,
-                   metadata=metadata)
+                   n_nonfinite=n_nonfinite, metadata=metadata)
 
 
 def zero_crossings_on_trajectory(model, traj):
     """States where phi changes sign along an integrated trajectory.
 
     A sign change between samples k and k + 1 is located inside the DP step
-    that joined them, re-taken once from x_k (h = t_{k+1} - t_k, ending at
+    that joined them, on true steps from x_k (h = t_{k+1} - t_k, ending at
     the stored x_{k+1}), as `integrate` locates a PWL event; the point is
     the last state before it (`integrate.last_state_before_crossing`), and
     nothing is re-integrated.  A sign change between PWL regions, where phi
@@ -406,7 +404,7 @@ def zero_crossings_on_trajectory(model, traj):
     scale = np.max(np.abs(values), initial=0.0)
     if scale == 0.0 or np.all(np.abs(values) <= 1e-12 * scale):
         return ZeroSet(points=np.empty((0, model.dim)), phi_values=np.empty(0),
-                       provenance="trajectory", degenerate=True)
+                       degenerate=True)
     labels = point_regions(model, states.T)
     sign = np.where(np.isfinite(values), np.sign(values), 0.0)
     points, straddle, dp_steps = [], [], 0
@@ -424,7 +422,7 @@ def zero_crossings_on_trajectory(model, traj):
         dp_steps += steps
     pts = np.array(points).reshape(-1, model.dim)
     return ZeroSet(points=pts, phi_values=phi(model, pts.T),
-                   regions=point_regions(model, pts.T), provenance="trajectory",
+                   regions=point_regions(model, pts.T),
                    metadata={"straddle": tuple(straddle), "dp_steps": dp_steps})
 
 

@@ -319,8 +319,11 @@ def hypercoplanarity_check(model, x, region=None):
     value_det = det_scaled(stack.matrix())
     # contiguous rows, as a single point's stack has them
     rows = np.ascontiguousarray(np.moveaxis(stack.derivs, -1, 0) if x.ndim > 1 else stack.derivs)
-    value_wedge = vecdot(rows[..., 0, :], wedge(rows[..., 1:, :]))
-    fields = (value_det, value_wedge, stack.hadamard_scaled(value_det - value_wedge),
+    # an overflowing stack gives non-finite values without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        value_wedge = vecdot(rows[..., 0, :], wedge(rows[..., 1:, :]))
+        gap = value_det - value_wedge
+    fields = (value_det, value_wedge, stack.hadamard_scaled(gap),
               stack.hadamard_scaled(value_det))
     if x.ndim == 1:
         fields = tuple(float(f) for f in fields)

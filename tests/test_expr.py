@@ -162,17 +162,27 @@ def test_pwl_args_unchanged(name):
 def test_compile_step_shared_nodes_and_powers():
     # a node shared by several trees is computed once per stage; a power
     # emits its product tree, so each stage value equals `eval` bit for bit.
-    # x1..x3 have a zero rhs, so with k1 = 0 and h < 0 every stage input is
-    # x itself (x + -0.0 keeps -0.0, inf and NaN)
+    # x1..x3, the only components the trees read, have a zero rhs, so with
+    # k1 = 0 and h = -1 every stage input is x itself there (x + -0.0 keeps
+    # -0.0, inf and NaN): k2..k7 are the field's `eval` at x, and x_new is
+    # x + h * (0.0 + b1 * 0.0 + b3 * f + ... + b6 * f), which reads k3..k6
     base = parse("x1 - 0.1*x2")
     trees = [Pow(base, k) for k in range(10)] + [Add(base, base), parse("pwl(x3; 2, 3)")]
     field = [Const(0.0)] * 3 + trees
     step = compile_step(field)
+    weights = [w for w in expr._DP_A[-1] if w != 0.0]  # x_new's, of k1 and k3..k6
     for x in ([1.1, -0.3, 1.0], [-0.0, 0.0, -1.0], [1e155, 1.0, float("nan")]):
         state = x + [0.0] * len(trees)
-        want = [float.hex(float(t.eval(x))) for t in field]
-        for stage in step(state, [0.0] * len(field), -1.0, 1e-9, 1e-12)[3][1:]:
-            assert [float.hex(v) for v in stage] == want
+        values = [float(t.eval(x)) for t in field]
+        x_new, _, k7, _ = step(state, [0.0] * len(field), -1.0, 1e-9, 1e-12)
+        assert [float.hex(v) for v in k7] == [float.hex(v) for v in values]
+        want = []
+        for s, f in zip(state, values):
+            acc = 0.0 + weights[0] * 0.0  # left to right, as the step sums
+            for w in weights[1:]:
+                acc = acc + w * f
+            want.append(float.hex(s + -1.0 * acc))
+        assert [float.hex(v) for v in x_new] == want
 
 
 @pytest.mark.parametrize("k", range(13))

@@ -3,12 +3,15 @@
 import gc
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from flowcurv import IntegrationError, expr, get_model, integrate, load_model, registry
-from flowcurv.integrate import _bisect_event, _event_functions, take_step
+from flowcurv import (IntegrationError, expr, get_model, integrate, load_model, registry,
+                      zero_crossings_on_trajectory)
+from flowcurv.integrate import (_bisect_event, _event_functions, last_state_before_crossing,
+                                take_step)
 
 from conftest import reversed_model, with_attrs
 
@@ -141,8 +144,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (float(e) for e in _OLD_E if e != 0.0)
 
 
 def _dp_step(f, x, k1, h):
-    """One DP step from x with k1 = f(x), on lists of floats: (x_new, err, k7,
-    (k1, k3, k4, k5, k6, k7)), each sum written out in the documented order."""
+    """One DP step from x with k1 = f(x), on lists of floats: (x_new, err,
+    k7), each sum written out in the documented order."""
     k2 = f([xc + h * (0.0 + _A21 * p1) for xc, p1 in zip(x, k1)])
     k3 = f([xc + h * (0.0 + _A31 * p1 + _A32 * p2)
             for xc, p1, p2 in zip(x, k1, k2)])
@@ -159,7 +162,7 @@ def _dp_step(f, x, k1, h):
              for xc, p1, p3, p4, p5, p6 in zip(x, k1, k3, k4, k5, k6)]
     err = [h * (0.0 + _E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
            for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
-    return x_new, err, k7, (k1, k3, k4, k5, k6, k7)
+    return x_new, err, k7
 
 
 def _error_norm(x, x_new, err, rel_tol, abs_tol):
@@ -182,8 +185,8 @@ def _oracle_step(model):
     f = _tree_rhs(model)
 
     def step(x, k1, h, rel_tol, abs_tol):
-        x_new, err, k7, stages = _dp_step(f, x, k1, h)
-        return (x_new, _error_norm(x, x_new, err, rel_tol, abs_tol), k7, stages,
+        x_new, err, k7 = _dp_step(f, x, k1, h)
+        return (x_new, _error_norm(x, x_new, err, rel_tol, abs_tol), k7,
                 [arg.eval(x_new) for arg in model.pwl_args])
     return step
 
@@ -225,7 +228,7 @@ def test_float_step_bit_identical_to_numpy_step(name):
         for rel_tol, abs_tol in ((1e-9, 1e-12), (1e-13, 1e-16)):
             old_norm = _old_error_norm(x, old[0], old[1], rel_tol, abs_tol)
             assert _error_norm(x.tolist(), new[0], new[1], rel_tol, abs_tol) == old_norm
-            x_new, norm, k7, _, _ = step(x.tolist(), k1.tolist(), h, rel_tol, abs_tol)
+            x_new, norm, k7, _ = step(x.tolist(), k1.tolist(), h, rel_tol, abs_tol)
             assert norm == old_norm
             np.testing.assert_array_equal(_bits(x_new), _bits(old[0]))
             np.testing.assert_array_equal(_bits(k7), _bits(old[2]))
@@ -285,7 +288,7 @@ def _step_grid(model):
 
 @pytest.mark.parametrize("name", STEP_MODELS)
 def test_generated_step_equals_list_oracle(name):
-    # x_new, the fused norm, k7 and the stages, bit for bit, over signed
+    # x_new, the fused norm and k7 (which read every stage), bit for bit, over signed
     # zeros, step sizes from 1e-12 to 1 in both directions, and states that
     # overflow to inf and NaN
     model = _step_model(name)
@@ -306,7 +309,7 @@ def test_generated_step_equals_list_oracle(name):
 
 @pytest.mark.parametrize("name", STEP_MODELS)
 def test_step_pwl_values_are_tree_values_at_x_new(name):
-    # the step's fifth output is each pwl argument's value at x_new, in
+    # the step's fourth output is each pwl argument's value at x_new, in
     # pwl_args order: the tree walk at x_new, bit for bit, wherever x_new is
     # finite (the event scan reads nothing else)
     model = _step_model(name)
@@ -315,7 +318,7 @@ def test_step_pwl_values_are_tree_values_at_x_new(name):
     for x, k1, step_sizes in _step_grid(model):
         for h in step_sizes + (1e10,):
             for tols in _STEP_TOLS:
-                x_new, _, _, _, values = step(x, k1, h, *tols)
+                x_new, _, _, values = step(x, k1, h, *tols)
                 assert len(values) == len(model.pwl_args)
                 if all(map(math.isfinite, x_new)):
                     assert _hex(values) == _hex([arg.eval(x_new) for arg in model.pwl_args])
@@ -327,7 +330,6 @@ def _assert_same_step(got, ref):
     assert _hex(got[0]) == _hex(ref[0])
     assert float.hex(got[1]) == float.hex(ref[1])
     assert _hex(got[2]) == _hex(ref[2])
-    assert [_hex(s) for s in got[3]] == [_hex(s) for s in ref[3]]
 
 
 @pytest.mark.parametrize("name", ["two-pwl", "constant-pwl-arg", "quarter", "quadratic",
@@ -437,15 +439,15 @@ def test_stats_counts_chua3(chua3):
     _check_stats_identities(traj)
     # event location takes a few true steps per crossing; the accepted
     # steps and the samples do not depend on how crossings are located
-    assert traj.stats["dp_steps"] == 13_321
-    assert traj.stats["rhs_evals"] == 80_055
+    assert traj.stats["dp_steps"] == 13_220
+    assert traj.stats["rhs_evals"] == 79_449
     assert traj.stats["events"] == 127
     assert traj.stats["accepted_steps"] == 10_852 and len(traj) == 10_980
     assert traj.stats["event_bisection_steps"] <= 800
     short = integrate(chua3, [0.1, 0.1, 0.1], 50.0, rel_tol=1e-9, abs_tol=1e-12)
     _check_stats_identities(short)
     assert (short.stats["dp_steps"], short.stats["rhs_evals"], short.stats["events"]) \
-        == (3_344, 20_097, 31)
+        == (3_317, 19_935, 31)
     assert short.stats["accepted_steps"] == 2_724 and len(short) == 2_756
 
 
@@ -528,15 +530,15 @@ EVENT_RUNS = [("chua3-pwl", [0.0, 0.0, 0.0], 40.0, 8), ("chua4-pwl", [0.0] * 4, 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])
 def test_located_events_equal_bisection(name, start, t_end, min_events, rel_tol,
                                         monkeypatch):
-    # every theta found from the interpolant and confirmed by true steps is
-    # the one the step-by-step bisection returns
+    # every theta the regula falsi on true steps finds is the one the
+    # step-by-step bisection returns
     # the package rebinds `flowcurv.integrate` to the function
     integrate_module = importlib.import_module("flowcurv.integrate")
     locate = integrate_module._locate_event
     located = []
 
-    def checked(step, x, k1, h, g, sign_before, dense, x_new):
-        theta, steps, fell_back = locate(step, x, k1, h, g, sign_before, dense, x_new)
+    def checked(step, x, k1, h, g, sign_before, x_new):
+        theta, steps, fell_back = locate(step, x, k1, h, g, sign_before, x_new)
         located.append((theta, _bisect_event(step, x, k1, h, g, sign_before)[0], fell_back))
         return theta, steps, fell_back
 
@@ -549,5 +551,64 @@ def test_located_events_equal_bisection(name, start, t_end, min_events, rel_tol,
     assert len(located) >= min_events
     assert [theta for theta, _, _ in located] == [ref for _, ref, _ in located]
     assert traj.stats["event_fallbacks"] == sum(fb for _, _, fb in located)
-    # confirmation costs a few true steps per event, not the bisection's ~40
+    # the search costs a few true steps per event, not the bisection's ~40
     assert traj.stats["event_bisection_steps"] <= 12 * len(located)
+
+
+@pytest.mark.parametrize("name, t_end", [("chua3-pwl", 250.0), ("chua5-cubic", 5.0),
+                                         ("magnetoconvection5", 50.0)])
+def test_zero_crossings_located_as_bisection_without_fallback(name, t_end, monkeypatch):
+    # phi's sign changes along a trajectory are located by the search that
+    # locates breakpoint crossings: every theta is the bisection's, and the
+    # bisection never runs as its fallback
+    integrate_module = importlib.import_module("flowcurv.integrate")
+    locate, bisect = integrate_module._locate_event, integrate_module._bisect_event
+    located, fallbacks = [], []
+
+    def checked(step, x, k1, h, g, sign_before, x_new):
+        theta, steps, fell_back = locate(step, x, k1, h, g, sign_before, x_new)
+        located.append((theta, bisect(step, x, k1, h, g, sign_before)[0]))
+        return theta, steps, fell_back
+
+    def counted(*args):
+        fallbacks.append(args)
+        return bisect(*args)
+
+    model = get_model(name)
+    traj = integrate(model, np.full(model.dim, 0.1), t_end, rel_tol=1e-9)
+    monkeypatch.setattr(integrate_module, "_locate_event", checked)
+    monkeypatch.setattr(integrate_module, "_bisect_event", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # chua3-pwl's straddles
+        zs = zero_crossings_on_trajectory(model, traj)
+    assert len(zs) == len(located) >= 10
+    assert [theta for theta, _ in located] == [ref for _, ref in located]
+    assert fallbacks == []
+
+
+def test_last_state_before_crossing_takes_any_g(chua3):
+    # the public locator accepts any g: one that is exactly 0.0 at x (its
+    # sign before then reads as negative, and the search never divides by
+    # that zero end value), and one that is NaN at a trial state
+    x = [1.5, 0.2, -0.3]
+    h = 0.05
+    x_new = take_step(chua3, x, h, 1.0, 1.0)[0].tolist()
+    span = x_new[0] - x[0]
+    assert span != 0.0
+
+    def through_start(s):  # 0 at x, negative up to 0.3 of the step, then positive
+        u = s[0] - x[0]
+        return u * (u - 0.3 * span)
+
+    state, steps = last_state_before_crossing(chua3, x, x_new, h, through_start)
+    assert through_start(state) < 0.0 and 0 < steps < 60
+    assert abs((state[0] - x[0]) / span - 0.3) <= 1e-9
+
+    calls = []
+
+    def nan_once(s):  # NaN at the first trial: after g(x), g(x) and g(x_new)
+        calls.append(None)
+        return math.nan if len(calls) == 4 else s[0] - (x[0] + 0.3 * span)
+
+    state, steps = last_state_before_crossing(chua3, x, x_new, h, nan_once)
+    assert len(calls) > 4 and state.shape == (3,) and np.isfinite(state).all()

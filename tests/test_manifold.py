@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -821,6 +822,26 @@ def test_phi_scaled_is_nan_where_the_stack_overflows(gear):
         np.testing.assert_array_equal(hypercoplanarity_check(gear, batch).scaled_value, scaled)
     # a zero derivative (a fixed point) still gives 0.0
     assert phi_scaled(gear, np.zeros(5)) == 0.0
+
+
+def test_double_stack_paths_overflow_without_warnings(gear):
+    # every path on the double-precision stack gives its NaN at the state
+    # where gear5's stack overflows, single or batched, without a numpy
+    # warning, as `manifold_sample` on its longdouble stack does
+    from flowcurv import derivative_stack
+    from flowcurv.spectral import hypercoplanarity_check
+    x = np.array([1e200, 1.0, 0.0, 0.0, 0.0])
+    batch = np.stack([x, np.full(5, 0.5)], axis=1)
+    paths = (phi, lie_phi, phi_scaled,
+             lambda model, s: hypercoplanarity_check(model, s).agreement_residual,
+             lambda model, s: manifold_sample(model, s).phi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in (x, batch):
+            assert not np.isfinite(derivative_stack(gear, state, 5).derivs).all()
+            for path in paths:
+                values = np.atleast_1d(path(gear, state))
+                assert math.isnan(values[0]) and np.isfinite(values[1:]).all()
 
 
 @pytest.mark.parametrize("name", ["chua3-pwl", "chua4-pwl", "chua5-pwl", "chua4-cubic",
