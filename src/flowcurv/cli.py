@@ -194,35 +194,29 @@ def _scan_shares(npts, fmt_name):
     return [min(chunks * i // k * _SCAN_CHUNK, npts) for i in range(k + 1)]
 
 
-def _share_table(states, lo, hi):
-    """The (n + 3, hi - lo) table of one share: its states, then room for phi,
-    lie and the cofactor residual."""
-    n = len(states)
-    table = np.empty((n + 3, hi - lo))
-    table[:n] = states[:, lo:hi]
-    return table
+def _scan_share(model, states, lo, hi, write):
+    """Scan the columns lo:hi of phi-scan's states and pass `write` their
+    rows, the states then phi, lie and the cofactor residual, as one
+    `ioutil.RowBlocks` of one block per chunk.  `states(start, stop)` gives
+    the states of a column range.  A chunk is scanned when the writer asks
+    for it, so the share holds one chunk at a time.  Returns the share's
+    count of non-finite rows."""
+    n = model.dim
+    nonfinite = 0
 
+    def chunks():
+        nonlocal nonfinite
+        for start in range(lo, hi, _SCAN_CHUNK):
+            x = states(start, min(start + _SCAN_CHUNK, hi))
+            sample = manifold.manifold_sample(model, x)
+            block = np.empty((n + 3, x.shape[1]))
+            block[:n] = x
+            block[n:] = sample.phi, sample.lie, sample.cofactor_residual
+            nonfinite += _nonfinite_rows(block[n:].T)
+            yield block.T
 
-def _scan_share(model, table):
-    """Fill a share table's last three rows a chunk at a time; returns its count
-    of non-finite rows."""
-    n = len(table) - 3
-    for start in range(0, table.shape[1], _SCAN_CHUNK):
-        block = slice(start, start + _SCAN_CHUNK)
-        sample = manifold.manifold_sample(model, table[:n, block])
-        table[n:, block] = sample.phi, sample.lie, sample.cofactor_residual
-    return _nonfinite_rows(table[n:].T)
-
-
-def _scan_part(model, states, lo, hi, fd):
-    """A phi-scan worker's work: scan the columns lo:hi of `states` and write
-    their CSV rows to the open part file `fd`; returns their count of
-    non-finite rows."""
-    with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-        table = _share_table(states, lo, hi)
-        count = _scan_share(model, table)
-        fh.writelines(ioutil.csv_rows(table.T))
-    return count
+    write(ioutil.RowBlocks(hi - lo, n + 3, chunks()))
+    return nonfinite
 
 
 class _Worker:
@@ -319,19 +313,24 @@ def _cmd_phi_scan(args):
                 raise ConfigError(f"{flag} applies to a trajectory scan (--x0), not to --grid")
         axes = _parse_grid(args.grid, model.dim)
         slices = _parse_slice(args.slice, model.dim, model, axes)
-        states, _ = manifold.grid_states(model.dim, axes, slices)
+        npts = math.prod(count for _, _, count in axes.values())
+
+        def states(start, stop):
+            return manifold.grid_states(model.dim, axes, slices, start, stop)[0]
     else:
         if args.t_end is None:
             raise ConfigError("--x0 requires --t-end")
         if args.slice:
             raise ConfigError("--slice applies to a grid scan (--grid), not to --x0")
-        states = _trajectory(model, args).states.T
-    # shares 1..k-1 run in forked workers; this process scans share 0 into one
-    # (n + 3, columns) table, written through its (rows, columns) view, and
-    # appends the workers' part files in share order
-    n, npts = states.shape
+        trajectory = _trajectory(model, args).states.T
+        npts = trajectory.shape[1]
+
+        def states(start, stop):
+            return trajectory[:, start:stop]
+    # shares 1..k-1 run in forked workers, each writing a part file; this
+    # process writes share 0 and then appends the part files in share order
     bounds = _scan_shares(npts, args.format)
-    header = [f"x{i + 1}" for i in range(n)] + ["phi", "lie", "cofactor_residual"]
+    header = [f"x{i + 1}" for i in range(model.dim)] + ["phi", "lie", "cofactor_residual"]
     workers, parts, counts = [], [], []
 
     def joined():
@@ -344,14 +343,13 @@ def _cmd_phi_scan(args):
             fd, part = ioutil.temp_file(args.out)
             parts.append(part)
             try:
-                workers.append(_Worker(f"phi-scan worker of columns {lo}:{hi}",
-                                       _scan_part, model, states, lo, hi, fd))
+                workers.append(_Worker(f"phi-scan worker of columns {lo}:{hi}", _scan_share,
+                                       model, states, lo, hi,
+                                       functools.partial(ioutil.write_part, fd)))
             finally:
                 os.close(fd)
-        table = _share_table(states, 0, bounds[1])
-        del states
-        counts.append(_scan_share(model, table))
-        write_table(args.out, header, table.T, args.format, parts=joined())
+        counts.append(_scan_share(model, states, 0, bounds[1], functools.partial(
+            write_table, args.out, header, fmt_name=args.format, parts=joined())))
     finally:
         for worker in workers:
             worker.stop()

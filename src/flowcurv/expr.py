@@ -77,6 +77,9 @@ class TaylorMemo(dict):
     `branches` holds each pwl node's branch for the expansion, per-point
     labels already turned into masks.  A memo serves one expansion, which
     keeps concurrent expansions independent.
+    `whole` holds the nodes whose whole series a product of two series
+    convolves; every other node's coefficient j reads only coefficient j of
+    its children, so `release` can drop it once order j is complete.
     """
 
     def __init__(self, x, region=None):
@@ -84,6 +87,20 @@ class TaylorMemo(dict):
         self.x = x
         self.region = region
         self.branches = {}
+        self.whole = set()
+        self._fleeting = None
+
+    def release(self):
+        """Drop the latest coefficient of each node that no later order reads:
+        all but the `whole` series and constants.  Called after each order of
+        an expansion that asks every node order by order, it keeps one order
+        of such nodes at a time; the first call, after order 0, has met every
+        node and every product, so it lists the series to drop once."""
+        if self._fleeting is None:
+            self._fleeting = [s for node, s in self.items()
+                              if not (node.constant or node in self.whole)]
+        for s in self._fleeting:
+            s[-1] = None
 
     def series(self, node, j):
         """Coefficients 0..j of `node`, as a list indexed by order."""
@@ -400,6 +417,8 @@ class Mul(_Binary):
             return a[0] * b[j]
         if self.right.constant:
             return a[j] * b[0]
+        if j == 0:
+            memo.whole.update(self.children)
         return _cauchy(a, b, j)
 
     def emit(self, e):

@@ -202,8 +202,9 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, max_steps=2_000_000
                 new_signs = event_signs.copy()
             new_signs[idx] = s_new
             if s_old != 0:
+                g = events[idx][0]
                 theta, true_steps, fell_back = _locate_event(
-                    step, x, k1, h, events[idx][0], s_old, x_new)
+                    step, x, k1, h, g, s_old, g(x), x_new)
                 dp_steps += true_steps
                 located_steps += true_steps
                 fallbacks += fell_back
@@ -269,7 +270,7 @@ def _event_depth(h):
     return depth
 
 
-def _locate_event(step, x, k1, h, g, sign_before, x_new):
+def _locate_event(step, x, k1, h, g, sign_before, g_x, x_new):
     """`_bisect_event`'s theta, found by regula falsi on true DP steps.
 
     The bisection runs to depth K, the least with 2^-K h <= 1e-12, over the
@@ -278,7 +279,8 @@ def _locate_event(step, x, k1, h, g, sign_before, x_new):
     as post, the bisection never evaluates them).  When G is monotone along
     the step, the bisection returns the point i with G(i-1) pre and G(i)
     post, or the zero i between a pre and a post point.  This search keeps
-    a bracket (lo, hi), lo pre and hi post, from g(x) and g(x_new).  Each
+    a bracket (lo, hi), lo pre and hi post, from g_x = g(x), which the
+    caller gives, and g(x_new).  Each
     trial steps to the regula falsi point of the end values, rounded into
     lo+1..hi-1, or to the midpoint where an end value is on the wrong side,
     zero or not finite; the end that stays is scaled by 1 - f_new / f_moved,
@@ -300,7 +302,7 @@ def _locate_event(step, x, k1, h, g, sign_before, x_new):
     def side(val):  # 1 pre, -1 post, 0 an exact zero
         return 0 if val == 0.0 else 1 if (1 if val > 0 else -1) == sign_before else -1
 
-    lo, f_lo, hi, f_hi = 0, g(x), 1 << depth, g(x_new)
+    lo, f_lo, hi, f_hi = 0, g_x, 1 << depth, g(x_new)
     for _ in range(_FALSI_TRIALS if depth <= 52 else 0):
         if hi - lo == 1:
             return math.ldexp(hi, -depth), steps, False
@@ -364,7 +366,8 @@ def last_state_before_crossing(model, x, x_new, h, g):
     step, h = model.dp_step, float(h)
     x, x_new = (np.asarray(s, dtype=float).tolist() for s in (x, x_new))
     k1 = model.velocity(x).tolist()
-    theta, steps, _ = _locate_event(step, x, k1, h, g, 1 if g(x) > 0 else -1, x_new)
+    g_x = g(x)
+    theta, steps, _ = _locate_event(step, x, k1, h, g, 1 if g_x > 0 else -1, g_x, x_new)
     cell = math.ldexp(1.0, -_event_depth(h))
     if theta <= cell:
         return np.array(x), steps

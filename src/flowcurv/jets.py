@@ -97,6 +97,10 @@ def derivative_stack(model, x, order, region=None):
         for k in range(order):
             for i, e in enumerate(model.rhs_exprs):
                 coeffs[k + 1, i] = memo.series(e, k)[k] / (k + 1)
+            # a single state's coefficients are scalars, not worth freeing,
+            # and the memo goes with the last order
+            if x.ndim > 1 and k < order - 1:
+                memo.release()
 
         # d_k = k! c_k, scaled in place, so the stack holds no second array
         fact = 1.0

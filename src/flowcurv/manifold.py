@@ -282,22 +282,23 @@ def _refine_edges(model, p_lo, p_hi, f_lo, f_hi, tol_rel):
     return t, f_t, target, ~(nonfinite | jumps), counts
 
 
-def grid_states(dim, axes, slice_values):
+def grid_states(dim, axes, slice_values, start=0, stop=None):
     """The states of a coordinate-aligned grid, shape (dim, npts), and its shape.
 
     `axes` maps coordinate indices to (lo, hi, count) node ranges, flattened
     in 'ij' order; every other coordinate takes its `slice_values` entry
-    (default 0).
+    (default 0).  `start` and `stop` pick a range of the flattened nodes
+    (all by default), whose states alone are made.
     """
     axis_items = sorted(axes.items())
-    grids = [np.linspace(lo, hi, count) for _, (lo, hi, count) in axis_items]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    states = np.empty((dim, mesh[0].size))
+    shape = tuple(count for _, (_, _, count) in axis_items)
+    nodes = np.arange(start, math.prod(shape) if stop is None else stop)
+    states = np.empty((dim, len(nodes)))
     for i in range(dim):
         states[i] = slice_values.get(i, 0.0)
-    for (idx, _), m in zip(axis_items, mesh):
-        states[idx] = m.ravel()
-    return states, mesh[0].shape
+    for (idx, (lo, hi, count)), k in zip(axis_items, np.unravel_index(nodes, shape)):
+        states[idx] = np.linspace(lo, hi, count)[k]
+    return states, shape
 
 
 def zero_set_grid(model, axes, slice_values=None, tol_rel=1e-9):

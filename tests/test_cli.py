@@ -507,24 +507,24 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_phi_scan_memory_is_one_table_and_one_chunk(tmp_path, capsys):
-    # the scan holds one (n + 3, npts) float table and the stack of one
-    # 2,048-point chunk; a second copy of the states or of the result columns
-    # (5.8 MB together at 90,000 nodes) breaks the bound. The peak is reached
-    # in the chunk loop (about 10.3 MB: the 5.8 MB table and one 4.0 MB chunk
-    # sample); the grid build and table copy reach about 6.0 MB and the CSV
-    # writer about 8.0 MB. The run takes about 2.5 s under tracemalloc.
+def test_phi_scan_memory_does_not_grow_with_the_grid(tmp_path, capsys, monkeypatch):
+    # one process scans, formats and writes one 2,048-column chunk before it
+    # makes the next, so its traced peak is one chunk's sample and a little
+    # more (about 4.6 MB against a 3.9 MB sample) at 90,000 nodes as at
+    # 360,000; a states array or a result table for all of them (5.8 MB at
+    # 90,000 nodes, 23 MB at 360,000) breaks the bound. The two runs take
+    # about 7 s under tracemalloc.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one share
     model = get_model("chua5-pwl")
-    n, npts = model.dim, 300 * 300
-    chunk = grid_states(n, {0: (-4.0, 4.0, 300), 1: (-1.0, 1.0, 300)}, {})[0][:, :2048]
+    chunk = grid_states(model.dim, {0: (-4.0, 4.0, 300), 1: (-1.0, 1.0, 300)}, {}, 0, 2048)[0]
     chunk_peak = _traced_peak(manifold_sample, model, chunk)
-    scan_peak = _traced_peak(main, ["phi-scan", "--model", "chua5-pwl",
-                                    "--grid", "x1=-4:4:300,x2=-1:1:300",
-                                    "--slice", "x3=0,x4=0,x5=0",
-                                    "--out", str(tmp_path / "scan.csv")])
-    assert capsys.readouterr().out.startswith(f"{npts} samples")
-    table_bytes = npts * (n + 3) * 8
-    assert scan_peak < table_bytes + 1.25 * chunk_peak, (scan_peak, table_bytes, chunk_peak)
+    for nodes in (300, 600):
+        scan_peak = _traced_peak(main, ["phi-scan", "--model", "chua5-pwl",
+                                        "--grid", f"x1=-4:4:{nodes},x2=-1:1:{nodes}",
+                                        "--slice", "x3=0,x4=0,x5=0",
+                                        "--out", str(tmp_path / "scan.csv")])
+        assert capsys.readouterr().out.startswith(f"{nodes * nodes} samples")
+        assert scan_peak < 1_000_000 + 1.25 * chunk_peak, (nodes, scan_peak, chunk_peak)
 
 
 # -- phi-scan's forked shares ---------------------------------------------------
@@ -871,6 +871,34 @@ def test_table_commands_match_row_writer(case, fmt_name, tmp_path, capsys):
     assert out.read_bytes() == expected.read_bytes()
 
 
+# phi-scans over 16,899 grid nodes and 20,858 trajectory samples: counts
+# that are not a multiple of the 2,048-column chunk, long enough for two shares
+SHARED_SCANS = {
+    "grid": (["phi-scan", "--model", "chua5-pwl", "--grid", "x1=-4:4:131,x2=-1:1:129",
+              "--slice", "x3=0.1,x4=0,x5=0"],
+             lambda model: grid_states(5, {0: (-4.0, 4.0, 131), 1: (-1.0, 1.0, 129)},
+                                       {2: 0.1})[0]),
+    "trajectory": (["phi-scan", "--model", "chua5-pwl", "--x0", "0.1,0.1,0.1,0.1,0.1",
+                    "--t-end", "12"],
+                   lambda model: integrate(model, [0.1] * 5, 12.0).states.T),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", SHARED_SCANS.values(), ids=SHARED_SCANS.keys())
+def test_phi_scan_shares_match_row_writer(case, cpus, tmp_path, capsys, monkeypatch):
+    # in one share and in two, the file is the rows of one batched sample
+    args, states = case
+    out, expected = tmp_path / "cli.csv", tmp_path / "oracle.csv"
+    outcome, stdout, _, forks = _forked_run(args + ["--out", str(out)], tmp_path, capsys,
+                                            monkeypatch, cpus)
+    assert (outcome, forks) == (0, cpus - 1)
+    header, rows = _scan_rows(get_model("chua5-pwl"), states(get_model("chua5-pwl")))
+    assert stdout == f"{len(rows)} samples -> {out}\n" and len(rows) % 2048 != 0
+    _row_writer(expected, header, rows, "csv")
+    assert out.read_bytes() == expected.read_bytes()
+
+
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
 def test_write_table_matches_row_writer(fmt_name, tmp_path):
     special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, np.inf, -np.inf,
@@ -892,6 +920,37 @@ def test_write_table_matches_row_writer(fmt_name, tmp_path):
     assert out.read_bytes() == expected.read_bytes()
     with pytest.raises(ValueError, match="8999 labels for 9000 rows"):
         write_table(out, header, values, fmt_name, labels=labels[1:])
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+def test_write_table_of_row_blocks_matches_one_array(fmt_name, tmp_path):
+    # a table given as uneven row blocks, made as the writer reads them, is
+    # written as the same table in one array
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((9000, 3))
+    values[::7, 1] = np.nan
+    labels = [("neg", "mid", "pos")[k % 3] for k in range(len(values))]
+    cuts = [0, 0, 1, 2048, 2049, 6145, 9000]
+    made = []
+
+    def blocks():
+        for lo, hi in zip(cuts, cuts[1:]):
+            made.append(hi)
+            yield values[lo:hi]
+
+    header = ["a", "b", "c", "region"]
+    table = ioutil.RowBlocks(len(values), 3, blocks())
+    assert len(table) == 9000 and made == []
+    out, expected = tmp_path / f"blocks.{fmt_name}", tmp_path / f"array.{fmt_name}"
+    write_table(out, header, table, fmt_name, labels=labels)
+    write_table(expected, header, values, fmt_name, labels=labels)
+    assert made == cuts[1:] and out.read_bytes() == expected.read_bytes()
+    # blocks that do not make the table's shape leave no file
+    for rows, block in ((9001, values), (9000, values[:, :2]), (9000, values[0])):
+        with pytest.raises(ValueError, match="rows in the blocks|a block of shape"):
+            write_table(tmp_path / "bad.out", header[:3], ioutil.RowBlocks(rows, 3, [block]),
+                        fmt_name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [expected.name, out.name]
 
 
 def _nan(bits):

@@ -537,9 +537,9 @@ def test_located_events_equal_bisection(name, start, t_end, min_events, rel_tol,
     locate = integrate_module._locate_event
     located = []
 
-    def checked(step, x, k1, h, g, sign_before, x_new):
-        theta, steps, fell_back = locate(step, x, k1, h, g, sign_before, x_new)
-        located.append((theta, _bisect_event(step, x, k1, h, g, sign_before)[0], fell_back))
+    def checked(*args):  # (step, x, k1, h, g, sign_before, g(x), x_new)
+        theta, steps, fell_back = locate(*args)
+        located.append((theta, _bisect_event(*args[:6])[0], fell_back))
         return theta, steps, fell_back
 
     monkeypatch.setattr(integrate_module, "_locate_event", checked)
@@ -565,9 +565,9 @@ def test_zero_crossings_located_as_bisection_without_fallback(name, t_end, monke
     locate, bisect = integrate_module._locate_event, integrate_module._bisect_event
     located, fallbacks = [], []
 
-    def checked(step, x, k1, h, g, sign_before, x_new):
-        theta, steps, fell_back = locate(step, x, k1, h, g, sign_before, x_new)
-        located.append((theta, bisect(step, x, k1, h, g, sign_before)[0]))
+    def checked(*args):  # (step, x, k1, h, g, sign_before, g(x), x_new)
+        theta, steps, fell_back = locate(*args)
+        located.append((theta, bisect(*args[:6])[0]))
         return theta, steps, fell_back
 
     def counted(*args):
@@ -606,9 +606,30 @@ def test_last_state_before_crossing_takes_any_g(chua3):
 
     calls = []
 
-    def nan_once(s):  # NaN at the first trial: after g(x), g(x) and g(x_new)
+    def nan_once(s):  # NaN at the first trial: after g(x) and g(x_new)
         calls.append(None)
-        return math.nan if len(calls) == 4 else s[0] - (x[0] + 0.3 * span)
+        return math.nan if len(calls) == 3 else s[0] - (x[0] + 0.3 * span)
 
     state, steps = last_state_before_crossing(chua3, x, x_new, h, nan_once)
-    assert len(calls) > 4 and state.shape == (3,) and np.isfinite(state).all()
+    assert len(calls) > 3 and state.shape == (3,) and np.isfinite(state).all()
+
+
+def test_last_state_before_crossing_evaluates_g_at_x_once(chua3):
+    # g at the step's start gives both the sign before and the bracket's
+    # lower end; with g = phi each extra call would be one more stack
+    x = [1.5, 0.2, -0.3]
+    h = 0.05
+    x_new = take_step(chua3, x, h, 1.0, 1.0)[0].tolist()
+    calls = []
+
+    def counted(s):
+        calls.append(list(s))
+        return s[0] - (x[0] + 0.3 * (x_new[0] - x[0]))
+
+    state, steps = last_state_before_crossing(chua3, x, x_new, h, counted)
+    assert counted(state) < 0.0
+    assert calls[:2] == [x, x_new]
+    assert calls.count(x) == 1
+    # one call at x, one at x_new, one per true step of the search, and the
+    # check above
+    assert len(calls) == 2 + (steps - 1) + 1
