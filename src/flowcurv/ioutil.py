@@ -156,7 +156,8 @@ def write_table(path, header, values, fmt_name="csv", labels=None, parts=()):
     (CSV only) names files of further rows as `write_part` writes them;
     each is appended in turn, after the table's own rows, without being
     read into memory, and is taken from the iterable only once those rows
-    are written.
+    are written.  A part that arrives for JSON raises `ValueError` and
+    leaves no file.
     """
     table = _as_blocks(values)
     _check_table(header, table, fmt_name, labels)
@@ -169,6 +170,8 @@ def write_table(path, header, values, fmt_name="csv", labels=None, parts=()):
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
             for part in parts:
+                if fmt_name != "csv":
+                    raise ValueError("a JSON table is one document: it takes no parts")
                 fh.flush()
                 with open(part, "rb") as rows:
                     shutil.copyfileobj(rows, fh.buffer)

@@ -21,8 +21,9 @@ from .expr import TaylorMemo
 
 __all__ = ["DerivStack", "derivative_stack", "MAX_ORDER"]
 
-# All uses in this package need order <= n + 1 = 6; the cap leaves headroom
-# without letting callers allocate unbounded coefficient arrays.
+# The kernel's deepest use is order n + 1 (`manifold_sample`), so a model
+# config may have at most MAX_ORDER - 1 = 11 coordinates; the cap keeps
+# callers from allocating unbounded coefficient arrays.
 MAX_ORDER = 12
 
 

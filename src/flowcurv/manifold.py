@@ -118,8 +118,8 @@ class ZeroSet:
     Grid-edge points satisfy |phi| <= tol_rel * scale, with scale the larger
     |phi| at the ends of the bracket refined: the edge's grid nodes, or, for
     an edge split at a PWL breakpoint, the ends of its single-region piece.
-    There are two exceptions.  A grid node where phi is exactly zero is
-    returned as it is.  A point whose bracket reached the floating-point
+    There are two exceptions.  A grid node or trajectory sample where phi is
+    exactly zero is returned as it is.  A point whose bracket reached the floating-point
     width first (phi then changes sign between adjacent floats) is kept
     only when both ends of that final bracket lie in the same PWL region.  A sign change that survives only across a region
     boundary is a jump of phi, not a zero, at every tolerance; such edges
@@ -394,11 +394,14 @@ def zero_crossings_on_trajectory(model, traj):
     that joined them, on true steps from x_k (h = t_{k+1} - t_k, ending at
     the stored x_{k+1}), as `integrate` locates a PWL event; the point is
     the last state before it (`integrate.last_state_before_crossing`), and
-    nothing is re-integrated.  A sign change between PWL regions, where phi
-    jumps, warns and is flagged in `metadata["straddle"]`;
-    `metadata["dp_steps"]` counts the DP steps taken.  A trajectory with
-    |phi| <= 1e-12 max |phi| at every sample (for instance a fixed point)
-    returns an empty, degenerate-flagged set.
+    nothing is re-integrated.  A sample where phi is exactly 0.0 is a point
+    of its own, as a grid node is in `zero_set_grid`, and is counted in
+    `metadata["exact_zero_samples"]`; points come in time order.  A sign
+    change between PWL regions, where phi jumps, warns and is flagged in
+    `metadata["straddle"]`, one entry per point; `metadata["dp_steps"]`
+    counts the DP steps taken.  A trajectory with |phi| <= 1e-12 max |phi|
+    at every sample (for instance a fixed point) returns an empty,
+    degenerate-flagged set.
     """
     times, states = np.asarray(traj.times), np.asarray(traj.states)
     values = phi(model, states.T) if len(times) > 1 else np.zeros(len(times))
@@ -409,7 +412,14 @@ def zero_crossings_on_trajectory(model, traj):
     labels = point_regions(model, states.T)
     sign = np.where(np.isfinite(values), np.sign(values), 0.0)
     points, straddle, dp_steps = [], [], 0
-    for k in np.flatnonzero(sign[:-1] * sign[1:] < 0):
+    zero_samples = np.flatnonzero(values == 0.0).tolist()
+    changes = np.flatnonzero(sign[:-1] * sign[1:] < 0).tolist()
+    # (k, False): sample k itself; (k, True): a sign change between k and k + 1
+    for k, change in sorted([(k, False) for k in zero_samples] + [(k, True) for k in changes]):
+        if not change:
+            points.append(states[k])
+            straddle.append(False)
+            continue
         straddle.append(bool(labels) and labels[k] != labels[k + 1])
         if straddle[-1]:
             warnings.warn(
@@ -424,7 +434,8 @@ def zero_crossings_on_trajectory(model, traj):
     pts = np.array(points).reshape(-1, model.dim)
     return ZeroSet(points=pts, phi_values=phi(model, pts.T),
                    regions=point_regions(model, pts.T),
-                   metadata={"straddle": tuple(straddle), "dp_steps": dp_steps})
+                   metadata={"straddle": tuple(straddle), "dp_steps": dp_steps,
+                             "exact_zero_samples": len(zero_samples)})
 
 
 # ---------------------------------------------------------------------------

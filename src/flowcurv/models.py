@@ -21,6 +21,7 @@ import numpy as np
 
 from . import expr as ex
 from .geometry import vecnorm
+from .jets import MAX_ORDER
 
 __all__ = [
     "ModelDef", "FixedPoint", "ModelError",
@@ -154,6 +155,9 @@ def _model_from_config(config, slowfast_defaults=None):
     dim = config["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ModelError(f"dim must be a positive integer, got {dim!r}")
+    if dim > MAX_ORDER - 1:  # phi and its Lie derivative need n + 1 time derivatives
+        raise ModelError(f"dim {dim} exceeds the cap of {MAX_ORDER - 1}: the derivative "
+                         f"stacks stop at order {MAX_ORDER}")
     params = dict(config["params"])
     for key, value in params.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -1,13 +1,15 @@
 """CLI commands, file formats, exit codes, determinism."""
 
 import errno
+import functools
+import io
 import json
 import math
 import os
 import pickle
 import re
-import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from flowcurv.manifold import grid_states
 from flowcurv.models import _BUILTIN_BUILDERS
 from flowcurv.ioutil import write_table
 from flowcurv.verify import verify_model
+
+from conftest import TWO_PWL, strict_json
 
 
 def run(args, capsys):
@@ -203,8 +207,7 @@ def test_curvature_matches_per_point_stacks(tmp_path, capsys):
 def test_curvature_writes_nan_rows_for_degenerate_stacks(tmp_path, capsys):
     # the motion stays in the plane x3 = 0, so d_3 lies in span(d_1, d_2)
     path = tmp_path / "planar.json"
-    path.write_text(json.dumps({"name": "planar", "dim": 3, "params": {},
-                                "rhs": ["-x2", "x1", "0"]}))
+    path.write_text(json.dumps(CONFIGS["planar"]))
     out = tmp_path / "kappa.csv"
     assert run(["curvature", "--model", str(path), "--x0", "1,0,0", "--t-end", "1",
                 "--out", str(out)], capsys)[0] == 0
@@ -225,19 +228,12 @@ def test_curvature_reports_non_finite_rows(tmp_path, capsys):
     assert (code, stdout, stderr) == (0, f"{rows} samples -> {out}\n", "")
 
 
-def _strict_json(path):
-    def reject(token):
-        raise ValueError(f"{token} is not strict JSON")
-
-    return json.loads(path.read_text(), parse_constant=reject)
-
-
 def test_json_tables_write_non_finite_values_as_null(tmp_path, capsys):
     # degenerate stacks at a fixed point give NaN kappas
     kappa = tmp_path / "kappa.json"
     assert run(["curvature", "--model", "chua3-pwl", "--x0", "0,0,0", "--t-end", "1",
                 "--format", "json", "--out", str(kappa)], capsys)[0] == 0
-    rows = _strict_json(kappa)["rows"]
+    rows = strict_json(kappa.read_text())["rows"]
     assert len(rows) == 11 and all(row[1:] == [None, None] for row in rows)
     # a stack that overflows gives NaN phi; the finite rows keep their numbers
     scan, csv_scan = tmp_path / "scan.json", tmp_path / "scan.csv"
@@ -246,14 +242,14 @@ def test_json_tables_write_non_finite_values_as_null(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert run(args + ["--format", "json", "--out", str(scan)], capsys)[0] == 0
         assert run(args + ["--out", str(csv_scan)], capsys)[0] == 0
-    rows = _strict_json(scan)["rows"]
+    rows = strict_json(scan.read_text())["rows"]
     csv_rows = [line.split(",") for line in csv_scan.read_text().splitlines()[1:]]
     assert len(rows) == len(csv_rows) == 6
     for row, csv_row in zip(rows, csv_rows):
         assert [repr(v) if v is not None else "nan" for v in row] == csv_row
     assert sum(row[5] is None for row in rows) == 4
     write_table(scan, ["a", "b"], np.array([[np.inf, 1.0], [-np.inf, np.nan]]), "json")
-    assert _strict_json(scan)["rows"] == [[None, 1.0], [None, None]]
+    assert strict_json(scan.read_text())["rows"] == [[None, 1.0], [None, None]]
 
 
 def test_phi_scan_reports_non_finite_rows_without_warnings(tmp_path, capsys):
@@ -440,6 +436,22 @@ def test_zero_tol_rel_is_accepted(tmp_path, capsys):
     assert code == 0 and "manifold points" in stdout and out.exists()
 
 
+def test_config_beyond_the_derivative_cap_is_config_error(tmp_path, capsys):
+    # phi needs n + 1 time derivatives and the stacks stop at MAX_ORDER = 12
+    def decay(dim):
+        return {"name": "decay", "dim": dim, "params": {}, "rhs": [f"-x{i + 1}" for i in range(dim)]}
+
+    assert load_model(decay(11)).dim == 11
+    path = tmp_path / "decay12.json"
+    path.write_text(json.dumps(decay(12)))
+    grid = ["--grid", "x1=-1:1:3,x2=-1:1:3", "--out", str(tmp_path / "out.csv")]
+    for command, *args in (["phi-scan", *grid], ["manifold", *grid], ["verify"]):
+        code, stdout, err = run([command, "--model", str(path), *args], capsys)
+        assert (code, stdout) == (1, "") and "Traceback" not in err
+        assert "config error: dim 12 exceeds the cap of 11" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_constant_rhs_component_commands(tmp_path, capsys):
     # a constant rhs component used to break every derivative stack
     path = tmp_path / "drift.json"
@@ -459,17 +471,16 @@ def _scan_table(path):
     return header, np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
 
 
-def _assert_scan_matches_library(model, header, table, per_point=True):
+def _assert_scan_matches_library(model, header, table):
     n = model.dim
     assert header[n:] == ["phi", "lie", "cofactor_residual"]
     states = table[:, :n].T
     batch = manifold_sample(model, states)
     for j, name in enumerate(("phi", "lie", "cofactor_residual")):
         np.testing.assert_array_equal(table[:, n + j], getattr(batch, name))
-    if per_point:
-        for k in range(table.shape[0]):
-            s = manifold_sample(model, states[:, k])
-            assert list(table[k, n:]) == [s.phi, s.lie, s.cofactor_residual]
+    for k in range(table.shape[0]):
+        s = manifold_sample(model, states[:, k])
+        assert list(table[k, n:]) == [s.phi, s.lie, s.cofactor_residual]
 
 
 def test_phi_scan_columns_are_manifold_sample(tmp_path, capsys):
@@ -485,93 +496,125 @@ def test_phi_scan_columns_are_manifold_sample(tmp_path, capsys):
     _assert_scan_matches_library(get_model("chua4-cubic"), *_scan_table(out))
 
 
-def test_phi_scan_chunks_match_one_batch(tmp_path, capsys):
-    # 2,050 nodes span two 2,048-column chunks
-    args = ["phi-scan", "--model", "chua5-pwl", "--grid", "x1=-4:4:41,x2=-1:1:50",
-            "--slice", "x3=0,x4=0,x5=0"]
-    out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    assert run(args + ["--out", str(out1)], capsys)[0] == 0
-    assert run(args + ["--out", str(out2)], capsys)[0] == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    header, table = _scan_table(out1)
-    assert table.shape[0] == 2050
-    _assert_scan_matches_library(get_model("chua5-pwl"), header, table, per_point=False)
+def test_phi_scan_memory_does_not_grow_with_the_grid(tmp_path):
+    # each share builds the states and the sample of one chunk of at most
+    # 2,048 columns, and the next chunk only once the writer has taken this
+    # one, so it never holds an array of its whole share and its memory is
+    # one chunk's at any grid size (CI's RSS step scans 1000 x 1000 nodes).
+    # Each process logs what it builds and writes, in order, to one file.
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
+    def logged(target, name, width):
+        def wrapper(*args):
+            result = target(*args)
+            os.write(log, f"{os.getpid()} {name} {width(args, result)}\n".encode())
+            return result
+        return wrapper
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name, width in ((manifold, "grid_states", lambda a, r: r[0].shape[1]),
+                                        (manifold, "manifold_sample", lambda a, r: a[1].shape[1]),
+                                        (ioutil, "csv_rows", lambda a, r: len(a[0]))):
+                mp.setattr(module, name, logged(getattr(module, name), name, width))
+            # 16,900 nodes: nine chunks, four in this process's share, five in a worker's
+            outcome, _, _, forks = _forked_run(
+                ["phi-scan", "--model", "chua3-pwl", "--grid", "x1=-4:4:130,x2=-1:1:130",
+                 "--out", str(tmp_path / "scan.csv")], tmp_path, cpus=2)
     finally:
-        tracemalloc.stop()
+        os.close(log)
+    assert (outcome, forks) == (0, 1)
 
+    def steps(widths):
+        return [f"{name} {w}" for w in widths
+                for name in ("grid_states", "manifold_sample", "csv_rows")]
 
-def test_phi_scan_memory_does_not_grow_with_the_grid(tmp_path, capsys, monkeypatch):
-    # one process scans, formats and writes one 2,048-column chunk before it
-    # makes the next, so its traced peak is one chunk's sample and a little
-    # more (about 4.6 MB against a 3.9 MB sample) at 90,000 nodes as at
-    # 360,000; a states array or a result table for all of them (5.8 MB at
-    # 90,000 nodes, 23 MB at 360,000) breaks the bound. The two runs take
-    # about 7 s under tracemalloc.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one share
-    model = get_model("chua5-pwl")
-    chunk = grid_states(model.dim, {0: (-4.0, 4.0, 300), 1: (-1.0, 1.0, 300)}, {}, 0, 2048)[0]
-    chunk_peak = _traced_peak(manifold_sample, model, chunk)
-    for nodes in (300, 600):
-        scan_peak = _traced_peak(main, ["phi-scan", "--model", "chua5-pwl",
-                                        "--grid", f"x1=-4:4:{nodes},x2=-1:1:{nodes}",
-                                        "--slice", "x3=0,x4=0,x5=0",
-                                        "--out", str(tmp_path / "scan.csv")])
-        assert capsys.readouterr().out.startswith(f"{nodes * nodes} samples")
-        assert scan_peak < 1_000_000 + 1.25 * chunk_peak, (nodes, scan_peak, chunk_peak)
+    logs = [line.split(" ", 1) for line in (tmp_path / "log").read_text().splitlines()]
+    assert [step for pid, step in logs if pid == str(os.getpid())] == steps([2048] * 4)
+    assert [step for pid, step in logs if pid != str(os.getpid())] == steps([2048] * 4 + [516])
 
 
 # -- phi-scan's forked shares ---------------------------------------------------
 
-def _forked_run(argv, directory, capsys, monkeypatch, cpus):
-    """(outcome, stdout, stderr, forks) of one CLI run with `cpus` usable CPUs; the
-    outcome is the exit code, or the repr of an uncaught RuntimeError."""
+def _forked_run(argv, directory, cpus):
+    """(outcome, stdout, stderr, forks) of one CLI run in `directory` with `cpus` usable
+    CPUs; the outcome is the exit code, or the repr of an uncaught RuntimeError."""
     forks, fork = [], os.fork
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    try:
-        outcome = main(argv)
-    except RuntimeError as err:
-        outcome = repr(err)
-    captured = capsys.readouterr()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(stdout), redirect_stderr(stderr):
+        mp.chdir(directory)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+        try:
+            outcome = main(argv)
+        except RuntimeError as err:
+            outcome = repr(err)
     # no temp or part file in `directory`, and no child process, is left behind
     assert [p.name for p in directory.iterdir() if p.name.startswith(".flowcurv-")] == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return outcome, captured.out, captured.err, len(forks)
+    return outcome, stdout.getvalue(), stderr.getvalue(), len(forks)
 
 
-def _scan_run(args, out, capsys, monkeypatch, cpus):
+def _scan_run(args, out, cpus):
     """(outcome, stdout, stderr, file bytes or None, forks) of one phi-scan (`_forked_run`)."""
     outcome, stdout, stderr, forks = _forked_run(["phi-scan"] + args + ["--out", str(out)],
-                                                 out.parent, capsys, monkeypatch, cpus)
+                                                 out.parent, cpus)
     return outcome, stdout, stderr, out.read_bytes() if out.exists() else None, forks
 
 
+# phi-scans over 16,899 grid nodes and 20,858 trajectory samples: counts
+# that are not a multiple of the 2,048-column chunk, long enough for two shares
+SHARED_SCANS = {
+    "grid": (["--model", "chua5-pwl", "--grid", "x1=-4:4:131,x2=-1:1:129",
+              "--slice", "x3=0.1,x4=0,x5=0"],
+             lambda model: grid_states(5, {0: (-4.0, 4.0, 131), 1: (-1.0, 1.0, 129)},
+                                       {2: 0.1})[0]),
+    "trajectory": (["--model", "chua5-pwl", "--x0", "0.1,0.1,0.1,0.1,0.1", "--t-end", "12"],
+                   lambda model: integrate(model, [0.1] * 5, 12.0).states.T),
+}
+
+
+@pytest.fixture(scope="module")
+def shared_scans(tmp_path_factory):
+    """Per SHARED_SCANS case, made once: its row count, the row writer's bytes
+    for one batched sample, its runs at one and two shares (`_scan_run`), the output."""
+    results = {}
+    model = get_model("chua5-pwl")
+    for key, (args, states) in SHARED_SCANS.items():
+        directory = tmp_path_factory.mktemp(key)
+        out, expected = directory / "cli.csv", directory / "oracle.csv"
+        header, rows = _scan_rows(model, states(model))
+        _row_writer(expected, header, rows, "csv")
+        results[key] = (len(rows), expected.read_bytes(),
+                        {cpus: _scan_run(args, out, cpus) for cpus in (1, 2)}, out)
+    return results
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", SHARED_SCANS)
+def test_phi_scan_shares_match_row_writer(case, cpus, shared_scans):
+    # in one share and in two, the file is the rows of one batched sample and
+    # the run prints the same line, with nothing on stderr
+    rows, expected, runs, out = shared_scans[case]
+    assert rows % 2048 != 0
+    assert runs[cpus] == (0, f"{rows} samples -> {out}\n", "", expected, cpus - 1)
+
+
 FORKED_SCANS = {
-    # 16,900 nodes: nine chunks, two shares
-    "chua5-grid": (["--model", "chua5-pwl", "--grid", "x1=-4:4:130,x2=-1:1:130",
-                    "--slice", "x3=0,x4=0,x5=0"], 2),
     # 22,650 nodes in three shares, each holding non-finite rows (x1 != 0 overflows)
     "gear5-non-finite": (["--model", "gear5", "--grid", "x1=-1e40:1e40:151,x2=-1:1:150"], 3),
-    "trajectory": (["--model", "chua5-pwl", "--x0", "0.1,0.1,0.1,0.1,0.1", "--t-end", "12"], 2),
     "json": (["--model", "chua5-pwl", "--grid", "x1=-4:4:130,x2=-1:1:130", "--format", "json"],
              1),
 }
 
 
 @pytest.mark.parametrize("case", FORKED_SCANS.values(), ids=FORKED_SCANS.keys())
-def test_forked_phi_scan_matches_one_share(case, tmp_path, capsys, monkeypatch):
+def test_forked_phi_scan_matches_one_share(case, tmp_path):
     args, shares = case
     out = tmp_path / "scan.out"
-    one = _scan_run(args, out, capsys, monkeypatch, cpus=1)
-    forked = _scan_run(args, out, capsys, monkeypatch, cpus=3)
+    one = _scan_run(args, out, cpus=1)
+    forked = _scan_run(args, out, cpus=3)
     assert one[0] == 0 and one[4] == 0
     assert forked[4] == shares - 1
     assert forked[:4] == one[:4]
@@ -602,49 +645,49 @@ SCAN_FAILURES = {
 
 @pytest.mark.parametrize("where", ["worker", "parent"])
 @pytest.mark.parametrize("failure", SCAN_FAILURES.values(), ids=SCAN_FAILURES.keys())
-def test_failed_phi_scan_share_fails_like_one_share(failure, where, tmp_path, capsys,
-                                                    monkeypatch):
+def test_failed_phi_scan_share_fails_like_one_share(failure, where, tmp_path, monkeypatch):
     # a failure in any share gives the one-share run's exit code and message,
     # no output and no file or process left behind
     module, name, error, outcome = failure
-    args, _ = FORKED_SCANS["chua5-grid"]
+    args, _ = SHARED_SCANS["grid"]
     out = tmp_path / "scan.csv"
     target = getattr(module, name)
     monkeypatch.setattr(module, name, _failing(target, error, "any"))
-    one = _scan_run(args, out, capsys, monkeypatch, cpus=1)
+    one = _scan_run(args, out, cpus=1)
     monkeypatch.setattr(module, name, _failing(target, error, where))
-    forked = _scan_run(args, out, capsys, monkeypatch, cpus=3)
+    forked = _scan_run(args, out, cpus=3)
     assert (one[0], one[1], one[3]) == (outcome, "", None)
     assert forked[:4] == one[:4] and forked[4] == 1
 
 
-def test_phi_scan_worker_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
+def test_phi_scan_worker_that_dies_is_an_error(tmp_path, monkeypatch):
     pid = os.getpid()
     sample = manifold.manifold_sample
     monkeypatch.setattr(manifold, "manifold_sample",
                         lambda *a: sample(*a) if os.getpid() == pid else os._exit(3))
-    args, _ = FORKED_SCANS["chua5-grid"]
-    outcome, stdout, _, data, forks = _scan_run(args, tmp_path / "scan.csv", capsys,
-                                                monkeypatch, cpus=3)
+    args, _ = SHARED_SCANS["grid"]
+    outcome, stdout, _, data, forks = _scan_run(args, tmp_path / "scan.csv", cpus=3)
     assert forks == 1 and (stdout, data) == ("", None)
     assert "ended without a result" in outcome
 
 
 # -- verify --all's forked shares --------------------------------------------------
 
-def _verify_run(args, tmp_path, capsys, monkeypatch, cpus):
-    """(outcome, stdout, stderr, forks) of one verify run in `tmp_path` (`_forked_run`)."""
-    monkeypatch.chdir(tmp_path)
-    return _forked_run(["verify", *args], tmp_path, capsys, monkeypatch, cpus)
+@pytest.fixture(scope="module")
+def one_share_verify(tmp_path_factory):
+    """`verify --all --seed SEED --format FORMAT` in one share (`_forked_run`),
+    run once per seed and format for the module."""
+    directory = tmp_path_factory.mktemp("verify")
+    return functools.cache(lambda seed, fmt_name: _forked_run(
+        ["verify", "--all", "--seed", seed, "--format", fmt_name], directory, cpus=1))
 
 
 @pytest.mark.parametrize("fmt_name", ["text", "json"])
 @pytest.mark.parametrize("seed", ["0", "1913053642"])
-def test_forked_verify_all_matches_one_share(seed, fmt_name, tmp_path, capsys, monkeypatch):
+def test_forked_verify_all_matches_one_share(seed, fmt_name, tmp_path, one_share_verify):
     # seven models in three shares; at seed 1913053642 a Darboux check fails (exit 2)
-    args = ["--all", "--seed", seed, "--format", fmt_name]
-    one = _verify_run(args, tmp_path, capsys, monkeypatch, cpus=1)
-    forked = _verify_run(args, tmp_path, capsys, monkeypatch, cpus=3)
+    one = one_share_verify(seed, fmt_name)
+    forked = _forked_run(["verify", "--all", "--seed", seed, "--format", fmt_name], tmp_path, 3)
     assert one[0] == (2 if seed == "1913053642" else 0) and one[3] == 0
     assert forked[:3] == one[:3] and forked[3] == 2
 
@@ -668,46 +711,45 @@ VERIFY_FAILURES = {
 @pytest.mark.parametrize("where, name", [("worker", "chua5-pwl"), ("parent", "chua5-cubic")])
 @pytest.mark.parametrize("failure", VERIFY_FAILURES.values(), ids=VERIFY_FAILURES.keys())
 def test_failed_verify_share_fails_like_one_share(failure, where, name, fmt_name, tmp_path,
-                                                  capsys, monkeypatch):
-    # the one-share run prints the models before the failed one (text), then
+                                                  monkeypatch, one_share_verify):
+    # a one-share run prints the models before the failed one (text), then
     # stops with its exit code and message; every share count does the same
     error, outcome = failure
-    args = ["--all", "--format", fmt_name]
-    monkeypatch.setattr(verify, "verify_model", _verify_failing({name: error}, "any"))
-    one = _verify_run(args, tmp_path, capsys, monkeypatch, cpus=1)
+    text = one_share_verify("0", "text")[1]
+    before = text[:text.index(f"== {name}\n")] if fmt_name == "text" else ""
     monkeypatch.setattr(verify, "verify_model", _verify_failing({name: error}, where))
-    forked = _verify_run(args, tmp_path, capsys, monkeypatch, cpus=3)
-    before = models.registry().index(name) if fmt_name == "text" else 0
-    assert one[0] == outcome and one[1].count("== ") == before
-    assert one[2] == ("flowcurv: numerical failure: no usable eigenstructure\n"
-                      if outcome == 2 else "")
-    assert forked[:3] == one[:3] and forked[3] == 2
+    forked = _forked_run(["verify", "--all", "--format", fmt_name], tmp_path, cpus=3)
+    assert forked == (outcome, before, "flowcurv: numerical failure: no usable eigenstructure\n"
+                      if outcome == 2 else "", 2)
 
 
-def test_verify_raises_the_first_failure_in_registry_order(tmp_path, capsys, monkeypatch):
-    # chua4-cubic (a worker's share) fails before magnetoconvection5 (the parent's)
+def test_verify_raises_the_first_failure_in_registry_order(tmp_path, monkeypatch,
+                                                           one_share_verify):
+    # chua4-cubic (a worker's share) fails before magnetoconvection5 (the
+    # parent's); one share prints the models before it
+    text = one_share_verify("0", "text")[1]
     errors = {"chua4-cubic": spectral.SpectralError("first"),
               "magnetoconvection5": RuntimeError("later")}
     monkeypatch.setattr(verify, "verify_model", _verify_failing(errors, "any"))
-    one = _verify_run(["--all"], tmp_path, capsys, monkeypatch, cpus=1)
-    forked = _verify_run(["--all"], tmp_path, capsys, monkeypatch, cpus=3)
-    assert one[0] == 2 and one[2] == "flowcurv: numerical failure: first\n"
+    one = _forked_run(["verify", "--all"], tmp_path, cpus=1)
+    forked = _forked_run(["verify", "--all"], tmp_path, cpus=3)
+    assert one == (2, text[:text.index("== chua4-cubic\n")],
+                   "flowcurv: numerical failure: first\n", 0)
     assert forked[:3] == one[:3] and forked[3] == 2
 
 
-def test_verify_worker_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
+def test_verify_worker_that_dies_is_an_error(tmp_path, monkeypatch):
     pid = os.getpid()
     target = verify.verify_model
     monkeypatch.setattr(verify, "verify_model",
                         lambda *a, **kw: target(*a, **kw) if os.getpid() == pid else os._exit(3))
-    outcome, stdout, _, forks = _verify_run(["--all"], tmp_path, capsys, monkeypatch, cpus=3)
+    outcome, stdout, _, forks = _forked_run(["verify", "--all"], tmp_path, cpus=3)
     assert forks == 2 and stdout == ""
     assert "ended without a result" in outcome
 
 
-def test_verify_one_model_never_forks(tmp_path, capsys, monkeypatch):
-    outcome, stdout, _, forks = _verify_run(["--model", "gear5"], tmp_path, capsys,
-                                            monkeypatch, cpus=3)
+def test_verify_one_model_never_forks(tmp_path):
+    outcome, stdout, _, forks = _forked_run(["verify", "--model", "gear5"], tmp_path, cpus=3)
     assert (outcome, forks) == (0, 0) and stdout.startswith("== gear5\n")
 
 
@@ -799,9 +841,7 @@ def _hyperplane_rows(model):
 
 
 CONFIGS = {
-    "two": {"name": "two-pwl", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
-            "rhs": ["x2 - pwl(x1; a, b)", "x1*x3 - pwl(x2 + x3; b, a)^2",
-                    "-x1 + 0.5*x2*x2 - 2*x3"]},
+    "two": TWO_PWL,
     "planar": {"name": "planar", "dim": 3, "params": {}, "rhs": ["-x2", "x1", "0"]},
     # a constant pwl argument: every state gets the one label "pos"
     "const": {"name": "const-pwl", "dim": 2, "params": {}, "rhs": ["pwl(2; 1, 2) - x1", "-x2"]},
@@ -868,34 +908,6 @@ def test_table_commands_match_row_writer(case, fmt_name, tmp_path, capsys):
                capsys)[0] == 0
     header, rows = build(lambda name: load_model(path(name)))
     _row_writer(expected, header, rows, fmt_name)
-    assert out.read_bytes() == expected.read_bytes()
-
-
-# phi-scans over 16,899 grid nodes and 20,858 trajectory samples: counts
-# that are not a multiple of the 2,048-column chunk, long enough for two shares
-SHARED_SCANS = {
-    "grid": (["phi-scan", "--model", "chua5-pwl", "--grid", "x1=-4:4:131,x2=-1:1:129",
-              "--slice", "x3=0.1,x4=0,x5=0"],
-             lambda model: grid_states(5, {0: (-4.0, 4.0, 131), 1: (-1.0, 1.0, 129)},
-                                       {2: 0.1})[0]),
-    "trajectory": (["phi-scan", "--model", "chua5-pwl", "--x0", "0.1,0.1,0.1,0.1,0.1",
-                    "--t-end", "12"],
-                   lambda model: integrate(model, [0.1] * 5, 12.0).states.T),
-}
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("case", SHARED_SCANS.values(), ids=SHARED_SCANS.keys())
-def test_phi_scan_shares_match_row_writer(case, cpus, tmp_path, capsys, monkeypatch):
-    # in one share and in two, the file is the rows of one batched sample
-    args, states = case
-    out, expected = tmp_path / "cli.csv", tmp_path / "oracle.csv"
-    outcome, stdout, _, forks = _forked_run(args + ["--out", str(out)], tmp_path, capsys,
-                                            monkeypatch, cpus)
-    assert (outcome, forks) == (0, cpus - 1)
-    header, rows = _scan_rows(get_model("chua5-pwl"), states(get_model("chua5-pwl")))
-    assert stdout == f"{len(rows)} samples -> {out}\n" and len(rows) % 2048 != 0
-    _row_writer(expected, header, rows, "csv")
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -1017,6 +1029,16 @@ def test_write_table_rejects_csv_fields_that_would_shift_columns(field, tmp_path
     # JSON quotes its strings, so the same label is written faithfully
     write_table(tmp_path / "t.json", ["x", "region"], values, "json", labels=["pos", field])
     assert json.loads((tmp_path / "t.json").read_text())["rows"] == [[1.0, "pos"], [2.0, field]]
+
+
+def test_write_table_takes_no_parts_for_json(tmp_path):
+    # a JSON table is one document: rows appended after it are not JSON
+    part = tmp_path / "part.csv"
+    part.write_text("3.0,4.0\n")
+    with pytest.raises(ValueError, match="takes no parts"):
+        write_table(tmp_path / "t.json", ["a", "b"], np.array([[1.0, 2.0]]), "json",
+                    parts=[part])
+    assert list(tmp_path.iterdir()) == [part]
 
 
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])

@@ -9,7 +9,8 @@ from flowcurv import derivative_stack, expr, get_model, load_model, manifold, re
 from flowcurv.expr import (Add, Const, ExprError, Mul, Node, Pow, Pwl, PwlSlope, TaylorMemo,
                            Var, compile_step, evaluate, parse_expression, pwl_args, walk)
 
-from test_taylor import TWO_PWL, _assert_same, _states
+from conftest import TWO_PWL, assert_same_bits
+from test_taylor import _states
 
 VARS3 = {"x1": 0, "x2": 1, "x3": 2}
 
@@ -100,11 +101,11 @@ def test_taylor_order0_is_eval_bit_for_bit(name):
     region = model.classify(x)
     memo = TaylorMemo(x[None], region)
     for node in walk(model.rhs_exprs):
-        _assert_same(np.broadcast_to(memo.series(node, 0)[0], x.shape[1:]),
-                     np.broadcast_to(node.eval(x, region), x.shape[1:]))
-    _assert_same(derivative_stack(model, x, 1).derivs[0], model.velocity(x))
+        assert_same_bits(np.broadcast_to(memo.series(node, 0)[0], x.shape[1:]),
+                         np.broadcast_to(node.eval(x, region), x.shape[1:]))
+    assert_same_bits(derivative_stack(model, x, 1).derivs[0], model.velocity(x))
     for point in x.T[:50]:
-        _assert_same(derivative_stack(model, point, 1).derivs[0], model.velocity(point))
+        assert_same_bits(derivative_stack(model, point, 1).derivs[0], model.velocity(point))
 
 
 def _reachable(trees):
@@ -271,10 +272,10 @@ def test_evaluate_is_per_tree_eval_bit_for_bit(model):
         for region in (None, model.classify(x)):
             got = evaluate(trees, x, region)
             assert got.shape == (len(trees), 500) and got.dtype == np.float64, what
-            _assert_same(got, _per_tree(trees, x, region))
+            assert_same_bits(got, _per_tree(trees, x, region))
         for point in x.T[:40]:
-            _assert_same(evaluate(trees, point, model.classify(point)),
-                         _per_tree(trees, point, model.classify(point)))
+            assert_same_bits(evaluate(trees, point, model.classify(point)),
+                             _per_tree(trees, point, model.classify(point)))
 
 
 @pytest.mark.parametrize("model", _evaluator_models(), ids=lambda m: m.name)
@@ -302,7 +303,7 @@ def test_evaluator_callers_equal_per_tree_eval(model, monkeypatch):
     got = outputs()
     monkeypatch.setattr(expr, "evaluate", _per_tree)
     for a, b in zip(got, outputs(), strict=True):
-        _assert_same(np.asarray(a), np.asarray(b))
+        assert_same_bits(a, b)
 
 
 @pytest.mark.parametrize("model", _evaluator_models(), ids=lambda m: m.name)
@@ -315,7 +316,7 @@ def test_cofactor_residual_sums_the_trace_in_component_order(model):
         tr = tr + model.jac_exprs[i][i].eval(x, sample.region)
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.abs(sample.lie - tr * sample.phi) / (1.0 + np.abs(tr * sample.phi))
-    _assert_same(sample.cofactor_residual, want)
+    assert_same_bits(sample.cofactor_residual, want)
 
 
 def test_pwl_slope_is_constant_along_a_stack():

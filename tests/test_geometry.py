@@ -14,6 +14,7 @@ from flowcurv import (DegenerateStackError, curvature1_3d, curvatures,
                       torsion_3d, wedge)
 from flowcurv.geometry import det_scaled
 
+from conftest import assert_same_bits
 from oracles import reference_det_scaled, reference_lu_det
 
 
@@ -231,13 +232,6 @@ def test_frenet_tridiagonal_structure(curve):
 
 # -- shared elimination for bordered determinants ---------------------------------
 
-def _assert_same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.dtype == b.dtype and a.shape == b.shape
-    np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
-
-
 def _check_bordered(bordered):
     """Every completion of `bordered` (..., n, n - 1 + m) against the points-first
     square elimination of `oracles`."""
@@ -250,10 +244,10 @@ def _check_bordered(bordered):
     for j in range(cols - n + 1):
         square = np.concatenate([bordered[..., :n - 1], bordered[..., n - 1 + j:n + j]],
                                 axis=-1)
-        _assert_same_bits(lu[..., j], reference_lu_det(square.astype(np.longdouble))[..., 0])
+        assert_same_bits(lu[..., j], reference_lu_det(square.astype(np.longdouble))[..., 0])
         expected = reference_det_scaled(square)[..., 0]
-        _assert_same_bits(dets[..., j] if cols > n else dets, expected)
-        _assert_same_bits(det_scaled(square), expected)
+        assert_same_bits(dets[..., j] if cols > n else dets, expected)
+        assert_same_bits(det_scaled(square), expected)
 
 
 def test_bordered_elimination_matches_square_lu_on_random_stacks():
@@ -271,7 +265,7 @@ def test_bordered_elimination_matches_square_lu_on_random_stacks():
         _check_bordered(np.zeros((3, 3, 4), dtype=dtype))
     # an integer matrix is taken as float64
     _check_bordered(ints)
-    _assert_same_bits(det_scaled(ints), det_scaled(ints.astype(float)))
+    assert_same_bits(det_scaled(ints), det_scaled(ints.astype(float)))
 
 
 @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 3, 4), (0, 1, 1), (4, 0, 2, 3)])
@@ -391,8 +385,8 @@ def _assert_frames_match_oracle(stacks):
             assert str(alone.value) == str(err)
             continue
         assert sweeps == 2
-        _assert_same_bits(frames[b], u)
-        _assert_same_bits(kappas[b], _adaptive_kappas(u))
+        assert_same_bits(frames[b], u)
+        assert_same_bits(kappas[b], _adaptive_kappas(u))
     return degenerate
 
 
@@ -404,7 +398,7 @@ def test_two_pass_frame_matches_adaptive_oracle_on_curvature_stacks(chua3):
     assert stacks.shape == (2756, 3, 3)
     assert _assert_frames_match_oracle(stacks) == 0
     # a DerivStack batch is the same frame as its (npts, m, n) array
-    _assert_same_bits(curvatures(stack).kappas, curvatures(stacks).kappas)
+    assert_same_bits(curvatures(stack).kappas, curvatures(stacks).kappas)
 
 
 def test_two_pass_frame_matches_adaptive_oracle_on_verify_identity_draws(models_by_name):
@@ -422,7 +416,7 @@ def test_two_pass_frame_matches_adaptive_oracle_on_verify_identity_draws(models_
                    det_multiplicativity_residual(J, stacks),
                    trace_expansion_residual(J, stacks)]
         for got, ref in zip(batched, oracle):
-            _assert_same_bits(got, np.array(ref))
+            assert_same_bits(got, np.array(ref))
         checks = verify._identity_checks(model, np.random.default_rng(0))
         for check, ref in zip(checks, oracle):
             assert check.residual == max(ref), (name, check.name)
@@ -471,8 +465,8 @@ def test_batch_equals_stacks_one_at_a_time():
             with pytest.raises(DegenerateStackError):
                 curvatures(batch[idx])
             continue
-        _assert_same_bits(frames[idx], gram_schmidt(batch[idx]))
-        _assert_same_bits(kappas[idx], curvatures(batch[idx]).kappas)
+        assert_same_bits(frames[idx], gram_schmidt(batch[idx]))
+        assert_same_bits(kappas[idx], curvatures(batch[idx]).kappas)
     for idx in np.ndindex(2, 6):
         assert residuals[idx] == det_norm_product_residual(batch[idx][:4, :4])
 

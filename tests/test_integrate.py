@@ -13,9 +13,7 @@ from flowcurv import (IntegrationError, expr, get_model, integrate, load_model, 
 from flowcurv.integrate import (_bisect_event, _event_functions, last_state_before_crossing,
                                 take_step)
 
-from conftest import reversed_model, with_attrs
-
-ROTATION = {"name": "rotation", "dim": 2, "params": {}, "rhs": ["-x2", "x1"]}
+from conftest import QUARTER, ROTATION, TWO_PWL, chua3_like, reversed_model, with_attrs
 
 
 def test_circle_returns_to_start():
@@ -241,16 +239,9 @@ STEP_CONFIGS = {
                            "rhs": ["-x2", "x1", "2.5"]},
     "constant-pwl-arg": {"name": "cp", "dim": 2, "params": {},
                          "rhs": ["pwl(2; 1, 2) - x1", "-x2 + pwl(0.5; 3, 4)"]},
-    "two-pwl": {"name": "two-pwl", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
-                "rhs": ["x2 - pwl(x1; a, b)", "x1*x3 - pwl(x2 + x3; b, a)^2",
-                        "-x1 + 0.5*x2*x2 - 2*x3"]},
-    "quarter": {"name": "quarter", "dim": 3,
-                "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
-                "rhs": ["alpha*(x2 - x1 - pwl(0.25*x1; a, b))", "x1 - x2 + x3", "-beta*x2"]},
-    "quadratic": {"name": "quadratic", "dim": 3,
-                  "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
-                  "rhs": ["alpha*(x2 - x1 - pwl(0.1*x1^2; a, b))", "x1 - x2 + x3",
-                          "-beta*x2"]},
+    "two-pwl": TWO_PWL,
+    "quarter": QUARTER,
+    "quadratic": chua3_like("quadratic", "alpha*(x2 - x1 - pwl(0.1*x1^2; a, b))"),
 }
 STEP_MODELS = registry() + ["chua3-pwl-reversed"] + list(STEP_CONFIGS)
 

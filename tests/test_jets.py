@@ -8,9 +8,7 @@ import pytest
 from flowcurv import derivative_stack, expr, get_model, integrate, load_model, phi
 from flowcurv.jets import MAX_ORDER
 
-from conftest import reversed_model
-
-ROTATION = {"name": "rotation", "dim": 2, "params": {}, "rhs": ["-x2", "x1"]}
+from conftest import ROTATION, assert_same_bits, reversed_model
 
 
 def test_planar_rotation_stack():
@@ -54,8 +52,7 @@ def test_stack_order0_matches_velocity(models_by_name):
         for got, want in [(derivative_stack(model, x, 1).derivs[0], model.velocity(x))] + [
                 (derivative_stack(model, x[:, k], 1).derivs[0], model.velocity(x[:, k]))
                 for k in range(10)]:
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            assert_same_bits(got, want)
 
 
 def test_constant_rhs_component():

@@ -14,9 +14,8 @@ from flowcurv import expr as ex
 from flowcurv import get_model, load_model, manifold
 from flowcurv.spectral import hypercoplanarity_check
 
-from conftest import in_region_points
+from conftest import TWO_PWL, assert_same_bits, in_region_points
 from oracles import reference_det_scaled
-from test_manifold import TWO_PWL
 
 
 def _reference_pwl_value(node, u, branch, j):
@@ -100,26 +99,17 @@ def _reference_double(model, x, region=None):
     return p, lie, scaled
 
 
-def _same_bits(a, b):
-    assert (type(a) is float) == (type(b) is float)
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.dtype == b.dtype and a.shape == b.shape
-    np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
-
-
 def _check_kernel(model, x, region=None):
     sample = manifold.manifold_sample(model, x, region)
-    for got, expected in zip((sample.phi, sample.lie, sample.cofactor_residual),
-                             _reference_sample(model, x, region)):
-        _same_bits(got, expected)
-    for got, expected in zip((manifold.phi(model, x, region), manifold.lie_phi(model, x, region),
-                              manifold.phi_scaled(model, x, region)),
-                             _reference_double(model, x, region)):
-        _same_bits(got, expected)
+    got = (sample.phi, sample.lie, sample.cofactor_residual, manifold.phi(model, x, region),
+           manifold.lie_phi(model, x, region), manifold.phi_scaled(model, x, region))
+    for value, expected in zip(got, (*_reference_sample(model, x, region),
+                                     *_reference_double(model, x, region))):
+        assert (type(value) is float) == (type(expected) is float)
+        assert_same_bits(value, expected)
     derivs, _ = _reference_derivs(model, np.asarray(x, dtype=float), model.dim, region)
-    _same_bits(np.asarray(hypercoplanarity_check(model, x, region).value_det),
-               _stack_dets(derivs)[..., 0])
+    assert_same_bits(hypercoplanarity_check(model, x, region).value_det,
+                     _stack_dets(derivs)[..., 0])
 
 
 def _states_across_regions(model, count, seed):
@@ -165,7 +155,7 @@ def test_pinned_region_array_matches_classified_one():
     pinned = manifold.manifold_sample(model, x, labels.copy())
     classified = manifold.manifold_sample(model, x)
     for field in ("phi", "lie", "cofactor_residual"):
-        _same_bits(getattr(pinned, field), getattr(classified, field))
+        assert_same_bits(getattr(pinned, field), getattr(classified, field))
     _check_kernel(model, x, labels.copy())
 
 

@@ -14,11 +14,12 @@ from flowcurv import (darboux_residual, factor_check, fixed_points, get_model,
                       integrate, lie_phi, load_model, manifold_sample, phi, phi_scaled,
                       zero_crossings_on_trajectory, zero_set_grid)
 from flowcurv import manifold
+from flowcurv.integrate import Trajectory
 from flowcurv.models import magneto_equilibrium, point_regions
 from flowcurv.manifold import _singular_points
 from flowcurv.verify import lie_fd_residuals
 
-from conftest import in_region_points
+from conftest import TWO_PWL, assert_same_bits, in_region_points
 
 # Pi_2 of the 3-D circuit: the invariant plane through (3/2, 0, -3/2), the
 # fixed point of the x1 >= 1 region, after x3-coefficient normalization.
@@ -286,11 +287,6 @@ def _reference_zero_set(model, axes, slice_values, tol_rel=1e-9):
     return np.array([points[k] for k in order]), np.array([phis[k] for k in order])
 
 
-TWO_PWL = {"name": "two-pwl", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
-           "rhs": ["x2 - pwl(x1; a, b)", "x1*x3 - pwl(x2 + x3; b, a)^2",
-                   "-x1 + 0.5*x2*x2 - 2*x3"]}
-
-
 @pytest.mark.parametrize("name, axes, slice_values", [
     ("chua4-cubic", {0: (-2.0, 2.0, 10), 1: (-2.0, 2.0, 10), 2: (-2.0, 2.0, 10)},
      {3: 0.0}),
@@ -552,6 +548,21 @@ def test_zero_crossings_match_reintegrating_bisection(chua3, monkeypatch):
     values = phi(chua3, traj.states.T)
     pre = np.sign(values[np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)])
     np.testing.assert_array_equal(np.sign(zs.phi_values), pre)
+
+
+def test_zero_crossings_keep_exact_zero_samples(chua3):
+    # phi is odd about the origin in chua3-pwl's middle region, so phi is
+    # exactly 0.0 there; such a sample is a point of its own, in time order
+    x = np.array([0.3, 0.1, -0.2])
+    for states, kinds in (([x, -x], "c"), ([x, 0.0 * x, -x], "z"),
+                          ([x, 0.0 * x, -x, x], "zc"), ([x, -x, 0.0 * x, x], "cz")):
+        zs = zero_crossings_on_trajectory(chua3, Trajectory(
+            times=0.01 * np.arange(len(states)), states=np.array(states)))
+        exact = np.array([kind == "z" for kind in kinds])
+        assert zs.metadata["exact_zero_samples"] == exact.sum()
+        assert zs.metadata["straddle"] == (False,) * len(kinds)
+        assert_same_bits(zs.phi_values == 0.0, exact)
+        assert_same_bits(zs.points[exact], np.tile(0.0 * x, (exact.sum(), 1)))
 
 
 def test_zero_crossings_fixed_point_degenerate(chua3):

@@ -16,7 +16,7 @@ from flowcurv import (FixedPoint, ModelError, fixed_points, get_model, integrate
 from flowcurv.models import (_BUILTIN_BUILDERS, _SNAP_CANDIDATES, _newton_polish, _snap,
                              magneto_equilibrium, point_regions, region_box, solve_columns)
 
-from conftest import reversed_model, with_attrs
+from conftest import POWERS, TWO_PWL, ZERO_SIGNS, reversed_model, with_attrs
 
 REGISTRY_NAMES = ["chua3-pwl", "chua4-cubic", "chua4-pwl", "chua5-cubic",
                   "chua5-pwl", "gear5", "magnetoconvection5"]
@@ -599,16 +599,11 @@ def test_velocity_evaluates_on_scalar_and_jet_paths(models_by_name):
 # tests/test_taylor.py
 EXTRA_CONFIGS = [
     {"name": "vdp", "dim": 2, "params": {"mu": 1.5}, "rhs": ["x2", "mu*(1 - x1^2)*x2 - x1"]},
-    {"name": "two-pwl", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
-     "rhs": ["x2 - pwl(x1; a, b)", "x1*x3 - pwl(x2 + x3; b, a)^2",
-             "-x1 + 0.5*x2*x2 - 2*x3"]},
-    {"name": "powers", "dim": 3, "params": {},
-     "rhs": ["x1^0 + x2^7", "x1^1*x2 - x3 + 2^3*x1", "x2^7 - x1^0*x3 - (x3 - x1)^2"]},
+    TWO_PWL,
+    POWERS,
     {"name": "constants", "dim": 3, "params": {},
      "rhs": ["1", "x1^0", "pwl(2; 1, 2) - x1"]},
-    {"name": "zero-signs", "dim": 10, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
-     "rhs": ["x1 - x1", "-(x1 - x1)", "x2^1", "1 - x1", "x2 - 1", "x2 + 1",
-             "pwl(x1; a, b)", "pwl(x2; a, b)", "2*x2", "x2*x1"]},
+    ZERO_SIGNS,
     # parameters that a literal in source text would not carry; at x1 = 1
     # the pwl term is -0.0 on the middle branch and NaN on the outer ones
     {"name": "special", "dim": 3, "params": {"big": math.inf, "nz": -0.0, "nan": math.nan},

@@ -20,31 +20,8 @@ from flowcurv import (derivative_stack, expr as ex, fixed_points, get_model, loa
                       registry)
 from flowcurv.jets import MAX_ORDER
 
-from conftest import reversed_model
+from conftest import POWERS, TWO_PWL, ZERO_SIGNS, assert_same_bits, reversed_model
 
-TWO_PWL = {
-    "name": "two-pwl", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
-    "rhs": ["x2 - pwl(x1; a, b)",
-            "x1*x3 - pwl(x2 + x3; b, a)^2",
-            "-x1 + 0.5*x2*x2 - 2*x3"],
-}
-POWERS = {
-    "name": "powers", "dim": 3, "params": {},
-    "rhs": ["x1^0 + x2^7",
-            "x1^1*x2 - x3 + 2^3*x1",
-            "x2^7 - x1^0*x3 - (x3 - x1)^2"],
-}
-
-# x1 and x2 never move: their coefficients above order 0 are +0.0 and -0.0.
-# Each other component applies one node rule to them on its own, so the zero
-# sign that rule gives shows up unchanged in that component's derivatives
-# (random states rarely expose it elsewhere: a product's coefficient j > 0
-# sums j + 1 terms, and adding a +0.0 term hides a -0.0).
-ZERO_SIGNS = {
-    "name": "zero-signs", "dim": 10, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
-    "rhs": ["x1 - x1", "-(x1 - x1)", "x2^1", "1 - x1", "x2 - 1", "x2 + 1",
-            "pwl(x1; a, b)", "pwl(x2; a, b)", "2*x2", "x2*x1"],
-}
 
 
 def _oracle_models():
@@ -172,12 +149,6 @@ def _states(model, npts, seed):
     return x
 
 
-def _assert_same(got, want):
-    # values and zero signs; no tobytes(): longdouble padding bytes are undefined
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
 @pytest.mark.parametrize("model", _oracle_models(), ids=lambda m: m.name)
 def test_batched_stack_equals_jet_recurrence(model, dtype):
@@ -185,7 +156,7 @@ def test_batched_stack_equals_jet_recurrence(model, dtype):
     for order in range(1, MAX_ORDER + 1):
         got = derivative_stack(model, x, order).derivs
         assert got.dtype == dtype
-        _assert_same(got, _jet_stack(model, x, order))
+        assert_same_bits(got, _jet_stack(model, x, order))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
@@ -195,8 +166,8 @@ def test_single_point_stack_equals_jet_recurrence(model, dtype):
     for k in range(x.shape[1]):
         point = x[:, k].copy()
         for order in (model.dim + 1, MAX_ORDER):
-            _assert_same(derivative_stack(model, point, order).derivs,
-                         _jet_stack(model, point, order))
+            assert_same_bits(derivative_stack(model, point, order).derivs,
+                             _jet_stack(model, point, order))
 
 
 def _zero_velocity_states(model):
@@ -215,12 +186,12 @@ def test_zero_velocity_stack_equals_jet_recurrence(model, dtype):
     pairs = _zero_velocity_states(model)
     for x, region in pairs:
         x = x.astype(dtype)
-        _assert_same(derivative_stack(model, x, model.dim + 1, region=region).derivs,
-                     _jet_stack(model, x, model.dim + 1, region))
+        assert_same_bits(derivative_stack(model, x, model.dim + 1, region=region).derivs,
+                         _jet_stack(model, x, model.dim + 1, region))
     # the sign patterns of the origin as one batch
     x = np.array([x for x, region in pairs if region is None], dtype=dtype).T
-    _assert_same(derivative_stack(model, x, model.dim + 1).derivs,
-                 _jet_stack(model, x, model.dim + 1))
+    assert_same_bits(derivative_stack(model, x, model.dim + 1).derivs,
+                     _jet_stack(model, x, model.dim + 1))
 
 
 def test_states_mix_zero_signs():

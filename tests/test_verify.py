@@ -16,7 +16,7 @@ from flowcurv.cli import main
 from flowcurv.jets import derivative_stack
 from flowcurv.verify import CheckResult, verify_model
 
-from conftest import reversed_model
+from conftest import QUARTER, chua3_like, reversed_model, strict_json
 
 # ---------------------------------------------------------------------------
 # Test-only copy of the per-point verify loops that the batched checks
@@ -399,14 +399,6 @@ def test_verify_two_pwl_config_returns(tmp_path, capsys):
     assert out.count("[PASS]") == 7 and "[FAIL]" not in out
 
 
-# The first pwl argument is 0.25 x1: region_box clamps x1 to |x1| > 4.2 for
-# the outer branches, and the TLS planes sit at virtual fixed points
-# x1 = +-0.48, where no plane point lies in the plane's own region.
-QUARTER = {"name": "quarter", "dim": 3,
-           "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
-           "rhs": ["alpha*(x2 - x1 - pwl(0.25*x1; a, b))", "x1 - x2 + x3", "-beta*x2"]}
-
-
 def test_affine_pwl_argument_samples_every_branch():
     model = load_model(QUARTER)
     x = verify._in_region_points(model, 500, np.random.default_rng(0))
@@ -426,21 +418,16 @@ def test_plane_checks_without_plane_samples_fail(tmp_path, capsys):
     assert out.count("[FAIL]") == 4
 
 
-def _chua3_like(name, first_rhs, third_rhs="-beta*x2"):
-    return {"name": name, "dim": 3, "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
-            "rhs": [first_rhs, "x1 - x2 + x3", third_rhs]}
-
-
 # The two piecewise-linear identities (d_{k+1} = J d_k and L_V phi = Tr(J) phi)
 # need a Jacobian that is constant in each region: every Jacobian tree constant.
-SQUARE_ARG = _chua3_like("square-arg", "alpha*(x2 - x1 - pwl(0.1*x1^2; a, b))")
-SQUARED_PWL = _chua3_like("squared-pwl", "alpha*(x2 - x1 - pwl(x1; a, b)^2)")
+SQUARE_ARG = chua3_like("square-arg", "alpha*(x2 - x1 - pwl(0.1*x1^2; a, b))")
+SQUARED_PWL = chua3_like("squared-pwl", "alpha*(x2 - x1 - pwl(x1; a, b)^2)")
 POWERS = {"name": "powers", "dim": 3,
           "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
           "rhs": ["alpha*(x2 - x1^1 - pwl(x1; a, b)) - 0.01*x1^7 + 0.1*pwl(x1; a, b)^3",
                   "x1 - x2 + x3 + 0.01*x2^2 - 0.001*x2^5", "-beta*x2 + 0.5*x3^0 - 0.01*x3^3"]}
-ZERO_POWER = _chua3_like("zero-power", "alpha*(x2 - x1 - pwl(x1; a, b))", "-beta*x2 + 0.5*x3^0")
-LINEAR = _chua3_like("linear", "alpha*(x2 - 0.5*x1)")
+ZERO_POWER = chua3_like("zero-power", "alpha*(x2 - x1 - pwl(x1; a, b))", "-beta*x2 + 0.5*x3^0")
+LINEAR = chua3_like("linear", "alpha*(x2 - 0.5*x1)")
 IDENTITIES = ("derivative stack d_{k+1} = J d_k", "Darboux residual L_V phi = Tr(J) phi")
 
 
@@ -551,12 +538,6 @@ def test_worst_propagates_nan_and_inf():
 # verify --format json
 # ---------------------------------------------------------------------------
 
-def _strict_json(text):
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-    return json.loads(text, parse_constant=reject)
-
-
 def test_margin_dec():
     assert CheckResult("a", 1e-12, 1e-8, True).margin_dec == pytest.approx(4.0)
     assert CheckResult("a", 1e3, 10.0, True, larger_is_better=True).margin_dec \
@@ -571,7 +552,7 @@ def test_verify_json_format(capsys):
     code = main(["verify", "--model", "chua3-pwl", "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
-    records = _strict_json(out)
+    records = strict_json(out)
     text_code = main(["verify", "--model", "chua3-pwl"])
     text = capsys.readouterr().out
     assert text_code == 0
@@ -597,6 +578,6 @@ def test_verify_json_nonfinite_is_null(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "3 check(s) failed" in captured.err
-    failed = [rec for rec in _strict_json(captured.out) if not rec["passed"]]
+    failed = [rec for rec in strict_json(captured.out) if not rec["passed"]]
     assert len(failed) == 3
     assert all(rec["residual"] is None and rec["margin_dec"] is None for rec in failed)
