@@ -601,6 +601,14 @@ def test_phi_scan_shares_match_row_writer(case, cpus, shared_scans):
     assert runs[cpus] == (0, f"{rows} samples -> {out}\n", "", expected, cpus - 1)
 
 
+def test_phi_scan_chunks_match_one_batch(shared_scans):
+    # the one-share grid scan spans nine chunks, the last one partial, and its
+    # file is the row writer's over one batched manifold_sample
+    rows, expected, runs, _ = shared_scans["grid"]
+    assert (rows // 2048, rows % 2048) == (8, 515)
+    assert runs[1][3] == expected
+
+
 FORKED_SCANS = {
     # 22,650 nodes in three shares, each holding non-finite rows (x1 != 0 overflows)
     "gear5-non-finite": (["--model", "gear5", "--grid", "x1=-1e40:1e40:151,x2=-1:1:150"], 3),
@@ -609,16 +617,25 @@ FORKED_SCANS = {
 }
 
 
-@pytest.mark.parametrize("case", FORKED_SCANS.values(), ids=FORKED_SCANS.keys())
-def test_forked_phi_scan_matches_one_share(case, tmp_path):
-    args, shares = case
-    out = tmp_path / "scan.out"
-    one = _scan_run(args, out, cpus=1)
-    forked = _scan_run(args, out, cpus=3)
+# the SHARED_SCANS cases of test_forked_phi_scan_matches_one_share, by its ids
+FORKED_SHARED = {"chua5-grid": "grid", "trajectory": "trajectory"}
+
+
+@pytest.mark.parametrize("case", [*FORKED_SHARED, *FORKED_SCANS])
+def test_forked_phi_scan_matches_one_share(case, tmp_path, request):
+    # the SHARED_SCANS cases reuse the module's runs at one and two shares
+    if case in FORKED_SHARED:
+        _, _, runs, _ = request.getfixturevalue("shared_scans")[FORKED_SHARED[case]]
+        one, forked, shares = runs[1], runs[2], 2
+    else:
+        args, shares = FORKED_SCANS[case]
+        out = tmp_path / "scan.out"
+        one = _scan_run(args, out, cpus=1)
+        forked = _scan_run(args, out, cpus=3)
     assert one[0] == 0 and one[4] == 0
     assert forked[4] == shares - 1
     assert forked[:4] == one[:4]
-    if "gear5" in args:
+    if case == "gear5-non-finite":
         assert one[1].endswith(" (22500 non-finite rows)\n")
 
 
