@@ -50,6 +50,17 @@ def _positive(text):
     return value
 
 
+def _seed(text):
+    """argparse type: an integer >= 0 (numpy's generators take no negative seed)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _load(name_or_path):
     try:
         return models.load_model(name_or_path)
@@ -533,7 +544,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the residual verification suites")
     p.add_argument("--model", "-m")
     p.add_argument("--all", action="store_true", help="verify every built-in model")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="text: a PASS/FAIL table; json: one object per check")
     p.set_defaults(func=_cmd_verify)

@@ -401,14 +401,15 @@ def zero_crossings_on_trajectory(model, traj):
     `metadata["straddle"]`, one entry per point; `metadata["dp_steps"]`
     counts the DP steps taken.  A trajectory with |phi| <= 1e-12 max |phi|
     at every sample (for instance a fixed point) returns an empty,
-    degenerate-flagged set.
+    degenerate-flagged set, whose metadata holds the same three keys.
     """
     times, states = np.asarray(traj.times), np.asarray(traj.states)
     values = phi(model, states.T) if len(times) > 1 else np.zeros(len(times))
     scale = np.max(np.abs(values), initial=0.0)
     if scale == 0.0 or np.all(np.abs(values) <= 1e-12 * scale):
         return ZeroSet(points=np.empty((0, model.dim)), phi_values=np.empty(0),
-                       degenerate=True)
+                       degenerate=True,
+                       metadata={"straddle": (), "dp_steps": 0, "exact_zero_samples": 0})
     labels = point_regions(model, states.T)
     sign = np.where(np.isfinite(values), np.sign(values), 0.0)
     points, straddle, dp_steps = [], [], 0

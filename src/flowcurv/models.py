@@ -142,6 +142,8 @@ def point_regions(model, states):
 
 
 def _model_from_config(config, slowfast_defaults=None):
+    if not isinstance(config, dict):
+        raise ModelError(f"a model config is a JSON object, got {type(config).__name__}")
     required = {"name", "dim", "params", "rhs"}
     allowed = required | {"fixed_point_guesses"}
     unknown = set(config) - allowed
@@ -152,33 +154,49 @@ def _model_from_config(config, slowfast_defaults=None):
         raise ModelError(f"missing config keys: {sorted(missing)}")
 
     name = config["name"]
+    if not isinstance(name, str):
+        raise ModelError(f"name must be a string, got {name!r}")
     dim = config["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ModelError(f"dim must be a positive integer, got {dim!r}")
     if dim > MAX_ORDER - 1:  # phi and its Lie derivative need n + 1 time derivatives
         raise ModelError(f"dim {dim} exceeds the cap of {MAX_ORDER - 1}: the derivative "
                          f"stacks stop at order {MAX_ORDER}")
+    var_names = {f"x{i + 1}": i for i in range(dim)}
+    if not isinstance(config["params"], dict):
+        raise ModelError(f"params must map names to numbers, got {config['params']!r}")
     params = dict(config["params"])
     for key, value in params.items():
+        # the parser reads a state variable or a pwl call before a parameter
+        if key in var_names or key == "pwl":
+            raise ModelError(f"parameter {key!r} is taken by a state variable or pwl")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ModelError(f"parameter {key!r} is not numeric")
         params[key] = float(value)
     rhs_strings = config["rhs"]
+    # a string would be split into one expression per character
+    if not isinstance(rhs_strings, (list, tuple)) or \
+            not all(isinstance(text, str) for text in rhs_strings):
+        raise ModelError(f"rhs must be a list of expression strings, got {rhs_strings!r}")
     if len(rhs_strings) != dim:
         raise ModelError(
             f"dimension mismatch: dim = {dim} but {len(rhs_strings)} rhs expressions")
 
-    var_names = {f"x{i + 1}": i for i in range(dim)}
     exprs = []
     pwl_count = 0
     for text in rhs_strings:
         node, pwl_count = ex.parse_expression(text, var_names, params, pwl_offset=pwl_count)
         exprs.append(node)
 
-    guesses = tuple(np.asarray(g, dtype=float) for g in config.get("fixed_point_guesses", ()))
+    guesses = config.get("fixed_point_guesses", ())
+    try:
+        guesses = tuple(np.asarray(g, dtype=float) for g in guesses)
+    except (TypeError, ValueError):
+        raise ModelError(f"fixed_point_guesses must be a list of states, "
+                         f"got {guesses!r}") from None
     for g in guesses:
-        if g.shape != (dim,):
-            raise ModelError(f"fixed-point guess {g} has wrong dimension")
+        if g.shape != (dim,) or not np.all(np.isfinite(g)):
+            raise ModelError(f"fixed_point_guesses: guess {g} is not {dim} finite numbers")
 
     return ModelDef(name=name, params=params, rhs_exprs=tuple(exprs),
                     fixed_point_guesses=guesses, slowfast_defaults=slowfast_defaults)

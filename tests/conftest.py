@@ -19,6 +19,17 @@ TWO_PWL = {"name": "two-pwl", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 
                    "-x1 + 0.5*x2*x2 - 2*x3"]}
 POWERS = {"name": "powers", "dim": 3, "params": {},
           "rhs": ["x1^0 + x2^7", "x1^1*x2 - x3 + 2^3*x1", "x2^7 - x1^0*x3 - (x3 - x1)^2"]}
+# the 3-D circuit with a second pwl term, on x2
+CHUA3_TWO_PWL = {"name": "two-pwl", "dim": 3,
+                 "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
+                 "rhs": ["alpha*(x2 - x1 - pwl(x1; a, b))", "x1 - x2 + x3 - pwl(x2; a, b)",
+                         "-beta*x2"]}
+# powers 0, 1, 2, 3, 5 and 7 and a cubed pwl term in the 3-D circuit
+CHUA3_POWERS = {"name": "powers", "dim": 3,
+                "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
+                "rhs": ["alpha*(x2 - x1^1 - pwl(x1; a, b)) - 0.01*x1^7 + 0.1*pwl(x1; a, b)^3",
+                        "x1 - x2 + x3 + 0.01*x2^2 - 0.001*x2^5",
+                        "-beta*x2 + 0.5*x3^0 - 0.01*x3^3"]}
 # x1 and x2 never move: their coefficients above order 0 are +0.0 and -0.0.
 # Each other component applies one node rule to them on its own, so the zero
 # sign that rule gives shows up unchanged in that component's derivatives

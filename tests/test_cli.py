@@ -26,7 +26,7 @@ from flowcurv.models import _BUILTIN_BUILDERS
 from flowcurv.ioutil import write_table
 from flowcurv.verify import verify_model
 
-from conftest import TWO_PWL, strict_json
+from conftest import CHUA3_POWERS, ROTATION, TWO_PWL, strict_json
 
 
 def run(args, capsys):
@@ -47,11 +47,15 @@ def test_integrate_csv_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["integrate", "--model", "chua3-pwl", "--x0", "0.1,0.1,0.1",
             "--t-end", "5.0"]
-    assert run(args + ["--out", str(out1)], capsys)[0] == 0
+    code, stdout, _ = run(args + ["--out", str(out1)], capsys)
     assert run(args + ["--out", str(out2)], capsys)[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
     assert lines[0] == "t,x1,x2,x3,region"
+    # each region crossing the run reports is one row on |x1| = 1
+    on = sum(abs(abs(float(line.split(",")[1])) - 1.0) <= 1e-9 for line in lines[1:])
+    assert on > 0 and (code, stdout) == (0, f"{len(lines) - 1} samples, {on} region "
+                                             f"crossings -> {out1}\n")
     first = lines[1].split(",")
     assert first[0] == "0.0" and first[-1] == "mid"
     # shortest round-trip decimals
@@ -180,11 +184,12 @@ def test_hyperplane_builtin_and_json_copy_agree(tmp_path, name, capsys):
 def test_curvature_command(tmp_path, capsys):
     out = tmp_path / "kappa.csv"
     code, _, _ = run(["curvature", "--model", "chua3-pwl", "--x0", "0.1,0.1,0.1",
-                      "--t-end", "2.0", "--out", str(out)], capsys)
+                      "--t-end", "5.0", "--out", str(out)], capsys)
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "t,kappa1,kappa2"
     values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert len(values) > 1 and np.all(np.isfinite(values))
     assert np.all(values[:, 1] >= 0)  # kappa_1 is a norm ratio
 
 
@@ -232,7 +237,8 @@ def test_json_tables_write_non_finite_values_as_null(tmp_path, capsys):
     # degenerate stacks at a fixed point give NaN kappas
     kappa = tmp_path / "kappa.json"
     assert run(["curvature", "--model", "chua3-pwl", "--x0", "0,0,0", "--t-end", "1",
-                "--format", "json", "--out", str(kappa)], capsys)[0] == 0
+                "--format", "json", "--out", str(kappa)], capsys) == (
+        0, f"11 samples -> {kappa} (11 non-finite rows)\n", "")
     rows = strict_json(kappa.read_text())["rows"]
     assert len(rows) == 11 and all(row[1:] == [None, None] for row in rows)
     # a stack that overflows gives NaN phi; the finite rows keep their numbers
@@ -240,8 +246,9 @@ def test_json_tables_write_non_finite_values_as_null(tmp_path, capsys):
     args = ["phi-scan", "--model", "gear5", "--grid", "x1=-1e200:1e200:3,x2=-1:1:2"]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run(args + ["--format", "json", "--out", str(scan)], capsys)[0] == 0
-        assert run(args + ["--out", str(csv_scan)], capsys)[0] == 0
+        for fmt_name, path in (("json", scan), ("csv", csv_scan)):
+            assert run(args + ["--format", fmt_name, "--out", str(path)], capsys) == (
+                0, f"6 samples -> {path} (4 non-finite rows)\n", "")
     rows = strict_json(scan.read_text())["rows"]
     csv_rows = [line.split(",") for line in csv_scan.read_text().splitlines()[1:]]
     assert len(rows) == len(csv_rows) == 6
@@ -373,6 +380,42 @@ def test_model_config_file_path(tmp_path, capsys):
                       "--t-end", "1.0", "--out", str(out)], capsys)
     assert code == 0
     assert out.read_text().splitlines()[0] == "t,x1,x2,region"
+
+
+# malformed configs, each with what its config error must name
+BAD_CONFIGS = {
+    "rhs-string": (dict(ROTATION, rhs="12"), "rhs"),
+    "rhs-number": (dict(ROTATION, rhs=[5, "x1"]), "rhs"),
+    "params-list": (dict(ROTATION, params=[1]), "params"),
+    "guesses-number": (dict(ROTATION, fixed_point_guesses=5), "fixed_point_guesses"),
+    "guesses-null": (dict(ROTATION, fixed_point_guesses=[[None, 0]]), "fixed_point_guesses"),
+    "param-x1": (dict(ROTATION, params={"x1": 3.0}), "parameter 'x1'"),
+    "param-pwl": (dict(ROTATION, params={"pwl": 3.0}, rhs=["-x2", "pwl(x1; 1, 2)"]),
+                  "parameter 'pwl'"),
+    "name-list": (dict(ROTATION, name=["c"]), "name"),
+    "list": ([1, 2], "JSON object"),
+    "string": ("chua", "JSON object"),
+}
+
+
+@pytest.mark.parametrize("config, field", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_malformed_config_is_config_error(config, field, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    scan = ["--grid", "x1=-1:1:3,x2=-1:1:3", "--out", str(tmp_path / "scan.csv")]
+    for command, *args in (["phi-scan", *scan], ["verify"]):
+        code, stdout, err = run([command, "--model", str(path), *args], capsys)
+        assert (code, stdout) == (1, "") and "Traceback" not in err
+        assert "config error" in err and field in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_negative_seed_is_config_error(capsys):
+    # numpy's generators take no negative seed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", "chua3-pwl", "--seed", "-1"])
+    assert exc.value.code == 1
+    assert "config error: argument --seed: must be an integer >= 0" in capsys.readouterr().err
 
 
 BAD_NUMBERS = {
@@ -699,14 +742,25 @@ def one_share_verify(tmp_path_factory):
         ["verify", "--all", "--seed", seed, "--format", fmt_name], directory, cpus=1))
 
 
-@pytest.mark.parametrize("fmt_name", ["text", "json"])
-@pytest.mark.parametrize("seed", ["0", "1913053642"])
+# (seed, format); at seed 1913053642 a Darboux check fails (exit 2)
+VERIFY_RUNS = [("0", "json"), ("0", "text"), ("1913053642", "json"), ("1913053642", "text"),
+               ("1", "text")]
+
+
+@pytest.mark.parametrize("seed, fmt_name", VERIFY_RUNS, ids=[f"{s}-{f}" for s, f in VERIFY_RUNS])
 def test_forked_verify_all_matches_one_share(seed, fmt_name, tmp_path, one_share_verify):
-    # seven models in three shares; at seed 1913053642 a Darboux check fails (exit 2)
+    # seven models in three shares; a run where every check passes leaves
+    # stderr empty, and its JSON is strict
     one = one_share_verify(seed, fmt_name)
     forked = _forked_run(["verify", "--all", "--seed", seed, "--format", fmt_name], tmp_path, 3)
-    assert one[0] == (2 if seed == "1913053642" else 0) and one[3] == 0
+    passed = seed != "1913053642"
+    assert one[0] == (0 if passed else 2) and one[3] == 0
     assert forked[:3] == one[:3] and forked[3] == 2
+    if passed:
+        assert one[2] == ""
+    if fmt_name == "json":
+        passes = {rec["passed"] for rec in strict_json(one[1])}
+        assert passes == ({True} if passed else {True, False})
 
 
 def _verify_failing(errors, where):
@@ -859,6 +913,7 @@ def _hyperplane_rows(model):
 
 CONFIGS = {
     "two": TWO_PWL,
+    "powers": CHUA3_POWERS,
     "planar": {"name": "planar", "dim": 3, "params": {}, "rhs": ["-x2", "x1", "0"]},
     # a constant pwl argument: every state gets the one label "pos"
     "const": {"name": "const-pwl", "dim": 2, "params": {}, "rhs": ["pwl(2; 1, 2) - x1", "-x2"]},
@@ -876,6 +931,9 @@ ORACLE_CASES = {
     "integrate-pwl": (
         ["integrate", "--model", "chua3-pwl", "--x0", "0.1,0.1,0.1", "--t-end", "20"],
         lambda load: _integrate_rows(load("chua3-pwl"), [0.1] * 3, 20.0)),
+    "integrate-powers": (
+        ["integrate", "--model", "@powers", "--x0", "0.1,0.1,0.1", "--t-end", "20"],
+        lambda load: _integrate_rows(load("@powers"), [0.1] * 3, 20.0)),
     "integrate-constant-pwl": (
         ["integrate", "--model", "@const", "--x0", "1,1", "--t-end", "2"],
         lambda load: _integrate_rows(load("@const"), [1.0, 1.0], 2.0)),
@@ -883,6 +941,10 @@ ORACLE_CASES = {
         ["phi-scan", "--model", "chua5-pwl", "--grid", "x1=-4:4:70,x2=-1:1:65",
          "--slice", "x3=0,x4=0,x5=0"],
         lambda load: _scan_rows(load("chua5-pwl"), grid_states(5, SCAN_GRID, {})[0])),
+    "phi-scan-powers": (
+        ["phi-scan", "--model", "@powers", "--grid", "x1=-3:3:60,x2=-1:1:40", "--slice", "x3=0"],
+        lambda load: _scan_rows(load("@powers"), grid_states(
+            3, {0: (-3.0, 3.0, 60), 1: (-1.0, 1.0, 40)}, {})[0])),
     "phi-scan-trajectory": (
         ["phi-scan", "--model", "chua4-cubic", "--x0", "0.1,0.1,0.1,0.1", "--t-end", "2"],
         lambda load: _scan_rows(load("chua4-cubic"), integrate(

@@ -13,7 +13,8 @@ from flowcurv import (IntegrationError, expr, get_model, integrate, load_model, 
 from flowcurv.integrate import (_bisect_event, _event_functions, last_state_before_crossing,
                                 take_step)
 
-from conftest import QUARTER, ROTATION, TWO_PWL, chua3_like, reversed_model, with_attrs
+from conftest import (CHUA3_TWO_PWL, QUARTER, ROTATION, TWO_PWL, chua3_like, reversed_model,
+                      with_attrs)
 
 
 def test_circle_returns_to_start():
@@ -45,6 +46,11 @@ def test_convergence_order():
     assert defects[2] <= 1e-8
 
 
+# (config, start, events to t = 50): a second pwl term, on x2, and an affine
+# pwl argument u = 0.25 x1, whose events lie on |u| = 1 off any state component
+SURFACE_RUNS = [(CHUA3_TWO_PWL, [0.1, 0.1, 0.1], 178), (QUARTER, [4.5, 0.5, -0.5], 28)]
+
+
 def test_event_localization(chua3):
     traj = integrate(chua3, [0.1, 0.1, 0.1], 50.0, rel_tol=1e-9, abs_tol=1e-12)
     assert len(traj.events) > 4
@@ -53,6 +59,18 @@ def test_event_localization(chua3):
         x = np.array(states_by_time[t_ev])
         assert abs(abs(x[0]) - 1.0) <= 1e-9
         assert label.startswith("pwl0:")
+    # each event lies on its own term's surface |u| = 1 within the locator's
+    # 1e-12 time cell at the speed of u; the two-pwl orbit grows to |x| ~ 1e10,
+    # beyond any fixed distance
+    for config, start, count in SURFACE_RUNS:
+        model = load_model(config)
+        traj = integrate(model, start, 50.0)
+        assert len(traj.events) == count
+        states_by_time = dict(zip(traj.times, traj.states))
+        for t_ev, label in traj.events:
+            x, arg = states_by_time[t_ev], model.pwl_args[int(label[3:label.index(":")])]
+            speed = sum(arg.diff(j).eval(x) * v for j, v in enumerate(model.velocity(x)))
+            assert abs(abs(arg.eval(x)) - 1.0) <= 1e-12 * abs(speed)
 
 
 def test_regions_constant_between_events(chua3):

@@ -571,6 +571,8 @@ def test_zero_crossings_fixed_point_degenerate(chua3):
     zs = zero_crossings_on_trajectory(chua3, traj)
     assert zs.degenerate
     assert len(zs) == 0
+    # the keys of a set with points, describing no point
+    assert zs.metadata == {"straddle": (), "dp_steps": 0, "exact_zero_samples": 0}
 
 
 def test_zero_crossings_empty_on_sign_definite_arc(chua3):

@@ -16,7 +16,8 @@ from flowcurv.cli import main
 from flowcurv.jets import derivative_stack
 from flowcurv.verify import CheckResult, verify_model
 
-from conftest import QUARTER, chua3_like, reversed_model, strict_json
+from conftest import (CHUA3_POWERS, CHUA3_TWO_PWL, QUARTER, chua3_like, reversed_model,
+                      strict_json)
 
 # ---------------------------------------------------------------------------
 # Test-only copy of the per-point verify loops that the batched checks
@@ -285,13 +286,9 @@ def test_batched_wedge_and_vecdot_equal_single_calls():
 # ---------------------------------------------------------------------------
 
 # pwl(x1 - x2) is not a coordinate, so region_box cannot clamp it and draws
-# are rejected; TWO_PWL has two pwl terms, so its labels are tuples.
+# are rejected; CHUA3_TWO_PWL has two pwl terms, so its labels are tuples.
 SKEW = {"name": "skew", "dim": 3, "params": {"a": -8.0 / 7.0, "b": -5.0 / 7.0},
         "rhs": ["9*(x2 - x1 - pwl(x1 - x2; a, b))", "x1 - x2 + x3", "-14*x2"]}
-TWO_PWL = {"name": "two-pwl", "dim": 3,
-           "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
-           "rhs": ["alpha*(x2 - x1 - pwl(x1; a, b))", "x1 - x2 + x3 - pwl(x2; a, b)",
-                   "-beta*x2"]}
 
 
 def _one_at_a_time(model, rng, count, boxes, regions=(None,), max_draws=math.inf,
@@ -330,7 +327,7 @@ def _plane_projections(normal, offset):
 
 def _sampler_cases():
     chua3, cubic = get_model("chua3-pwl"), get_model("chua4-cubic")
-    skew, two = load_model(SKEW), load_model(TWO_PWL)
+    skew, two = load_model(SKEW), load_model(CHUA3_TWO_PWL)
     labels = ("pos", "neg", "mid")
     # solved for x1, so a projected draw can leave the pos box
     single, rows = _plane_projections(np.array([0.8, 0.36, 0.48]), -1.6)
@@ -382,7 +379,7 @@ def test_region_samples_cases_cover_rejection_and_cap():
 def test_verify_two_pwl_config_returns(tmp_path, capsys):
     """A config with two pwl terms is sampled by its first term's branch."""
     path = tmp_path / "two.json"
-    path.write_text(json.dumps(TWO_PWL))
+    path.write_text(json.dumps(CHUA3_TWO_PWL))
 
     def stalled(signum, frame):  # pytest.fail's exception passes main's handlers
         pytest.fail("verify --model on a two-pwl config did not return in 60 s")
@@ -422,10 +419,6 @@ def test_plane_checks_without_plane_samples_fail(tmp_path, capsys):
 # need a Jacobian that is constant in each region: every Jacobian tree constant.
 SQUARE_ARG = chua3_like("square-arg", "alpha*(x2 - x1 - pwl(0.1*x1^2; a, b))")
 SQUARED_PWL = chua3_like("squared-pwl", "alpha*(x2 - x1 - pwl(x1; a, b)^2)")
-POWERS = {"name": "powers", "dim": 3,
-          "params": {"alpha": 9.0, "beta": 14.0, "a": -1.1, "b": -0.7},
-          "rhs": ["alpha*(x2 - x1^1 - pwl(x1; a, b)) - 0.01*x1^7 + 0.1*pwl(x1; a, b)^3",
-                  "x1 - x2 + x3 + 0.01*x2^2 - 0.001*x2^5", "-beta*x2 + 0.5*x3^0 - 0.01*x3^3"]}
 ZERO_POWER = chua3_like("zero-power", "alpha*(x2 - x1 - pwl(x1; a, b))", "-beta*x2 + 0.5*x3^0")
 LINEAR = chua3_like("linear", "alpha*(x2 - 0.5*x1)")
 IDENTITIES = ("derivative stack d_{k+1} = J d_k", "Darboux residual L_V phi = Tr(J) phi")
@@ -433,9 +426,9 @@ IDENTITIES = ("derivative stack d_{k+1} = J d_k", "Darboux residual L_V phi = Tr
 
 @pytest.mark.parametrize("model, affine", [
     *[(get_model(name), name.endswith("-pwl")) for name in models.registry()],
-    (load_model(QUARTER), True), (load_model(ZERO_POWER), True), (load_model(TWO_PWL), True),
-    (load_model(LINEAR), True), (load_model(SQUARE_ARG), False),
-    (load_model(SQUARED_PWL), False), (load_model(POWERS), False)],
+    (load_model(QUARTER), True), (load_model(ZERO_POWER), True),
+    (load_model(CHUA3_TWO_PWL), True), (load_model(LINEAR), True), (load_model(SQUARE_ARG), False),
+    (load_model(SQUARED_PWL), False), (load_model(CHUA3_POWERS), False)],
     ids=lambda v: getattr(v, "name", ""))
 def test_affine_in_regions(model, affine):
     assert verify._affine_in_regions(model) is affine
@@ -449,7 +442,8 @@ def test_affine_in_regions(model, affine):
                                        atol=1e-12 * np.abs(st.derivs[k + 1]).max())
 
 
-@pytest.mark.parametrize("config, runs", [(SQUARE_ARG, False), (POWERS, False), (LINEAR, True)],
+@pytest.mark.parametrize("config, runs",
+                         [(SQUARE_ARG, False), (CHUA3_POWERS, False), (LINEAR, True)],
                          ids=["square-arg", "powers", "linear"])
 def test_pwl_identities_run_where_the_jacobian_is_constant_in_each_region(
         config, runs, tmp_path, capsys):
