@@ -210,16 +210,18 @@ def _scan_share(model, states, lo, hi, write):
     rows, the states then phi, lie and the cofactor residual, as one
     `ioutil.RowBlocks` of one block per chunk.  `states(start, stop)` gives
     the states of a column range.  A chunk is scanned when the writer asks
-    for it, so the share holds one chunk at a time.  Returns the share's
-    count of non-finite rows."""
+    for it, so the share holds one chunk at a time, and every chunk's stack
+    fills a view of one coefficient array, allocated once per share.
+    Returns the share's count of non-finite rows."""
     n = model.dim
     nonfinite = 0
+    coeffs = np.empty((n + 2, n, min(_SCAN_CHUNK, hi - lo)), dtype=np.longdouble)
 
     def chunks():
         nonlocal nonfinite
         for start in range(lo, hi, _SCAN_CHUNK):
             x = states(start, min(start + _SCAN_CHUNK, hi))
-            sample = manifold.manifold_sample(model, x)
+            sample = manifold.manifold_sample(model, x, out=coeffs[..., :x.shape[1]])
             block = np.empty((n + 3, x.shape[1]))
             block[:n] = x
             block[n:] = sample.phi, sample.lie, sample.cofactor_residual
@@ -556,7 +558,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as err:  # an OSError here: the output cannot be written
+    # an OSError here: the output cannot be written; a ModelError: the model
+    # loaded, but a later step needs what its config cannot give (a fixed point)
+    except (ConfigError, models.ModelError, OSError) as err:
         print(f"flowcurv: config error: {err}", file=sys.stderr)
         return 1
     except (IntegrationError, spectral.SpectralError, np.linalg.LinAlgError,

@@ -42,10 +42,9 @@ def det_scaled(matrix):
     completion.  phi and L_V phi are the two completions of d_1..d_{n-1}.
 
     The batch axes move last once, and each column is divided by its scale
-    straight into the extended-precision work array, in `_lu_det`'s
-    points-last layout.  `DerivStack.matrix` is a transposed view of a
-    stack's (order, n, npts) derivatives, which is that layout already, so
-    the only copy a stack's columns take is that division.
+    straight into a new extended-precision work array, in `_lu_det`'s
+    points-last layout, so the input is never written.  The float64 norms
+    that set the scales take a float64 copy of the columns.
     """
     m = np.asarray(matrix)
     if not np.issubdtype(m.dtype, np.floating):
@@ -54,14 +53,25 @@ def det_scaled(matrix):
     if cols < n:
         raise ValueError(f"a {n}-row determinant needs at least {n} columns, got {cols}")
     columns = np.moveaxis(m, (-1, -2), (0, 1))  # (cols, n, ...)
+    return _det_columns(columns, np.empty(columns.shape, dtype=np.longdouble))
+
+
+def _det_columns(columns, work):
+    """`det_scaled` of the columns (cols, n, ...), column j of every matrix
+    in columns[j], divided by their scales into the longdouble `work` of the
+    same shape, on which the elimination then runs.  `work` may be `columns`
+    itself, when they are longdouble: the division is elementwise, so it
+    runs in place, and the columns are overwritten.  A `DerivStack`'s
+    ``derivs`` is this layout already (`manifold_sample`)."""
+    cols, n = columns.shape[:2]
     # an overflowing column gives a non-finite determinant without warnings
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(columns.astype(float), axis=1, keepdims=True)
         safe = np.where(norms > 0.0, norms, 1.0)
         scale = np.exp2(np.rint(np.log2(safe)))
-        work = np.empty(columns.shape, dtype=np.longdouble)
-        np.divide(columns, scale.astype(m.dtype), out=work)  # rounds in m's dtype, then widens
-        dets = _lu_det(work.reshape((cols, n, -1))).reshape((cols - n + 1,) + m.shape[:-2])
+        # rounds in the columns' dtype, then widens
+        np.divide(columns, scale.astype(columns.dtype), out=work)
+        dets = _lu_det(work.reshape((cols, n, -1))).reshape((cols - n + 1,) + columns.shape[2:])
         scale = scale[:, 0]
         out = np.moveaxis((dets * (np.prod(scale[:n - 1], axis=0) * scale[n - 1:])).astype(float),
                           0, -1)

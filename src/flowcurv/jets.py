@@ -34,7 +34,8 @@ class DerivStack:
     ``derivs[k - 1]`` is the k-th derivative; shape ``(order, n)`` for a
     single point or ``(order, n, npts)`` for a batch.  ``derivative_stack``
     returns it as a view of its coefficient array, rows 1..order scaled by
-    k! in place, so the stack allocates one array.
+    k! in place, so the stack takes no array beyond that one, which the
+    caller may own and reuse (its ``out``).
     """
 
     derivs: np.ndarray
@@ -63,7 +64,7 @@ class DerivStack:
         return np.where(np.isfinite(value) & np.isfinite(scale), scaled, np.nan)[()]
 
 
-def derivative_stack(model, x, order, region=None):
+def derivative_stack(model, x, order, region=None, out=None):
     """Compute d_1..d_order, the exact time derivatives of the flow at `x`.
 
     Uses the Taylor-coefficient recurrence: with X(t) = sum c_k t^k the ODE
@@ -73,6 +74,12 @@ def derivative_stack(model, x, order, region=None):
 
     For piecewise-linear models the region is classified once at `x` (or
     pinned by the caller) and frozen for the whole stack.
+
+    The coefficients c_0..c_order fill `out` when it is given, an array of
+    shape ``(order + 1,) + x.shape`` and x's dtype (a view of a larger
+    buffer will do), or a new array otherwise; every entry is written before
+    it is read.  The stack's ``derivs`` is ``out[1:]``.  An `out` of another
+    shape or dtype raises ``ValueError``: it is never cast.
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError("order must be a positive integer")
@@ -90,7 +97,14 @@ def derivative_stack(model, x, order, region=None):
 
     # coeffs[k] holds c_k for every component (and batch point); the dtype
     # follows the input, so extended-precision states propagate
-    coeffs = np.zeros((order + 1,) + x.shape, dtype=x.dtype)
+    shape = (order + 1,) + x.shape
+    if out is None:
+        coeffs = np.empty(shape, dtype=x.dtype)
+    elif out.shape != shape or out.dtype != x.dtype:
+        raise ValueError(f"out must have shape {shape} and dtype {x.dtype}, "
+                         f"got {out.shape} and {out.dtype}")
+    else:
+        coeffs = out
     coeffs[0] = x
     memo = TaylorMemo(coeffs, region)
     # an overflowing state gives non-finite derivatives, without warnings

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .geometry import det_scaled, vecdot, vecnorm
+from .geometry import _det_columns, det_scaled, vecdot, vecnorm
 from .integrate import last_state_before_crossing
 from .jets import derivative_stack
 from .models import (magneto_equilibrium, newton, point_regions, region_labels,
@@ -85,7 +85,7 @@ class ManifoldSample:
     region: object = None
 
 
-def manifold_sample(model, x, region=None):
+def manifold_sample(model, x, region=None, out=None):
     """phi, L_V phi and |L_V phi - Tr(J) phi| / (1 + |Tr(J) phi|) at `x`.
 
     Accepts a single state of shape (n,) or a batch of shape (n, npts).
@@ -94,11 +94,18 @@ def manifold_sample(model, x, region=None):
     below double rounding when the derivative columns are stiff and nearly
     parallel.  Tr(J) sums the diagonal Jacobian expressions in the stack's
     region, which is pinned by `region` or classified per point.
+
+    The stack's coefficients fill `out` when it is given, a longdouble
+    array of shape (n + 2,) + x.shape (`derivative_stack`), so a caller that
+    samples many batches can reuse one array.  The elimination overwrites
+    the stack in place, with or without `out`, so its contents afterwards
+    are scratch.
     """
     x = np.asarray(x, dtype=float)
     n = model.dim
-    stack = derivative_stack(model, x.astype(np.longdouble), n + 1, region=region)
-    dets = det_scaled(stack.matrix(count=n + 1))
+    stack = derivative_stack(model, x.astype(np.longdouble), n + 1, region=region, out=out)
+    # derivs is (n + 1, n[, npts]), det_scaled's columns already, and is not read again
+    dets = _det_columns(stack.derivs, stack.derivs)
     p, lie = dets[..., 0], dets[..., 1]
     # an overflowing state or determinant gives a non-finite row without warnings
     with np.errstate(over="ignore", invalid="ignore"):

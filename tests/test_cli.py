@@ -495,6 +495,16 @@ def test_config_beyond_the_derivative_cap_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_model_error_after_loading_is_config_error(tmp_path, capsys):
+    # the config loads, but its one fixed-point guess has a singular Jacobian
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"name": "c", "dim": 2, "params": {}, "rhs": ["x1^2 - 1", "x2"],
+                                "fixed_point_guesses": [[0, 0]]}))
+    for command in ("verify", "hyperplane"):
+        assert run([command, "--model", str(path)], capsys) == (
+            1, "", "flowcurv: config error: singular Jacobian in fixed-point Newton iteration\n")
+
+
 def test_constant_rhs_component_commands(tmp_path, capsys):
     # a constant rhs component used to break every derivative stack
     path = tmp_path / "drift.json"
@@ -548,8 +558,8 @@ def test_phi_scan_memory_does_not_grow_with_the_grid(tmp_path):
     log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def logged(target, name, width):
-        def wrapper(*args):
-            result = target(*args)
+        def wrapper(*args, **kwargs):
+            result = target(*args, **kwargs)
             os.write(log, f"{os.getpid()} {name} {width(args, result)}\n".encode())
             return result
         return wrapper
@@ -575,6 +585,37 @@ def test_phi_scan_memory_does_not_grow_with_the_grid(tmp_path):
     logs = [line.split(" ", 1) for line in (tmp_path / "log").read_text().splitlines()]
     assert [step for pid, step in logs if pid == str(os.getpid())] == steps([2048] * 4)
     assert [step for pid, step in logs if pid != str(os.getpid())] == steps([2048] * 4 + [516])
+
+
+def test_phi_scan_share_reuses_one_stack_buffer(tmp_path):
+    # each share allocates its coefficient array once: every chunk's stack,
+    # the last and partial one included, fills the memory of the share's
+    # first, in this process and in a forked worker.  Each process logs
+    # every stack's width and whether it shares that memory.
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    stack, first = manifold.derivative_stack, {}
+
+    def recorded(*args, **kwargs):
+        result = stack(*args, **kwargs)
+        derivs = result.derivs
+        shared = np.shares_memory(derivs, first.setdefault(os.getpid(), derivs))
+        os.write(log, f"{os.getpid()} {derivs.shape[-1]} {shared}\n".encode())
+        return result
+
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(manifold, "derivative_stack", recorded)
+            # 16,900 nodes: four chunks in this process's share, five in a worker's
+            outcome, _, _, forks = _forked_run(
+                ["phi-scan", "--model", "chua3-pwl", "--grid", "x1=-4:4:130,x2=-1:1:130",
+                 "--out", str(tmp_path / "scan.csv")], tmp_path, cpus=2)
+    finally:
+        os.close(log)
+    assert (outcome, forks) == (0, 1)
+    logs = [line.split(" ", 1) for line in (tmp_path / "log").read_text().splitlines()]
+    assert [step for pid, step in logs if pid == str(os.getpid())] == ["2048 True"] * 4
+    assert [step for pid, step in logs if pid != str(os.getpid())] == (["2048 True"] * 4
+                                                                       + ["516 True"])
 
 
 # -- phi-scan's forked shares ---------------------------------------------------
@@ -724,7 +765,7 @@ def test_phi_scan_worker_that_dies_is_an_error(tmp_path, monkeypatch):
     pid = os.getpid()
     sample = manifold.manifold_sample
     monkeypatch.setattr(manifold, "manifold_sample",
-                        lambda *a: sample(*a) if os.getpid() == pid else os._exit(3))
+                        lambda *a, **k: sample(*a, **k) if os.getpid() == pid else os._exit(3))
     args, _ = SHARED_SCANS["grid"]
     outcome, stdout, _, data, forks = _scan_run(args, tmp_path / "scan.csv", cpus=3)
     assert forks == 1 and (stdout, data) == ("", None)

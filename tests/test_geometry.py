@@ -297,6 +297,19 @@ def test_bordered_elimination_matches_square_lu_on_stiff_stacks(chua5):
             _check_bordered(stack.matrix(count=6)[0])
 
 
+def test_det_scaled_leaves_its_input_untouched(chua5):
+    # only manifold_sample lets the elimination overwrite a stack; det_scaled
+    # divides a float64 or a longdouble stack into a work array of its own
+    from flowcurv import derivative_stack
+    x = np.random.default_rng(6).uniform(-3.0, 3.0, (5, 50))
+    for state in (x, x[:, 0]):
+        for dtype in (float, np.longdouble):
+            derivs = derivative_stack(chua5, state.astype(dtype), 6).derivs
+            before = derivs.copy()
+            det_scaled(np.moveaxis(derivs, (0, 1), (-1, -2)))
+            assert_same_bits(derivs, before)
+
+
 def test_det_scaled_rejects_short_matrices():
     with pytest.raises(ValueError):
         det_scaled(np.ones((3, 2)))

@@ -79,6 +79,29 @@ def test_order_cap_and_bad_input(chua3):
         derivative_stack(chua3, [1.0, 0.0, 0.0], 0)
 
 
+def test_stack_fills_the_given_array(chua5):
+    # every coefficient is written before it is read, so a buffer of NaN, or
+    # a partial-width view of a wider one, gives the stack's bits in place
+    x = np.random.default_rng(3).uniform(-3.0, 3.0, (5, 40)).astype(np.longdouble)
+    buffer = np.full((7, 5, 64), np.nan, dtype=np.longdouble)
+    for state, out in ((x, buffer[..., :40]), (x[:, 0], buffer[:, :, 50])):
+        stack = derivative_stack(chua5, state, 6, out=out)
+        assert np.shares_memory(stack.derivs, out[1:])
+        assert_same_bits(stack.derivs, derivative_stack(chua5, state, 6).derivs)
+        assert_same_bits(out[0], state)
+    assert np.isnan(buffer[..., 40:50]).all() and np.isnan(buffer[..., 51:]).all()
+
+
+@pytest.mark.parametrize("shape, dtype", [((7, 5, 39), np.longdouble), ((6, 5, 40), np.longdouble),
+                                          ((7, 5, 40), np.float64), ((7, 40, 5), np.longdouble)])
+def test_stack_rejects_an_out_of_another_shape_or_dtype(chua5, shape, dtype):
+    x = np.zeros((5, 40), dtype=np.longdouble)
+    out = np.zeros(shape, dtype=dtype)
+    with pytest.raises(ValueError, match="out must have shape"):
+        derivative_stack(chua5, x, 6, out=out)
+    assert not out.any()
+
+
 def test_linear_region_identity_chua3(chua3):
     # inside one PWL region the stack obeys d_{k+1} = J d_k
     rng = np.random.default_rng(7)

@@ -12,11 +12,11 @@ from flowcurv import expr as ex
 
 from flowcurv import (darboux_residual, factor_check, fixed_points, get_model,
                       integrate, lie_phi, load_model, manifold_sample, phi, phi_scaled,
-                      zero_crossings_on_trajectory, zero_set_grid)
+                      registry, zero_crossings_on_trajectory, zero_set_grid)
 from flowcurv import manifold
 from flowcurv.integrate import Trajectory
 from flowcurv.models import magneto_equilibrium, point_regions
-from flowcurv.manifold import _singular_points
+from flowcurv.manifold import _singular_points, grid_states
 from flowcurv.verify import lie_fd_residuals
 
 from conftest import TWO_PWL, assert_same_bits, in_region_points
@@ -130,6 +130,38 @@ def test_manifold_sample_batch_equals_single_points(chua5):
             batch.phi[k], batch.lie[k], batch.cofactor_residual[k], batch.region[k])
         assert s.phi == phi(chua5, x[:, k].astype(np.longdouble))
     np.testing.assert_array_equal(darboux_residual(chua5, x), batch.cofactor_residual)
+
+
+def _assert_same_sample(a, b):
+    for name in ("phi", "lie", "cofactor_residual"):
+        assert_same_bits(getattr(a, name), getattr(b, name))
+    assert type(a.region) is type(b.region)
+    np.testing.assert_array_equal(a.region, b.region)
+
+
+@pytest.mark.parametrize("name", registry())
+def test_manifold_sample_into_a_buffer_is_bit_identical(name):
+    # the stack fills a view of the caller's NaN-filled array, a single
+    # state's or a partial width, and the elimination runs in it; the rest
+    # of the array is not written
+    model = get_model(name)
+    n = model.dim
+    x = np.random.default_rng(9).uniform(-3.0, 3.0, (n, 300))
+    buffer = np.empty((n + 2, n, 512), dtype=np.longdouble)
+    for state, cols in ((x, np.s_[:300]), (x[:, 17], 400), (x[:, :200], np.s_[300:500])):
+        buffer.fill(np.nan)
+        sample = manifold_sample(model, state, out=buffer[..., cols])
+        _assert_same_sample(sample, manifold_sample(model, state))
+        assert np.isnan(np.delete(buffer, np.arange(512)[cols], axis=-1)).all()
+
+
+def test_manifold_sample_into_a_buffer_keeps_non_finite_rows(gear):
+    # gear5's stack overflows away from x1 = 0: those rows stay non-finite
+    x = grid_states(5, {0: (-1e40, 1e40, 31), 1: (-1.0, 1.0, 30)}, {})[0]
+    out = np.empty((7, 5, 2048), dtype=np.longdouble)[..., :x.shape[1]]
+    sample = manifold_sample(gear, x, out=out)
+    _assert_same_sample(sample, manifold_sample(gear, x))
+    assert 0 < np.isfinite(sample.phi).sum() < x.shape[1]
 
 
 def test_batched_darboux_residual_honours_pinned_region(chua3):
