@@ -26,7 +26,7 @@ from flowcurv.models import _BUILTIN_BUILDERS
 from flowcurv.ioutil import write_table
 from flowcurv.verify import verify_model
 
-from conftest import CHUA3_POWERS, ROTATION, TWO_PWL, strict_json
+from conftest import CHUA3_POWERS, CHUA3_TWO_PWL, ROTATION, TWO_PWL, strict_json
 
 
 def run(args, capsys):
@@ -954,6 +954,7 @@ def _hyperplane_rows(model):
 
 CONFIGS = {
     "two": TWO_PWL,
+    "circuit-two": CHUA3_TWO_PWL,
     "powers": CHUA3_POWERS,
     "planar": {"name": "planar", "dim": 3, "params": {}, "rhs": ["-x2", "x1", "0"]},
     # a constant pwl argument: every state gets the one label "pos"
@@ -966,6 +967,10 @@ ORACLE_CASES = {
     "integrate-two-pwl": (
         ["integrate", "--model", "@two", "--x0", "1.5,0.5,0.3", "--t-end", "1.4"],
         lambda load: _integrate_rows(load("@two"), [1.5, 0.5, 0.3], 1.4)),
+    # 2,445 rows, over two write blocks, labelled "pos/mid" and the like
+    "integrate-two-pwl-blocks": (
+        ["integrate", "--model", "@circuit-two", "--x0", "0.1,0.1,0.1", "--t-end", "30"],
+        lambda load: _integrate_rows(load("@circuit-two"), [0.1] * 3, 30.0)),
     "integrate-smooth": (
         ["integrate", "--model", "chua4-cubic", "--x0", "0.1,0.1,0.1,0.1", "--t-end", "3"],
         lambda load: _integrate_rows(load("chua4-cubic"), [0.1] * 4, 3.0)),
@@ -986,6 +991,12 @@ ORACLE_CASES = {
         ["phi-scan", "--model", "@powers", "--grid", "x1=-3:3:60,x2=-1:1:40", "--slice", "x3=0"],
         lambda load: _scan_rows(load("@powers"), grid_states(
             3, {0: (-3.0, 3.0, 60), 1: (-1.0, 1.0, 40)}, {})[0])),
+    # coordinates where the formatter's notation or digit count changes
+    "phi-scan-boundaries": (
+        ["phi-scan", "--model", "chua3-pwl", "--grid",
+         "x1=-1e-05:1e-05:5,x2=9999999999999998:1e16:3", "--slice", "x3=0.0001"],
+        lambda load: _scan_rows(load("chua3-pwl"), grid_states(
+            3, {0: (-1e-05, 1e-05, 5), 1: (9999999999999998.0, 1e16, 3)}, {2: 0.0001})[0])),
     "phi-scan-trajectory": (
         ["phi-scan", "--model", "chua4-cubic", "--x0", "0.1,0.1,0.1,0.1", "--t-end", "2"],
         lambda load: _scan_rows(load("chua4-cubic"), integrate(
@@ -1034,21 +1045,26 @@ def test_table_commands_match_row_writer(case, fmt_name, tmp_path, capsys):
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
 def test_write_table_matches_row_writer(fmt_name, tmp_path):
     special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, np.inf, -np.inf,
-               np.nan, 0.1, 1 / 3, 2.5e-17, 123456789012345.67]
+               np.nan, 0.1, 1 / 3, 2.5e-17, 123456789012345.67,
+               # where the formatter's notation, digit count or rounding interval changes
+               1e-05, 9.999999999999999e-05, 0.0001, 1e16, 9999999999999998.0,
+               1.2345678901234567e16, 2.0**53, 2.0**-1022, 1e22, 1e23, 5e-324 * 3]
     rng = np.random.default_rng(5)
     values = rng.standard_normal((9000, 3)) * 10.0 ** rng.integers(-300, 300, (9000, 3))
     values.flat[rng.integers(0, values.size, 600)] = rng.choice(special, 600)
     values[:len(special), 0] = special
+    # labelled rows over several 2,048-row blocks, led by short-decimal times
+    values = np.column_stack([np.arange(len(values)) / 100, values])
     labels = [("neg", "mid", "pos", "mid/pos", "")[k % 5] for k in range(len(values))]
-    header = ["a", "b", "c", "region"]
+    header = ["t", "a", "b", "c", "region"]
     for table, row_labels in ((values, labels), (values[:1], labels[:1]), (values[:0], [])):
         out, expected = tmp_path / f"new.{fmt_name}", tmp_path / f"old.{fmt_name}"
         write_table(out, header, table, fmt_name, labels=row_labels)
         _row_writer(expected, header, [list(row) + [lab] for row, lab in
                                        zip(table, row_labels)], fmt_name)
         assert out.read_bytes() == expected.read_bytes()
-    write_table(out, header[:3], values, fmt_name)
-    _row_writer(expected, header[:3], values, fmt_name)
+    write_table(out, header[:4], values, fmt_name)
+    _row_writer(expected, header[:4], values, fmt_name)
     assert out.read_bytes() == expected.read_bytes()
     with pytest.raises(ValueError, match="8999 labels for 9000 rows"):
         write_table(out, header, values, fmt_name, labels=labels[1:])
@@ -1091,15 +1107,15 @@ def _nan(bits):
 
 @pytest.mark.parametrize("fmt_name", ["csv", "json"])
 def test_write_table_repeated_values_match_row_writer(fmt_name, tmp_path):
-    # columns with few distinct values per 4,096-row block, where each distinct
+    # columns with few distinct values per 2,048-row block, where each distinct
     # bit pattern is formatted once and its text reused
-    n = 2 * 4096 + 300
+    n = 2 * 2048 + 300
     rng = np.random.default_rng(7)
     grid = np.linspace(-4.0, 4.0, 30)
     odd = [np.nan, -np.nan, _nan(0x7FF8000000000123), _nan(0xFFF0000000000001), np.inf,
            -np.inf, 5e-324, -5e-324, 2.2250738585072e-310, -0.0, 0.0]
     mixed = rng.standard_normal(n)   # all distinct in the first block, 3 values after
-    mixed[4096:] = rng.choice([1.5, -0.0, 0.1], n - 4096)
+    mixed[2048:] = rng.choice([1.5, -0.0, 0.1], n - 2048)
     table = np.column_stack([
         np.full(n, 2.5),                                  # constant
         np.repeat(grid, 300)[:n],                         # x1-like: runs of 300 rows
@@ -1109,8 +1125,8 @@ def test_write_table_repeated_values_match_row_writer(fmt_name, tmp_path):
         mixed,
         rng.standard_normal(n),                           # all distinct
     ])
-    assert table[4095, 1] == table[4096, 1] and table[4095, 2] != table[4096, 2]
-    assert len(np.unique(table[:4096, 5])) == 4096 > len(np.unique(table[4096:, 5]))
+    assert table[2047, 1] == table[2048, 1] and table[2047, 2] != table[2048, 2]
+    assert len(np.unique(table[:2048, 5])) == 2048 > len(np.unique(table[2048:, 5]))
     header = [f"c{k}" for k in range(table.shape[1])] + ["region"]
     labels = ["pos" if k % 7 else "neg/mid" for k in range(n)]
     out, expected = tmp_path / f"new.{fmt_name}", tmp_path / f"old.{fmt_name}"
@@ -1138,12 +1154,14 @@ def test_write_table_rejects_inconsistent_tables(header, values, labels, message
     assert list(tmp_path.iterdir()) == []  # checked before the temp file is made
 
 
-@pytest.mark.parametrize("field", ["a,b", 'say "pos"', "pos\r", "pos\nneg"])
+@pytest.mark.parametrize("field", ["a,b", 'say "pos"', "pos\r", "pos\nneg", "pos\0"])
 def test_write_table_rejects_csv_fields_that_would_shift_columns(field, tmp_path):
+    # a NUL would not shift a column, but the CSV writer pads with it and so
+    # would drop it silently
     values = np.array([[1.0], [2.0]])
-    with pytest.raises(ValueError, match="contains a comma, quote or line break"):
+    with pytest.raises(ValueError, match="contains a comma, quote, line break or NUL"):
         write_table(tmp_path / "t.csv", ["x", "region"], values, labels=["pos", field])
-    with pytest.raises(ValueError, match="contains a comma, quote or line break"):
+    with pytest.raises(ValueError, match="contains a comma, quote, line break or NUL"):
         write_table(tmp_path / "t.csv", ["x", field], values, labels=["pos", "neg"])
     assert list(tmp_path.iterdir()) == []
     # JSON quotes its strings, so the same label is written faithfully
