@@ -6,18 +6,18 @@ parameters, state variables ``x1..xn``, and ``pwl(u; a, b)`` for the
 three-branch diode characteristic.  Parameters are resolved to constants at
 build time, so differentiation and evaluation see a fixed tree.
 
-Every node evaluates on floats and 1-D numpy batches (`eval`), gives its
-Taylor coefficient of order j along a trajectory from its children's
-coefficients 0..j (`taylor`, memoized per expansion by `TaylorMemo`),
-writes the Python statements of its own scalar evaluation (`emit`, which
-`compile_step` collects into one straight-line Dormand-Prince step whose
-rhs values equal `eval`'s bit for bit), and `diff` returns the exact
-partial derivative as a new tree (the derivative of a pwl term is its
-branch slope, constant within a region).  Coefficient 0 is `eval`'s value
-bit for bit.  An integer power has no arithmetic of its own: its `eval`,
-`taylor` and `emit` are those of the `Mul` tree of its square-and-multiply
-(`Pow.tree`).  `walk` visits every node once, after its `children`; each
-question about a tree's structure reads it.
+Every node gives its Taylor coefficient of order j along a trajectory from
+its children's coefficients 0..j (`taylor`, memoized per expansion by
+`TaylorMemo`); coefficient 0 is its value, on floats and 1-D numpy batches
+alike (`Node.eval`, `evaluate`).  A node also writes the Python statements
+of its own scalar evaluation (`emit`, which `compile_step` collects into
+one straight-line Dormand-Prince step whose rhs values equal coefficient 0
+bit for bit), and `diff` returns the exact partial derivative as a new
+tree (the derivative of a pwl term is its branch slope, constant within a
+region).  An integer power has no arithmetic of its own: its `taylor` and
+`emit` are those of the `Mul` tree of its square-and-multiply (`Pow.tree`).
+`walk` visits every node once, after its `children`; each question about a
+tree's structure reads it.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ class TaylorMemo(dict):
     frozen for the whole expansion.  The dict maps each node to the list of
     its coefficients computed so far, so a node costs one `Node.taylor` call
     per order, however many parents share it (a power's squares included).
-    Coefficient 0 is each node's `taylor(0, memo)`, the float operations of
-    `eval`; a `constant` node gets 0.0 above it.
+    Coefficient 0 is each node's value; a `constant` node gets 0.0 above it.
     `branches` holds each pwl node's branch for the expansion, per-point
     labels already turned into masks.  A memo serves one expansion, which
     keeps concurrent expansions independent.
@@ -191,11 +190,12 @@ def walk(trees):
 
 def evaluate(trees, x, region=None):
     """The values of `trees` at a state x (n,) or a batch (n, npts), as one
-    float64 array (len(trees),) + x.shape[1:]: row i is ``trees[i].eval(x,
-    region)``, a constant tree's value broadcast."""
+    float64 array (len(trees),) + x.shape[1:], a constant tree's value
+    broadcast: coefficient 0 of each tree, from one memo for all of them."""
+    memo = TaylorMemo((x,), region)
     out = np.empty((len(trees),) + np.shape(x)[1:])
     for i, tree in enumerate(trees):
-        out[i] = tree.eval(x, region)
+        out[i] = memo.series(tree, 0)[0]
     return out
 
 
@@ -216,8 +216,8 @@ def compile_step(exprs):
     (empty for a smooth field).  The stage inputs are unrolled per
     component and the rhs is inlined once per stage (its locals renamed per
     stage, a node shared by several components computed once), with the
-    float operations of `eval` in the same order, so every stage value
-    equals `eval` at the stage input bit for bit.
+    float operations of each node's coefficient 0 in the same order, so
+    every stage value equals `evaluate` at the stage input bit for bit.
 
     Every sum runs in one fixed order, written out term by term:
 
@@ -282,7 +282,7 @@ def compile_step(exprs):
 
 def _cauchy(a, b, j):
     """Coefficient j of the product of two series: sum_i a_i b_{j-i} in i order, from
-    the first term, so coefficient 0 is the a_0 * b_0 of `eval`, zero sign included."""
+    the first term, so coefficient 0 is the value a_0 * b_0, zero sign included."""
     acc = a[0] * b[j]
     for i in range(1, j + 1):
         acc = acc + a[i] * b[j - i]
@@ -296,7 +296,8 @@ class Node:
     children = ()  # the nodes this one is written with, which `walk` reads
 
     def eval(self, state, region=None):
-        raise NotImplementedError
+        """The value at a state or a batch (n, npts): Taylor coefficient 0."""
+        return TaylorMemo((state,), region).series(self, 0)[0]
 
     def taylor(self, j, memo):
         """Taylor coefficient j of this node, from the coefficients 0..j of
@@ -320,9 +321,6 @@ class Const(Node):
     def __init__(self, value):
         self.value = float(value)
 
-    def eval(self, state, region=None):
-        return self.value
-
     def taylor(self, j, memo):
         return self.value
 
@@ -342,9 +340,6 @@ class Var(Node):
     def __init__(self, index, name=None):
         self.index = index
         self.name = name or f"x{index + 1}"
-
-    def eval(self, state, region=None):
-        return state[self.index]
 
     def taylor(self, j, memo):
         return memo.x[j][self.index]
@@ -370,9 +365,6 @@ class _Binary(Node):
 
 
 class Add(_Binary):
-    def eval(self, state, region=None):
-        return self.left.eval(state, region) + self.right.eval(state, region)
-
     def taylor(self, j, memo):
         return memo.series(self.left, j)[j] + memo.series(self.right, j)[j]
 
@@ -387,9 +379,6 @@ class Add(_Binary):
 
 
 class Sub(_Binary):
-    def eval(self, state, region=None):
-        return self.left.eval(state, region) - self.right.eval(state, region)
-
     def taylor(self, j, memo):
         return memo.series(self.left, j)[j] - memo.series(self.right, j)[j]
 
@@ -404,11 +393,6 @@ class Sub(_Binary):
 
 
 class Mul(_Binary):
-    def eval(self, state, region=None):
-        left = self.left.eval(state, region)
-        # a square (a power's shared node) walks its operand once
-        return left * (left if self.right is self.left else self.right.eval(state, region))
-
     def taylor(self, j, memo):
         a = memo.series(self.left, j)
         b = memo.series(self.right, j)
@@ -439,9 +423,6 @@ class Neg(Node):
         self.arg = arg
         self.constant = arg.constant
         self.children = (arg,)
-
-    def eval(self, state, region=None):
-        return -self.arg.eval(state, region)
 
     def taylor(self, j, memo):
         return -memo.series(self.arg, j)[j]
@@ -476,9 +457,9 @@ def _power_tree(base, exponent):
 class Pow(Node):
     """Integer power base^exponent, exponent >= 0.
 
-    `eval`, `taylor` and `emit` hand off to `tree`, the `Mul` tree of the
-    power's square-and-multiply (`_power_tree`), built once here, so all
-    three make the same products in the same order.  `diff`, the label and
+    `taylor` and `emit` hand off to `tree`, the `Mul` tree of the power's
+    square-and-multiply (`_power_tree`), built once here, so both make the
+    same products in the same order.  `diff`, the label and
     `children`, which is ``(base,)``, read the power as it is written, so
     ``x^0`` keeps its base's pwl terms.
     """
@@ -493,9 +474,6 @@ class Pow(Node):
         self.constant = self.exponent == 0 or base.constant
         self.tree = _power_tree(base, self.exponent)
         self.children = (base,)
-
-    def eval(self, state, region=None):
-        return self.tree.eval(state, region)
 
     def taylor(self, j, memo):
         return memo.series(self.tree, j)[j]
@@ -543,10 +521,15 @@ class Pwl(Node):
         self.constant = arg.constant
         self.children = (arg,)
 
-    def _branch(self, arg_value, region):
-        # a label, or per-point labels as their (mid, pos) masks
-        branch = _resolve_branch(self.node_id, arg_value, region)
-        return branch if isinstance(branch, str) else (branch == "mid", branch == "pos")
+    def _frozen_branch(self, memo):
+        # the expansion's branch, found once: a label, or per-point (mid, pos) masks
+        branch = memo.branches.get(self)
+        if branch is None:
+            branch = _resolve_branch(self.node_id, memo.series(self.arg, 0)[0], memo.region)
+            if not isinstance(branch, str):
+                branch = (branch == "mid", branch == "pos")
+            memo.branches[self] = branch
+        return branch
 
     def _branch_value(self, u, branch, j=0):
         # coefficient j > 0 of a branch: the offsets 1.0 and a contribute 0.0
@@ -562,17 +545,8 @@ class Pwl(Node):
         return np.where(mid, a * u, np.where(pos, b * (u - one) + offset,
                                              b * (u + one) - offset))
 
-    def eval(self, state, region=None):
-        u = self.arg.eval(state, region)
-        return self._branch_value(u, self._branch(u, region))
-
     def taylor(self, j, memo):
-        u = memo.series(self.arg, j)
-        # the branch is frozen for the expansion: found (and masked) once
-        branch = memo.branches.get(self)
-        if branch is None:
-            branch = memo.branches[self] = self._branch(u[0], memo.region)
-        return self._branch_value(u[j], branch, j)
+        return self._branch_value(memo.series(self.arg, j)[j], self._frozen_branch(memo), j)
 
     def emit(self, e):
         # classify_pwl's comparisons (NaN and |u| = 1 take the middle branch),
@@ -603,10 +577,10 @@ class PwlSlope(Node):
         self.pwl = pwl
         self.children = (pwl.arg,)
 
-    def eval(self, state, region=None):
-        u = self.pwl.arg.eval(state, region)
+    def taylor(self, j, memo):
+        u = memo.series(self.pwl.arg, 0)[0]
         # the branch's first Taylor coefficient per unit step of its argument
-        slope = self.pwl._branch_value(1.0, self.pwl._branch(u, region), 1)
+        slope = self.pwl._branch_value(1.0, self.pwl._frozen_branch(memo), 1)
         return slope if not isinstance(u, np.ndarray) else np.broadcast_to(slope, u.shape).copy()
 
     def diff(self, var):

@@ -24,18 +24,19 @@ same scheme written with float64 arrays (`sum()` over the stage arrays,
 `np.mean` for the norm).  numpy's mean sums in order below 8 components;
 from 8 on it sums pairwise, so there the last bit of the norm (and hence
 the step sequence) may differ from an array formulation.  k1 at the start
-and after an event cut is `ModelDef.velocity` as a list.  The locator's
-steps and the event cut take the same step and discard its norm and 7th
-stage, so `stats["rhs_evals"]` counts six rhs calls per DP step of every
-kind.  A step whose state is not finite, or whose norm is NaN, is rejected
-and retried at a quarter of h.
+is `ModelDef.velocity` as a list; after an accepted step and after an
+event cut alike it is the step's 7th (FSAL) stage.  The locator's steps
+take the same step and discard its norm and 7th stage, so
+`stats["rhs_evals"]` counts six rhs calls per DP step of every kind.  A
+step whose state is not finite, or whose norm is NaN, is rejected and
+retried at a quarter of h.
 
-The breakpoint distances u - 1 and u + 1 at an accepted step's end come
-from the step as well: its fourth output is each pwl argument's value at
-x_new, read off the 7th (FSAL) stage, bit for bit the tree's value there.
-The trees are walked (`_event_functions`) only for the initial signs, at
-the split point after an event cut, and inside the locator; the sign list
-is copied only on a step where a sign changes.
+The breakpoint distances u - 1 and u + 1 at the end of an accepted step
+or an event cut come from the step as well: its fourth output is each pwl
+argument's value at x_new, read off the 7th stage, bit for bit the tree's
+value there.  The trees are walked (`_event_functions`) only for the
+initial signs and inside the locator; the sign list is copied only on a
+step where a sign changes.
 
 Times and states are assembled into float64 arrays once, at the end.  The
 work counters are local ints until then, and `stats` is built once, for the
@@ -72,12 +73,11 @@ class IntegrationError(RuntimeError):
 class Trajectory:
     """Accepted states of one integration, with PWL boundary crossings.
 
-    `stats` counts the work done: rhs evaluations (2 + 6 per DP step + 1
-    per event), DP steps (all of them, event location included), accepted
-    and rejected steps, the true DP steps spent locating events
-    (`event_bisection_steps`: regula falsi trials plus any fallback
-    bisection), the events whose location fell back to bisection, and
-    events.
+    `stats` counts the work done: rhs evaluations (2 + 6 per DP step), DP
+    steps (all of them, event location included), accepted and rejected
+    steps, the true DP steps spent locating events (`event_bisection_steps`:
+    regula falsi trials plus any fallback bisection), the events whose
+    location fell back to bisection, and events.
     """
 
     times: np.ndarray
@@ -215,16 +215,15 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, max_steps=2_000_000
             pre_sign = event_signs[hit_index]
             h_ev = theta_hit * h
             dp_steps += 1
-            x = _state_after(step, x, k1, h_ev)
+            x, _, k1, pwl_values = step(x, k1, h_ev, 1.0, 1.0)  # FSAL
             t = t + h_ev
             times.append(t)
             states += x
             recorded_events.append((t, events[hit_index][1]))
             # post-crossing side of the hit boundary is the flip of the
             # pre-crossing sign; other events re-read at the split point
-            event_signs = [_side(g(x)) if i != hit_index else -pre_sign
-                           for i, (g, _) in enumerate(events)]
-            k1 = model.velocity(x).tolist()
+            event_signs = [_side(pwl_values[k] + offset) if idx != hit_index else -pre_sign
+                           for idx, k, offset in reads]
             continue
 
         accepted_steps += 1
@@ -242,13 +241,11 @@ def integrate(model, x0, t_end, rel_tol=1e-9, abs_tol=1e-12, max_steps=2_000_000
             factor = 0.9 * err_norm ** -0.2
             h *= factor if factor < 5.0 else 5.0
 
-    # rhs calls: k1 and the starting-step probe, six stages per DP step, and
-    # k1 again after every event cut
-    n_events = len(recorded_events)
-    stats = {"rhs_evals": 2 + 6 * dp_steps + n_events, "dp_steps": dp_steps,
+    # rhs calls: k1 and the starting-step probe, and six stages per DP step
+    stats = {"rhs_evals": 2 + 6 * dp_steps, "dp_steps": dp_steps,
              "accepted_steps": accepted_steps, "rejected_steps": rejected_steps,
              "event_bisection_steps": located_steps, "event_fallbacks": fallbacks,
-             "events": n_events}
+             "events": len(recorded_events)}
     traj = Trajectory(times=np.array(times), states=np.array(states).reshape(len(times), -1),
                       events=tuple(recorded_events), complete=not diagnostic,
                       diagnostic=diagnostic, stats=stats)

@@ -34,6 +34,29 @@ class ModelError(ValueError):
     """Raised for invalid configs and unsupported model requests."""
 
 
+# The deepest rhs tree a config may build: values, Taylor coefficients, the
+# generated step and `diff` recurse once or twice per level, and a Jacobian
+# tree is up to twice as deep as its rhs.  Built-in trees are at most 8 deep.
+MAX_TREE_DEPTH = 100
+
+
+def _tree_depth(trees):
+    """Levels of the deepest of `trees`, a power counted through its product tree."""
+    height = {}
+
+    def measure(node):
+        below = (node.tree,) if isinstance(node, ex.Pow) else node.children
+        height[node] = 1 + max((height[c] for c in below), default=0)
+
+    for node in ex.walk(trees):
+        if isinstance(node, ex.Pow):  # its product tree, which `walk` does not enter
+            for part in ex.walk([node.tree]):
+                if part not in height:
+                    measure(part)
+        measure(node)
+    return max(height[tree] for tree in trees)
+
+
 @dataclass(frozen=True)
 class FixedPoint:
     """Equilibrium (or branch equilibrium) of a model.
@@ -187,6 +210,10 @@ def _model_from_config(config, slowfast_defaults=None):
     for text in rhs_strings:
         node, pwl_count = ex.parse_expression(text, var_names, params, pwl_offset=pwl_count)
         exprs.append(node)
+    depth = _tree_depth(exprs)
+    if depth > MAX_TREE_DEPTH:
+        raise ModelError(f"an rhs tree is {depth} levels deep, over the cap of "
+                         f"{MAX_TREE_DEPTH}")
 
     guesses = config.get("fixed_point_guesses", ())
     try:

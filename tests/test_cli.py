@@ -410,6 +410,54 @@ def test_malformed_config_is_config_error(config, field, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def _chain_config(kind, depth):
+    """A 2-D config whose first rhs is `depth` levels deep: -x2 plus a sum of
+    0.001*x1 terms, or plus 0.5 times a product of x1 factors (whose
+    Jacobian trees are about twice as deep as the rhs)."""
+    if kind == "sum":
+        first = " + ".join(["0.001*x1"] * (depth - 2)) + " - x2"
+    else:
+        first = "-x2 + 0.5*" + "*".join(["x1"] * (depth - 2))
+    return {"name": f"{kind}-chain", "dim": 2, "params": {}, "rhs": [first, "x1 - 0.1*x2"],
+            "fixed_point_guesses": [[0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("kind", ["sum", "product"])
+def test_config_at_the_depth_cap_runs_every_command(kind, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_chain_config(kind, models.MAX_TREE_DEPTH)))
+    assert models._tree_depth(load_model(str(path)).rhs_exprs) == models.MAX_TREE_DEPTH
+    grid = ["--grid", "x1=-0.9:0.9:5,x2=-0.9:0.9:5"]
+    trajectory = ["--x0", "0.3,0.2", "--t-end", "1"]
+    for command, *args in (["integrate", *trajectory], ["curvature", *trajectory],
+                           ["phi-scan", *grid], ["phi-scan", *trajectory],
+                           ["manifold", *grid]):
+        code, _, err = run([command, "--model", str(path), *args,
+                            "--out", str(tmp_path / "out.csv")], capsys)
+        assert (code, err) == (0, ""), command
+    # no real hyperplane exists; verify's checks run through
+    code, _, err = run(["hyperplane", "--model", str(path)], capsys)
+    assert code == 2 and "no real eigenvalue" in err
+    assert run(["verify", "--model", str(path)], capsys)[0] in (0, 1)
+
+
+def test_config_over_the_depth_cap_is_config_error(tmp_path, capsys):
+    # deep enough to exhaust the recursion limit in every recursive walker
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_chain_config("sum", 600)))
+    for command, *args in (["phi-scan", "--grid", "x1=-1:1:3,x2=-1:1:3"],
+                           ["integrate", "--x0", "0.3,0.2", "--t-end", "1"]):
+        code, stdout, err = run([command, "--model", str(path), *args,
+                                 "--out", str(tmp_path / "out.csv")], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == ("flowcurv: config error: an rhs tree is 600 levels deep, "
+                       f"over the cap of {models.MAX_TREE_DEPTH}\n")
+    assert list(tmp_path.iterdir()) == [path]
+    cap = models.MAX_TREE_DEPTH
+    with pytest.raises(models.ModelError, match=f"{cap + 1} levels deep, over the cap of {cap}"):
+        load_model(_chain_config("product", cap + 1))
+
+
 def test_negative_seed_is_config_error(capsys):
     # numpy's generators take no negative seed
     with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from flowcurv.expr import (Add, Const, ExprError, Mul, Node, Pow, Pwl, PwlSlope,
                            Var, compile_step, evaluate, parse_expression, pwl_args, walk)
 
 from conftest import TWO_PWL, assert_same_bits
+from oracles import reference_eval
 from test_taylor import _states
 
 VARS3 = {"x1": 0, "x2": 1, "x3": 2}
@@ -87,7 +88,7 @@ def test_taylor_order0_matches_eval():
     x = np.array([1.7, 0.3, 0.0])
     v = np.array([0.5, -1.25, 2.0])
     c0, c1 = TaylorMemo(np.array([x, v])).series(node, 1)
-    assert c0 == node.eval(x)
+    assert c0 == reference_eval(node, x) == node.eval(x)
     grad = [node.diff(i).eval(x) for i in range(3)]
     assert c1 == pytest.approx(np.dot(grad, v), rel=1e-14)
 
@@ -95,14 +96,14 @@ def test_taylor_order0_matches_eval():
 @pytest.mark.parametrize("name", registry())
 def test_taylor_order0_is_eval_bit_for_bit(name):
     # float64 states with +-0.0 coordinates: a product's coefficient 0 is
-    # eval's a * b, so a -0.0 product keeps its sign (from 0.0 it would not)
+    # the value a * b, so a -0.0 product keeps its sign (from 0.0 it would not)
     model = get_model(name)
     x = _states(model, 2000, seed=11)
     region = model.classify(x)
     memo = TaylorMemo(x[None], region)
     for node in walk(model.rhs_exprs):
         assert_same_bits(np.broadcast_to(memo.series(node, 0)[0], x.shape[1:]),
-                         np.broadcast_to(node.eval(x, region), x.shape[1:]))
+                         np.broadcast_to(reference_eval(node, x, region), x.shape[1:]))
     assert_same_bits(derivative_stack(model, x, 1).derivs[0], model.velocity(x))
     for point in x.T[:50]:
         assert_same_bits(derivative_stack(model, point, 1).derivs[0], model.velocity(point))
@@ -238,9 +239,9 @@ def test_pwl_requires_constant_slopes():
 
 
 def _per_tree(trees, x, region=None):
-    """One `eval` call per tree, each broadcast to the batch and copied into place."""
-    return np.array([np.broadcast_to(t.eval(x, region), np.shape(x)[1:]) for t in trees],
-                    dtype=float)
+    """One reference walk per tree, each broadcast to the batch and copied into place."""
+    return np.array([np.broadcast_to(reference_eval(t, x, region), np.shape(x)[1:])
+                     for t in trees], dtype=float)
 
 
 FACTOR = "x1^2 + x2*x3 - pwl(x1; 2, 3)"
@@ -274,8 +275,8 @@ def test_evaluate_is_per_tree_eval_bit_for_bit(model):
             assert got.shape == (len(trees), 500) and got.dtype == np.float64, what
             assert_same_bits(got, _per_tree(trees, x, region))
         for point in x.T[:40]:
-            assert_same_bits(evaluate(trees, point, model.classify(point)),
-                             _per_tree(trees, point, model.classify(point)))
+            for region in (None, model.classify(point)):
+                assert_same_bits(evaluate(trees, point, region), _per_tree(trees, point, region))
 
 
 @pytest.mark.parametrize("model", _evaluator_models(), ids=lambda m: m.name)
@@ -304,6 +305,34 @@ def test_evaluator_callers_equal_per_tree_eval(model, monkeypatch):
     monkeypatch.setattr(expr, "evaluate", _per_tree)
     for a, b in zip(got, outputs(), strict=True):
         assert_same_bits(a, b)
+
+
+class _Counted(Var):
+    """A variable that counts the calls that compute its value."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.calls = 0
+
+    def eval(self, state, region=None):
+        self.calls += 1
+        return super().eval(state, region)
+
+    def taylor(self, j, memo):
+        self.calls += 1
+        return super().taylor(j, memo)
+
+
+def test_evaluate_computes_a_shared_node_once():
+    # two trees read one node (as Jacobian entries share a factor): one
+    # `evaluate` call computes it once, not once per reader
+    shared = _Counted(0)
+    trees = [Mul(shared, Var(1)), Add(shared, Const(2.0))]
+    x = np.array([[1.5, -0.0], [2.0, 3.0]])
+    assert_same_bits(evaluate(trees, x), np.array([[3.0, -0.0], [3.5, 2.0]]))
+    assert shared.calls == 1
 
 
 @pytest.mark.parametrize("model", _evaluator_models(), ids=lambda m: m.name)

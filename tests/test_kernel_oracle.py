@@ -15,21 +15,7 @@ from flowcurv import get_model, load_model, manifold
 from flowcurv.spectral import hypercoplanarity_check
 
 from conftest import TWO_PWL, assert_same_bits, in_region_points
-from oracles import reference_det_scaled
-
-
-def _reference_pwl_value(node, u, branch, j):
-    a, b = node.a, node.b
-    one, offset = (1.0, a) if j == 0 else (0.0, 0.0)
-    if isinstance(branch, str):
-        if branch == "mid":
-            return a * u
-        if branch == "pos":
-            return b * (u - one) + offset
-        return b * (u + one) - offset
-    return np.where(branch == "mid", a * u,
-                    np.where(branch == "pos", b * (u - one) + offset,
-                             b * (u + one) - offset))
+from oracles import reference_det_scaled, reference_eval, reference_pwl_value
 
 
 class _LabelMemo(ex.TaylorMemo):
@@ -43,7 +29,7 @@ class _LabelMemo(ex.TaylorMemo):
             k = len(s)
             u = self.series(node.arg, k)
             branch = ex._resolve_branch(node.node_id, u[0], self.region)
-            s.append(_reference_pwl_value(node, u[k], branch, k))
+            s.append(reference_pwl_value(node, u[k], branch, k))
         return s
 
 
@@ -75,9 +61,9 @@ def _reference_sample(model, x, region=None):
     derivs, region = _reference_derivs(model, x.astype(np.longdouble), n + 1, region)
     dets = _stack_dets(derivs)
     p, lie = dets[..., 0], dets[..., 1]
-    tr = model.jac_exprs[0][0].eval(x, region)
+    tr = reference_eval(model.jac_exprs[0][0], x, region)
     for i in range(1, n):
-        tr = tr + model.jac_exprs[i][i].eval(x, region)
+        tr = tr + reference_eval(model.jac_exprs[i][i], x, region)
     resid = np.abs(lie - tr * p) / (1.0 + np.abs(tr * p))
     if x.ndim == 1:
         p, lie, resid = float(p), float(lie), float(resid)

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcurv import expr as ex
-from flowcurv import (FixedPoint, ModelError, fixed_points, get_model, integrate, lie_phi,
-                      load_model, phi, registry)
+from flowcurv import (FixedPoint, ModelDef, ModelError, fixed_points, get_model, integrate,
+                      lie_phi, load_model, phi, registry)
 from flowcurv.models import (_BUILTIN_BUILDERS, _SNAP_CANDIDATES, _newton_polish, _snap,
                              magneto_equilibrium, point_regions, region_box, solve_columns)
 
@@ -627,9 +627,11 @@ _EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(-
 
 
 def _long_sum_model():
-    # 300 terms nest 300 deep in the tree
+    # 300 terms nest 300 deep in the tree, past a config's depth cap: the
+    # model is built from the parsed trees
     rhs = " + ".join(f"{k + 1}*x{k % 2 + 1}" for k in range(300))
-    return load_model({"name": "long", "dim": 2, "params": {}, "rhs": [rhs, "x1"]})
+    trees = tuple(ex.parse_expression(text, {"x1": 0, "x2": 1}, {})[0] for text in (rhs, "x1"))
+    return ModelDef(name="long", params={}, rhs_exprs=trees)
 
 
 @pytest.mark.parametrize("model", RHS_MODELS + [_long_sum_model()], ids=lambda m: m.name)
